@@ -14,9 +14,9 @@ from .clustering import (ClusterPartition, SelectionMatrix, SparseChannel,
                          select_aps_topn, sparse_channel)
 from .config import ConfigError, ExperimentConfig
 from .power import PowerAllocation, allocate_common, uniform_private
-from .precoding import (EmptyClusterError, PrecoderSet, RankDeficientChannelError,
-                        SvdCache, common_precoder, flop_estimate, mf_sp, mmse_sp,
-                        network_wide, normalize_private_budget, normalize_private_columns,
+from .precoding import (CONSTRUCTIONS, EmptyClusterError, PrecoderSet,
+                        RankDeficientChannelError, SvdCache, common_precoder, construct,
+                        flop_estimate, mf_sp, mmse_sp, normalize_private_columns,
                         precoder_dump, ru_mmse_rd, ru_zf_rd, zf_sp)
 from .rates import (AsrResult, EsrResult, RateInputs, RateReport, average_sum_rate,
                     ergodic_sum_rate, instantaneous_rates, sinr_closed_form,

@@ -2,8 +2,10 @@
 
 Subcommands: ``run`` (one experiment), ``sweep`` (vary one config key over
 a list), ``verify`` (consistency suite) and ``cluster-report`` (JSON dump
-of one realization's clustering).  Exit codes: 0 success, 1 configuration
-error, 2 verification failure, 3 runtime failure.
+of one realization's clustering: the partition of the attempt the run
+keeps, after redraws and with ``freeze_geometry`` applied).  Exit codes:
+0 success, 1 configuration error, 2 verification failure, 3 runtime
+failure.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import channel as chan
 from . import clustering as clus
 from . import config as cfg
 from . import harness
@@ -102,14 +103,7 @@ def _cmd_verify(args, config: cfg.ExperimentConfig) -> int:
 
 
 def _cmd_cluster_report(args, config: cfg.ExperimentConfig) -> int:
-    rng = harness.seeded_rng(config.seed, args.realization, 0, 0)
-    geometry = chan.place_network(config.m, config.k, config.area_side_m, rng,
-                                  h_ap=config.h_ap_m, h_u=config.h_u_m,
-                                  carrier_freq_mhz=config.freq_mhz)
-    zeta = chan.large_scale(geometry, config.shadow_sigma_db,
-                            harness.seeded_rng(config.seed, args.realization, 0, 1),
-                            d0=config.d0_m, d1=config.d1_m)
-    _, partition = harness.cluster_partition_for(config, zeta)
+    partition = harness.cluster_partition(config, args.realization)
     payload = clus.cluster_report(partition)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:

@@ -23,16 +23,17 @@ class SchemeSpec:
     """Parsed transmission-scheme label.
 
     ``rs`` toggles rate splitting (common streams plus the fraction
-    search), ``bs`` the co-located-antenna baseline geometry, ``scope``
-    selects the dense, sparse (masked) or reduced-dimension private
-    precoder.
+    search), ``bs`` the co-located-antenna baseline geometry.
+    ``construction`` is the private precoder's key in
+    ``precoding.CONSTRUCTIONS``; ``scope`` applies it to the dense
+    channel or to the clustered (masked) one.
     """
 
     label: str
     rs: bool
     bs: bool
-    precoder: str  # "mf" | "zf" | "mmse"
-    scope: str     # "dense" | "sp" | "rd"
+    construction: str  # "MF-SP" | "ZF-SP" | "MMSE-SP" | "RU-ZF-RD" | "RU-MMSE-RD"
+    scope: str         # "dense" | "sp" | "rd"
 
 
 def valid_scheme_labels() -> list[str]:
@@ -53,9 +54,9 @@ def parse_scheme(label: str) -> SchemeSpec:
     if rs:
         parts = parts[1:]
     bs = parts[0] == "BS"
-    precoder = parts[1].lower()
     scope = parts[2].lower() if len(parts) > 2 else "dense"
-    return SchemeSpec(label, rs, bs, precoder, scope)
+    construction = f"RU-{parts[1]}-RD" if scope == "rd" else f"{parts[1]}-SP"
+    return SchemeSpec(label, rs, bs, construction, scope)
 
 
 DEFAULT_SCHEMES = (

@@ -6,7 +6,9 @@ transmission scheme over the SNR grid.  Realizations are independently
 seeded work items derived from (master seed, realization index), so the
 result of a run is a pure function of the configuration no matter how the
 work is scheduled; the reduction walks trial rows in index order with
-compensated summation.
+compensated summation.  The run, the precoder dump and the cluster report
+all build a realization the same way: ``_scheme_sides`` for the channel
+state, ``_scheme_precoders`` per scheme, inside one ``_with_redraws`` loop.
 
 Scheme labels follow  [RS-]{BS|CF}-{MF|ZF|MMSE}[-SP|-RD]:  BS places all
 antennas at the area centre, CF distributes them; SP masks the channel to
@@ -31,7 +33,7 @@ from . import clustering as clus
 from . import power as pw
 from . import precoding as prec
 from . import rates
-from .config import ExperimentConfig, SchemeSpec, parse_scheme, validate
+from .config import ConfigError, ExperimentConfig, SchemeSpec, parse_scheme, validate
 
 log = logging.getLogger("rscf")
 
@@ -136,25 +138,64 @@ def _side_data(config: ExperimentConfig, index: int, attempt: int,
                     clustered_partition, clustered_sparse)
 
 
-def _build_private(spec: SchemeSpec, sparse: clus.SparseChannel,
+def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
+                  attempt: int) -> dict[bool, SideData]:
+    """Channel state of the geometries a scheme list needs, keyed by ``bs``.
+
+    The distributed side is built first and is clustered when any scheme
+    masks the channel; the co-located side is never clustered.
+    """
+    clustered = any(s.scope != "dense" for s in specs)
+    return {bs: _side_data(config, index, attempt, co_located=bs,
+                           clustered=clustered and not bs)
+            for bs in (False, True) if any(s.bs == bs for s in specs)}
+
+
+def _power_budget(config: ExperimentConfig, sides: dict[bool, SideData],
+                  snr_db: float) -> float:
+    # one power budget per (realization, SNR point), solved on the primary
+    # distributed geometry and shared by every scheme for a fair comparison
+    reference = sides[False] if False in sides else sides[True]
+    return chan.pt_for_snr(reference.realization.g_true, snr_db, _noise(config))
+
+
+def _build_private(construction: str, sparse: clus.SparseChannel,
                    partition: clus.ClusterPartition, pt: float,
                    sigma_w2: float) -> prec.PrecoderSet:
-    for i, (users, aps) in enumerate(zip(partition.user_sets, partition.ap_sets)):
-        if users and not aps:
-            raise prec.EmptyClusterError(f"cluster {i} lost every AP in conflict resolution")
-    if spec.precoder == "mf":
-        raw = prec.mf_sp(sparse)
-    elif spec.scope == "rd":
-        if spec.precoder == "zf":
-            raw = prec.ru_zf_rd(sparse, partition)
-        else:
-            raw = prec.ru_mmse_rd(sparse, partition, pt, sigma_w2)
-    elif spec.precoder == "zf":
-        raw = prec.zf_sp(sparse, pt)
-    else:
-        raw = prec.mmse_sp(sparse, pt, sigma_w2)
     # transmit composition: unit-norm columns, amplitudes carry the power
-    return prec.normalize_private_columns(raw)
+    return prec.normalize_private_columns(
+        prec.construct(construction, sparse, partition, pt, sigma_w2))
+
+
+def _scheme_precoders(spec: SchemeSpec, side: SideData, pt: float, sigma_w2: float
+                      ) -> tuple[clus.ClusterPartition, prec.PrecoderSet]:
+    """Partition and transmit precoders of one scheme; RS adds the SVD beams."""
+    if spec.scope == "dense":
+        partition, sparse = side.dense_partition, side.dense_sparse
+    else:
+        partition, sparse = side.clustered_partition, side.clustered_sparse
+    pset = _build_private(spec.construction, sparse, partition, pt, sigma_w2)
+    if spec.rs:
+        common, _ = prec.common_precoder(sparse, partition)
+        pset = prec.attach_common(pset, common)
+    return partition, pset
+
+
+def _with_redraws(index: int, attempt_fn):
+    """``attempt_fn(attempt)`` of the first non-degenerate attempt of a realization.
+
+    Degenerate draws (rank-deficient or empty-cluster channels) are logged
+    and redrawn with a derived sub-seed, at most MAX_REDRAWS times.
+    """
+    last_error: Exception | None = None
+    for attempt in range(MAX_REDRAWS + 1):
+        try:
+            return attempt_fn(attempt)
+        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
+            log.warning("realization %d attempt %d redrawn: %s", index, attempt, exc)
+            last_error = exc
+    raise RuntimeError(
+        f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
 def _evaluate_scheme(spec: SchemeSpec, side: SideData, pt: float,
@@ -162,15 +203,9 @@ def _evaluate_scheme(spec: SchemeSpec, side: SideData, pt: float,
                      err_rng_factory) -> tuple[pw.PowerAllocation, rates.AsrResult,
                                                clus.ClusterPartition]:
     real = side.realization
-    if spec.scope == "dense":
-        partition, sparse = side.dense_partition, side.dense_sparse
-    else:
-        partition, sparse = side.clustered_partition, side.clustered_sparse
     sigma_e = math.sqrt(config.sigma_e2)
-    pset = _build_private(spec, sparse, partition, pt, sigma_w2)
+    partition, pset = _scheme_precoders(spec, side, pt, sigma_w2)
     if spec.rs:
-        common, _ = prec.common_precoder(sparse, partition)
-        pset = prec.attach_common(pset, common)
         alloc, asr = pw.allocate_common(
             real.g_hat, side.zeta, sigma_e, partition, pset, sigma_w2, pt,
             config.power_grid_step, config.n_err, err_rng_factory(),
@@ -186,25 +221,12 @@ def _evaluate_scheme(spec: SchemeSpec, side: SideData, pt: float,
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
     specs = [parse_scheme(label) for label in config.schemes]
-    need_bs = any(s.bs for s in specs)
-    need_cf = any(not s.bs for s in specs)
-    clustered = any(s.scope != "dense" for s in specs)
-    sides = {}
-    if need_cf:
-        sides[False] = _side_data(config, index, attempt, co_located=False,
-                                  clustered=clustered)
-    if need_bs:
-        sides[True] = _side_data(config, index, attempt, co_located=True,
-                                 clustered=False)
+    sides = _scheme_sides(config, specs, index, attempt)
     err_rng_factory = lambda: seeded_rng(config.seed, index, attempt, _ERRDRAWS)
-
-    # one power budget per (realization, SNR point), solved on the primary
-    # distributed geometry and shared by every scheme for a fair comparison
-    reference = sides[False] if False in sides else sides[True]
 
     rows = []
     for snr in snr_grid:
-        pt = chan.pt_for_snr(reference.realization.g_true, snr, _noise(config))
+        pt = _power_budget(config, sides, snr)
         for spec in specs:
             started = time.perf_counter() if config.timing else 0.0
             alloc, asr, partition = _evaluate_scheme(
@@ -227,21 +249,37 @@ def _noise(config: ExperimentConfig) -> float:
 
 def run_realization(config: ExperimentConfig, index: int,
                     snr_grid: tuple[float, ...] | None = None) -> list[TrialRow]:
-    """All (scheme, SNR) trial rows of one realization.
-
-    Degenerate draws (rank-deficient or empty-cluster channels) are logged
-    and redrawn with a derived sub-seed, at most MAX_REDRAWS times.
-    """
+    """All (scheme, SNR) trial rows of one realization, redrawn while degenerate."""
     grid = tuple(snr_grid) if snr_grid is not None else tuple(config.snr_grid_db)
-    last_error: Exception | None = None
-    for attempt in range(MAX_REDRAWS + 1):
-        try:
-            return _realization_attempt(config, index, attempt, grid)
-        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
-            log.warning("realization %d attempt %d redrawn: %s", index, attempt, exc)
-            last_error = exc
-    raise RuntimeError(
-        f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
+    return _with_redraws(
+        index, lambda attempt: _realization_attempt(config, index, attempt, grid))
+
+
+def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -> tuple[
+        dict[bool, SideData], dict[str, tuple[clus.ClusterPartition, prec.PrecoderSet]]]:
+    """Channel sides and per-scheme (partition, precoders) of one realization.
+
+    Builds every configured scheme at one SNR point through the same sides,
+    constructions and redraw loop as :func:`run_realization`.  Whether a
+    draw is degenerate does not depend on the power budget, so the attempt
+    returned is the one the run keeps.
+    """
+    specs = [parse_scheme(label) for label in config.schemes]
+
+    def attempt_fn(attempt):
+        sides = _scheme_sides(config, specs, index, attempt)
+        pt = _power_budget(config, sides, snr_db)
+        return sides, {s.label: _scheme_precoders(s, sides[s.bs], pt, _noise(config))
+                       for s in specs}
+    return _with_redraws(index, attempt_fn)
+
+
+def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterPartition:
+    """User/AP partition that the clustered schemes of a run use in one realization."""
+    sides, _ = realization_precoders(config, index, float(config.snr_grid_db[0]))
+    if False not in sides or sides[False].clustered_partition is None:
+        raise ConfigError("no scheme in 'schemes' is clustered (-SP or -RD)")
+    return sides[False].clustered_partition
 
 
 def run_trial(config: ExperimentConfig, realization_index: int,
@@ -310,40 +348,9 @@ def dump_precoders(config: ExperimentConfig, realization_index: int = 0,
     grid point).
     """
     snr = float(snr_db) if snr_db is not None else float(config.snr_grid_db[0])
-    specs = [parse_scheme(label) for label in config.schemes]
-    clustered = any(s.scope != "dense" for s in specs)
-    sigma_w2 = _noise(config)
-    last_error: Exception | None = None
-    for attempt in range(MAX_REDRAWS + 1):
-        try:
-            sides = {}
-            for bs in {s.bs for s in specs}:
-                sides[bs] = _side_data(config, realization_index, attempt,
-                                       co_located=bs, clustered=clustered and not bs)
-            reference = sides[False] if False in sides else sides[True]
-            pt = chan.pt_for_snr(reference.realization.g_true, snr, sigma_w2)
-            out = {}
-            for spec in specs:
-                side = sides[spec.bs]
-                if spec.scope == "dense":
-                    partition, sparse = side.dense_partition, side.dense_sparse
-                else:
-                    partition, sparse = side.clustered_partition, side.clustered_sparse
-                pset = _build_private(spec, sparse, partition, pt, sigma_w2)
-                if spec.rs:
-                    common, _ = prec.common_precoder(sparse, partition)
-                    pset = prec.attach_common(pset, common)
-                dump = prec.precoder_dump(pset)
-                dump["snr_db"] = snr
-                dump["realization"] = realization_index
-                out[spec.label] = dump
-            return out
-        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
-            log.warning("precoder dump %d attempt %d redrawn: %s",
-                        realization_index, attempt, exc)
-            last_error = exc
-    raise RuntimeError(
-        f"realization {realization_index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
+    _, built = realization_precoders(config, realization_index, snr)
+    return {label: dict(prec.precoder_dump(pset), snr_db=snr, realization=realization_index)
+            for label, (_, pset) in built.items()}
 
 
 CSV_HEADER = "scheme,snr_db,esr,ecr,epr,stderr,delta_mean,n_clusters_mean,runtime_ms"
@@ -430,19 +437,7 @@ def random_instance(seed: int, m: int = 8, k: int = 4, sigma_e2: float = 0.025,
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
             common, cache = prec.common_precoder(sparse, partition)
-            if kind == prec.LABEL_MF_SP:
-                pset = prec.mf_sp(sparse)
-            elif kind == prec.LABEL_ZF_SP:
-                pset = prec.zf_sp(sparse, pt)
-            elif kind == prec.LABEL_MMSE_SP:
-                pset = prec.mmse_sp(sparse, pt, sigma_w2)
-            elif kind == prec.LABEL_RU_ZF_RD:
-                pset = prec.ru_zf_rd(sparse, partition)
-            elif kind == prec.LABEL_RU_MMSE_RD:
-                pset = prec.ru_mmse_rd(sparse, partition, pt, sigma_w2)
-            else:
-                raise ValueError(f"unknown kind {kind!r}")
-            pset = prec.normalize_private_columns(pset)
+            pset = _build_private(kind, sparse, partition, pt, sigma_w2)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
         pset = prec.attach_common(pset, common)
@@ -453,23 +448,46 @@ def random_instance(seed: int, m: int = 8, k: int = 4, sigma_e2: float = 0.025,
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
 
-def _closed_form_residual(seeds, sigma_e2_values) -> float:
+def _closed_form_residual(instances) -> float:
+    """Worst relative closed-form vs generic SINR gap, both streams of every user.
+
+    ``instances`` yields (seed, sigma_e2, kind) triples for random_instance.
+    """
     worst = 0.0
-    for seed in seeds:
-        for se2 in sigma_e2_values:
-            for kind in rates.CLOSED_FORM_KINDS:
-                inputs = random_instance(seed, sigma_e2=se2, kind=kind)
-                for k in range(inputs.realization.g_hat.shape[1]):
-                    pairs = (
-                        (rates.sinr_closed_form(k, inputs, kind, "common"),
-                         rates.sinr_common_generic(k, inputs)),
-                        (rates.sinr_closed_form(k, inputs, kind, "private"),
-                         rates.sinr_private_generic(k, inputs)),
-                    )
-                    for closed, generic in pairs:
-                        scale = max(abs(generic), 1e-30)
-                        worst = max(worst, abs(closed - generic) / scale)
+    for seed, se2, kind in instances:
+        inputs = random_instance(seed, sigma_e2=se2, kind=kind)
+        for k in range(inputs.realization.g_hat.shape[1]):
+            pairs = (
+                (rates.sinr_closed_form(k, inputs, kind, "common"),
+                 rates.sinr_common_generic(k, inputs)),
+                (rates.sinr_closed_form(k, inputs, kind, "private"),
+                 rates.sinr_private_generic(k, inputs)),
+            )
+            for closed, generic in pairs:
+                scale = max(abs(generic), 1e-30)
+                worst = max(worst, abs(closed - generic) / scale)
     return worst
+
+
+def _partition_violations(gains) -> int:
+    """Gain matrices whose threshold-rule clustering breaks an invariant.
+
+    A partition must hold every user once, give no AP to two clusters and
+    replay identically from the same selection.
+    """
+    bad = 0
+    for z in gains:
+        sel = clus.select_aps_threshold(z)
+        n_a = clus.default_shared_ap_threshold(sel)
+        part = clus.design_clusters(sel, n_a, z)
+        again = clus.design_clusters(sel, n_a, z)
+        users = sorted(u for s in part.user_sets for u in s)
+        aps = [a for s in part.ap_sets for a in s]
+        if (users != list(range(z.shape[1])) or len(aps) != len(set(aps))
+                or part.user_sets != again.user_sets or part.ap_sets != again.ap_sets
+                or not np.array_equal(part.test_vectors, again.test_vectors)):
+            bad += 1
+    return bad
 
 
 def verify(config: ExperimentConfig | None = None,
@@ -508,21 +526,9 @@ def verify(config: ExperimentConfig | None = None,
     add("channel reconstruction identity", res, 1e-12)
 
     # partition invariants and deterministic replay
-    bad = 0
-    for seed in range(200):
-        rng = seeded_rng(config.seed, seed, 901)
-        z = rng.lognormal(size=(config.m, config.k))
-        sel = clus.select_aps_threshold(z)
-        n_a = clus.default_shared_ap_threshold(sel)
-        part = clus.design_clusters(sel, n_a, z)
-        again = clus.design_clusters(sel, n_a, z)
-        users = sorted(u for s in part.user_sets for u in s)
-        aps = [a for s in part.ap_sets for a in s]
-        if users != list(range(config.k)) or len(aps) != len(set(aps)):
-            bad += 1
-        if (part.user_sets != again.user_sets or part.ap_sets != again.ap_sets
-                or not np.array_equal(part.test_vectors, again.test_vectors)):
-            bad += 1
+    bad = _partition_violations(
+        seeded_rng(config.seed, seed, 901).lognormal(size=(config.m, config.k))
+        for seed in range(200))
     add("cluster partition invariants", float(bad), 0.0, "200 random selections")
 
     # zero-forcing orthogonality of the raw construction (with corruption hook)
@@ -584,7 +590,9 @@ def verify(config: ExperimentConfig | None = None,
     add("zero-split collapse", res, 1e-12)
 
     # closed forms against the generic evaluator
-    res = _closed_form_residual(range(10), (0.0, config.sigma_e2, 0.1))
+    res = _closed_form_residual((seed, se2, kind) for seed in range(10)
+                                for se2 in (0.0, config.sigma_e2, 0.1)
+                                for kind in rates.CLOSED_FORM_KINDS)
     add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels")
 
     # per-AP cost stays flat when the network doubles at fixed cluster size

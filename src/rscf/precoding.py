@@ -112,21 +112,6 @@ def common_precoder(sparse: SparseChannel,
     return v1.T.copy(), SvdCache(v1, psi1, tuple(u1))
 
 
-def normalize_private_budget(pset: PrecoderSet, a_p: np.ndarray) -> PrecoderSet:
-    """Rescale the private matrix so sum(a_k^2 ||p_k||^2) equals sum(a_k^2).
-
-    Aggregate (one-scale) normalisation: column norm ratios are kept, so
-    streams with stronger channels still carry more transmit power.
-    """
-    a2 = np.asarray(a_p, dtype=float) ** 2
-    weighted = float(np.sum(a2 * np.sum(np.abs(pset.private) ** 2, axis=0)))
-    if weighted <= 0.0:
-        raise ValueError("cannot budget-normalise an all-zero private precoder")
-    scale = math.sqrt(float(a2.sum()) / weighted)
-    return replace(pset, private=scale * pset.private,
-                   col_scale=None if pset.col_scale is None else scale * pset.col_scale)
-
-
 def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
     """Rescale every private column to unit norm.
 
@@ -143,20 +128,14 @@ def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
                    col_scale=None if pset.col_scale is None else pset.col_scale / norms)
 
 
-def mf_sp(sparse: SparseChannel, a_p: np.ndarray | None = None) -> PrecoderSet:
-    """Matched filter on the sparse channel: the conjugate of each column.
-
-    When the private amplitudes ``a_p`` are given, the budget
-    normalisation of :func:`normalize_private_budget` is applied; bare
-    conjugation otherwise.
-    """
+def mf_sp(sparse: SparseChannel) -> PrecoderSet:
+    """Matched filter on the sparse channel: the conjugate of each column."""
     g_bar = sparse.g_bar
     k = g_bar.shape[1]
-    pset = PrecoderSet(LABEL_MF_SP, _empty_common(g_bar.shape[0]),
+    return PrecoderSet(LABEL_MF_SP, _empty_common(g_bar.shape[0]),
                        g_bar.conj().copy(), beta=1.0,
                        lam=np.eye(k, dtype=complex),
                        col_scale=np.ones(k))
-    return pset if a_p is None else normalize_private_budget(pset, a_p)
 
 
 def zf_sp(sparse: SparseChannel, pt: float) -> PrecoderSet:
@@ -239,18 +218,33 @@ def ru_mmse_rd(sparse: SparseChannel, partition: ClusterPartition,
                        beta=betas, lam=lam, col_scale=col_scale)
 
 
-def network_wide(g_hat: np.ndarray, kind: str, pt: float | None = None,
-                 sigma_w2: float | None = None,
-                 a_p: np.ndarray | None = None) -> PrecoderSet:
-    """Unmasked baseline precoders on the dense channel estimate."""
-    dense = dense_channel(g_hat)
-    if kind == "mf":
-        return mf_sp(dense, a_p)
-    if kind == "zf":
-        return zf_sp(dense, pt)
-    if kind == "mmse":
-        return mmse_sp(dense, pt, sigma_w2)
-    raise ValueError(f"unknown precoder kind {kind!r}; expected mf, zf or mmse")
+# construction label -> builder(sparse, partition, pt, sigma_w2).  The
+# entries look the construction functions up when called, so a wrapper set
+# on a module attribute (bench/tracing.py does this) sees every build.
+CONSTRUCTIONS = {
+    LABEL_MF_SP: lambda sparse, partition, pt, sigma_w2: mf_sp(sparse),
+    LABEL_ZF_SP: lambda sparse, partition, pt, sigma_w2: zf_sp(sparse, pt),
+    LABEL_MMSE_SP: lambda sparse, partition, pt, sigma_w2: mmse_sp(sparse, pt, sigma_w2),
+    LABEL_RU_ZF_RD: lambda sparse, partition, pt, sigma_w2: ru_zf_rd(sparse, partition),
+    LABEL_RU_MMSE_RD: lambda sparse, partition, pt, sigma_w2: ru_mmse_rd(
+        sparse, partition, pt, sigma_w2),
+}
+
+
+def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,
+              pt: float, sigma_w2: float) -> PrecoderSet:
+    """Raw private precoder set of the construction named ``label``.
+
+    A dense (unmasked) precoder is the same construction applied to
+    :func:`dense_channel` with a single cluster.
+    """
+    if label not in CONSTRUCTIONS:
+        raise ValueError(
+            f"unknown construction {label!r}; expected one of {tuple(CONSTRUCTIONS)}")
+    for i, (users, aps) in enumerate(zip(partition.user_sets, partition.ap_sets)):
+        if users and not aps:
+            raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution")
+    return CONSTRUCTIONS[label](sparse, partition, pt, sigma_w2)
 
 
 def precoder_dump(pset: PrecoderSet) -> dict:

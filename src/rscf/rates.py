@@ -27,14 +27,13 @@ import numpy as np
 
 from . import channel as chan
 from .clustering import ClusterPartition, SparseChannel
-from .precoding import (LABEL_MF_SP, LABEL_MMSE_SP, LABEL_RU_MMSE_RD,
-                        LABEL_RU_ZF_RD, LABEL_ZF_SP, PrecoderSet, SvdCache)
+from .precoding import (CONSTRUCTIONS, LABEL_MF_SP, LABEL_RU_ZF_RD, LABEL_ZF_SP,
+                        PrecoderSet, SvdCache)
 
 if TYPE_CHECKING:
     from .power import PowerAllocation
 
-CLOSED_FORM_KINDS = (LABEL_MF_SP, LABEL_ZF_SP, LABEL_MMSE_SP,
-                     LABEL_RU_ZF_RD, LABEL_RU_MMSE_RD)
+CLOSED_FORM_KINDS = tuple(CONSTRUCTIONS)
 
 
 @dataclass(frozen=True)
@@ -389,15 +388,6 @@ def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
     return np.log2(1.0 + gamma_c), np.log2(1.0 + gamma_p)
 
 
-def asr_from_errors(g_hat: np.ndarray, err_stack: np.ndarray,
-                    partition: ClusterPartition, precoders: PrecoderSet,
-                    power: "PowerAllocation", sigma_w2: float,
-                    sigma_e: float) -> AsrResult:
-    """Average rates over a pre-drawn stack of estimation errors."""
-    bundle = project_streams(g_hat, err_stack, precoders, partition)
-    return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
-
-
 def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
                     power: "PowerAllocation", sigma_w2: float,
                     sigma_e: float) -> AsrResult:
@@ -421,7 +411,8 @@ def average_sum_rate(g_hat: np.ndarray, zeta, sigma_e: float,
     if n_err < 1:
         raise ValueError(f"need at least one error draw, got {n_err}")
     err = chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
-    return asr_from_errors(g_hat, err, partition, precoders, power, sigma_w2, sigma_e)
+    bundle = project_streams(g_hat, err, precoders, partition)
+    return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
 
 
 def ergodic_sum_rate(records: Sequence[RealizationRates]) -> EsrResult:

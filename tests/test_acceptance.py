@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from rscf import channel as chan
-from rscf import clustering as clus
 from rscf import harness
 from rscf import power as pw
 from rscf import precoding as prec
@@ -44,19 +43,9 @@ def test_criterion_01_closed_form_equivalence():
     start = time.perf_counter()
     kinds = rates.CLOSED_FORM_KINDS
     levels = (0.0, 0.025, 0.1)
-    worst = 0.0
-    count = 0
-    for i in range(1000):
-        kind = kinds[i % len(kinds)]
-        se2 = levels[i % len(levels)]
-        inputs = random_instance(i, sigma_e2=se2, kind=kind, delta=0.3)
-        for k in range(4):
-            for stream, generic in (("common", rates.sinr_common_generic),
-                                    ("private", rates.sinr_private_generic)):
-                closed = rates.sinr_closed_form(k, inputs, kind, stream)
-                ref = generic(k, inputs)
-                worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-30))
-        count += 1
+    count = 1000
+    worst = harness._closed_form_residual(
+        (i, levels[i % len(levels)], kinds[i % len(kinds)]) for i in range(count))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 60.0
     assert report(1, ok, f"{count} instances, max rel residual {worst:.2e}, "
@@ -150,36 +139,15 @@ def test_criterion_07_cf_vs_bs_ordering(reference_run):
 
 
 def test_criterion_08_partition_invariants():
-    bad = 0
-    for seed in range(1000):
-        g = np.random.default_rng(seed)
-        zeta = g.lognormal(sigma=1.8, size=(8, 4))
-        sel = clus.select_aps_threshold(zeta)
-        n_a = clus.default_shared_ap_threshold(sel)
-        part = clus.design_clusters(sel, n_a, zeta)
-        replay = clus.design_clusters(sel, n_a, zeta)
-        users = sorted(u for s in part.user_sets for u in s)
-        aps = [a for s in part.ap_sets for a in s]
-        if users != [0, 1, 2, 3] or len(aps) != len(set(aps)):
-            bad += 1
-        elif (part.user_sets != replay.user_sets or part.ap_sets != replay.ap_sets
-              or not np.array_equal(part.test_vectors, replay.test_vectors)):
-            bad += 1
+    bad = harness._partition_violations(
+        np.random.default_rng(seed).lognormal(sigma=1.8, size=(8, 4)) for seed in range(1000))
     ok = bad == 0
     assert report(8, ok, f"1000 selection matrices, {bad} violations")
 
 
 def test_criterion_09_complexity_scaling():
-    def per_ap(m, k):
-        n_c = k // 4
-        users = tuple(tuple(range(i * 4, (i + 1) * 4)) for i in range(n_c))
-        aps = tuple(tuple(range(i * (m // n_c), (i + 1) * (m // n_c))) for i in range(n_c))
-        tv = np.zeros((n_c, m), dtype=int)
-        for i, a in enumerate(aps):
-            tv[i, list(a)] = 1
-        part = clus.ClusterPartition(users, aps, tv)
-        return prec.flop_estimate(part, m, k, "mmse") / m
-    r1, r2 = per_ap(32, 16), per_ap(64, 32)
+    r1 = harness._synthetic_flops_per_ap(32, 16, cluster_size=4)
+    r2 = harness._synthetic_flops_per_ap(64, 32, cluster_size=4)
     change = abs(r2 - r1) / r1
     ok = change < 0.05
     assert report(9, ok, f"per-AP cost {r1:.2f} -> {r2:.2f}, change {change * 100:.2f}%")

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from rscf import cli
+from rscf import cli, harness
 from rscf.config import ExperimentConfig, KEY_SPECS, load_file, render, resolve
 
 
@@ -145,3 +146,45 @@ class TestCliDispatch:
         monkeypatch.setattr(harness, "run_experiment", boom)
         assert cli.main(["run", *SMALL_ARGS]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+
+class TestClusterReportMatchesRun:
+    """cluster-report prints the partition the run used, not a re-derived one."""
+
+    def report(self, capsys, realization, args):
+        assert cli.main(["cluster-report", "--realization", str(realization), *args]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_redrawn_realization(self, tmp_path, capsys):
+        # default scenario, seed 1: attempt 0 of realization 10 has a
+        # rank-deficient sparse zero-forcing Gram matrix and is redrawn once
+        overrides = ["n_realizations=11", "n_err=2", "snr_grid_db=0"]
+        args = [part for pair in overrides for part in ("--set", pair)]
+        assert cli.main(["run", *args, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = [json.loads(line) for line in
+                (tmp_path / "trials.jsonl").read_text().splitlines()]
+        row = next(r for r in rows if r["realization"] == 10 and r["scheme"] == "RS-CF-MF-SP")
+        assert row["redraws"] == 1
+
+        report = self.report(capsys, 10, args)
+        cluster_of = [None] * 4
+        for entry in report:
+            for user in entry["users"]:
+                cluster_of[user] = entry["cluster_index"]
+        assert cluster_of == row["cluster_of"]
+
+        dump = harness.dump_precoders(resolve(None, overrides), 10)
+        beams = np.abs(np.array(dump["RS-CF-MF-SP"]["common"]) @ [1.0, 1j])
+        support = [np.flatnonzero(col > 1e-12 * col.max()).tolist() for col in beams.T]
+        assert support == [entry["aps"] for entry in report]
+
+    def test_frozen_geometry_reports_one_partition(self, capsys):
+        args = ["--set", "freeze_geometry=true"]
+        first = self.report(capsys, 0, args)
+        assert [self.report(capsys, r, args) for r in range(1, 5)] == [first] * 4
+
+    def test_no_clustered_scheme_is_a_config_error(self, capsys):
+        # the run uses no clustered partition, so there is none to report
+        assert cli.main(["cluster-report", "--set", "schemes=CF-MF,BS-MF"]) == 1
+        assert "clustered" in capsys.readouterr().err

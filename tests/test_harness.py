@@ -13,9 +13,11 @@ SMALL = ExperimentConfig(n_realizations=3, n_err=10, snr_grid_db=(0.0, 10.0),
 class TestSchemeGrammar:
     def test_parse_fields(self):
         spec = parse_scheme("RS-CF-MMSE-RD")
-        assert spec.rs and not spec.bs and spec.precoder == "mmse" and spec.scope == "rd"
+        assert spec.rs and not spec.bs and spec.construction == "RU-MMSE-RD"
+        assert spec.scope == "rd"
         spec = parse_scheme("BS-ZF")
         assert not spec.rs and spec.bs and spec.scope == "dense"
+        assert spec.construction == "ZF-SP"
 
     def test_rejects_unknown(self):
         from rscf.config import ConfigError

@@ -111,13 +111,6 @@ class TestMatchedFilter:
         pset = prec.mf_sp(sparse)
         assert np.array_equal(pset.private == 0, sparse.g_bar == 0)
 
-    def test_budget_normalisation(self):
-        sparse, part, _ = clustered_instance(11)
-        a_p = np.full(4, 0.5)
-        pset = prec.mf_sp(sparse, a_p=a_p)
-        total = np.sum(a_p ** 2 * np.sum(np.abs(pset.private) ** 2, axis=0))
-        assert total == pytest.approx(np.sum(a_p ** 2), rel=1e-12)
-
 
 class TestZeroForcing:
     def test_orthonormal_columns(self):
@@ -266,15 +259,22 @@ class TestReducedDimension:
 
 
 class TestNetworkWide:
+    """Dense (unmasked) precoders: a table construction on the dense channel."""
+
+    def wide(self, g_hat, label, pt=1.0, sigma_w2=0.1):
+        m, k = g_hat.shape
+        return prec.construct(label, prec.dense_channel(g_hat), clus.single_cluster(m, k),
+                              pt, sigma_w2)
+
     def test_full_coverage_equals_sparse(self):
         g_hat = complex_matrix(8, 4, 26)
         part = clus.single_cluster(8, 4)
         sparse = clus.sparse_channel(g_hat, part)
-        for kind in ("mf", "zf", "mmse"):
-            wide = prec.network_wide(g_hat, kind, pt=1.0, sigma_w2=0.1)
-            if kind == "mf":
+        for label in (prec.LABEL_MF_SP, prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP):
+            wide = self.wide(g_hat, label)
+            if label == prec.LABEL_MF_SP:
                 sp = prec.mf_sp(sparse)
-            elif kind == "zf":
+            elif label == prec.LABEL_ZF_SP:
                 sp = prec.zf_sp(sparse, 1.0)
             else:
                 sp = prec.mmse_sp(sparse, 1.0, 0.1)
@@ -282,18 +282,18 @@ class TestNetworkWide:
 
     def test_zf_kind_orthogonality(self):
         g_hat = complex_matrix(8, 4, 27)
-        pset = prec.network_wide(g_hat, "zf", pt=1.0)
+        pset = self.wide(g_hat, prec.LABEL_ZF_SP)
         prod = g_hat.T @ pset.private
         np.testing.assert_allclose(prod, pset.beta * np.eye(4), atol=1e-9 * pset.beta)
 
     def test_mf_kind_is_conjugate(self):
         g_hat = complex_matrix(8, 4, 28)
-        pset = prec.network_wide(g_hat, "mf")
+        pset = self.wide(g_hat, prec.LABEL_MF_SP)
         np.testing.assert_allclose(pset.private, g_hat.conj(), rtol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            prec.network_wide(complex_matrix(4, 2, 29), "nonlinear")
+            self.wide(complex_matrix(4, 2, 29), "nonlinear")
 
 
 class TestColumnNormalisation:

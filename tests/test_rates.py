@@ -222,8 +222,9 @@ class TestAverageSumRate:
         zeta = np.full((8, 4), 0.7)
         sigma_e = math.sqrt(0.04)
         err = chan.draw_error_matrices(zeta, sigma_e, 1, seeded_rng(5))
-        asr = rates.asr_from_errors(inputs.realization.g_hat, err, inputs.partition,
-                                    inputs.precoders, inputs.power, inputs.sigma_w2,
+        bundle = rates.project_streams(inputs.realization.g_hat, err, inputs.precoders,
+                                       inputs.partition)
+        asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
                                     sigma_e)
         real = chan.ChannelRealization(
             chan.true_channel_from_estimate(inputs.realization.g_hat, err[0], sigma_e),

@@ -1,0 +1,31 @@
+"""The benchmark's tracer names package functions by string.
+
+It skips a name it cannot find, so a renamed function would silently drop
+a layer from the traced benchmark run; this test makes the rename fail.
+"""
+import importlib.util
+from pathlib import Path
+
+import rscf
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_exists():
+    missing = [f"{module}.{name}" for module, names, _ in load_tracing().TRACED
+               for name in names if not callable(getattr(getattr(rscf, module), name, None))]
+    assert not missing
+
+
+def test_attributes_read_by_the_tracer_exist():
+    # patched or read next to the TRACED table
+    assert callable(rscf.clustering.ClusterPartition.cluster_of_users)
+    assert hasattr(rscf.harness, "Path") and hasattr(rscf.harness, "_ERRDRAWS")
+    assert callable(rscf.power.delta_grid)
