@@ -181,8 +181,13 @@ def draw_error_matrices(zeta, sigma_e: float, n: int,
     distribution conditioned on one channel estimate.
     """
     gains = zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
-    h = complex_normal(rng, (n,) + gains.shape)
-    return sigma_e * np.sqrt(gains) * h
+    # complex_normal scaled in place: same draws and rounding, no complex temporaries
+    h = np.empty((n,) + gains.shape, dtype=complex)
+    h.real = rng.standard_normal(h.shape)
+    h.imag = rng.standard_normal(h.shape)
+    h /= np.sqrt(2.0)
+    h *= sigma_e * np.sqrt(gains)
+    return h
 
 
 def true_channel_from_estimate(g_hat: np.ndarray, g_err: np.ndarray,

@@ -181,40 +181,40 @@ def _scheme_precoders(spec: SchemeSpec, side: SideData, pt: float, sigma_w2: flo
     return partition, pset
 
 
-def _with_redraws(index: int, attempt_fn):
+def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
     """``attempt_fn(attempt)`` of the first non-degenerate attempt of a realization.
 
     Degenerate draws (rank-deficient or empty-cluster channels) are logged
-    and redrawn with a derived sub-seed, at most MAX_REDRAWS times.
+    and redrawn with a derived sub-seed, at most MAX_REDRAWS times.  Under
+    ``freeze_geometry`` an empty cluster fails at once: the gains and the
+    partition, hence the cluster, are the same on every attempt.
     """
     last_error: Exception | None = None
     for attempt in range(MAX_REDRAWS + 1):
         try:
             return attempt_fn(attempt)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
+            if config.freeze_geometry and isinstance(exc, prec.EmptyClusterError):
+                raise RuntimeError(f"realization {index}: {exc}; the clustering cannot "
+                                   "change under freeze_geometry, pick another seed") from exc
             log.warning("realization %d attempt %d redrawn: %s", index, attempt, exc)
             last_error = exc
     raise RuntimeError(
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
-def _evaluate_scheme(spec: SchemeSpec, side: SideData, pt: float,
-                     config: ExperimentConfig, sigma_w2: float,
-                     err_rng_factory) -> tuple[pw.PowerAllocation, rates.AsrResult,
-                                               clus.ClusterPartition]:
-    real = side.realization
+def _evaluate_scheme(spec: SchemeSpec, side: SideData, err: np.ndarray, pt: float,
+                     config: ExperimentConfig, sigma_w2: float
+                     ) -> tuple[pw.PowerAllocation, rates.AsrResult, clus.ClusterPartition]:
+    g_hat = side.realization.g_hat
     sigma_e = math.sqrt(config.sigma_e2)
     partition, pset = _scheme_precoders(spec, side, pt, sigma_w2)
     if spec.rs:
-        alloc, asr = pw.allocate_common(
-            real.g_hat, side.zeta, sigma_e, partition, pset, sigma_w2, pt,
-            config.power_grid_step, config.n_err, err_rng_factory(),
-            mode=config.power_mode)
+        alloc, asr = pw.allocate_common(g_hat, err, sigma_e, partition, pset, sigma_w2, pt,
+                                        config.power_grid_step, mode=config.power_mode)
     else:
         alloc = pw.no_split(pt, config.k)
-        asr = rates.average_sum_rate(real.g_hat, side.zeta, sigma_e, partition,
-                                     pset, alloc, sigma_w2, config.n_err,
-                                     err_rng_factory())
+        asr = rates.average_sum_rate(g_hat, err, sigma_e, partition, pset, alloc, sigma_w2)
     return alloc, asr, partition
 
 
@@ -222,7 +222,11 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
-    err_rng_factory = lambda: seeded_rng(config.seed, index, attempt, _ERRDRAWS)
+    # one error stack per side, shared by every scheme and SNR point: the
+    # sides draw from the same seeded stream, scaled by their own gains
+    errs = {bs: chan.draw_error_matrices(side.zeta, math.sqrt(config.sigma_e2), config.n_err,
+                                         seeded_rng(config.seed, index, attempt, _ERRDRAWS))
+            for bs, side in sides.items()}
 
     rows = []
     for snr in snr_grid:
@@ -230,7 +234,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
         for spec in specs:
             started = time.perf_counter() if config.timing else 0.0
             alloc, asr, partition = _evaluate_scheme(
-                spec, sides[spec.bs], pt, config, _noise(config), err_rng_factory)
+                spec, sides[spec.bs], errs[spec.bs], pt, config, _noise(config))
             elapsed = (time.perf_counter() - started) * 1e3 if config.timing else 0.0
             rows.append(TrialRow(
                 realization=index, scheme=spec.label, snr_db=float(snr),
@@ -252,7 +256,7 @@ def run_realization(config: ExperimentConfig, index: int,
     """All (scheme, SNR) trial rows of one realization, redrawn while degenerate."""
     grid = tuple(snr_grid) if snr_grid is not None else tuple(config.snr_grid_db)
     return _with_redraws(
-        index, lambda attempt: _realization_attempt(config, index, attempt, grid))
+        config, index, lambda attempt: _realization_attempt(config, index, attempt, grid))
 
 
 def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -> tuple[
@@ -271,7 +275,7 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
         pt = _power_budget(config, sides, snr_db)
         return sides, {s.label: _scheme_precoders(s, sides[s.bs], pt, _noise(config))
                        for s in specs}
-    return _with_redraws(index, attempt_fn)
+    return _with_redraws(config, index, attempt_fn)
 
 
 def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterPartition:

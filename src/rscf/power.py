@@ -3,9 +3,10 @@
 A fraction ``delta`` of the budget goes to the common streams (split
 equally across clusters by default) and the rest is spread uniformly over
 the private streams.  The fraction itself is picked by an exhaustive grid
-search that maximises the average sum rate under one shared set of
-estimation-error draws, so candidates are compared under common random
-numbers and the winner can never fall below the no-split point delta=0.
+search that maximises the average sum rate under one shared stack of
+estimation-error draws, supplied by the caller, so candidates are compared
+under common random numbers and the winner can never fall below the
+no-split point delta=0.
 """
 from __future__ import annotations
 
@@ -15,10 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channel as chan
 from . import rates
 from .clustering import ClusterPartition
 from .precoding import PrecoderSet
+
+
+# relative score gap below which split candidates tie: far above the scorer's
+# rounding against the kernel (1e-14; a few 1e-12 at the zero-rate clamp)
+_NEAR_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -73,46 +78,47 @@ def delta_grid(mu: float) -> list[float]:
     return sorted(set(values))
 
 
-def allocate_common(g_hat: np.ndarray, zeta, sigma_e: float,
+def allocate_common(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
                     partition: ClusterPartition, precoders: PrecoderSet,
-                    sigma_w2: float, pt: float, mu: float, n_err: int,
-                    rng: np.random.Generator,
+                    sigma_w2: float, pt: float, mu: float,
                     mode: str = "equal_split") -> tuple[PowerAllocation, rates.AsrResult]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
-    One stack of estimation-error draws is sampled up front and reused for
-    every candidate, so the comparison is noise-free across the grid.  In
-    ``equal_split`` mode a single fraction is scanned and divided equally
-    across clusters; ``per_cluster_exhaustive`` scans a separate fraction
-    per cluster (only for up to two clusters, falling back to equal split
-    beyond that).  Ties go to the smallest fraction.
+    Every candidate is scored on the caller's one stack of estimation-error
+    draws ``err`` (n, M, K), so the comparison is noise-free across the
+    grid.  The whole grid is ranked at once from the bundle's per-draw
+    power sums; the rate kernel then scores the winner and any candidate
+    tied with it to rounding.  In ``equal_split`` mode a single fraction is
+    scanned and divided equally across clusters; ``per_cluster_exhaustive``
+    scans a separate fraction per cluster (only for up to two clusters,
+    falling back to equal split beyond that).  Ties go to the smallest
+    fraction.
     """
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
     n_c = partition.n_clusters
     k = g_hat.shape[1]
-    err = chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
-    bundle = rates.project_streams(g_hat, err, precoders, partition)
-
     if mode == "per_cluster_exhaustive" and n_c <= 2:
-        grid = delta_grid(mu)
-        candidates = []
-        for combo in itertools.product(grid, repeat=n_c):
-            total = round(sum(combo), 12)
-            if total < 1.0 - 1e-12:
-                candidates.append((total, combo))
-        candidates.sort()
-        allocations = [
-            PowerAllocation(np.sqrt(np.asarray(combo) * pt),
-                            uniform_private(pt, total, k), total, pt)
-            for total, combo in candidates
-        ]
+        candidates = sorted((round(sum(combo), 12), combo)
+                            for combo in itertools.product(delta_grid(mu), repeat=n_c)
+                            if round(sum(combo), 12) < 1.0 - 1e-12)
+        totals = np.array([total for total, _ in candidates])
+        a_c = np.sqrt(np.array([combo for _, combo in candidates]) * pt)
     else:
-        allocations = [equal_split(pt, d, n_c, k) for d in delta_grid(mu)]
+        # the amplitudes of equal_split, one row per candidate
+        totals = np.array(delta_grid(mu))
+        a_c = np.sqrt(totals * pt / n_c)[:, None].repeat(n_c, axis=1)
 
-    best_alloc = None
-    best_asr = None
-    for alloc in allocations:
+    bundle = rates.project_streams(g_hat, err, precoders, partition)
+    scores = rates.split_grid_scores(bundle, partition, a_c, np.sqrt((1.0 - totals) * pt / k),
+                                     sigma_w2, sigma_e)
+    # the kernel scores the scorer's best and every candidate within rounding
+    # reach of it, so a flat objective is settled as a scan of the grid would
+    top = scores.max()
+    best_alloc = best_asr = None
+    for g in np.flatnonzero(scores >= top - _NEAR_TIE * abs(top)):
+        delta = float(totals[g])
+        alloc = PowerAllocation(a_c[g], uniform_private(pt, delta, k), delta, float(pt))
         asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
         if best_asr is None or asr.s_a > best_asr.s_a:
             best_alloc, best_asr = alloc, asr

@@ -399,18 +399,71 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
     return AsrResult(float(min_cr.sum() + mean_pr.sum()), mean_cr, mean_pr, min_cr)
 
 
-def average_sum_rate(g_hat: np.ndarray, zeta, sigma_e: float,
-                     partition: ClusterPartition, precoders: PrecoderSet,
-                     power: "PowerAllocation", sigma_w2: float, n_err: int,
-                     rng: np.random.Generator) -> AsrResult:
-    """Average sum rate over ``n_err`` estimation-error draws.
+def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
+                      a_c: np.ndarray, a_p: np.ndarray, sigma_w2: float,
+                      sigma_e: float) -> np.ndarray:
+    """Average sum rate of G split candidates at once, shape (G,), for ranking.
 
-    The channel estimate is held fixed; each draw resamples the error
-    matrix (and hence a candidate true channel) from its distribution.
+    ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
+    across users.  The bundle is reduced once to per-draw power sums that
+    no amplitude touches; every candidate is then scored from those sums
+    with the SINRs and zero-rate clamp of :func:`rate_components_over_draws`.
+    The summation order differs, so values agree with the kernel to rounding.
     """
-    if n_err < 1:
-        raise ValueError(f"need at least one error draw, got {n_err}")
-    err = chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
+    users, i_of = np.arange(bundle.hat_p.shape[0]), bundle.cluster_of
+
+    def own_terms(hat_own, til_own):
+        # estimate power and the CSIT power-loss term |t|^2 - 2 Re(conj(h) t), draws last
+        loss = np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[None, :] * til_own).real
+        return (np.abs(hat_own) ** 2)[:, None], loss.T
+
+    hat_c2, loss_c = own_terms(bundle.hat_c[users, i_of], bundle.til_c[:, users, i_of])
+    hat_p2, loss_p = own_terms(bundle.hat_p[users, users], bundle.til_p[:, users, users])
+    e_p2 = np.abs(bundle.hat_p[None, :, :] - bundle.til_p) ** 2
+    e_p2_all = e_p2.sum(axis=2).T                       # (K, n), over private columns
+    e_p2_others = e_p2_all - e_p2[:, users, users].T
+    e_c2 = (np.abs(bundle.hat_c[None, :, :] - bundle.til_c) ** 2).transpose(2, 1, 0)
+
+    ac2 = np.asarray(a_c, dtype=float) ** 2              # (G, N_c)
+    ap2 = (np.asarray(a_p, dtype=float) ** 2)[:, None, None]
+    own_ac2 = ac2[:, i_of][:, :, None]
+    # three (G, K, n) buffers: other clusters' common interference, tmp and den
+    cint = np.einsum("gj,jkn->gkn", ac2, e_c2)
+    tmp = np.multiply(own_ac2, e_c2[i_of, users])
+    cint -= tmp
+    noise = sigma_w2 * (1.0 - sigma_e ** 2)  # the kernel's sigma_w2 / eps^2
+
+    def mean_rate(num, den):
+        den[den <= 0.0] = np.inf  # clamped draw: rate 0
+        np.divide(num, den, out=den)
+        den += 1.0
+        return np.log2(den, out=den).mean(axis=2)
+
+    den = np.multiply(own_ac2, loss_c)
+    den += cint
+    den += np.multiply(ap2, e_p2_all, out=tmp)
+    den += noise
+    mean_cr = mean_rate(own_ac2 * hat_c2, den)
+    np.multiply(ap2, loss_p, out=den)
+    den += cint
+    den += np.multiply(ap2, e_p2_others, out=tmp)
+    den += noise
+    mean_pr = mean_rate(ap2 * hat_p2, den)
+
+    min_cr = np.stack([mean_cr[:, list(u)].min(axis=1) for u in partition.user_sets], axis=1)
+    return min_cr.sum(axis=1) + mean_pr.sum(axis=1)
+
+
+def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
+                     partition: ClusterPartition, precoders: PrecoderSet,
+                     power: "PowerAllocation", sigma_w2: float) -> AsrResult:
+    """Average sum rate over the estimation-error draws ``err``, shape (n, M, K).
+
+    The channel estimate is held fixed; each draw is one error matrix
+    (and hence a candidate true channel) from its distribution.
+    """
+    if err.shape[0] < 1:
+        raise ValueError(f"need at least one error draw, got {err.shape[0]}")
     bundle = project_streams(g_hat, err, precoders, partition)
     return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
 

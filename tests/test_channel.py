@@ -155,6 +155,18 @@ class TestChannelDraw:
         none = chan.draw_error_matrices(zeta, 0.0, 5, rng(1))
         assert np.all(none == 0)
 
+    def test_error_matrix_stack_is_bitwise_the_scaled_complex_normal(self):
+        # the in-place fill must reproduce the plain expression bit for bit
+        for seed in range(10):
+            for shape, sigma_e in (((8, 4), 0.158), ((64, 16), 0.3), ((3, 2), 0.0),
+                                   ((5, 7), 0.95)):
+                gains = rng(100 + seed).lognormal(-20.0, 3.0, size=shape)
+                n = 1 + seed % 4
+                want = sigma_e * np.sqrt(gains) * chan.complex_normal(rng(seed), (n,) + shape)
+                got = chan.draw_error_matrices(gains, sigma_e, n, rng(seed))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_true_channel_reconstruction(self):
         zeta = np.full((4, 2), 1.0)
         sigma_e = 0.3

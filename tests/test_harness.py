@@ -175,14 +175,42 @@ class TestRunExperiment:
         # replay reproduces the redrawn outcome bit for bit
         assert harness.run_realization(cfg, hit[0].realization) == hit
 
-    def test_frozen_degenerate_geometry_fails_loudly(self):
+    def test_frozen_degenerate_geometry_fails_loudly(self, monkeypatch):
         # with frozen geometry the gains never change, so a clustering that
-        # strands a cluster cannot be redrawn away and must raise
+        # strands a cluster cannot be redrawn away and must raise at once
         import dataclasses
         cfg = dataclasses.replace(SMALL, freeze_geometry=True, seed=5,
                                   schemes=("RS-CF-MF-SP",), snr_grid_db=(10.0,))
-        with pytest.raises(RuntimeError, match="exhausted"):
+        attempts = []
+        build = harness._realization_attempt
+
+        def counted(*args):
+            attempts.append(args[2])
+            return build(*args)
+        monkeypatch.setattr(harness, "_realization_attempt", counted)
+        with pytest.raises(RuntimeError, match="freeze_geometry"):
             harness.run_realization(cfg, 0)
+        assert attempts == [0]
+
+    def test_one_error_stack_per_side_and_attempt(self, monkeypatch):
+        import dataclasses
+        from rscf import channel as chan
+        draws = []
+        draw = chan.draw_error_matrices
+
+        def counted(*args):
+            draws.append(args[0])
+            return draw(*args)
+        monkeypatch.setattr(chan, "draw_error_matrices", counted)
+        cfg = ExperimentConfig(n_err=10, snr_grid_db=(0.0, 10.0), seed=5)
+        # realization 0 of seed 5 is redrawn once: each attempt draws its own stacks
+        rows = harness.run_realization(cfg, 0)
+        assert rows[0].redraws == 1 and len(rows) == 2 * len(cfg.schemes)
+        assert len(draws) == 2 * 2  # distributed and co-located sides, two attempts
+        draws.clear()
+        rows = harness.run_realization(dataclasses.replace(
+            cfg, schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-ZF-RD")), 1)
+        assert len(draws) == rows[0].redraws + 1
 
 
 class TestAggregate:

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from rscf import channel as chan
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
@@ -58,36 +60,41 @@ def search_setup(seed, sigma_e2=0.025, kind=prec.LABEL_MF_SP):
     return random_instance(seed, sigma_e2=sigma_e2, kind=kind, with_zeta=True)
 
 
+def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):
+    """The stack the harness draws once per side and attempt."""
+    return chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
+
+
 class TestAllocateCommon:
     def test_never_below_zero_split(self):
         for seed in range(8):
             inputs, zeta = search_setup(seed)
             sigma_e = math.sqrt(0.025)
+            err = errors(zeta, 30, seeded_rng(seed, 77))
             alloc, best = pw.allocate_common(
-                inputs.realization.g_hat, zeta, sigma_e, inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05, 30,
-                seeded_rng(seed, 77))
+                inputs.realization.g_hat, err, sigma_e, inputs.partition,
+                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
             base = rates.average_sum_rate(
-                inputs.realization.g_hat, zeta, sigma_e, inputs.partition,
+                inputs.realization.g_hat, err, sigma_e, inputs.partition,
                 inputs.precoders,
                 pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4),
-                inputs.sigma_w2, 30, seeded_rng(seed, 77))
+                inputs.sigma_w2)
             assert best.s_a >= base.s_a - 1e-12
 
     def test_unit_step_returns_zero_split(self):
         inputs, zeta = search_setup(1)
         alloc, _ = pw.allocate_common(
-            inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-            inputs.precoders, inputs.sigma_w2, inputs.power.pt, 1.0, 10, seeded_rng(3))
+            inputs.realization.g_hat, errors(zeta, 10, seeded_rng(3)), math.sqrt(0.025),
+            inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt, 1.0)
         assert alloc.delta == 0.0
         assert np.all(alloc.a_c == 0.0)
 
     def test_deterministic(self):
         inputs, zeta = search_setup(2)
-        args = (inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05, 20)
-        a1, r1 = pw.allocate_common(*args, seeded_rng(9))
-        a2, r2 = pw.allocate_common(*args, seeded_rng(9))
+        args = (inputs.realization.g_hat, math.sqrt(0.025), inputs.partition,
+                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
+        a1, r1 = pw.allocate_common(args[0], errors(zeta, 20, seeded_rng(9)), *args[1:])
+        a2, r2 = pw.allocate_common(args[0], errors(zeta, 20, seeded_rng(9)), *args[1:])
         assert a1.delta == a2.delta and r1.s_a == r2.s_a
 
     def test_coarse_grid_near_fine_grid_optimum(self):
@@ -99,10 +106,11 @@ class TestAllocateCommon:
         close_delta = 0
         for seed in range(10):
             inputs, zeta = search_setup(seed)
-            args = (inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
+            err = errors(zeta, 40, seeded_rng(11))
+            args = (inputs.realization.g_hat, err, math.sqrt(0.025), inputs.partition,
                     inputs.precoders, inputs.sigma_w2, inputs.power.pt)
-            coarse, rc = pw.allocate_common(*args, 0.05, 40, seeded_rng(11))
-            fine, rf = pw.allocate_common(*args, 0.01, 40, seeded_rng(11))
+            coarse, rc = pw.allocate_common(*args, 0.05)
+            fine, rf = pw.allocate_common(*args, 0.01)
             assert rf.s_a >= rc.s_a - 1e-12
             assert rc.s_a >= 0.95 * rf.s_a
             close_delta += abs(coarse.delta - fine.delta) <= 0.05 + 1e-12
@@ -110,10 +118,10 @@ class TestAllocateCommon:
 
     def test_refinement_never_decreases(self):
         inputs, zeta = search_setup(4)
-        args = (inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt)
-        _, coarse = pw.allocate_common(*args, 0.1, 25, seeded_rng(13))
-        _, fine = pw.allocate_common(*args, 0.05, 25, seeded_rng(13))
+        args = (inputs.realization.g_hat, errors(zeta, 25, seeded_rng(13)), math.sqrt(0.025),
+                inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt)
+        _, coarse = pw.allocate_common(*args, 0.1)
+        _, fine = pw.allocate_common(*args, 0.05)
         assert fine.s_a >= coarse.s_a - 1e-12
 
     def test_split_found_on_noisy_estimates(self):
@@ -123,17 +131,17 @@ class TestAllocateCommon:
         for seed in range(10):
             inputs, zeta = search_setup(seed, sigma_e2=0.025)
             alloc, _ = pw.allocate_common(
-                inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05, 30,
-                seeded_rng(seed, 5))
+                inputs.realization.g_hat, errors(zeta, 30, seeded_rng(seed, 5)),
+                math.sqrt(0.025), inputs.partition, inputs.precoders, inputs.sigma_w2,
+                inputs.power.pt, 0.05)
             hits += alloc.delta > 0.0
         assert hits >= 6
 
     def test_budget_of_returned_allocation(self):
         inputs, zeta = search_setup(5)
         alloc, _ = pw.allocate_common(
-            inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-            inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05, 20, seeded_rng(1))
+            inputs.realization.g_hat, errors(zeta, 20, seeded_rng(1)), math.sqrt(0.025),
+            inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
         total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
         assert total == pytest.approx(alloc.pt, rel=1e-12)
 
@@ -145,18 +153,18 @@ class TestAllocateCommon:
             if inputs.partition.n_clusters > 2:
                 continue
             sigma_e = math.sqrt(0.025)
-            args = (inputs.realization.g_hat, zeta, sigma_e, inputs.partition,
-                    inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.1, 25)
-            alloc, best = pw.allocate_common(*args, seeded_rng(21),
-                                             mode="per_cluster_exhaustive")
+            err = errors(zeta, 25, seeded_rng(21))
+            args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
+                    inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.1)
+            alloc, best = pw.allocate_common(*args, mode="per_cluster_exhaustive")
             assert alloc.delta < 1.0
             total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
             assert total == pytest.approx(alloc.pt, rel=1e-12)
             base = rates.average_sum_rate(
-                inputs.realization.g_hat, zeta, sigma_e, inputs.partition,
+                inputs.realization.g_hat, err, sigma_e, inputs.partition,
                 inputs.precoders,
                 pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4),
-                inputs.sigma_w2, 25, seeded_rng(21))
+                inputs.sigma_w2)
             assert best.s_a >= base.s_a - 1e-12
 
     def test_per_cluster_exhaustive_falls_back_beyond_two_clusters(self):
@@ -166,11 +174,11 @@ class TestAllocateCommon:
             inputs, zeta = search_setup(seed)
             if inputs.partition.n_clusters <= 2:
                 continue
-            args = (inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-                    inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.2, 15)
-            ex_alloc, ex = pw.allocate_common(*args, seeded_rng(31),
-                                              mode="per_cluster_exhaustive")
-            eq_alloc, eq = pw.allocate_common(*args, seeded_rng(31), mode="equal_split")
+            args = (inputs.realization.g_hat, errors(zeta, 15, seeded_rng(31)),
+                    math.sqrt(0.025), inputs.partition, inputs.precoders, inputs.sigma_w2,
+                    inputs.power.pt, 0.2)
+            ex_alloc, ex = pw.allocate_common(*args, mode="per_cluster_exhaustive")
+            eq_alloc, eq = pw.allocate_common(*args, mode="equal_split")
             assert ex_alloc.delta == eq_alloc.delta
             assert ex.s_a == eq.s_a
             np.testing.assert_array_equal(ex_alloc.a_c, eq_alloc.a_c)
@@ -180,6 +188,82 @@ class TestAllocateCommon:
     def test_unknown_mode_rejected(self):
         inputs, zeta = search_setup(6)
         with pytest.raises(ValueError):
-            pw.allocate_common(inputs.realization.g_hat, zeta, 0.1, inputs.partition,
-                               inputs.precoders, inputs.sigma_w2, 1.0, 0.05, 10,
-                               seeded_rng(0), mode="simulated-annealing")
+            pw.allocate_common(inputs.realization.g_hat, errors(zeta, 10, seeded_rng(0), 0.1),
+                               0.1, inputs.partition, inputs.precoders, inputs.sigma_w2, 1.0,
+                               0.05, mode="simulated-annealing")
+
+
+def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mode):
+    """Oracle: the rate kernel on every candidate allocation, first strict maximum wins."""
+    n_c, k = partition.n_clusters, g_hat.shape[1]
+    if mode == "per_cluster_exhaustive" and n_c <= 2:
+        candidates = []
+        for combo in itertools.product(pw.delta_grid(mu), repeat=n_c):
+            total = round(sum(combo), 12)
+            if total < 1.0 - 1e-12:
+                candidates.append((total, combo))
+        candidates.sort()
+        allocations = [pw.PowerAllocation(np.sqrt(np.asarray(combo) * pt),
+                                          pw.uniform_private(pt, total, k), total, pt)
+                       for total, combo in candidates]
+    else:
+        allocations = [pw.equal_split(pt, d, n_c, k) for d in pw.delta_grid(mu)]
+    bundle = rates.project_streams(g_hat, err, precoders, partition)
+    results = [rates.asr_from_bundle(bundle, partition, a, sigma_w2, sigma_e)
+               for a in allocations]
+    best = 0
+    for g, asr in enumerate(results):
+        if asr.s_a > results[best].s_a:
+            best = g
+    return bundle, allocations, results, best
+
+
+def has_clamped_draw(bundle, alloc, sigma_w2, sigma_e):
+    # a clamped draw is the only way to a zero rate on a stream with power
+    eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
+    cr, pr = rates.rate_components_over_draws(bundle, alloc.a_c, alloc.a_p, sigma_w2, eps)
+    powered = alloc.a_c[bundle.cluster_of] > 0.0
+    return bool((pr == 0.0).any() or (cr[:, powered] == 0.0).any())
+
+
+class TestGridScorer:
+    MODES = ("equal_split", "per_cluster_exhaustive")
+
+    def test_search_matches_per_candidate_loop(self):
+        searches = clamped = checked_values = 0
+        for seed in range(17):
+            for kind in prec.CONSTRUCTIONS:
+                for se2 in (0.0, 0.025, 0.1):
+                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind)
+                    sigma_e = math.sqrt(se2)
+                    err = errors(zeta, 30, seeded_rng(seed, 41), sigma_e)
+                    for mode in self.MODES:
+                        mu = 0.05 if mode == "equal_split" else 0.1
+                        args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
+                                inputs.precoders, inputs.sigma_w2, inputs.power.pt, mu)
+                        alloc, asr = pw.allocate_common(*args, mode=mode)
+                        bundle, allocations, results, best = loop_search(*args, mode)
+                        searches += 1
+                        want = allocations[best]
+                        assert alloc.delta == want.delta
+                        np.testing.assert_array_equal(alloc.a_c, want.a_c)
+                        np.testing.assert_array_equal(alloc.a_p, want.a_p)
+                        assert asr.s_a == results[best].s_a
+                        for field in ("mean_cr", "mean_pr", "min_cr"):
+                            np.testing.assert_array_equal(getattr(asr, field),
+                                                          getattr(results[best], field))
+
+                        if any(has_clamped_draw(bundle, a, inputs.sigma_w2, sigma_e)
+                               for a in allocations):
+                            clamped += 1
+                            continue
+                        table = np.array([a.a_c for a in allocations])
+                        scores = rates.split_grid_scores(
+                            bundle, inputs.partition, table,
+                            np.array([a.a_p[0] for a in allocations]), inputs.sigma_w2,
+                            sigma_e)
+                        np.testing.assert_allclose(scores, [r.s_a for r in results],
+                                                   rtol=1e-12, atol=0.0)
+                        checked_values += 1
+        assert searches >= 500
+        assert clamped >= 50 and checked_values >= 100

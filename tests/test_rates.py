@@ -207,12 +207,14 @@ class TestAverageSumRate:
     def test_perfect_estimate_independent_of_draws(self):
         inputs = random_instance(10, kind=prec.LABEL_MF_SP, delta=0.2, sigma_e2=0.0)
         zeta = np.ones((8, 4))
-        one = rates.average_sum_rate(inputs.realization.g_hat, zeta, 0.0,
+        one = rates.average_sum_rate(inputs.realization.g_hat,
+                                     chan.draw_error_matrices(zeta, 0.0, 1, seeded_rng(1)), 0.0,
                                      inputs.partition, inputs.precoders, inputs.power,
-                                     inputs.sigma_w2, 1, seeded_rng(1))
-        many = rates.average_sum_rate(inputs.realization.g_hat, zeta, 0.0,
-                                      inputs.partition, inputs.precoders, inputs.power,
-                                      inputs.sigma_w2, 64, seeded_rng(2))
+                                     inputs.sigma_w2)
+        many = rates.average_sum_rate(inputs.realization.g_hat,
+                                      chan.draw_error_matrices(zeta, 0.0, 64, seeded_rng(2)),
+                                      0.0, inputs.partition, inputs.precoders, inputs.power,
+                                      inputs.sigma_w2)
         assert one.s_a == pytest.approx(many.s_a, rel=1e-12)
         assert one.s_a == pytest.approx(
             rates.instantaneous_rates(inputs).sum_rate, rel=1e-12)
@@ -236,21 +238,26 @@ class TestAverageSumRate:
     def test_reproducible_and_convergent(self):
         inputs = random_instance(12, kind=prec.LABEL_MF_SP, delta=0.4, sigma_e2=0.025)
         zeta = np.abs(inputs.realization.g_hat) ** 2  # gain proxy, any positive matrix works
-        args = (inputs.realization.g_hat, zeta, math.sqrt(0.025), inputs.partition,
-                inputs.precoders, inputs.power, inputs.sigma_w2)
-        a = rates.average_sum_rate(*args, 100, seeded_rng(7))
-        b = rates.average_sum_rate(*args, 100, seeded_rng(7))
+        sigma_e = math.sqrt(0.025)
+        args = (sigma_e, inputs.partition, inputs.precoders, inputs.power, inputs.sigma_w2)
+
+        def asr(n_err, rng):
+            err = chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
+            return rates.average_sum_rate(inputs.realization.g_hat, err, *args)
+        a = asr(100, seeded_rng(7))
+        b = asr(100, seeded_rng(7))
         assert a.s_a == b.s_a
         # doubling the draw count moves the estimate by a few standard errors at most
-        wide = rates.average_sum_rate(*args, 200, seeded_rng(7))
+        wide = asr(200, seeded_rng(7))
         assert abs(wide.s_a - a.s_a) < 0.3 * max(a.s_a, 1.0)
 
     def test_rejects_zero_draws(self):
         inputs = random_instance(13)
+        err = chan.draw_error_matrices(np.ones((8, 4)), 0.1, 0, seeded_rng(0))
         with pytest.raises(ValueError):
-            rates.average_sum_rate(inputs.realization.g_hat, np.ones((8, 4)), 0.1,
+            rates.average_sum_rate(inputs.realization.g_hat, err, 0.1,
                                    inputs.partition, inputs.precoders, inputs.power,
-                                   inputs.sigma_w2, 0, seeded_rng(0))
+                                   inputs.sigma_w2)
 
 
 class TestErgodicSumRate:

@@ -4,6 +4,7 @@ It skips a name it cannot find, so a renamed function would silently drop
 a layer from the traced benchmark run; this test makes the rename fail.
 """
 import importlib.util
+import inspect
 from pathlib import Path
 
 import rscf
@@ -29,3 +30,13 @@ def test_attributes_read_by_the_tracer_exist():
     assert callable(rscf.clustering.ClusterPartition.cluster_of_users)
     assert hasattr(rscf.harness, "Path") and hasattr(rscf.harness, "_ERRDRAWS")
     assert callable(rscf.power.delta_grid)
+
+
+def test_positional_arguments_read_by_the_tracer():
+    # the tracer reads the grid step of a search as args[7] and the bundle
+    # of a kernel call as args[0]; after a moved parameter it would read the
+    # wrong argument, and grid_top_hits or draw_samples would go wrong quietly
+    search = list(inspect.signature(rscf.power.allocate_common).parameters)
+    assert search[7] == "mu"
+    kernel = list(inspect.signature(rscf.rates.asr_from_bundle).parameters)
+    assert kernel[0] == "bundle"
