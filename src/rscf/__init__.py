@@ -21,6 +21,6 @@ from .precoding import (CONSTRUCTIONS, EmptyClusterError, PrecoderSet,
 from .rates import (AsrResult, EsrResult, RateInputs, RateReport, average_sum_rate,
                     ergodic_sum_rate, instantaneous_rates, sinr_closed_form,
                     sinr_common_generic, sinr_private_generic)
-from .harness import ResultRecord, TrialRow, run_experiment, run_trial, verify
+from .harness import ResultRecord, TrialRow, run_experiment, verify
 
 __version__ = "0.1.0"

@@ -190,12 +190,6 @@ def draw_error_matrices(zeta, sigma_e: float, n: int,
     return h
 
 
-def true_channel_from_estimate(g_hat: np.ndarray, g_err: np.ndarray,
-                               sigma_e: float) -> np.ndarray:
-    """Invert the estimate model: g_true = (g_hat - g_err)/sqrt(1 - sigma_e^2)."""
-    return (g_hat - g_err) / math.sqrt(1.0 - sigma_e ** 2)
-
-
 def noise_variance(t0_kelvin: float, bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise power T0 * k_B * B * NF in Watts."""
     if t0_kelvin <= 0 or bandwidth_hz <= 0:

@@ -8,7 +8,8 @@ result of a run is a pure function of the configuration no matter how the
 work is scheduled; the reduction walks trial rows in index order with
 compensated summation.  The run, the precoder dump and the cluster report
 all build a realization the same way: ``_scheme_sides`` for the channel
-state, ``_scheme_precoders`` per scheme, inside one ``_with_redraws`` loop.
+state, ``_attempt_precoders`` for the precoders, inside one ``_with_redraws``
+loop.
 
 Scheme labels follow  [RS-]{BS|CF}-{MF|ZF|MMSE}[-SP|-RD]:  BS places all
 antennas at the area centre, CF distributes them; SP masks the channel to
@@ -50,7 +51,6 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 class SideData:
     """Channel state of one geometry (distributed or co-located)."""
 
-    geometry: chan.NetworkGeometry
     zeta: chan.LargeScaleCoefficients
     realization: chan.ChannelRealization
     dense_partition: clus.ClusterPartition
@@ -134,7 +134,7 @@ def _side_data(config: ExperimentConfig, index: int, attempt: int,
     if clustered:
         _, clustered_partition = cluster_partition_for(config, zeta)
         clustered_sparse = clus.sparse_channel(realization.g_hat, clustered_partition)
-    return SideData(geometry, zeta, realization, dense_partition, dense_sparse,
+    return SideData(zeta, realization, dense_partition, dense_sparse,
                     clustered_partition, clustered_sparse)
 
 
@@ -167,18 +167,42 @@ def _build_private(construction: str, sparse: clus.SparseChannel,
         prec.construct(construction, sparse, partition, pt, sigma_w2))
 
 
-def _scheme_precoders(spec: SchemeSpec, side: SideData, pt: float, sigma_w2: float
-                      ) -> tuple[clus.ClusterPartition, prec.PrecoderSet]:
-    """Partition and transmit precoders of one scheme; RS adds the SVD beams."""
+def _scope(spec: SchemeSpec, side: SideData
+           ) -> tuple[clus.ClusterPartition, clus.SparseChannel]:
     if spec.scope == "dense":
-        partition, sparse = side.dense_partition, side.dense_sparse
-    else:
-        partition, sparse = side.clustered_partition, side.clustered_sparse
-    pset = _build_private(spec.construction, sparse, partition, pt, sigma_w2)
-    if spec.rs:
-        common, _ = prec.common_precoder(sparse, partition)
-        pset = prec.attach_common(pset, common)
-    return partition, pset
+        return side.dense_partition, side.dense_sparse
+    return side.clustered_partition, side.clustered_sparse
+
+
+def _keys(spec: SchemeSpec, s: int) -> tuple[tuple, tuple[bool, bool]]:
+    # private sets: a pt-free construction is one build for all SNR points;
+    # SVD beams depend only on the side and on the dense or clustered channel
+    pt_index = None if spec.construction in prec.PT_FREE else s
+    return (spec.bs, spec.scope, spec.construction, pt_index), (spec.bs, spec.scope == "dense")
+
+
+def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
+                       sides: dict[bool, SideData], pts: list[float], clock=lambda: 0.0):
+    """Phase 1 of an attempt: each private set and common beam it needs, built once.
+
+    Builds run in SNR-outer, scheme-inner order, so a degenerate draw raises
+    the first error that building every scheme at every SNR point would,
+    before any rate work.  Returns both sets by :func:`_keys` (``s`` indexes
+    ``pts``) and per (s, scheme index) row the seconds of its builds.
+    """
+    privates, commons, spent = {}, {}, {}
+    for s, pt in enumerate(pts):
+        for j, spec in enumerate(specs):
+            started = clock()
+            partition, sparse = _scope(spec, sides[spec.bs])
+            key, ckey = _keys(spec, s)
+            if key not in privates:
+                privates[key] = _build_private(spec.construction, sparse, partition, pt,
+                                               _noise(config))
+            if spec.rs and ckey not in commons:
+                commons[ckey], _ = prec.common_precoder(sparse, partition)
+            spent[s, j] = clock() - started
+    return privates, commons, spent
 
 
 def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
@@ -203,48 +227,60 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
-def _evaluate_scheme(spec: SchemeSpec, side: SideData, err: np.ndarray, pt: float,
-                     config: ExperimentConfig, sigma_w2: float
-                     ) -> tuple[pw.PowerAllocation, rates.AsrResult, clus.ClusterPartition]:
-    g_hat = side.realization.g_hat
-    sigma_e = math.sqrt(config.sigma_e2)
-    partition, pset = _scheme_precoders(spec, side, pt, sigma_w2)
-    if spec.rs:
-        alloc, asr = pw.allocate_common(g_hat, err, sigma_e, partition, pset, sigma_w2, pt,
-                                        config.power_grid_step, mode=config.power_mode)
-    else:
-        alloc = pw.no_split(pt, config.k)
-        asr = rates.average_sum_rate(g_hat, err, sigma_e, partition, pset, alloc, sigma_w2)
-    return alloc, asr, partition
-
-
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
+    sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
+    search = {"mu": config.power_grid_step, "mode": config.power_mode}
     # one error stack per side, shared by every scheme and SNR point: the
     # sides draw from the same seeded stream, scaled by their own gains
-    errs = {bs: chan.draw_error_matrices(side.zeta, math.sqrt(config.sigma_e2), config.n_err,
+    errs = {bs: chan.draw_error_matrices(side.zeta, sigma_e, config.n_err,
                                          seeded_rng(config.seed, index, attempt, _ERRDRAWS))
             for bs, side in sides.items()}
+    clock = time.perf_counter if config.timing else (lambda: 0.0)
+    pts = [_power_budget(config, sides, snr) for snr in snr_grid]
+    privates, commons, spent = _attempt_precoders(config, specs, sides, pts, clock)
 
-    rows = []
-    for snr in snr_grid:
-        pt = _power_budget(config, sides, snr)
-        for spec in specs:
-            started = time.perf_counter() if config.timing else 0.0
-            alloc, asr, partition = _evaluate_scheme(
-                spec, sides[spec.bs], errs[spec.bs], pt, config, _noise(config))
-            elapsed = (time.perf_counter() - started) * 1e3 if config.timing else 0.0
-            rows.append(TrialRow(
-                realization=index, scheme=spec.label, snr_db=float(snr),
-                s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
-                mean_cr=tuple(float(v) for v in asr.mean_cr),
-                mean_pr=tuple(float(v) for v in asr.mean_pr),
-                min_cr=tuple(float(v) for v in asr.min_cr),
-                cluster_of=tuple(int(v) for v in partition.cluster_of_users(config.k)),
-                elapsed_ms=elapsed, redraws=attempt))
-    return rows
+    # phase 2, one group per (side, scope, construction): its RS and plain
+    # schemes share one bundle per private set, so a pt-free group projects
+    # once for all SNR points; a group's bundles end with it
+    groups: dict[tuple, list[int]] = {}
+    for j, spec in enumerate(specs):
+        groups.setdefault((spec.bs, spec.scope, spec.construction), []).append(j)
+    common_streams, rows = {}, {}
+    for members in groups.values():
+        first = specs[members[0]]
+        partition, _ = _scope(first, sides[first.bs])
+        g_hat, err = sides[first.bs].realization.g_hat, errs[first.bs]
+        cluster_of, bundle_key = partition.cluster_of_users(config.k), None
+        for s, pt in enumerate(pts):
+            for j in members:
+                started = clock()
+                key, ckey = _keys(first, s)
+                if key != bundle_key:
+                    bundle_key, bundle = key, None  # drop the last bundle before the next
+                    if ckey in commons and ckey not in common_streams:
+                        common_streams[ckey] = rates.project_streams(g_hat, err, commons[ckey],
+                                                                     cluster_of)
+                    bundle = rates.ProjectionBundle(common_streams.get(ckey), rates.project_streams(
+                        g_hat, err, privates[key].private, np.arange(config.k)), cluster_of)
+                if specs[j].rs:
+                    alloc, asr = pw.allocate_common(bundle, sigma_e, partition, sigma_w2, pt,
+                                                    **search)
+                else:
+                    alloc = pw.no_split(pt, config.k)
+                    asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
+                spent[s, j] += clock() - started
+                rows[s, j] = TrialRow(
+                    realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
+                    s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
+                    mean_cr=tuple(float(v) for v in asr.mean_cr),
+                    mean_pr=tuple(float(v) for v in asr.mean_pr),
+                    min_cr=tuple(float(v) for v in asr.min_cr),
+                    cluster_of=tuple(int(v) for v in cluster_of),
+                    elapsed_ms=spent[s, j] * 1e3, redraws=attempt)
+    return [rows[row] for row in sorted(rows)]
 
 
 def _noise(config: ExperimentConfig) -> float:
@@ -272,9 +308,14 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
     def attempt_fn(attempt):
         sides = _scheme_sides(config, specs, index, attempt)
-        pt = _power_budget(config, sides, snr_db)
-        return sides, {s.label: _scheme_precoders(s, sides[s.bs], pt, _noise(config))
-                       for s in specs}
+        privates, commons, _ = _attempt_precoders(
+            config, specs, sides, [_power_budget(config, sides, snr_db)])
+        built = {}
+        for spec in specs:
+            key, ckey = _keys(spec, 0)
+            pset = prec.attach_common(privates[key], commons[ckey]) if spec.rs else privates[key]
+            built[spec.label] = _scope(spec, sides[spec.bs])[0], pset
+        return sides, built
     return _with_redraws(config, index, attempt_fn)
 
 
@@ -284,12 +325,6 @@ def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterParti
     if False not in sides or sides[False].clustered_partition is None:
         raise ConfigError("no scheme in 'schemes' is clustered (-SP or -RD)")
     return sides[False].clustered_partition
-
-
-def run_trial(config: ExperimentConfig, realization_index: int,
-              snr_db: float) -> list[TrialRow]:
-    """Per-scheme outcomes of one realization at a single SNR point."""
-    return run_realization(config, realization_index, snr_grid=(snr_db,))
 
 
 def aggregate(config: ExperimentConfig, rows: list[TrialRow]) -> list[ResultRecord]:

@@ -4,12 +4,13 @@ A fraction ``delta`` of the budget goes to the common streams (split
 equally across clusters by default) and the rest is spread uniformly over
 the private streams.  The fraction itself is picked by an exhaustive grid
 search that maximises the average sum rate under one shared stack of
-estimation-error draws, supplied by the caller, so candidates are compared
+estimation-error draws, projected by the caller, so candidates are compared
 under common random numbers and the winner can never fall below the
 no-split point delta=0.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import rates
 from .clustering import ClusterPartition
-from .precoding import PrecoderSet
 
 
 # relative score gap below which split candidates tie: far above the scorer's
@@ -66,6 +66,11 @@ def delta_grid(mu: float) -> list[float]:
     The all-common endpoint delta=1 would leave zero private power, so a
     grid whose step divides 1 has its endpoint clamped to 1-mu.
     """
+    return list(_grid(mu))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(mu: float) -> tuple[float, ...]:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"grid step must lie in (0, 1], got {mu}")
     n = int(math.floor((1.0 + 1e-12) / mu))
@@ -75,20 +80,20 @@ def delta_grid(mu: float) -> list[float]:
         if v >= 1.0 - 1e-12:
             v = 1.0 - mu
         values.append(round(v, 12))
-    return sorted(set(values))
+    return tuple(sorted(set(values)))
 
 
-def allocate_common(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
-                    partition: ClusterPartition, precoders: PrecoderSet,
-                    sigma_w2: float, pt: float, mu: float,
-                    mode: str = "equal_split") -> tuple[PowerAllocation, rates.AsrResult]:
+def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
+                    partition: ClusterPartition, sigma_w2: float, pt: float, *,
+                    mu: float, mode: str = "equal_split"
+                    ) -> tuple[PowerAllocation, rates.AsrResult]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
-    Every candidate is scored on the caller's one stack of estimation-error
-    draws ``err`` (n, M, K), so the comparison is noise-free across the
+    Every candidate is scored on the one stack of estimation-error draws
+    projected into ``bundle``, so the comparison is noise-free across the
     grid.  The whole grid is ranked at once from the bundle's per-draw
-    power sums; the rate kernel then scores the winner and any candidate
-    tied with it to rounding.  In ``equal_split`` mode a single fraction is
+    terms; the rate kernel then scores the winner and any candidate tied
+    with it to rounding.  In ``equal_split`` mode a single fraction is
     scanned and divided equally across clusters; ``per_cluster_exhaustive``
     scans a separate fraction per cluster (only for up to two clusters,
     falling back to equal split beyond that).  Ties go to the smallest
@@ -97,19 +102,18 @@ def allocate_common(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
     n_c = partition.n_clusters
-    k = g_hat.shape[1]
+    k = len(bundle.cluster_of)
     if mode == "per_cluster_exhaustive" and n_c <= 2:
         candidates = sorted((round(sum(combo), 12), combo)
-                            for combo in itertools.product(delta_grid(mu), repeat=n_c)
+                            for combo in itertools.product(_grid(mu), repeat=n_c)
                             if round(sum(combo), 12) < 1.0 - 1e-12)
         totals = np.array([total for total, _ in candidates])
         a_c = np.sqrt(np.array([combo for _, combo in candidates]) * pt)
     else:
         # the amplitudes of equal_split, one row per candidate
-        totals = np.array(delta_grid(mu))
+        totals = np.array(_grid(mu))
         a_c = np.sqrt(totals * pt / n_c)[:, None].repeat(n_c, axis=1)
 
-    bundle = rates.project_streams(g_hat, err, precoders, partition)
     scores = rates.split_grid_scores(bundle, partition, a_c, np.sqrt((1.0 - totals) * pt / k),
                                      sigma_w2, sigma_e)
     # the kernel scores the scorer's best and every candidate within rounding

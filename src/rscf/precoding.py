@@ -229,6 +229,8 @@ CONSTRUCTIONS = {
     LABEL_RU_MMSE_RD: lambda sparse, partition, pt, sigma_w2: ru_mmse_rd(
         sparse, partition, pt, sigma_w2),
 }
+# constructions that never read pt: one build serves every SNR point
+PT_FREE = (LABEL_MF_SP, LABEL_RU_ZF_RD)
 
 
 def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,

@@ -314,28 +314,64 @@ def instantaneous_rates(inputs: RateInputs) -> RateReport:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ProjectionBundle:
-    """Estimate and per-draw error projections through one precoder set."""
+class StreamProjection:
+    """Amplitude-free per-draw terms of one set of columns, for the kernel and scorer."""
 
-    hat_c: np.ndarray      # (K, N_c)
-    hat_p: np.ndarray      # (K, K)
-    til_c: np.ndarray      # (n, K, N_c)
-    til_p: np.ndarray      # (n, K, K)
+    til: np.ndarray       # (n, K, C) error draws projected through the columns
+    e2: np.ndarray        # (n, K, C) |h - t|^2 through every column
+    own_e2: np.ndarray    # (n, K) the same through the own column
+    hat_own2: np.ndarray  # (K,) estimate power |h|^2 of the own column
+    loss: np.ndarray      # (n, K) CSIT power-loss term |t|^2 - 2 Re(conj(h) t), own column
+
+
+@dataclass(frozen=True)
+class ProjectionBundle:
+    """Projections of one precoder set; ``common`` is None without common streams.
+
+    A plain scheme can share its RS variant's bundle: the kernel reads no
+    ``common`` without common amplitudes.
+    """
+
+    common: StreamProjection | None
+    private: StreamProjection
     cluster_of: np.ndarray  # (K,)
 
+    @property
+    def til_p(self) -> np.ndarray:
+        return self.private.til
 
-def project_streams(g_hat: np.ndarray, err_stack: np.ndarray,
-                    precoders: PrecoderSet,
-                    partition: ClusterPartition) -> ProjectionBundle:
-    pc, pp = precoders.common, precoders.private
-    err_rows = err_stack.transpose(0, 2, 1)
-    return ProjectionBundle(
-        hat_c=g_hat.T @ pc,
-        hat_p=g_hat.T @ pp,
-        til_c=err_rows @ pc,
-        til_p=err_rows @ pp,
-        cluster_of=partition.cluster_of_users(g_hat.shape[1]),
-    )
+
+def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarray,
+                    own: np.ndarray) -> StreamProjection:
+    """Project the estimate and every error draw through ``columns`` (M, C).
+
+    ``own[k]`` is the column user k decodes: k, or its cluster's beam.
+    """
+    users = np.arange(g_hat.shape[1])
+    hat = g_hat.T @ columns
+    til = err_stack.transpose(0, 2, 1) @ columns
+    hat_own, til_own = hat[users, own], til[:, users, own]
+    e2 = np.abs(hat[None, :, :] - til) ** 2
+    return StreamProjection(
+        til=til, e2=e2, own_e2=e2[:, users, own], hat_own2=np.abs(hat_own) ** 2,
+        loss=np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[None, :] * til_own).real)
+
+
+def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: PrecoderSet,
+                      partition: ClusterPartition) -> ProjectionBundle:
+    """Bundle of one precoder set: its common beams, if any, and private columns."""
+    k = g_hat.shape[1]
+    cluster_of = partition.cluster_of_users(k)
+    common = (project_streams(g_hat, err_stack, precoders.common, cluster_of)
+              if precoders.common.shape[1] else None)
+    return ProjectionBundle(common, project_streams(g_hat, err_stack, precoders.private,
+                                                    np.arange(k)), cluster_of)
+
+
+def _clamped_rates(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # a draw whose denominator the power-loss terms push to or below zero gets rate 0
+    ok = den > 0.0
+    return np.log2(1.0 + np.where(ok, np.maximum(num[None, :], 0.0) / np.where(ok, den, 1.0), 0.0))
 
 
 def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
@@ -346,46 +382,25 @@ def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
     Matches the scalar evaluators exactly; the draw axis is vectorised and
     reductions run in fixed index order.
     """
-    n, k_total, n_c = bundle.til_c.shape
-    users = np.arange(k_total)
-    i_of = bundle.cluster_of
+    c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
     ap2 = np.asarray(a_p, dtype=float) ** 2
     noise = sigma_w2 / eps ** 2
 
-    e_p = bundle.hat_p[None, :, :] - bundle.til_p
-    pint_all = np.einsum("r,nkr->nk", ap2, np.abs(e_p) ** 2)
-    own_e_p2 = np.abs(e_p[:, users, users]) ** 2
-    pint_excl = pint_all - ap2[None, :] * own_e_p2
+    pint_all = np.einsum("r,nkr->nk", ap2, p.e2)
+    pint_excl = pint_all - ap2[None, :] * p.own_e2
 
-    if n_c and ac2.size:
-        e_c = bundle.hat_c[None, :, :] - bundle.til_c
-        cint_all = np.einsum("j,nkj->nk", ac2, np.abs(e_c) ** 2)
-        own_e_c2 = np.abs(e_c[:, users, i_of]) ** 2
-        cint = cint_all - ac2[i_of][None, :] * own_e_c2
-        hat_own_c = bundle.hat_c[users, i_of]
-        til_own_c = bundle.til_c[:, users, i_of]
-        num_c = ac2[i_of] * np.abs(hat_own_c) ** 2
-        d_c = ac2[i_of][None, :] * (np.abs(til_own_c) ** 2
-                                    - 2.0 * (np.conj(hat_own_c)[None, :] * til_own_c).real)
-        den_c = d_c + cint + pint_all + noise
-        gamma_c = np.where(den_c > 0.0,
-                           np.maximum(num_c[None, :], 0.0) / np.where(den_c > 0.0, den_c, 1.0),
-                           0.0)
+    if c is not None and ac2.size:
+        cint_all = np.einsum("j,nkj->nk", ac2, c.e2)
+        cint = cint_all - ac2[i_of][None, :] * c.own_e2
+        den_c = ac2[i_of][None, :] * c.loss + cint + pint_all + noise
+        cr = _clamped_rates(ac2[i_of] * c.hat_own2, den_c)
     else:
         cint = 0.0
-        gamma_c = np.zeros((n, k_total))
+        cr = np.zeros(p.loss.shape)
 
-    hat_own_p = bundle.hat_p[users, users]
-    til_own_p = bundle.til_p[:, users, users]
-    num_p = ap2 * np.abs(hat_own_p) ** 2
-    d_p = ap2[None, :] * (np.abs(til_own_p) ** 2
-                          - 2.0 * (np.conj(hat_own_p)[None, :] * til_own_p).real)
-    den_p = d_p + cint + pint_excl + noise
-    gamma_p = np.where(den_p > 0.0,
-                       np.maximum(num_p[None, :], 0.0) / np.where(den_p > 0.0, den_p, 1.0),
-                       0.0)
-    return np.log2(1.0 + gamma_c), np.log2(1.0 + gamma_p)
+    den_p = ap2[None, :] * p.loss + cint + pint_excl + noise
+    return cr, _clamped_rates(ap2 * p.hat_own2, den_p)
 
 
 def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
@@ -405,53 +420,43 @@ def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
     """Average sum rate of G split candidates at once, shape (G,), for ranking.
 
     ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
-    across users.  The bundle is reduced once to per-draw power sums that
-    no amplitude touches; every candidate is then scored from those sums
-    with the SINRs and zero-rate clamp of :func:`rate_components_over_draws`.
-    The summation order differs, so values agree with the kernel to rounding.
+    across users.  Every SINR denominator is a matrix product of amplitude
+    weights (K, G, B) with the bundle's per-draw terms (K, B, n), and the
+    SINRs and clamp are those of :func:`rate_components_over_draws`; the
+    summation order differs, so values agree with the kernel to rounding.
     """
-    users, i_of = np.arange(bundle.hat_p.shape[0]), bundle.cluster_of
-
-    def own_terms(hat_own, til_own):
-        # estimate power and the CSIT power-loss term |t|^2 - 2 Re(conj(h) t), draws last
-        loss = np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[None, :] * til_own).real
-        return (np.abs(hat_own) ** 2)[:, None], loss.T
-
-    hat_c2, loss_c = own_terms(bundle.hat_c[users, i_of], bundle.til_c[:, users, i_of])
-    hat_p2, loss_p = own_terms(bundle.hat_p[users, users], bundle.til_p[:, users, users])
-    e_p2 = np.abs(bundle.hat_p[None, :, :] - bundle.til_p) ** 2
-    e_p2_all = e_p2.sum(axis=2).T                       # (K, n), over private columns
-    e_p2_others = e_p2_all - e_p2[:, users, users].T
-    e_c2 = (np.abs(bundle.hat_c[None, :, :] - bundle.til_c) ** 2).transpose(2, 1, 0)
+    c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
+    n, k_total = p.loss.shape
+    # terms per user: own power loss, |e_c|^2 of every beam, private
+    # interference, and a row of ones that carries the noise
+    e_c2, ones = c.e2.transpose(1, 2, 0), np.ones((k_total, 1, n))
+    e_p2_all = p.e2.sum(axis=2).T[:, None, :]            # (K, 1, n)
+    terms_c = np.concatenate([c.loss.T[:, None, :], e_c2, e_p2_all, ones], axis=1)
+    terms_p = np.concatenate([(p.loss - p.own_e2).T[:, None, :] + e_p2_all, e_c2, ones], axis=1)
 
     ac2 = np.asarray(a_c, dtype=float) ** 2              # (G, N_c)
-    ap2 = (np.asarray(a_p, dtype=float) ** 2)[:, None, None]
-    own_ac2 = ac2[:, i_of][:, :, None]
-    # three (G, K, n) buffers: other clusters' common interference, tmp and den
-    cint = np.einsum("gj,jkn->gkn", ac2, e_c2)
-    tmp = np.multiply(own_ac2, e_c2[i_of, users])
-    cint -= tmp
-    noise = sigma_w2 * (1.0 - sigma_e ** 2)  # the kernel's sigma_w2 / eps^2
+    ap2 = np.tile(np.asarray(a_p, dtype=float) ** 2, (k_total, 1))[:, :, None]  # (K, G, 1)
+    own_ac2 = ac2[:, i_of].T[:, :, None]                 # (K, G, 1)
+    # only the other clusters' common streams interfere
+    others = ac2[None, :, :] * (np.arange(ac2.shape[1]) != i_of[:, None])[:, None, :]
+    noise = np.full_like(ap2, sigma_w2 * (1.0 - sigma_e ** 2))  # the kernel's sigma_w2 / eps^2
 
-    def mean_rate(num, den):
-        den[den <= 0.0] = np.inf  # clamped draw: rate 0
-        np.divide(num, den, out=den)
-        den += 1.0
-        return np.log2(den, out=den).mean(axis=2)
+    def mean_rate(weights, terms, num):
+        # log2(1 + num/den) as log2((den + num)/den); a draw with den <= 0 has rate 0
+        den = weights @ terms
+        weights[:, :, -1:] += num
+        ratio = weights @ terms
+        clamped = den <= 0.0
+        np.divide(ratio, den, out=ratio)
+        ratio[clamped] = 1.0
+        return np.log2(ratio, out=ratio).mean(axis=2)   # (K, G)
 
-    den = np.multiply(own_ac2, loss_c)
-    den += cint
-    den += np.multiply(ap2, e_p2_all, out=tmp)
-    den += noise
-    mean_cr = mean_rate(own_ac2 * hat_c2, den)
-    np.multiply(ap2, loss_p, out=den)
-    den += cint
-    den += np.multiply(ap2, e_p2_others, out=tmp)
-    den += noise
-    mean_pr = mean_rate(ap2 * hat_p2, den)
-
-    min_cr = np.stack([mean_cr[:, list(u)].min(axis=1) for u in partition.user_sets], axis=1)
-    return min_cr.sum(axis=1) + mean_pr.sum(axis=1)
+    mean_cr = mean_rate(np.concatenate([own_ac2, others, ap2, noise], axis=2), terms_c,
+                        own_ac2 * c.hat_own2[:, None, None])
+    mean_pr = mean_rate(np.concatenate([ap2, others, noise], axis=2), terms_p,
+                        ap2 * p.hat_own2[:, None, None])
+    min_cr = np.stack([mean_cr[list(u)].min(axis=0) for u in partition.user_sets])
+    return min_cr.sum(axis=0) + mean_pr.sum(axis=0)
 
 
 def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
@@ -464,7 +469,7 @@ def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
     """
     if err.shape[0] < 1:
         raise ValueError(f"need at least one error draw, got {err.shape[0]}")
-    bundle = project_streams(g_hat, err, precoders, partition)
+    bundle = project_precoders(g_hat, err, precoders, partition)
     return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
 
 

@@ -1,0 +1,40 @@
+"""The benchmark's golden results, checked at tier 1.
+
+Every benchmark run checks its result records against the full-precision
+goldens in ``bench/goldens``: split fractions exact, rates to 1e-12
+relative.  This test applies the same check, with the benchmark's own
+code, to config seed 1 of each golden workload, so a faster path that
+moves a split fraction fails here and not only inside the benchmark.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from rscf import config, harness
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it loads
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = load_bench("golden")
+workloads = load_bench("workloads")
+
+
+@pytest.mark.parametrize("name", sorted(workloads.GOLDENS))
+def test_config_seed_1_matches_golden(name):
+    cfg = config.resolve(None, workloads.GOLDENS[name].config_overrides(1))
+    records, _ = harness.run_experiment(cfg)
+    got = [[r.scheme, r.snr_db, r.esr, r.ecr, r.epr, r.stderr, r.delta_mean, r.n_clusters_mean]
+           for r in records]
+    want = golden.load(name, 1)
+    assert [g[:2] for g, w in zip(got, want) if not golden.record_ok(g, w)] == []
+    assert golden.count_failed(got, want) == 0

@@ -28,8 +28,8 @@ class TestSchemeGrammar:
 
 class TestRunTrial:
     def test_deterministic_replay(self):
-        a = harness.run_trial(SMALL, 1, 10.0)
-        b = harness.run_trial(SMALL, 1, 10.0)
+        a = harness.run_realization(SMALL, 1, snr_grid=(10.0,))
+        b = harness.run_realization(SMALL, 1, snr_grid=(10.0,))
         assert len(a) == len(b) == len(SMALL.schemes)
         for ra, rb in zip(a, b):
             assert ra == rb
@@ -40,7 +40,7 @@ class TestRunTrial:
         import dataclasses
         cfg = dataclasses.replace(SMALL, power_grid_step=1.0,
                                   schemes=("CF-MF-SP", "RS-CF-MF-SP"))
-        rows = harness.run_trial(cfg, 0, 10.0)
+        rows = harness.run_realization(cfg, 0, snr_grid=(10.0,))
         by_scheme = {r.scheme: r for r in rows}
         assert by_scheme["RS-CF-MF-SP"].delta == 0.0
         assert by_scheme["RS-CF-MF-SP"].s_a == pytest.approx(
@@ -49,11 +49,11 @@ class TestRunTrial:
     def test_runs_quickly(self):
         import time
         start = time.perf_counter()
-        harness.run_trial(ExperimentConfig(n_err=100, seed=3), 0, 20.0)
+        harness.run_realization(ExperimentConfig(n_err=100, seed=3), 0, snr_grid=(20.0,))
         assert time.perf_counter() - start < 1.0
 
     def test_trial_fields(self):
-        rows = harness.run_trial(SMALL, 2, 0.0)
+        rows = harness.run_realization(SMALL, 2, snr_grid=(0.0,))
         for row in rows:
             assert row.realization == 2 and row.snr_db == 0.0
             assert len(row.mean_cr) == SMALL.k and len(row.mean_pr) == SMALL.k
@@ -211,6 +211,54 @@ class TestRunExperiment:
         rows = harness.run_realization(dataclasses.replace(
             cfg, schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-ZF-RD")), 1)
         assert len(draws) == rows[0].redraws + 1
+
+    def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
+        # one attempt of the default list: MF-SP and RU-ZF-RD never read pt and
+        # are built once per (side, scope, construction), the others once per
+        # SNR point; the SVD beams once per (side, dense or clustered channel)
+        from rscf import precoding as prec
+        builds, beams = [], []
+        build, beam = harness._build_private, prec.common_precoder
+
+        def counted_build(construction, *args):
+            builds.append(construction)
+            return build(construction, *args)
+
+        def counted_beam(*args):
+            beams.append(args)
+            return beam(*args)
+        monkeypatch.setattr(harness, "_build_private", counted_build)
+        monkeypatch.setattr(prec, "common_precoder", counted_beam)
+        cfg = ExperimentConfig(n_err=10, seed=1)
+        rows = harness.run_realization(cfg, 0)
+        assert rows[0].redraws == 0 and len(rows) == 7 * len(cfg.schemes) == 7 * 11
+        assert len(builds) == 39  # 3 MF-SP + 1 RU-ZF-RD + 5 pt-dependent x 7 SNR points
+        assert len(beams) == 2
+        assert builds.count("MMSE-SP") == 14  # dense and clustered, at each SNR point
+        assert builds.count("MF-SP") == 3 and builds.count("RU-ZF-RD") == 1
+
+    def test_degenerate_attempt_fails_before_rate_work(self, monkeypatch):
+        # realization 0 of seed 5 is redrawn once; its first attempt fails in
+        # the precoder builds, so only the kept attempt projects and searches
+        from rscf import power as pw
+        from rscf import rates
+        projections, searches = [], []
+        project, search = rates.project_streams, pw.allocate_common
+
+        def counted_project(*args):
+            projections.append(args)
+            return project(*args)
+
+        def counted_search(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+        monkeypatch.setattr(rates, "project_streams", counted_project)
+        monkeypatch.setattr(pw, "allocate_common", counted_search)
+        cfg = ExperimentConfig(n_err=10, seed=5)
+        rows = harness.run_realization(cfg, 0)
+        assert rows[0].redraws == 1
+        assert len(searches) == 6 * 7  # six RS schemes at seven SNR points
+        assert len(projections) == 39 + 2  # each private set and each beam once
 
 
 class TestAggregate:

@@ -65,15 +65,21 @@ def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):
     return chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
 
 
+def search(inputs, err, sigma_e, mu, mode="equal_split"):
+    """One split search of the instance's precoders over the stack ``err``."""
+    bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
+                                     inputs.partition)
+    return pw.allocate_common(bundle, sigma_e, inputs.partition, inputs.sigma_w2,
+                              inputs.power.pt, mu=mu, mode=mode)
+
+
 class TestAllocateCommon:
     def test_never_below_zero_split(self):
         for seed in range(8):
             inputs, zeta = search_setup(seed)
             sigma_e = math.sqrt(0.025)
             err = errors(zeta, 30, seeded_rng(seed, 77))
-            alloc, best = pw.allocate_common(
-                inputs.realization.g_hat, err, sigma_e, inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
+            alloc, best = search(inputs, err, sigma_e, 0.05)
             base = rates.average_sum_rate(
                 inputs.realization.g_hat, err, sigma_e, inputs.partition,
                 inputs.precoders,
@@ -83,18 +89,14 @@ class TestAllocateCommon:
 
     def test_unit_step_returns_zero_split(self):
         inputs, zeta = search_setup(1)
-        alloc, _ = pw.allocate_common(
-            inputs.realization.g_hat, errors(zeta, 10, seeded_rng(3)), math.sqrt(0.025),
-            inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt, 1.0)
+        alloc, _ = search(inputs, errors(zeta, 10, seeded_rng(3)), math.sqrt(0.025), 1.0)
         assert alloc.delta == 0.0
         assert np.all(alloc.a_c == 0.0)
 
     def test_deterministic(self):
         inputs, zeta = search_setup(2)
-        args = (inputs.realization.g_hat, math.sqrt(0.025), inputs.partition,
-                inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
-        a1, r1 = pw.allocate_common(args[0], errors(zeta, 20, seeded_rng(9)), *args[1:])
-        a2, r2 = pw.allocate_common(args[0], errors(zeta, 20, seeded_rng(9)), *args[1:])
+        a1, r1 = search(inputs, errors(zeta, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
+        a2, r2 = search(inputs, errors(zeta, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
         assert a1.delta == a2.delta and r1.s_a == r2.s_a
 
     def test_coarse_grid_near_fine_grid_optimum(self):
@@ -107,10 +109,8 @@ class TestAllocateCommon:
         for seed in range(10):
             inputs, zeta = search_setup(seed)
             err = errors(zeta, 40, seeded_rng(11))
-            args = (inputs.realization.g_hat, err, math.sqrt(0.025), inputs.partition,
-                    inputs.precoders, inputs.sigma_w2, inputs.power.pt)
-            coarse, rc = pw.allocate_common(*args, 0.05)
-            fine, rf = pw.allocate_common(*args, 0.01)
+            coarse, rc = search(inputs, err, math.sqrt(0.025), 0.05)
+            fine, rf = search(inputs, err, math.sqrt(0.025), 0.01)
             assert rf.s_a >= rc.s_a - 1e-12
             assert rc.s_a >= 0.95 * rf.s_a
             close_delta += abs(coarse.delta - fine.delta) <= 0.05 + 1e-12
@@ -118,10 +118,9 @@ class TestAllocateCommon:
 
     def test_refinement_never_decreases(self):
         inputs, zeta = search_setup(4)
-        args = (inputs.realization.g_hat, errors(zeta, 25, seeded_rng(13)), math.sqrt(0.025),
-                inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt)
-        _, coarse = pw.allocate_common(*args, 0.1)
-        _, fine = pw.allocate_common(*args, 0.05)
+        err = errors(zeta, 25, seeded_rng(13))
+        _, coarse = search(inputs, err, math.sqrt(0.025), 0.1)
+        _, fine = search(inputs, err, math.sqrt(0.025), 0.05)
         assert fine.s_a >= coarse.s_a - 1e-12
 
     def test_split_found_on_noisy_estimates(self):
@@ -130,18 +129,14 @@ class TestAllocateCommon:
         hits = 0
         for seed in range(10):
             inputs, zeta = search_setup(seed, sigma_e2=0.025)
-            alloc, _ = pw.allocate_common(
-                inputs.realization.g_hat, errors(zeta, 30, seeded_rng(seed, 5)),
-                math.sqrt(0.025), inputs.partition, inputs.precoders, inputs.sigma_w2,
-                inputs.power.pt, 0.05)
+            alloc, _ = search(inputs, errors(zeta, 30, seeded_rng(seed, 5)),
+                              math.sqrt(0.025), 0.05)
             hits += alloc.delta > 0.0
         assert hits >= 6
 
     def test_budget_of_returned_allocation(self):
         inputs, zeta = search_setup(5)
-        alloc, _ = pw.allocate_common(
-            inputs.realization.g_hat, errors(zeta, 20, seeded_rng(1)), math.sqrt(0.025),
-            inputs.partition, inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.05)
+        alloc, _ = search(inputs, errors(zeta, 20, seeded_rng(1)), math.sqrt(0.025), 0.05)
         total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
         assert total == pytest.approx(alloc.pt, rel=1e-12)
 
@@ -154,9 +149,7 @@ class TestAllocateCommon:
                 continue
             sigma_e = math.sqrt(0.025)
             err = errors(zeta, 25, seeded_rng(21))
-            args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
-                    inputs.precoders, inputs.sigma_w2, inputs.power.pt, 0.1)
-            alloc, best = pw.allocate_common(*args, mode="per_cluster_exhaustive")
+            alloc, best = search(inputs, err, sigma_e, 0.1, mode="per_cluster_exhaustive")
             assert alloc.delta < 1.0
             total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
             assert total == pytest.approx(alloc.pt, rel=1e-12)
@@ -174,11 +167,9 @@ class TestAllocateCommon:
             inputs, zeta = search_setup(seed)
             if inputs.partition.n_clusters <= 2:
                 continue
-            args = (inputs.realization.g_hat, errors(zeta, 15, seeded_rng(31)),
-                    math.sqrt(0.025), inputs.partition, inputs.precoders, inputs.sigma_w2,
-                    inputs.power.pt, 0.2)
-            ex_alloc, ex = pw.allocate_common(*args, mode="per_cluster_exhaustive")
-            eq_alloc, eq = pw.allocate_common(*args, mode="equal_split")
+            args = (inputs, errors(zeta, 15, seeded_rng(31)), math.sqrt(0.025), 0.2)
+            ex_alloc, ex = search(*args, mode="per_cluster_exhaustive")
+            eq_alloc, eq = search(*args, mode="equal_split")
             assert ex_alloc.delta == eq_alloc.delta
             assert ex.s_a == eq.s_a
             np.testing.assert_array_equal(ex_alloc.a_c, eq_alloc.a_c)
@@ -188,9 +179,11 @@ class TestAllocateCommon:
     def test_unknown_mode_rejected(self):
         inputs, zeta = search_setup(6)
         with pytest.raises(ValueError):
-            pw.allocate_common(inputs.realization.g_hat, errors(zeta, 10, seeded_rng(0), 0.1),
-                               0.1, inputs.partition, inputs.precoders, inputs.sigma_w2, 1.0,
-                               0.05, mode="simulated-annealing")
+            bundle = rates.project_precoders(inputs.realization.g_hat,
+                                             errors(zeta, 10, seeded_rng(0), 0.1),
+                                             inputs.precoders, inputs.partition)
+            pw.allocate_common(bundle, 0.1, inputs.partition, inputs.sigma_w2, 1.0, mu=0.05,
+                               mode="simulated-annealing")
 
 
 def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mode):
@@ -208,7 +201,7 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
                        for total, combo in candidates]
     else:
         allocations = [pw.equal_split(pt, d, n_c, k) for d in pw.delta_grid(mu)]
-    bundle = rates.project_streams(g_hat, err, precoders, partition)
+    bundle = rates.project_precoders(g_hat, err, precoders, partition)
     results = [rates.asr_from_bundle(bundle, partition, a, sigma_w2, sigma_e)
                for a in allocations]
     best = 0
@@ -241,7 +234,7 @@ class TestGridScorer:
                         mu = 0.05 if mode == "equal_split" else 0.1
                         args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
                                 inputs.precoders, inputs.sigma_w2, inputs.power.pt, mu)
-                        alloc, asr = pw.allocate_common(*args, mode=mode)
+                        alloc, asr = search(inputs, err, sigma_e, mu, mode)
                         bundle, allocations, results, best = loop_search(*args, mode)
                         searches += 1
                         want = allocations[best]

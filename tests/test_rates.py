@@ -185,15 +185,15 @@ class TestVectorisedPath:
         inputs = random_instance(9, kind=prec.LABEL_MMSE_SP, delta=0.35, sigma_e2=0.05)
         zeta = np.abs(inputs.realization.g_hat) ** 2 * 0 + 1.0  # unit gains for the draw
         err = chan.draw_error_matrices(zeta, math.sqrt(0.05), 6, np.random.default_rng(0))
-        bundle = rates.project_streams(inputs.realization.g_hat, err,
-                                       inputs.precoders, inputs.partition)
+        bundle = rates.project_precoders(inputs.realization.g_hat, err,
+                                         inputs.precoders, inputs.partition)
         eps = 1.0 / math.sqrt(1.0 - 0.05)
         cr, pr = rates.rate_components_over_draws(bundle, inputs.power.a_c,
                                                   inputs.power.a_p, inputs.sigma_w2, eps)
         for n in range(6):
             g_err = err[n]
             real = chan.ChannelRealization(
-                chan.true_channel_from_estimate(inputs.realization.g_hat, g_err, math.sqrt(0.05)),
+                (inputs.realization.g_hat - g_err) / math.sqrt(1.0 - 0.05),
                 inputs.realization.g_hat, g_err, math.sqrt(0.05))
             scalar_inputs = rates.RateInputs(real, inputs.sparse, inputs.partition,
                                              inputs.precoders, inputs.svd_cache,
@@ -224,12 +224,12 @@ class TestAverageSumRate:
         zeta = np.full((8, 4), 0.7)
         sigma_e = math.sqrt(0.04)
         err = chan.draw_error_matrices(zeta, sigma_e, 1, seeded_rng(5))
-        bundle = rates.project_streams(inputs.realization.g_hat, err, inputs.precoders,
-                                       inputs.partition)
+        bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
+                                         inputs.partition)
         asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
                                     sigma_e)
         real = chan.ChannelRealization(
-            chan.true_channel_from_estimate(inputs.realization.g_hat, err[0], sigma_e),
+            (inputs.realization.g_hat - err[0]) / math.sqrt(1.0 - sigma_e ** 2),
             inputs.realization.g_hat, err[0], sigma_e)
         single = rates.RateInputs(real, inputs.sparse, inputs.partition, inputs.precoders,
                                   inputs.svd_cache, inputs.power, inputs.sigma_w2)

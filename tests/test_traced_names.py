@@ -33,10 +33,15 @@ def test_attributes_read_by_the_tracer_exist():
 
 
 def test_positional_arguments_read_by_the_tracer():
-    # the tracer reads the grid step of a search as args[7] and the bundle
-    # of a kernel call as args[0]; after a moved parameter it would read the
-    # wrong argument, and grid_top_hits or draw_samples would go wrong quietly
-    search = list(inspect.signature(rscf.power.allocate_common).parameters)
-    assert search[7] == "mu"
+    # the tracer reads the grid step of a search as args[7] when more than 7
+    # positional arguments are passed and as kwargs["mu"] otherwise, and the
+    # bundle of a kernel call as args[0]; after a moved parameter it would
+    # read the wrong argument, and grid_top_hits or draw_samples would go
+    # wrong quietly
+    search = inspect.signature(rscf.power.allocate_common).parameters
+    assert search["mu"].kind is inspect.Parameter.KEYWORD_ONLY
+    positional = [p for p in search.values()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD, p.VAR_POSITIONAL)]
+    assert len(positional) <= 7 and all(p.kind is not p.VAR_POSITIONAL for p in positional)
     kernel = list(inspect.signature(rscf.rates.asr_from_bundle).parameters)
     assert kernel[0] == "bundle"
