@@ -11,6 +11,14 @@ all build a realization the same way: ``_scheme_sides`` for the channel
 state, ``_attempt_precoders`` for the precoders, inside one ``_with_redraws``
 loop.
 
+The SNR grid is an array axis.  Phase 1 of an attempt builds each private
+set once per (side, scope, construction) at the whole array of power
+budgets (a set that never reads the budget has no SNR axis), and each
+common beam once.  Phase 2 projects a set in chunks of SNR points whose
+stacked private projection, n*K*K complex entries per point, fits
+``_CHUNK_BYTES``; plain schemes take one rate-kernel call per chunk, the
+split search runs per point on views of the chunk's projection.
+
 Scheme labels follow  [RS-]{BS|CF}-{MF|ZF|MMSE}[-SP|-RD]:  BS places all
 antennas at the area centre, CF distributes them; SP masks the channel to
 the cluster support, RD additionally inverts per cluster; the RS prefix
@@ -41,6 +49,8 @@ log = logging.getLogger("rscf")
 # sub-stream identifiers for per-realization seeding
 _GEOMETRY, _SHADOW, _SMALLSCALE, _ERRDRAWS = 0, 1, 2, 3
 MAX_REDRAWS = 3
+# bytes of stacked private projection, (n, K, K) complex per SNR point, per chunk
+_CHUNK_BYTES = 512 * 1024
 
 
 def seeded_rng(*parts: int) -> np.random.Generator:
@@ -160,7 +170,7 @@ def _power_budget(config: ExperimentConfig, sides: dict[bool, SideData],
 
 
 def _build_private(construction: str, sparse: clus.SparseChannel,
-                   partition: clus.ClusterPartition, pt: float,
+                   partition: clus.ClusterPartition, pt: float | np.ndarray,
                    sigma_w2: float) -> prec.PrecoderSet:
     # transmit composition: unit-norm columns, amplitudes carry the power
     return prec.normalize_private_columns(
@@ -174,35 +184,31 @@ def _scope(spec: SchemeSpec, side: SideData
     return side.clustered_partition, side.clustered_sparse
 
 
-def _keys(spec: SchemeSpec, s: int) -> tuple[tuple, tuple[bool, bool]]:
-    # private sets: a pt-free construction is one build for all SNR points;
-    # SVD beams depend only on the side and on the dense or clustered channel
-    pt_index = None if spec.construction in prec.PT_FREE else s
-    return (spec.bs, spec.scope, spec.construction, pt_index), (spec.bs, spec.scope == "dense")
+def _keys(spec: SchemeSpec) -> tuple[tuple, tuple[bool, bool]]:
+    # a private set per (side, scope, construction), with an SNR axis when
+    # the construction reads pt; SVD beams per side and dense or clustered channel
+    return (spec.bs, spec.scope, spec.construction), (spec.bs, spec.scope == "dense")
 
 
 def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
-                       sides: dict[bool, SideData], pts: list[float], clock=lambda: 0.0):
+                       sides: dict[bool, SideData], pt: float | np.ndarray):
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
 
-    Builds run in SNR-outer, scheme-inner order, so a degenerate draw raises
-    the first error that building every scheme at every SNR point would,
-    before any rate work.  Returns both sets by :func:`_keys` (``s`` indexes
-    ``pts``) and per (s, scheme index) row the seconds of its builds.
+    ``pt`` is one power budget or the array of the SNR grid's.  Whether a
+    draw is degenerate does not depend on it, so the first scheme to fail
+    raises the error that building every scheme at the first SNR point
+    would, before any rate work.  Returns both sets by :func:`_keys`.
     """
-    privates, commons, spent = {}, {}, {}
-    for s, pt in enumerate(pts):
-        for j, spec in enumerate(specs):
-            started = clock()
-            partition, sparse = _scope(spec, sides[spec.bs])
-            key, ckey = _keys(spec, s)
-            if key not in privates:
-                privates[key] = _build_private(spec.construction, sparse, partition, pt,
-                                               _noise(config))
-            if spec.rs and ckey not in commons:
-                commons[ckey], _ = prec.common_precoder(sparse, partition)
-            spent[s, j] = clock() - started
-    return privates, commons, spent
+    privates, commons = {}, {}
+    for spec in specs:
+        partition, sparse = _scope(spec, sides[spec.bs])
+        key, ckey = _keys(spec)
+        if key not in privates:
+            privates[key] = _build_private(spec.construction, sparse, partition, pt,
+                                           _noise(config))
+        if spec.rs and ckey not in commons:
+            commons[ckey], _ = prec.common_precoder(sparse, partition)
+    return privates, commons
 
 
 def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
@@ -229,57 +235,63 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
 
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
+    # with timing, a row's time runs from the row before it: shared work
+    # falls to the first row after it, and the rows sum to the attempt
+    clock = time.perf_counter if config.timing else (lambda: 0.0)
+    started = clock()
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
     sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
+    pts = np.array([_power_budget(config, sides, snr) for snr in snr_grid])
+    privates, commons = _attempt_precoders(config, specs, sides, pts)
     # one error stack per side, shared by every scheme and SNR point: the
     # sides draw from the same seeded stream, scaled by their own gains
     errs = {bs: chan.draw_error_matrices(side.zeta, sigma_e, config.n_err,
                                          seeded_rng(config.seed, index, attempt, _ERRDRAWS))
             for bs, side in sides.items()}
-    clock = time.perf_counter if config.timing else (lambda: 0.0)
-    pts = [_power_budget(config, sides, snr) for snr in snr_grid]
-    privates, commons, spent = _attempt_precoders(config, specs, sides, pts, clock)
 
-    # phase 2, one group per (side, scope, construction): its RS and plain
-    # schemes share one bundle per private set, so a pt-free group projects
-    # once for all SNR points; a group's bundles end with it
+    # phase 2, one group per (side, scope, construction) sharing its projections
     groups: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
-        groups.setdefault((spec.bs, spec.scope, spec.construction), []).append(j)
+        groups.setdefault(_keys(spec)[0], []).append(j)
+    n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
     common_streams, rows = {}, {}
-    for members in groups.values():
+    for key, members in groups.items():
         first = specs[members[0]]
         partition, _ = _scope(first, sides[first.bs])
         g_hat, err = sides[first.bs].realization.g_hat, errs[first.bs]
-        cluster_of, bundle_key = partition.cluster_of_users(config.k), None
-        for s, pt in enumerate(pts):
+        cluster_of, ckey = partition.cluster_of_users(config.k), _keys(first)[1]
+        private = privates.pop(key).private  # (S, M, K), or (M, K) when pt-free
+        step = n_chunk if private.ndim == 3 else len(pts)
+        if ckey in commons and ckey not in common_streams:
+            common_streams[ckey] = rates.project_streams(g_hat, err, commons[ckey], cluster_of)
+        for lo in range(0, len(pts), step):
+            chunk = slice(lo, lo + step)
+            bundle = None  # drop the last chunk's bundle before the next
+            bundle = rates.ProjectionBundle(common_streams.get(ckey), rates.project_streams(
+                g_hat, err, private[chunk] if private.ndim == 3 else private,
+                np.arange(config.k)), cluster_of)
             for j in members:
-                started = clock()
-                key, ckey = _keys(first, s)
-                if key != bundle_key:
-                    bundle_key, bundle = key, None  # drop the last bundle before the next
-                    if ckey in commons and ckey not in common_streams:
-                        common_streams[ckey] = rates.project_streams(g_hat, err, commons[ckey],
-                                                                     cluster_of)
-                    bundle = rates.ProjectionBundle(common_streams.get(ckey), rates.project_streams(
-                        g_hat, err, privates[key].private, np.arange(config.k)), cluster_of)
-                if specs[j].rs:
-                    alloc, asr = pw.allocate_common(bundle, sigma_e, partition, sigma_w2, pt,
-                                                    **search)
-                else:
-                    alloc = pw.no_split(pt, config.k)
-                    asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
-                spent[s, j] += clock() - started
-                rows[s, j] = TrialRow(
-                    realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
-                    s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
-                    mean_cr=tuple(float(v) for v in asr.mean_cr),
-                    mean_pr=tuple(float(v) for v in asr.mean_pr),
-                    min_cr=tuple(float(v) for v in asr.min_cr),
-                    cluster_of=tuple(int(v) for v in cluster_of),
-                    elapsed_ms=spent[s, j] * 1e3, redraws=attempt)
+                if not specs[j].rs:  # one kernel call for the chunk
+                    alloc = pw.no_split(pts[chunk], config.k)
+                    stacked = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
+                for s in range(len(pts))[chunk]:
+                    if specs[j].rs:
+                        alloc, asr = pw.allocate_common(bundle.at(s - lo), sigma_e, partition,
+                                                        sigma_w2, pts[s], **search)
+                    else:
+                        asr = stacked.at(s - lo)
+                    now = clock()
+                    rows[s, j] = TrialRow(
+                        realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
+                        s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
+                        mean_cr=tuple(float(v) for v in asr.mean_cr),
+                        mean_pr=tuple(float(v) for v in asr.mean_pr),
+                        min_cr=tuple(float(v) for v in asr.min_cr),
+                        cluster_of=tuple(int(v) for v in cluster_of),
+                        elapsed_ms=(now - started) * 1e3, redraws=attempt)
+                    started = now
     return [rows[row] for row in sorted(rows)]
 
 
@@ -308,11 +320,11 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
     def attempt_fn(attempt):
         sides = _scheme_sides(config, specs, index, attempt)
-        privates, commons, _ = _attempt_precoders(
-            config, specs, sides, [_power_budget(config, sides, snr_db)])
+        privates, commons = _attempt_precoders(config, specs, sides,
+                                               _power_budget(config, sides, snr_db))
         built = {}
         for spec in specs:
-            key, ckey = _keys(spec, 0)
+            key, ckey = _keys(spec)
             pset = prec.attach_common(privates[key], commons[ckey]) if spec.rs else privates[key]
             built[spec.label] = _scope(spec, sides[spec.bs])[0], pset
         return sides, built

@@ -39,13 +39,13 @@ class PowerAllocation:
     pt: float
 
 
-def uniform_private(pt: float, delta: float, k: int) -> np.ndarray:
-    """Equal private amplitudes a_k = sqrt((1 - delta) Pt / K)."""
+def uniform_private(pt: float | np.ndarray, delta: float, k: int) -> np.ndarray:
+    """Equal private amplitudes a_k = sqrt((1 - delta) Pt / K), (..., K) for an array Pt."""
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     if k < 1:
         raise ValueError(f"need at least one user, got {k}")
-    return np.full(k, math.sqrt((1.0 - delta) * pt / k))
+    return np.repeat(np.sqrt((1.0 - delta) * np.asarray(pt, dtype=float) / k)[..., None], k, -1)
 
 
 def equal_split(pt: float, delta: float, n_c: int, k: int) -> PowerAllocation:
@@ -55,9 +55,10 @@ def equal_split(pt: float, delta: float, n_c: int, k: int) -> PowerAllocation:
     return PowerAllocation(a_c, uniform_private(pt, delta, k), float(delta), float(pt))
 
 
-def no_split(pt: float, k: int, n_c: int = 0) -> PowerAllocation:
-    """All power on private streams (conventional, non-rate-split operation)."""
-    return PowerAllocation(np.zeros(n_c), uniform_private(pt, 0.0, k), 0.0, float(pt))
+def no_split(pt: float | np.ndarray, k: int, n_c: int = 0) -> PowerAllocation:
+    """All power on private streams (no rate splitting); an array Pt gives one row per point."""
+    return PowerAllocation(np.zeros(n_c), uniform_private(pt, 0.0, k), 0.0,
+                           pt if np.ndim(pt) else float(pt))
 
 
 def delta_grid(mu: float) -> list[float]:

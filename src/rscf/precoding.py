@@ -9,10 +9,13 @@ cluster with reduced-size inversions and an index mapping back to users.
 Every private construction records the factors needed to evaluate its
 SINRs in closed form later: the Gram-inverse ``lam`` and a per-column
 scale such that ``private[:, r] = col_scale[r] * conj(g_bar) @ lam[:, r]``.
+A construction that reads the power budget also takes an array of budgets,
+one per SNR point; ``private``, ``beta``, ``col_scale`` and, where it
+depends on Pt, ``lam`` then gain a leading SNR axis, bit for bit the
+scalar builds stacked.  Zero-forcing checks and inverts its Gram once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,10 +124,10 @@ def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
     per-stream power.  ``beta`` keeps the construction's own printed
     normalisation for reference.
     """
-    norms = np.linalg.norm(pset.private, axis=0)
+    norms = np.linalg.norm(pset.private, axis=-2)
     if np.any(norms == 0.0):
         raise ValueError("cannot column-normalise a precoder with an all-zero column")
-    return replace(pset, private=pset.private / norms,
+    return replace(pset, private=pset.private / norms[..., None, :],
                    col_scale=None if pset.col_scale is None else pset.col_scale / norms)
 
 
@@ -138,34 +141,39 @@ def mf_sp(sparse: SparseChannel) -> PrecoderSet:
                        col_scale=np.ones(k))
 
 
-def zf_sp(sparse: SparseChannel, pt: float) -> PrecoderSet:
+def _trace_scaled(f: np.ndarray, pt, share: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    # beta = sqrt(Pt / (share ||f||_F^2)) per SNR point, and beta * f
+    beta = np.sqrt(pt / (share * np.sum(np.abs(f) ** 2, axis=(-2, -1))))
+    return beta, beta[..., None, None] * f
+
+
+def zf_sp(sparse: SparseChannel, pt: float | np.ndarray) -> PrecoderSet:
     """Zero-forcing pseudoinverse of the sparse channel, trace-normalised to Pt."""
     g_bar = sparse.g_bar
     k = g_bar.shape[1]
     gram = g_bar.T @ g_bar.conj()
     _check_condition(gram, "(sparse zero-forcing)")
     lam = np.linalg.inv(gram)
-    f = g_bar.conj() @ lam
-    beta = math.sqrt(pt / float(np.sum(np.abs(f) ** 2)))
-    return PrecoderSet(LABEL_ZF_SP, _empty_common(g_bar.shape[0]), beta * f,
-                       beta=beta, lam=lam, col_scale=np.full(k, beta))
+    beta, private = _trace_scaled(g_bar.conj() @ lam, pt)
+    return PrecoderSet(LABEL_ZF_SP, _empty_common(g_bar.shape[0]), private,
+                       beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
-def mmse_sp(sparse: SparseChannel, pt: float, sigma_w2: float) -> PrecoderSet:
+def mmse_sp(sparse: SparseChannel, pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Regularised inverse on the sparse channel, trace-normalised to Pt.
 
     Regulariser K * sigma_w^2 / Pt with K the total user count.
     """
-    if pt <= 0:
+    pt = np.asarray(pt, dtype=float)
+    if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
     g_bar = sparse.g_bar
     k = g_bar.shape[1]
-    gram = g_bar.T @ g_bar.conj() + (k * sigma_w2 / pt) * np.eye(k)
+    gram = g_bar.T @ g_bar.conj() + (k * sigma_w2 / pt[..., None, None]) * np.eye(k)
     lam = np.linalg.inv(gram)
-    f = g_bar.conj() @ lam
-    beta = math.sqrt(pt / float(np.sum(np.abs(f) ** 2)))
-    return PrecoderSet(LABEL_MMSE_SP, _empty_common(g_bar.shape[0]), beta * f,
-                       beta=beta, lam=lam, col_scale=np.full(k, beta))
+    beta, private = _trace_scaled(g_bar.conj() @ lam, pt)
+    return PrecoderSet(LABEL_MMSE_SP, _empty_common(g_bar.shape[0]), private,
+                       beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
 def ru_zf_rd(sparse: SparseChannel, partition: ClusterPartition) -> PrecoderSet:
@@ -189,31 +197,31 @@ def ru_zf_rd(sparse: SparseChannel, partition: ClusterPartition) -> PrecoderSet:
 
 
 def ru_mmse_rd(sparse: SparseChannel, partition: ClusterPartition,
-               pt: float, sigma_w2: float) -> PrecoderSet:
+               pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Per-cluster regularised inverses with per-cluster power scaling.
 
     Cluster i inverts a |K_i| x |K_i| matrix regularised by
     K |K_i| sigma_w^2 / Pt and scales its columns so the cluster carries
     Pt / K per stream.
     """
-    if pt <= 0:
+    pt = np.asarray(pt, dtype=float)
+    if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
     m, k_total = sparse.g_bar.shape
-    private = np.zeros((m, k_total), dtype=complex)
-    lam = np.zeros((k_total, k_total), dtype=complex)
-    col_scale = np.ones(k_total)
-    betas = np.zeros(partition.n_clusters)
+    private = np.zeros(pt.shape + (m, k_total), dtype=complex)
+    lam = np.zeros(pt.shape + (k_total, k_total), dtype=complex)
+    col_scale = np.ones(pt.shape + (k_total,))
+    betas = np.zeros(pt.shape + (partition.n_clusters,))
     for i, (users, reduced) in enumerate(zip(partition.user_sets, sparse.reduced)):
         ki = len(users)
-        gram = reduced @ reduced.conj().T + (k_total * ki * sigma_w2 / pt) * np.eye(ki)
+        gram = (reduced @ reduced.conj().T
+                + (k_total * ki * sigma_w2 / pt[..., None, None]) * np.eye(ki))
         lam_i = np.linalg.inv(gram)
-        p_bar = reduced.conj().T @ lam_i
-        beta_i = math.sqrt(pt / (k_total * float(np.sum(np.abs(p_bar) ** 2))))
         cols = list(users)
-        private[:, cols] = beta_i * p_bar
-        lam[np.ix_(cols, cols)] = lam_i
-        col_scale[cols] = beta_i
-        betas[i] = beta_i
+        betas[..., i], private[..., cols] = _trace_scaled(reduced.conj().T @ lam_i, pt,
+                                                          k_total)
+        lam[(...,) + np.ix_(cols, cols)] = lam_i
+        col_scale[..., cols] = betas[..., i, None]
     return PrecoderSet(LABEL_RU_MMSE_RD, _empty_common(m), private,
                        beta=betas, lam=lam, col_scale=col_scale)
 
@@ -229,12 +237,10 @@ CONSTRUCTIONS = {
     LABEL_RU_MMSE_RD: lambda sparse, partition, pt, sigma_w2: ru_mmse_rd(
         sparse, partition, pt, sigma_w2),
 }
-# constructions that never read pt: one build serves every SNR point
-PT_FREE = (LABEL_MF_SP, LABEL_RU_ZF_RD)
 
 
 def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,
-              pt: float, sigma_w2: float) -> PrecoderSet:
+              pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Raw private precoder set of the construction named ``label``.
 
     A dense (unmasked) precoder is the same construction applied to

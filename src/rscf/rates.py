@@ -61,12 +61,16 @@ class RateReport:
 
 @dataclass(frozen=True)
 class AsrResult:
-    """Rates averaged over estimation-error draws for one channel estimate."""
+    """Rates averaged over error draws for one estimate; stacked: a leading SNR axis."""
 
-    s_a: float
+    s_a: float | np.ndarray
     mean_cr: np.ndarray  # (K,)
     mean_pr: np.ndarray  # (K,)
     min_cr: np.ndarray   # (N_c,) per-cluster minima of mean_cr
+
+    def at(self, s: int) -> "AsrResult":
+        """The result of SNR point ``s`` of a stacked evaluation."""
+        return AsrResult(float(self.s_a[s]), self.mean_cr[s], self.mean_pr[s], self.min_cr[s])
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,14 @@ class ProjectionBundle:
 
     @property
     def til_p(self) -> np.ndarray:
-        return self.private.til
+        # (points * n, K, K): any leading SNR axis is folded into the draw axis
+        return self.private.til.reshape((-1,) + self.private.til.shape[-2:])
+
+    def at(self, s: int) -> "ProjectionBundle":
+        """SNR point ``s`` of the bundle; one without an SNR axis serves every point."""
+        p = self.private
+        return self if p.til.ndim == 3 else ProjectionBundle(self.common, StreamProjection(
+            p.til[s], p.e2[s], p.own_e2[s], p.hat_own2[s], p.loss[s]), self.cluster_of)
 
 
 def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarray,
@@ -346,15 +357,16 @@ def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarra
     """Project the estimate and every error draw through ``columns`` (M, C).
 
     ``own[k]`` is the column user k decodes: k, or its cluster's beam.
+    Columns of shape (S, M, C) add a leading SNR axis to every term.
     """
     users = np.arange(g_hat.shape[1])
     hat = g_hat.T @ columns
-    til = err_stack.transpose(0, 2, 1) @ columns
-    hat_own, til_own = hat[users, own], til[:, users, own]
-    e2 = np.abs(hat[None, :, :] - til) ** 2
+    til = err_stack.transpose(0, 2, 1) @ columns[..., None, :, :]
+    hat_own, til_own = hat[..., users, own], til[..., users, own]
+    e2 = np.abs(hat[..., None, :, :] - til) ** 2
     return StreamProjection(
-        til=til, e2=e2, own_e2=e2[:, users, own], hat_own2=np.abs(hat_own) ** 2,
-        loss=np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[None, :] * til_own).real)
+        til=til, e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
+        loss=np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[..., None, :] * til_own).real)
 
 
 def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: PrecoderSet,
@@ -371,35 +383,37 @@ def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: Preco
 def _clamped_rates(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # a draw whose denominator the power-loss terms push to or below zero gets rate 0
     ok = den > 0.0
-    return np.log2(1.0 + np.where(ok, np.maximum(num[None, :], 0.0) / np.where(ok, den, 1.0), 0.0))
+    return np.log2(1.0 + np.where(ok, np.maximum(num[..., None, :], 0.0) / np.where(ok, den, 1.0),
+                                  0.0))
 
 
 def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
                                a_p: np.ndarray, sigma_w2: float,
                                eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw per-user common and private rates, shapes (n, K) each.
+    """Per-draw per-user common and private rates, shapes (..., n, K) each.
 
     Matches the scalar evaluators exactly; the draw axis is vectorised and
-    reductions run in fixed index order.
+    reductions run in fixed index order.  A leading SNR axis on the
+    amplitudes, the bundle or both broadcasts.
     """
     c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
     ap2 = np.asarray(a_p, dtype=float) ** 2
     noise = sigma_w2 / eps ** 2
 
-    pint_all = np.einsum("r,nkr->nk", ap2, p.e2)
-    pint_excl = pint_all - ap2[None, :] * p.own_e2
+    pint_all = np.einsum("...r,...nkr->...nk", ap2, p.e2)
+    pint_excl = pint_all - ap2[..., None, :] * p.own_e2
 
     if c is not None and ac2.size:
-        cint_all = np.einsum("j,nkj->nk", ac2, c.e2)
-        cint = cint_all - ac2[i_of][None, :] * c.own_e2
-        den_c = ac2[i_of][None, :] * c.loss + cint + pint_all + noise
-        cr = _clamped_rates(ac2[i_of] * c.hat_own2, den_c)
+        cint_all = np.einsum("...j,...nkj->...nk", ac2, c.e2)
+        cint = cint_all - ac2[..., None, i_of] * c.own_e2
+        den_c = ac2[..., None, i_of] * c.loss + cint + pint_all + noise
+        cr = _clamped_rates(ac2[..., i_of] * c.hat_own2, den_c)
     else:
         cint = 0.0
-        cr = np.zeros(p.loss.shape)
+        cr = np.zeros(pint_all.shape)
 
-    den_p = ap2[None, :] * p.loss + cint + pint_excl + noise
+    den_p = ap2[..., None, :] * p.loss + cint + pint_excl + noise
     return cr, _clamped_rates(ap2 * p.hat_own2, den_p)
 
 
@@ -408,10 +422,11 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
                     sigma_e: float) -> AsrResult:
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
     cr, pr = rate_components_over_draws(bundle, power.a_c, power.a_p, sigma_w2, eps)
-    mean_cr = cr.mean(axis=0)
-    mean_pr = pr.mean(axis=0)
-    min_cr = np.array([mean_cr[list(users)].min() for users in partition.user_sets])
-    return AsrResult(float(min_cr.sum() + mean_pr.sum()), mean_cr, mean_pr, min_cr)
+    mean_cr = cr.mean(axis=-2)
+    mean_pr = pr.mean(axis=-2)
+    min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)
+    s_a = min_cr.sum(axis=-1) + mean_pr.sum(axis=-1)
+    return AsrResult(s_a if s_a.ndim else float(s_a), mean_cr, mean_pr, min_cr)
 
 
 def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,

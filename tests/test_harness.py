@@ -203,19 +203,20 @@ class TestRunExperiment:
             return draw(*args)
         monkeypatch.setattr(chan, "draw_error_matrices", counted)
         cfg = ExperimentConfig(n_err=10, snr_grid_db=(0.0, 10.0), seed=5)
-        # realization 0 of seed 5 is redrawn once: each attempt draws its own stacks
+        # realization 0 of seed 5 is redrawn once: its first attempt fails in the
+        # precoder builds, before any stack is drawn
         rows = harness.run_realization(cfg, 0)
         assert rows[0].redraws == 1 and len(rows) == 2 * len(cfg.schemes)
-        assert len(draws) == 2 * 2  # distributed and co-located sides, two attempts
+        assert len(draws) == 2  # distributed and co-located sides, kept attempt only
         draws.clear()
         rows = harness.run_realization(dataclasses.replace(
             cfg, schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-ZF-RD")), 1)
         assert len(draws) == rows[0].redraws + 1
 
     def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
-        # one attempt of the default list: MF-SP and RU-ZF-RD never read pt and
-        # are built once per (side, scope, construction), the others once per
-        # SNR point; the SVD beams once per (side, dense or clustered channel)
+        # one attempt of the default list: every private set is built once per
+        # (side, scope, construction), with all SNR points in one build; the
+        # SVD beams once per (side, dense or clustered channel)
         from rscf import precoding as prec
         builds, beams = [], []
         build, beam = harness._build_private, prec.common_precoder
@@ -232,9 +233,9 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n_err=10, seed=1)
         rows = harness.run_realization(cfg, 0)
         assert rows[0].redraws == 0 and len(rows) == 7 * len(cfg.schemes) == 7 * 11
-        assert len(builds) == 39  # 3 MF-SP + 1 RU-ZF-RD + 5 pt-dependent x 7 SNR points
+        assert len(builds) == 9  # 3 MF-SP + 1 RU-ZF-RD + 5 pt-dependent, each once
         assert len(beams) == 2
-        assert builds.count("MMSE-SP") == 14  # dense and clustered, at each SNR point
+        assert builds.count("MMSE-SP") == 2  # dense and clustered
         assert builds.count("MF-SP") == 3 and builds.count("RU-ZF-RD") == 1
 
     def test_degenerate_attempt_fails_before_rate_work(self, monkeypatch):
@@ -258,7 +259,17 @@ class TestRunExperiment:
         rows = harness.run_realization(cfg, 0)
         assert rows[0].redraws == 1
         assert len(searches) == 6 * 7  # six RS schemes at seven SNR points
-        assert len(projections) == 39 + 2  # each private set and each beam once
+        assert len(projections) == 9 + 2  # each private set and each beam once
+
+
+    @pytest.mark.parametrize("points", [1, 3])
+    def test_snr_chunks_do_not_change_rows(self, monkeypatch, points):
+        # the chunk budget only decides how many SNR points one projection stacks
+        cfg = ExperimentConfig(n_err=10, seed=1)
+        whole = harness.run_realization(cfg, 0)
+        assert harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2) >= len(cfg.snr_grid_db)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", points * 16 * cfg.n_err * cfg.k ** 2)
+        assert harness.run_realization(cfg, 0) == whole
 
 
 class TestAggregate:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
 
@@ -315,6 +316,33 @@ class TestColumnNormalisation:
                                 beta=1.0)
         with pytest.raises(ValueError):
             prec.normalize_private_columns(pset)
+
+
+class TestSnrAxis:
+    """A build at the SNR grid's array of budgets equals the scalar builds, bit for bit."""
+
+    @pytest.mark.parametrize("label", list(prec.CONSTRUCTIONS))
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "clustered"])
+    def test_stacked_build_equals_scalar_builds(self, label, dense):
+        sparse, part, g_hat = clustered_instance(40)
+        if dense:
+            sparse, part = prec.dense_channel(g_hat), clus.single_cluster(*g_hat.shape)
+        sigma_w2 = 1e-3
+        pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
+        for normalise in (False, True):
+            def build(pt):
+                pset = prec.construct(label, sparse, part, pt, sigma_w2)
+                return prec.normalize_private_columns(pset) if normalise else pset
+            stacked, singles = build(pts), [build(pt) for pt in pts]
+            # MF-SP and RU-ZF-RD never read pt: their sets carry no SNR axis
+            assert (stacked.private.ndim == 2) == (label in (prec.LABEL_MF_SP,
+                                                             prec.LABEL_RU_ZF_RD))
+            for field in ("private", "beta", "col_scale", "lam"):
+                got = np.asarray(getattr(stacked, field))
+                for s, single in enumerate(singles):
+                    want = np.asarray(getattr(single, field))
+                    assert np.array_equal(got[s] if got.ndim > want.ndim else got, want), \
+                        (field, s, normalise)
 
 
 class TestFlopEstimate:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from rscf import clustering as clus
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
-from rscf.harness import random_instance, seeded_rng
+from rscf.harness import _build_private, random_instance, seeded_rng
 
 
 def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True):
@@ -201,6 +202,47 @@ class TestVectorisedPath:
             report = rates.instantaneous_rates(scalar_inputs)
             np.testing.assert_allclose(cr[n], report.common_rate_per_user, rtol=1e-10)
             np.testing.assert_allclose(pr[n], report.private_rate_per_user, rtol=1e-10)
+
+
+class TestSnrAxis:
+    """Stacked projections and kernel calls equal the per-point calls, bit for bit."""
+
+    def test_stacked_calls_equal_per_point_calls(self):
+        inputs = random_instance(14, kind=prec.LABEL_MMSE_SP, sigma_e2=0.05)
+        g_hat, part, sigma_w2 = inputs.realization.g_hat, inputs.partition, inputs.sigma_w2
+        sigma_e = math.sqrt(0.05)
+        err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, 20, seeded_rng(3))
+        pts = inputs.power.pt * 10.0 ** np.arange(-1.0, 2.0)
+        cluster_of, own = part.cluster_of_users(4), np.arange(4)
+        common = rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of)
+
+        def kernel(bundle, pt, delta):
+            # equal split per point, stacked along a leading axis for an array pt
+            allocs = [pw.equal_split(p, delta, part.n_clusters, 4) for p in np.atleast_1d(pt)]
+            stack = (lambda a: a[0]) if np.ndim(pt) == 0 else np.stack
+            power = pw.PowerAllocation(stack([a.a_c for a in allocs]),
+                                       stack([a.a_p for a in allocs]), delta, pt)
+            return rates.asr_from_bundle(bundle, part, power, sigma_w2, sigma_e)
+
+        for label in (prec.LABEL_MMSE_SP, prec.LABEL_MF_SP):  # with and without an SNR axis
+            pset = _build_private(label, inputs.sparse, part, pts, sigma_w2)
+            stacked = rates.ProjectionBundle(
+                common, rates.project_streams(g_hat, err, pset.private, own), cluster_of)
+            for delta in (0.0, 0.3):
+                asr = kernel(stacked, pts, delta)
+                for s, pt in enumerate(pts):
+                    columns = pset.private[s] if pset.private.ndim == 3 else pset.private
+                    single = rates.ProjectionBundle(
+                        common, rates.project_streams(g_hat, err, columns, own), cluster_of)
+                    for field in dataclasses.fields(rates.StreamProjection):
+                        assert np.array_equal(getattr(stacked.at(s).private, field.name),
+                                              getattr(single.private, field.name))
+                    one, got = kernel(single, pt, delta), asr.at(s)
+                    assert got.s_a == one.s_a
+                    for field in ("mean_cr", "mean_pr", "min_cr"):
+                        assert np.array_equal(getattr(got, field), getattr(one, field))
+            # the tracer reads til_p as (draws, K, K), the SNR axis folded in
+            assert stacked.til_p.shape == (stacked.private.til.size // 16, 4, 4)
 
 
 class TestAverageSumRate:
