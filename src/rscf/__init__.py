@@ -18,9 +18,8 @@ from .precoding import (CONSTRUCTIONS, EmptyClusterError, PrecoderSet,
                         RankDeficientChannelError, SvdCache, common_precoder, construct,
                         flop_estimate, mf_sp, mmse_sp, normalize_private_columns,
                         precoder_dump, ru_mmse_rd, ru_zf_rd, zf_sp)
-from .rates import (AsrResult, EsrResult, RateInputs, RateReport, average_sum_rate,
-                    ergodic_sum_rate, instantaneous_rates, sinr_closed_form,
-                    sinr_common_generic, sinr_private_generic)
+from .rates import (AsrResult, EsrResult, RateInputs, average_sum_rate, draw_sinrs,
+                    ergodic_sum_rate, sinr_closed_form)
 from .harness import ResultRecord, TrialRow, run_experiment, verify
 
 __version__ = "0.1.0"

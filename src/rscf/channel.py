@@ -32,14 +32,6 @@ class NetworkGeometry:
     h_u: float = 1.65
     carrier_freq_mhz: float = 1900.0
 
-    @property
-    def n_aps(self) -> int:
-        return self.ap_positions.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.user_positions.shape[0]
-
     def distances(self) -> np.ndarray:
         """(M, K) horizontal AP-to-user distances in metres."""
         diff = self.ap_positions[:, None, :] - self.user_positions[None, :, :]
@@ -151,6 +143,11 @@ def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float,
     return LargeScaleCoefficients(zeta, pl_db, shadow_db)
 
 
+def gain_matrix(zeta) -> np.ndarray:
+    """The (M, K) gains of a LargeScaleCoefficients bundle or of a raw gain array."""
+    return zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
+
+
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian samples."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
@@ -163,7 +160,7 @@ def draw_channel(zeta, sigma_e: float, rng: np.random.Generator) -> ChannelReali
     """
     if not 0.0 <= sigma_e < 1.0:
         raise ValueError(f"sigma_e must lie in [0, 1), got {sigma_e}")
-    gains = zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
+    gains = gain_matrix(zeta)
     amp = np.sqrt(gains)
     h = complex_normal(rng, gains.shape)
     h_err = complex_normal(rng, gains.shape)
@@ -180,7 +177,7 @@ def draw_error_matrices(zeta, sigma_e: float, n: int,
     Returns shape (n, M, K).  Used to average rates over the error
     distribution conditioned on one channel estimate.
     """
-    gains = zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
+    gains = gain_matrix(zeta)
     # complex_normal scaled in place: same draws and rounding, no complex temporaries
     h = np.empty((n,) + gains.shape, dtype=complex)
     h.real = rng.standard_normal(h.shape)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LargeScaleCoefficients
+from .channel import gain_matrix
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,13 @@ class SparseChannel:
     reduced: tuple[np.ndarray, ...]
 
 
-def _gains(zeta) -> np.ndarray:
-    return zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
-
-
 def select_aps_threshold(zeta) -> SelectionMatrix:
     """Keep the links whose gain exceeds the mean over all M*K links.
 
     A user whose column ends up empty falls back to its single strongest
     AP (lowest index on ties) so that nobody is left unserved.
     """
-    z = _gains(zeta)
+    z = gain_matrix(zeta)
     mu = z.mean()
     j = (z > mu).astype(int)
     for k in np.flatnonzero(j.sum(axis=0) == 0):
@@ -78,7 +74,7 @@ def select_aps_threshold(zeta) -> SelectionMatrix:
 
 def select_aps_topn(zeta, n_s: int) -> SelectionMatrix:
     """Keep the n_s strongest APs per user (lowest AP index on ties)."""
-    z = _gains(zeta)
+    z = gain_matrix(zeta)
     m = z.shape[0]
     if not 1 <= n_s <= m:
         raise ValueError(f"n_s must lie in [1, {m}], got {n_s}")
@@ -102,7 +98,7 @@ def _assign_aps(test_vectors, user_sets, zeta) -> tuple[tuple[int, ...], ...]:
     it serves best (largest summed gain; lowest cluster index on ties).
     APs claimed by no test vector stay unassigned and transmit nothing.
     """
-    z = _gains(zeta)
+    z = gain_matrix(zeta)
     ap_sets: list[list[int]] = [[] for _ in user_sets]
     for m in range(z.shape[0]):
         claimants = [i for i, tv in enumerate(test_vectors) if tv[m]]

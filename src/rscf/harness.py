@@ -26,12 +26,13 @@ adds one common stream per cluster with a searched power split.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -103,20 +104,17 @@ class ResultRecord:
 
 
 def cluster_partition_for(config: ExperimentConfig,
-                          zeta: chan.LargeScaleCoefficients
-                          ) -> tuple[clus.SelectionMatrix, clus.ClusterPartition]:
-    """Selection matrix plus partition per the configured clustering mode."""
+                          zeta: chan.LargeScaleCoefficients) -> clus.ClusterPartition:
+    """Partition per the configured AP selection rule and clustering mode."""
     if config.selection == "topn":
         n_s = config.n_s if config.n_s >= 1 else config.m
         selection = clus.select_aps_topn(zeta, n_s)
     else:
         selection = clus.select_aps_threshold(zeta)
     if config.cluster_mode == "fixed":
-        partition = clus.design_clusters_fixed(selection, config.n_c, zeta)
-    else:
-        n_a = config.n_a if config.n_a >= 1 else clus.default_shared_ap_threshold(selection)
-        partition = clus.design_clusters(selection, n_a, zeta)
-    return selection, partition
+        return clus.design_clusters_fixed(selection, config.n_c, zeta)
+    n_a = config.n_a if config.n_a >= 1 else clus.default_shared_ap_threshold(selection)
+    return clus.design_clusters(selection, n_a, zeta)
 
 
 def _side_data(config: ExperimentConfig, index: int, attempt: int,
@@ -142,7 +140,7 @@ def _side_data(config: ExperimentConfig, index: int, attempt: int,
     dense_sparse = prec.dense_channel(realization.g_hat)
     clustered_partition = clustered_sparse = None
     if clustered:
-        _, clustered_partition = cluster_partition_for(config, zeta)
+        clustered_partition = cluster_partition_for(config, zeta)
         clustered_sparse = clus.sparse_channel(realization.g_hat, clustered_partition)
     return SideData(zeta, realization, dense_partition, dense_sparse,
                     clustered_partition, clustered_sparse)
@@ -493,31 +491,91 @@ def random_instance(seed: int, m: int = 8, k: int = 4, sigma_e2: float = 0.025,
             continue
         pset = prec.attach_common(pset, common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, k)
-        inputs = rates.RateInputs(realization, sparse, partition, pset, cache,
-                                  alloc, sigma_w2)
+        inputs = rates.RateInputs(realization, sparse, partition, pset, cache, alloc, sigma_w2)
         return (inputs, zeta) if with_zeta else inputs
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
 
-def _closed_form_residual(instances) -> float:
-    """Worst relative closed-form vs generic SINR gap, both streams of every user.
+def _seeded_instances(count: int, skipped: list[int], **kwargs) -> list[rates.RateInputs]:
+    """``count`` random instances from seeds 0, 1, ...; a seed that cannot be
+    built is appended to ``skipped`` and the next one taken, at most ``count`` times."""
+    built: list[rates.RateInputs] = []
+    for seed in range(2 * count):
+        try:
+            built.append(random_instance(seed, **kwargs))
+        except RuntimeError:
+            skipped.append(seed)
+        if len(built) == count:
+            return built
+    raise RuntimeError(f"only {len(built)} of seeds 0..{2 * count - 1} gave an instance")
 
-    ``instances`` yields (seed, sigma_e2, kind) triples for random_instance.
-    """
+
+def _draw_sum_rate(inputs: rates.RateInputs) -> float:
+    """Sum rate of the realization's own error draw: per-cluster minimum common
+    rate plus the private rates, from the kernel's one-draw view."""
+    common, private = (np.log2(1.0 + sinr) for sinr in rates.draw_sinrs(inputs))
+    return float(sum(common[list(u)].min() for u in inputs.partition.user_sets) + private.sum())
+
+
+def _closed_form_residual(instances) -> float:
+    """Worst relative gap of the closed forms to the kernel's one-draw view, over
+    both streams of every user and the construction each instance was built with."""
     worst = 0.0
-    for seed, se2, kind in instances:
-        inputs = random_instance(seed, sigma_e2=se2, kind=kind)
-        for k in range(inputs.realization.g_hat.shape[1]):
-            pairs = (
-                (rates.sinr_closed_form(k, inputs, kind, "common"),
-                 rates.sinr_common_generic(k, inputs)),
-                (rates.sinr_closed_form(k, inputs, kind, "private"),
-                 rates.sinr_private_generic(k, inputs)),
-            )
-            for closed, generic in pairs:
-                scale = max(abs(generic), 1e-30)
-                worst = max(worst, abs(closed - generic) / scale)
+    for inputs in instances:
+        for stream, view in zip(("common", "private"), rates.draw_sinrs(inputs)):
+            for k, ref in enumerate(view):
+                closed = rates.sinr_closed_form(k, inputs, inputs.precoders.label, stream)
+                worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-30))
     return worst
+
+
+def _zero_split_residual(instances) -> float:
+    """Worst |sum-rate gap| of MF-SP instances between rate splitting at zero
+    common power and the plain matched filter, on the same draw."""
+    worst = 0.0
+    for inputs in instances:
+        pt, k = inputs.power.pt, inputs.realization.g_hat.shape[1]
+        rs = replace(inputs, power=pw.equal_split(pt, 0.0, inputs.partition.n_clusters, k))
+        plain_set = prec.normalize_private_columns(prec.mf_sp(inputs.sparse))
+        plain = replace(inputs, precoders=plain_set, svd_cache=None, power=pw.no_split(pt, k))
+        worst = max(worst, abs(_draw_sum_rate(rs) - _draw_sum_rate(plain)))
+    return worst
+
+
+def _budget_residuals(instances) -> tuple[float, float, float]:
+    """Worst relative residuals of the amplitude budget, the transmit covariance
+    trace and the trace normalisation of the raw construction, against Pt."""
+    budget = cov = trace = 0.0
+    for inputs in instances:
+        alloc, ps = inputs.power, inputs.precoders
+        total = float(np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2))
+        budget = max(budget, total / alloc.pt - 1.0)
+        total = float(np.sum(alloc.a_c ** 2 * np.sum(np.abs(ps.common) ** 2, axis=0))
+                      + np.sum(alloc.a_p ** 2 * np.sum(np.abs(ps.private) ** 2, axis=0)))
+        cov = max(cov, abs(total - alloc.pt) / alloc.pt)
+        raw = prec.construct(ps.label, inputs.sparse, inputs.partition, alloc.pt, inputs.sigma_w2)
+        trace = max(trace, abs(float(np.sum(np.abs(raw.private) ** 2)) - alloc.pt) / alloc.pt)
+    return budget, cov, trace
+
+
+def _zf_residuals(instances, corrupt: bool = False) -> tuple[float, float]:
+    """Worst |G^T P / beta - I| or |G^T P - beta I| of the raw ZF-SP construction,
+    and worst interference-to-signal power ratio; ``corrupt`` perturbs one
+    precoder entry first, a hook that the check must then fail."""
+    norm = mui = 0.0
+    for inputs in instances:
+        g_bar = inputs.sparse.g_bar
+        eye = np.eye(g_bar.shape[1])
+        raw = prec.zf_sp(inputs.sparse, inputs.power.pt)
+        private = raw.private.copy()
+        if corrupt:
+            private[0, 0] += 10.0 * np.max(np.abs(private))
+        prod = g_bar.T @ (private / raw.beta)
+        norm = max(norm, float(np.max(np.abs(prod - eye))),
+                   float(np.max(np.abs(g_bar.T @ private - raw.beta * eye))))
+        power = np.abs(prod) ** 2  # column k: user r's gain through user k's precoder
+        mui = max(mui, float(np.max(np.where(eye > 0, 0.0, power) / np.diag(power))))
+    return norm, mui
 
 
 def _partition_violations(gains) -> int:
@@ -551,7 +609,10 @@ def verify(config: ExperimentConfig | None = None,
     config = config or ExperimentConfig()
     checks: list[CheckResult] = []
 
-    def add(name, residual, tol, detail=""):
+    def add(name, residual, tol, detail="", skipped=()):
+        if skipped:
+            note = f"skipped {len(skipped)} unbuildable seed{'s' * (len(skipped) > 1)}"
+            detail = f"{detail}, {note}" if detail else note
         checks.append(CheckResult(name, bool(residual <= tol), float(residual),
                                   float(tol), detail))
 
@@ -582,69 +643,36 @@ def verify(config: ExperimentConfig | None = None,
         for seed in range(200))
     add("cluster partition invariants", float(bad), 0.0, "200 random selections")
 
+    # random instances of the configured size; a seed that is degenerate on
+    # every attempt is skipped for the next one and counted per check
+    instances = partial(_seeded_instances, m=config.m, k=config.k, sigma_e2=config.sigma_e2)
+
     # zero-forcing orthogonality of the raw construction (with corruption hook)
-    res = 0.0
-    for seed in range(20):
-        inputs = random_instance(seed, config.m, config.k, config.sigma_e2,
-                                 kind=prec.LABEL_ZF_SP)
-        g_bar = inputs.sparse.g_bar
-        raw = prec.zf_sp(inputs.sparse, inputs.power.pt)
-        private = raw.private.copy()
-        if corrupt == "zf":
-            private[0, 0] += 10.0 * np.max(np.abs(private))
-        prod = g_bar.T @ (private / raw.beta)
-        res = max(res, float(np.max(np.abs(prod - np.eye(config.k)))))
-        scaled = g_bar.T @ private - raw.beta * np.eye(config.k)
-        res = max(res, float(np.max(np.abs(scaled))))
-    add("zero-forcing orthogonality", res, 1e-9)
+    skipped: list[int] = []
+    res, _ = _zf_residuals(instances(20, skipped, kind=prec.LABEL_ZF_SP), corrupt=corrupt == "zf")
+    add("zero-forcing orthogonality", res, 1e-9, skipped=skipped)
 
     # power budget of amplitudes, covariance trace, and the printed trace
     # normalisation of the raw sparse constructions
-    res_budget, res_cov, res_trace = 0.0, 0.0, 0.0
-    for seed in range(20):
-        for kind in (prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP):
-            inputs = random_instance(seed, config.m, config.k, config.sigma_e2,
-                                     kind=kind, delta=0.4)
-            alloc = inputs.power
-            total = float(np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2))
-            res_budget = max(res_budget, total / alloc.pt - 1.0)
-            cov = float(
-                np.sum(alloc.a_c ** 2 * np.sum(np.abs(inputs.precoders.common) ** 2, axis=0))
-                + np.sum(alloc.a_p ** 2 * np.sum(np.abs(inputs.precoders.private) ** 2, axis=0)))
-            res_cov = max(res_cov, abs(cov - alloc.pt) / alloc.pt)
-            raw = (prec.zf_sp(inputs.sparse, alloc.pt) if kind == prec.LABEL_ZF_SP
-                   else prec.mmse_sp(inputs.sparse, alloc.pt, inputs.sigma_w2))
-            trace = float(np.sum(np.abs(raw.private) ** 2))
-            res_trace = max(res_trace, abs(trace - alloc.pt) / alloc.pt)
-    add("amplitude power budget", res_budget, 1e-9)
-    add("transmit covariance trace", res_cov, 1e-9)
-    add("precoder trace normalisation", res_trace, 1e-9)
+    skipped = []
+    budget, cov, trace = _budget_residuals(itertools.chain.from_iterable(
+        instances(20, skipped, kind=kind, delta=0.4)
+        for kind in (prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP)))
+    add("amplitude power budget", budget, 1e-9, skipped=skipped)
+    add("transmit covariance trace", cov, 1e-9, skipped=skipped)
+    add("precoder trace normalisation", trace, 1e-9, skipped=skipped)
 
     # forcing a zero common fraction reproduces the conventional evaluation
-    res = 0.0
-    sigma_w2 = _noise(config)
-    for seed in range(20):
-        inputs = random_instance(seed, config.m, config.k, config.sigma_e2,
-                                 kind=prec.LABEL_MF_SP, delta=0.0)
-        rs_alloc = pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters,
-                                  config.k)
-        rs_inputs = rates.RateInputs(inputs.realization, inputs.sparse,
-                                     inputs.partition, inputs.precoders,
-                                     inputs.svd_cache, rs_alloc, sigma_w2)
-        plain = prec.normalize_private_columns(prec.mf_sp(inputs.sparse))
-        cf_inputs = rates.RateInputs(inputs.realization, inputs.sparse,
-                                     inputs.partition, plain, None,
-                                     pw.no_split(inputs.power.pt, config.k),
-                                     sigma_w2)
-        res = max(res, abs(rates.instantaneous_rates(rs_inputs).sum_rate
-                           - rates.instantaneous_rates(cf_inputs).sum_rate))
-    add("zero-split collapse", res, 1e-12)
+    skipped = []
+    res = _zero_split_residual(instances(20, skipped, kind=prec.LABEL_MF_SP, delta=0.0))
+    add("zero-split collapse", res, 1e-12, skipped=skipped)
 
-    # closed forms against the generic evaluator
-    res = _closed_form_residual((seed, se2, kind) for seed in range(10)
-                                for se2 in (0.0, config.sigma_e2, 0.1)
-                                for kind in rates.CLOSED_FORM_KINDS)
-    add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels")
+    # closed forms against the kernel's one-draw view
+    skipped = []
+    res = _closed_form_residual(itertools.chain.from_iterable(
+        instances(10, skipped, sigma_e2=se2, kind=kind)
+        for se2 in (0.0, config.sigma_e2, 0.1) for kind in rates.CLOSED_FORM_KINDS))
+    add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels", skipped)
 
     # per-AP cost stays flat when the network doubles at fixed cluster size
     r1 = _synthetic_flops_per_ap(32, 16, cluster_size=4)

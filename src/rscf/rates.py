@@ -1,19 +1,23 @@
 """SINR and rate evaluation for the rate-splitting cell-free downlink.
 
-Three independent evaluation routes are provided for the same quantities:
+Three independent routes compute the same per-user SINRs:
 
-* generic per-user SINRs computed from the estimate/error split of the
-  channel, with the power-loss terms of imperfect CSIT in the denominator;
+* the vectorised kernel :func:`sinr_components_over_draws`, which every
+  rate of a run goes through: the estimate and a stack of error draws are
+  projected once through the precoders, and the power-loss SINRs of
+  imperfect CSIT follow for all draws at once; :func:`draw_sinrs` is its
+  one-draw view on a realization's own estimation error;
 * a reference oracle that assembles the same SINRs from the true-channel
   received-power decomposition (never touching the estimate projections in
   the interference terms);
 * closed forms that use the cached SVD triplets and Gram-inverse columns
   of each precoder construction instead of the precoding matrices.
 
-All three agree to tight relative tolerance on every construction, which
-is the main correctness check of the simulator.  Rates are log2(1+SINR)
-in bits/s/Hz; the sum rate adds the per-cluster minimum common rate to
-the sum of private rates.  Averages over estimation-error draws (with the
+The oracle and the closed forms agree with the kernel's one-draw view to
+tight relative tolerance on every construction, which is the main
+correctness check of the simulator.  Rates are log2(1+SINR) in
+bits/s/Hz; the sum rate adds the per-cluster minimum common rate to the
+sum of private rates.  Averages over estimation-error draws (with the
 estimate held fixed) and over channel realizations provide the average
 and ergodic sum rates.
 """
@@ -47,16 +51,6 @@ class RateInputs:
     svd_cache: SvdCache | None
     power: "PowerAllocation"
     sigma_w2: float
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Instantaneous per-user rates and the min-based sum rate."""
-
-    common_rate_per_user: np.ndarray    # (K,)
-    min_common_per_cluster: np.ndarray  # (N_c,)
-    private_rate_per_user: np.ndarray   # (K,)
-    sum_rate: float
 
 
 @dataclass(frozen=True)
@@ -115,68 +109,17 @@ def _cluster_and_position(partition: ClusterPartition, k: int) -> tuple[int, int
     raise ValueError(f"user {k} is not in any cluster")
 
 
-def sinr_common_generic(k: int, inputs: RateInputs) -> float:
-    """SINR of user k decoding its cluster's common stream.
-
-    Interference terms are evaluated through the estimate/error split
-    (g_hat - g_err), which is the true channel divided by epsilon; the
-    noise is scaled by 1/epsilon^2 accordingly.
-    """
-    i, _ = _cluster_and_position(inputs.partition, k)
-    real = inputs.realization
-    eps = real.epsilon
-    g_hat_k = real.g_hat[:, k]
-    g_err_k = real.g_err[:, k]
-    e_k = g_hat_k - g_err_k
-    a_c = np.asarray(inputs.power.a_c, dtype=float)
-    a_p = np.asarray(inputs.power.a_p, dtype=float)
-    pc, pp = inputs.precoders.common, inputs.precoders.private
-    if pc.shape[1] == 0 or a_c.size == 0:
-        return 0.0
-    hat_own = g_hat_k @ pc[:, i]
-    til_own = g_err_k @ pc[:, i]
-    num = a_c[i] ** 2 * abs(hat_own) ** 2
-    d_term = a_c[i] ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
-    e_common = np.abs(e_k @ pc) ** 2
-    common_int = float(np.sum(a_c ** 2 * e_common)) - a_c[i] ** 2 * e_common[i]
-    private_int = float(np.sum(a_p ** 2 * np.abs(e_k @ pp) ** 2))
-    den = d_term + common_int + private_int + inputs.sigma_w2 / eps ** 2
-    return _clamped_ratio(num, den)
-
-
-def sinr_private_generic(k: int, inputs: RateInputs) -> float:
-    """SINR of user k decoding its private stream after removing its common one."""
-    i, _ = _cluster_and_position(inputs.partition, k)
-    real = inputs.realization
-    eps = real.epsilon
-    g_hat_k = real.g_hat[:, k]
-    g_err_k = real.g_err[:, k]
-    e_k = g_hat_k - g_err_k
-    a_c = np.asarray(inputs.power.a_c, dtype=float)
-    a_p = np.asarray(inputs.power.a_p, dtype=float)
-    pc, pp = inputs.precoders.common, inputs.precoders.private
-    hat_own = g_hat_k @ pp[:, k]
-    til_own = g_err_k @ pp[:, k]
-    num = a_p[k] ** 2 * abs(hat_own) ** 2
-    d_term = a_p[k] ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
-    if pc.shape[1] and a_c.size:
-        e_common = np.abs(e_k @ pc) ** 2
-        common_int = float(np.sum(a_c ** 2 * e_common)) - a_c[i] ** 2 * e_common[i]
-    else:
-        common_int = 0.0
-    e_private = np.abs(e_k @ pp) ** 2
-    private_int = float(np.sum(a_p ** 2 * e_private)) - a_p[k] ** 2 * e_private[k]
-    den = d_term + common_int + private_int + inputs.sigma_w2 / eps ** 2
-    return _clamped_ratio(num, den)
-
-
-def sinr_common_oracle(k: int, inputs: RateInputs) -> float:
-    """Reference route: same SINR assembled from true-channel stream powers.
+def sinr_oracle(k: int, inputs: RateInputs, stream: str) -> float:
+    """Reference route: user k's SINR assembled from true-channel stream powers.
 
     Every interference term is a received power |g_true^T p|^2 scaled by
     1/epsilon^2, and the useful power is recovered by subtracting the
     CSIT power-loss term from the decoded stream's true received power.
+    ``stream`` is "common" or "private"; the private stream is decoded
+    after the cluster's common stream, which then no longer interferes.
     """
+    if stream not in ("common", "private"):
+        raise ValueError(f"stream must be 'common' or 'private', got {stream!r}")
     i, _ = _cluster_and_position(inputs.partition, k)
     real = inputs.realization
     eps2 = real.epsilon ** 2
@@ -184,41 +127,23 @@ def sinr_common_oracle(k: int, inputs: RateInputs) -> float:
     a_c = np.asarray(inputs.power.a_c, dtype=float)
     a_p = np.asarray(inputs.power.a_p, dtype=float)
     pc, pp = inputs.precoders.common, inputs.precoders.private
-    if pc.shape[1] == 0 or a_c.size == 0:
-        return 0.0
-    powers_c = a_c ** 2 * np.abs(g_k @ pc) ** 2
-    powers_p = a_p ** 2 * np.abs(g_k @ pp) ** 2
-    hat_own = real.g_hat[:, k] @ pc[:, i]
-    til_own = real.g_err[:, k] @ pc[:, i]
-    d_term = a_c[i] ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
-    num = powers_c[i] / eps2 - d_term
-    other = float(powers_c.sum() - powers_c[i] + powers_p.sum()) / eps2
-    den = d_term + other + inputs.sigma_w2 / eps2
-    return _clamped_ratio(num, den)
-
-
-def sinr_private_oracle(k: int, inputs: RateInputs) -> float:
-    """True-channel-power route for the private SINR."""
-    i, _ = _cluster_and_position(inputs.partition, k)
-    real = inputs.realization
-    eps2 = real.epsilon ** 2
-    g_k = real.g_true[:, k]
-    a_c = np.asarray(inputs.power.a_c, dtype=float)
-    a_p = np.asarray(inputs.power.a_p, dtype=float)
-    pc, pp = inputs.precoders.common, inputs.precoders.private
-    powers_p = a_p ** 2 * np.abs(g_k @ pp) ** 2
     if pc.shape[1] and a_c.size:
         powers_c = a_c ** 2 * np.abs(g_k @ pc) ** 2
-        common_int = float(powers_c.sum() - powers_c[i])
-    else:
-        common_int = 0.0
-    hat_own = real.g_hat[:, k] @ pp[:, k]
-    til_own = real.g_err[:, k] @ pp[:, k]
-    d_term = a_p[k] ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
-    num = powers_p[k] / eps2 - d_term
-    other = (common_int + float(powers_p.sum() - powers_p[k])) / eps2
-    den = d_term + other + inputs.sigma_w2 / eps2
-    return _clamped_ratio(num, den)
+    elif stream == "common":
+        return 0.0
+    else:  # no common streams: zero common power in every cluster
+        powers_c = np.zeros(inputs.partition.n_clusters)
+    powers_p = a_p ** 2 * np.abs(g_k @ pp) ** 2
+    amp, column, own = ((a_c[i], pc[:, i], powers_c[i]) if stream == "common"
+                        else (a_p[k], pp[:, k], powers_p[k]))
+    hat_own = real.g_hat[:, k] @ column
+    til_own = real.g_err[:, k] @ column
+    d_term = amp ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
+    other = float(powers_c.sum() - powers_c[i] + powers_p.sum())
+    if stream == "private":
+        other -= own
+    den = d_term + other / eps2 + inputs.sigma_w2 / eps2
+    return _clamped_ratio(own / eps2 - d_term, den)
 
 
 def _closed_form_projections(k: int, inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
@@ -304,15 +229,6 @@ def sinr_closed_form(k: int, inputs: RateInputs, kind: str, stream: str) -> floa
     return _clamped_ratio(num, den)
 
 
-def instantaneous_rates(inputs: RateInputs) -> RateReport:
-    """Per-user rates of one draw and the min-based sum rate."""
-    k_total = inputs.realization.g_hat.shape[1]
-    cr = np.array([math.log2(1.0 + sinr_common_generic(k, inputs)) for k in range(k_total)])
-    pr = np.array([math.log2(1.0 + sinr_private_generic(k, inputs)) for k in range(k_total)])
-    min_cr = np.array([cr[list(users)].min() for users in inputs.partition.user_sets])
-    return RateReport(cr, min_cr, pr, float(min_cr.sum() + pr.sum()))
-
-
 # ---------------------------------------------------------------------------
 # Vectorised evaluation over estimation-error draws
 # ---------------------------------------------------------------------------
@@ -380,21 +296,20 @@ def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: Preco
                                                     np.arange(k)), cluster_of)
 
 
-def _clamped_rates(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    # a draw whose denominator the power-loss terms push to or below zero gets rate 0
+def _clamped_sinrs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    # a draw whose denominator the power-loss terms push to or below zero gets SINR 0
     ok = den > 0.0
-    return np.log2(1.0 + np.where(ok, np.maximum(num[..., None, :], 0.0) / np.where(ok, den, 1.0),
-                                  0.0))
+    return np.where(ok, np.maximum(num[..., None, :], 0.0) / np.where(ok, den, 1.0), 0.0)
 
 
-def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
+def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
                                a_p: np.ndarray, sigma_w2: float,
                                eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw per-user common and private rates, shapes (..., n, K) each.
+    """Per-draw per-user common and private SINRs, shapes (..., n, K) each.
 
-    Matches the scalar evaluators exactly; the draw axis is vectorised and
-    reductions run in fixed index order.  A leading SNR axis on the
-    amplitudes, the bundle or both broadcasts.
+    The draw axis is vectorised and reductions run in fixed index order.
+    A leading SNR axis on the amplitudes, the bundle or both broadcasts.
+    Without common streams the common SINRs are zero.
     """
     c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
@@ -408,13 +323,36 @@ def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
         cint_all = np.einsum("...j,...nkj->...nk", ac2, c.e2)
         cint = cint_all - ac2[..., None, i_of] * c.own_e2
         den_c = ac2[..., None, i_of] * c.loss + cint + pint_all + noise
-        cr = _clamped_rates(ac2[..., i_of] * c.hat_own2, den_c)
+        sinr_c = _clamped_sinrs(ac2[..., i_of] * c.hat_own2, den_c)
     else:
         cint = 0.0
-        cr = np.zeros(pint_all.shape)
+        sinr_c = np.zeros(pint_all.shape)
 
     den_p = ap2[..., None, :] * p.loss + cint + pint_excl + noise
-    return cr, _clamped_rates(ap2 * p.hat_own2, den_p)
+    return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
+
+
+def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
+                               a_p: np.ndarray, sigma_w2: float,
+                               eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw per-user common and private rates log2(1 + SINR), shapes (..., n, K) each."""
+    sinr_c, sinr_p = sinr_components_over_draws(bundle, a_c, a_p, sigma_w2, eps)
+    return np.log2(1.0 + sinr_c), np.log2(1.0 + sinr_p)
+
+
+def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Common and private SINRs, (K,) each, of the realization's own error draw.
+
+    The one-draw view of :func:`sinr_components_over_draws`: ``g_err`` is
+    projected as a stack of one draw, so the scalar checks read the kernel
+    that the run uses.
+    """
+    real = inputs.realization
+    bundle = project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
+                               inputs.partition)
+    sinr_c, sinr_p = sinr_components_over_draws(bundle, inputs.power.a_c, inputs.power.a_p,
+                                                 inputs.sigma_w2, real.epsilon)
+    return sinr_c[0], sinr_p[0]
 
 
 def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
@@ -437,7 +375,7 @@ def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
     ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
     across users.  Every SINR denominator is a matrix product of amplitude
     weights (K, G, B) with the bundle's per-draw terms (K, B, n), and the
-    SINRs and clamp are those of :func:`rate_components_over_draws`; the
+    SINRs and clamp are those of :func:`sinr_components_over_draws`; the
     summation order differs, so values agree with the kernel to rounding.
     """
     c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
@@ -506,29 +444,23 @@ def ergodic_sum_rate(records: Sequence[RealizationRates]) -> EsrResult:
     epr = math.fsum(math.fsum(float(r.mean_pr[u]) for r in records) / n_rec
                     for u in range(k_total))
 
-    def min_sum(rec: RealizationRates) -> float:
+    def min_sum(values: np.ndarray, cluster_of: np.ndarray) -> float:
+        # each cluster's smallest member value, summed in cluster order
         out = 0.0
-        for i in range(int(rec.cluster_of.max()) + 1):
-            members = np.flatnonzero(rec.cluster_of == i)
-            if members.size:
-                out += float(rec.mean_cr[members].min())
-        return out
-
-    per_record_cmin = [min_sum(r) for r in records]
-    ecr_mean_of_mins = math.fsum(per_record_cmin) / n_rec
-
-    shared_partition = all(np.array_equal(r.cluster_of, records[0].cluster_of)
-                           for r in records)
-    ecr_min_of_means: float | None = None
-    if shared_partition:
-        user_means = np.array([math.fsum(float(r.mean_cr[u]) for r in records) / n_rec
-                               for u in range(k_total)])
-        ecr_min_of_means = 0.0
-        cluster_of = records[0].cluster_of
         for i in range(int(cluster_of.max()) + 1):
             members = np.flatnonzero(cluster_of == i)
             if members.size:
-                ecr_min_of_means += float(user_means[members].min())
+                out += float(values[members].min())
+        return out
+
+    per_record_cmin = [min_sum(r.mean_cr, r.cluster_of) for r in records]
+    ecr_mean_of_mins = math.fsum(per_record_cmin) / n_rec
+
+    ecr_min_of_means: float | None = None
+    if all(np.array_equal(r.cluster_of, records[0].cluster_of) for r in records):
+        user_means = np.array([math.fsum(float(r.mean_cr[u]) for r in records) / n_rec
+                               for u in range(k_total)])
+        ecr_min_of_means = min_sum(user_means, records[0].cluster_of)
 
     ecr = ecr_min_of_means if ecr_min_of_means is not None else ecr_mean_of_mins
 

@@ -94,6 +94,16 @@ class TestCliDispatch:
         out = capsys.readouterr().out
         assert "verification PASSED" in out
 
+    def test_verify_skips_unbuildable_seeds(self, capsys):
+        # at 12 APs and 6 users, zero forcing is degenerate on every attempt of seed 3
+        assert cli.main(["verify", "--set", "M=12", "--set", "K=6"]) == 0
+        lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
+        assert "verification PASSED" in lines
+        assert lines["[PASS] zero-forcing orthogonality"].endswith("(skipped 1 unbuildable seed)")
+        assert lines["[PASS] zero-split collapse"].endswith("<= 1.0e-12")
+        assert lines["[PASS] closed-form SINR equivalence"].endswith(
+            "(10 seeds x 3 error levels, skipped 6 unbuildable seeds)")
+
     def test_cluster_report_json(self, capsys):
         code = cli.main(["cluster-report", "--set", "M=8", "--set", "K=4"])
         assert code == 0

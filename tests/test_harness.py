@@ -298,6 +298,7 @@ class TestVerify:
         report = harness.verify()
         assert report.ok, report.format()
         assert all(c.residual <= c.tolerance for c in report.checks)
+        assert not any("skipped" in c.detail for c in report.checks)
 
     def test_corruption_hook_fails_orthogonality(self):
         report = harness.verify(corrupt="zf")

@@ -9,7 +9,8 @@ from rscf import clustering as clus
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
-from rscf.harness import _build_private, random_instance, seeded_rng
+from rscf.harness import (_build_private, _closed_form_residual, _draw_sum_rate,
+                          _zero_split_residual, random_instance, seeded_rng)
 
 
 def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True):
@@ -32,26 +33,26 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
 
 
 class TestGenericAgainstPowerOracle:
+    """The rate kernel's one-draw view against the true-channel power oracle."""
+
     def test_random_instances_all_kinds(self):
         worst = 0.0
         for seed in range(15):
             for kind in rates.CLOSED_FORM_KINDS:
                 inputs = random_instance(seed, sigma_e2=0.025, kind=kind, delta=0.35)
+                common, private = rates.draw_sinrs(inputs)
                 for k in range(4):
-                    pairs = (
-                        (rates.sinr_common_generic(k, inputs), rates.sinr_common_oracle(k, inputs)),
-                        (rates.sinr_private_generic(k, inputs), rates.sinr_private_oracle(k, inputs)),
-                    )
-                    for a, b in pairs:
+                    for a, b in ((common[k], rates.sinr_oracle(k, inputs, "common")),
+                                 (private[k], rates.sinr_oracle(k, inputs, "private"))):
                         worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
         assert worst <= 1e-9
 
     def test_agreement_under_strong_errors(self):
         for seed in range(5):
             inputs = random_instance(seed, sigma_e2=0.25, kind=prec.LABEL_MF_SP, delta=0.5)
+            private = rates.draw_sinrs(inputs)[1]
             for k in range(4):
-                a = rates.sinr_private_generic(k, inputs)
-                b = rates.sinr_private_oracle(k, inputs)
+                a, b = private[k], rates.sinr_oracle(k, inputs, "private")
                 assert abs(a - b) <= 1e-9 * max(abs(b), 1e-30)
 
 
@@ -63,26 +64,27 @@ class TestPerfectCsitReduction:
         g = inputs.realization.g_true
         pc, pp = inputs.precoders.common, inputs.precoders.private
         a_c, a_p = inputs.power.a_c, inputs.power.a_p
+        common, private = rates.draw_sinrs(inputs)
         for k in range(4):
             pc_pow = a_c ** 2 * np.abs(g[:, k] @ pc) ** 2
             pp_pow = a_p ** 2 * np.abs(g[:, k] @ pp) ** 2
             gamma_c = pc_pow[0] / (pp_pow.sum() + 1e-3)
             gamma_p = pp_pow[k] / (pp_pow.sum() - pp_pow[k] + pc_pow.sum() - pc_pow[0] + 1e-3)
-            assert rates.sinr_common_generic(k, inputs) == pytest.approx(gamma_c, rel=1e-12)
-            assert rates.sinr_private_generic(k, inputs) == pytest.approx(gamma_p, rel=1e-12)
+            assert common[k] == pytest.approx(gamma_c, rel=1e-12)
+            assert private[k] == pytest.approx(gamma_p, rel=1e-12)
 
     def test_zero_common_power_disables_common_stream(self):
         inputs = perfect_instance(4, delta=0.0)
-        for k in range(4):
-            assert rates.sinr_common_generic(k, inputs) == 0.0
+        assert np.all(rates.draw_sinrs(inputs)[0] == 0.0)
 
     def test_zf_private_sinr_closed_value(self):
         # zero-forcing with a perfect estimate: gamma_k = a_k^2 beta^2 / sigma_w^2
         inputs = perfect_instance(5, kind=prec.LABEL_ZF_SP, delta=0.0)
         beta = inputs.precoders.beta
+        private = rates.draw_sinrs(inputs)[1]
         for k in range(4):
             expected = inputs.power.a_p[k] ** 2 * beta ** 2 / inputs.sigma_w2
-            assert rates.sinr_private_generic(k, inputs) == pytest.approx(expected, rel=1e-9)
+            assert private[k] == pytest.approx(expected, rel=1e-9)
 
     def test_mf_private_display(self):
         # matched filter, perfect estimate, single cluster, no common power:
@@ -90,26 +92,20 @@ class TestPerfectCsitReduction:
         inputs = perfect_instance(6, kind=prec.LABEL_MF_SP, delta=0.0)
         g = inputs.realization.g_hat
         a_p = inputs.power.a_p
+        private = rates.draw_sinrs(inputs)[1]
         for k in range(4):
             num = a_p[k] ** 2 * np.sum(np.abs(g[:, k]) ** 2) ** 2
             den = sum(a_p[i] ** 2 * abs(g[:, k] @ g[:, i].conj()) ** 2
                       for i in range(4) if i != k) + inputs.sigma_w2
-            assert rates.sinr_private_generic(k, inputs) == pytest.approx(num / den, rel=1e-9)
+            assert private[k] == pytest.approx(num / den, rel=1e-9)
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("kind", rates.CLOSED_FORM_KINDS)
     def test_matches_generic(self, kind):
-        worst = 0.0
-        for seed in range(20):
-            for se2 in (0.0, 0.025, 0.1):
-                inputs = random_instance(seed, sigma_e2=se2, kind=kind, delta=0.3)
-                for k in range(4):
-                    for stream, generic in (("common", rates.sinr_common_generic),
-                                            ("private", rates.sinr_private_generic)):
-                        closed = rates.sinr_closed_form(k, inputs, kind, stream)
-                        ref = generic(k, inputs)
-                        worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-30))
+        # the closed forms against the kernel's one-draw view
+        worst = _closed_form_residual(random_instance(seed, sigma_e2=se2, kind=kind, delta=0.3)
+                                      for seed in range(20) for se2 in (0.0, 0.025, 0.1))
         assert worst <= 1e-9
 
     def test_zf_private_numerator_is_exact(self):
@@ -125,6 +121,8 @@ class TestClosedForms:
             rates.sinr_closed_form(0, inputs, prec.LABEL_ZF_SP, "common")
         with pytest.raises(ValueError):
             rates.sinr_closed_form(0, inputs, prec.LABEL_MF_SP, "sideways")
+        with pytest.raises(ValueError):
+            rates.sinr_oracle(0, inputs, "sideways")
 
     def test_requires_cache(self):
         inputs = random_instance(1, kind=prec.LABEL_MF_SP)
@@ -148,37 +146,57 @@ class TestClamping:
         pset = prec.attach_common(prec.mf_sp(sparse), np.ones((4, 1)) / 2.0)
         alloc = pw.PowerAllocation(np.zeros(1), np.ones(1), 0.0, 1.0)
         inputs = rates.RateInputs(real, sparse, part, pset, None, alloc, 1e-9)
-        assert rates.sinr_private_generic(0, inputs) == 0.0
-        assert rates.sinr_private_oracle(0, inputs) == 0.0
-        report = rates.instantaneous_rates(inputs)
-        assert report.private_rate_per_user[0] == 0.0
-        assert report.sum_rate >= 0.0
+        assert rates.draw_sinrs(inputs)[1][0] == 0.0
+        assert rates.sinr_oracle(0, inputs, "private") == 0.0
+        assert _draw_sum_rate(inputs) >= 0.0
 
 
-class TestInstantaneousRates:
-    def test_unit_sinr_gives_unit_rate(self):
-        assert math.log2(1.0 + 1.0) == 1.0
+def with_error(inputs, g_err, sigma_e):
+    """The instance with its estimation error replaced by ``g_err``."""
+    g_hat = inputs.realization.g_hat
+    real = chan.ChannelRealization((g_hat - g_err) / math.sqrt(1.0 - sigma_e ** 2), g_hat,
+                                   g_err, sigma_e)
+    return dataclasses.replace(inputs, realization=real)
 
-    def test_report_structure_and_min_rule(self):
+
+class TestOneDrawView:
+    @pytest.mark.parametrize("kind", rates.CLOSED_FORM_KINDS)
+    def test_rows_of_the_batch(self, kind):
+        # row n of an n-draw kernel call is the one-draw view of draw n, bit for bit
+        for se2 in (0.0, 0.025, 0.1):
+            for seed in range(3):
+                inputs = random_instance(seed, sigma_e2=se2, kind=kind)
+                sigma_e = math.sqrt(se2)
+                err = chan.draw_error_matrices(np.abs(inputs.realization.g_hat) ** 2, sigma_e,
+                                               20, seeded_rng(seed, 17))
+                bundle = rates.project_precoders(inputs.realization.g_hat, err,
+                                                 inputs.precoders, inputs.partition)
+                common, private = rates.sinr_components_over_draws(
+                    bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
+                    inputs.realization.epsilon)
+                for n in range(len(err)):
+                    view = rates.draw_sinrs(with_error(inputs, err[n], sigma_e))
+                    assert np.array_equal(common[n], view[0])
+                    assert np.array_equal(private[n], view[1])
+
+    def test_min_rule_on_one_draw_bundle(self):
         inputs = random_instance(7, kind=prec.LABEL_MMSE_SP, delta=0.4)
-        report = rates.instantaneous_rates(inputs)
-        assert np.all(report.common_rate_per_user >= 0)
-        assert np.all(report.private_rate_per_user >= 0)
+        real = inputs.realization
+        bundle = rates.project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
+                                         inputs.partition)
+        asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
+                                    real.sigma_e)
+        assert np.all(asr.mean_cr >= 0)
+        assert np.all(asr.mean_pr >= 0)
         for i, users in enumerate(inputs.partition.user_sets):
-            expected = min(report.common_rate_per_user[u] for u in users)
-            assert report.min_common_per_cluster[i] == pytest.approx(expected)
-        assert report.sum_rate == pytest.approx(
-            report.min_common_per_cluster.sum() + report.private_rate_per_user.sum())
+            expected = min(asr.mean_cr[u] for u in users)
+            assert asr.min_cr[i] == pytest.approx(expected)
+        assert asr.s_a == pytest.approx(asr.min_cr.sum() + asr.mean_pr.sum())
 
     def test_zero_split_collapse(self):
         # zero common power: the rate-split evaluation equals the plain one
         inputs = random_instance(8, kind=prec.LABEL_MF_SP, delta=0.0)
-        plain = prec.normalize_private_columns(prec.mf_sp(inputs.sparse))
-        cf = rates.RateInputs(inputs.realization, inputs.sparse, inputs.partition,
-                              plain, None, pw.no_split(inputs.power.pt, 4),
-                              inputs.sigma_w2)
-        assert rates.instantaneous_rates(inputs).sum_rate == pytest.approx(
-            rates.instantaneous_rates(cf).sum_rate, abs=1e-12)
+        assert _zero_split_residual([inputs]) <= 1e-12
 
 
 class TestVectorisedPath:
@@ -192,16 +210,9 @@ class TestVectorisedPath:
         cr, pr = rates.rate_components_over_draws(bundle, inputs.power.a_c,
                                                   inputs.power.a_p, inputs.sigma_w2, eps)
         for n in range(6):
-            g_err = err[n]
-            real = chan.ChannelRealization(
-                (inputs.realization.g_hat - g_err) / math.sqrt(1.0 - 0.05),
-                inputs.realization.g_hat, g_err, math.sqrt(0.05))
-            scalar_inputs = rates.RateInputs(real, inputs.sparse, inputs.partition,
-                                             inputs.precoders, inputs.svd_cache,
-                                             inputs.power, inputs.sigma_w2)
-            report = rates.instantaneous_rates(scalar_inputs)
-            np.testing.assert_allclose(cr[n], report.common_rate_per_user, rtol=1e-10)
-            np.testing.assert_allclose(pr[n], report.private_rate_per_user, rtol=1e-10)
+            common, private = rates.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
+            np.testing.assert_allclose(cr[n], np.log2(1.0 + common), rtol=1e-10)
+            np.testing.assert_allclose(pr[n], np.log2(1.0 + private), rtol=1e-10)
 
 
 class TestSnrAxis:
@@ -258,8 +269,7 @@ class TestAverageSumRate:
                                       0.0, inputs.partition, inputs.precoders, inputs.power,
                                       inputs.sigma_w2)
         assert one.s_a == pytest.approx(many.s_a, rel=1e-12)
-        assert one.s_a == pytest.approx(
-            rates.instantaneous_rates(inputs).sum_rate, rel=1e-12)
+        assert one.s_a == pytest.approx(_draw_sum_rate(inputs), rel=1e-12)
 
     def test_single_draw_matches_instantaneous(self):
         inputs = random_instance(11, kind=prec.LABEL_MMSE_SP, delta=0.3, sigma_e2=0.04)
@@ -270,12 +280,8 @@ class TestAverageSumRate:
                                          inputs.partition)
         asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
                                     sigma_e)
-        real = chan.ChannelRealization(
-            (inputs.realization.g_hat - err[0]) / math.sqrt(1.0 - sigma_e ** 2),
-            inputs.realization.g_hat, err[0], sigma_e)
-        single = rates.RateInputs(real, inputs.sparse, inputs.partition, inputs.precoders,
-                                  inputs.svd_cache, inputs.power, inputs.sigma_w2)
-        assert asr.s_a == pytest.approx(rates.instantaneous_rates(single).sum_rate, rel=1e-10)
+        assert asr.s_a == pytest.approx(_draw_sum_rate(with_error(inputs, err[0], sigma_e)),
+                                        rel=1e-10)
 
     def test_reproducible_and_convergent(self):
         inputs = random_instance(12, kind=prec.LABEL_MF_SP, delta=0.4, sigma_e2=0.025)
