@@ -94,7 +94,6 @@ class ExperimentConfig:
     power_grid_step: float = 0.05
     power_mode: str = "equal_split"
     freeze_geometry: bool = False
-    timing: bool = False
     workers: int = 1
 
 
@@ -145,7 +144,6 @@ KEY_SPECS: dict[str, tuple[str, object]] = {
     "power_grid_step": ("power_grid_step", float),
     "power_mode": ("power_mode", str),
     "freeze_geometry": ("freeze_geometry", _parse_bool),
-    "timing": ("timing", _parse_bool),
     "workers": ("workers", int),
 }
 
@@ -196,6 +194,17 @@ def resolve(config_path: str | Path | None = None,
 def validate(config: ExperimentConfig) -> None:
     if config.k < 1 or config.m <= config.k:
         raise ConfigError(f"need M > K >= 1, got M={config.m}, K={config.k}")
+    # the conditions the channel model raises on, caught before a run starts
+    for key in ("area_side_m", "freq_mhz", "h_ap_m", "T0_K", "bandwidth_hz"):
+        value = getattr(config, KEY_SPECS[key][0])
+        if not value > 0:
+            raise ConfigError(f"{key} must be positive, got {value}")
+    for key in ("h_u_m", "shadow_sigma_db", "n_a"):  # n_a = 0 derives the threshold
+        value = getattr(config, KEY_SPECS[key][0])
+        if not value >= 0:
+            raise ConfigError(f"{key} must be non-negative, got {value}")
+    if not 0 < config.d0_m < config.d1_m:
+        raise ConfigError(f"need 0 < d0_m < d1_m, got d0_m={config.d0_m}, d1_m={config.d1_m}")
     if not 0.0 <= config.sigma_e2 < 1.0:
         raise ConfigError(f"sigma_e2 must lie in [0, 1), got {config.sigma_e2}")
     if not config.snr_grid_db:
@@ -214,6 +223,11 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"power_grid_step must lie in (0, 1], got {config.power_grid_step}")
     if config.power_mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ConfigError(f"unknown power_mode {config.power_mode!r}")
+    # under cluster_mode=auto the search falls back to equal_split beyond two clusters
+    if (config.power_mode == "per_cluster_exhaustive" and config.cluster_mode == "fixed"
+            and config.n_c > 2):
+        raise ConfigError("power_mode=per_cluster_exhaustive scans at most 2 clusters, "
+                          f"got cluster_mode=fixed with n_c={config.n_c}")
     if config.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {config.workers}")
     if not config.schemes:

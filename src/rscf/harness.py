@@ -30,7 +30,6 @@ import itertools
 import json
 import logging
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -84,7 +83,6 @@ class TrialRow:
     mean_pr: tuple[float, ...]
     min_cr: tuple[float, ...]
     cluster_of: tuple[int, ...]
-    elapsed_ms: float
     redraws: int
 
 
@@ -100,7 +98,6 @@ class ResultRecord:
     stderr: float
     delta_mean: float
     n_clusters_mean: float
-    runtime_ms: float
 
 
 def cluster_partition_for(config: ExperimentConfig,
@@ -233,10 +230,6 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
 
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
-    # with timing, a row's time runs from the row before it: shared work
-    # falls to the first row after it, and the rows sum to the attempt
-    clock = time.perf_counter if config.timing else (lambda: 0.0)
-    started = clock()
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
     sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
@@ -280,16 +273,13 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                                                         sigma_w2, pts[s], **search)
                     else:
                         asr = stacked.at(s - lo)
-                    now = clock()
                     rows[s, j] = TrialRow(
                         realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
                         s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
                         mean_cr=tuple(float(v) for v in asr.mean_cr),
                         mean_pr=tuple(float(v) for v in asr.mean_pr),
                         min_cr=tuple(float(v) for v in asr.min_cr),
-                        cluster_of=tuple(int(v) for v in cluster_of),
-                        elapsed_ms=(now - started) * 1e3, redraws=attempt)
-                    started = now
+                        cluster_of=tuple(int(v) for v in cluster_of), redraws=attempt)
     return [rows[row] for row in sorted(rows)]
 
 
@@ -349,16 +339,15 @@ def aggregate(config: ExperimentConfig, rows: list[TrialRow]) -> list[ResultReco
                            key=lambda r: r.realization)
             if not group:
                 continue
-            reals = [rates.RealizationRates(np.asarray(r.mean_cr), np.asarray(r.mean_pr),
-                                            np.asarray(r.cluster_of)) for r in group]
-            esr = rates.ergodic_sum_rate(reals)
+            esr = rates.ergodic_sum_rate(np.array([r.mean_cr for r in group]),
+                                         np.array([r.mean_pr for r in group]),
+                                         np.array([r.cluster_of for r in group]))
             n = len(group)
             records.append(ResultRecord(
                 scheme=scheme, snr_db=float(snr), esr=esr.esr, ecr=esr.ecr,
                 epr=esr.epr, stderr=esr.stderr,
                 delta_mean=math.fsum(r.delta for r in group) / n,
-                n_clusters_mean=math.fsum(r.n_clusters for r in group) / n,
-                runtime_ms=math.fsum(r.elapsed_ms for r in group)))
+                n_clusters_mean=math.fsum(r.n_clusters for r in group) / n))
     return records
 
 
@@ -402,6 +391,7 @@ def dump_precoders(config: ExperimentConfig, realization_index: int = 0,
             for label, (_, pset) in built.items()}
 
 
+# runtime_ms is a constant 0 column, kept so the CSV layout does not change
 CSV_HEADER = "scheme,snr_db,esr,ecr,epr,stderr,delta_mean,n_clusters_mean,runtime_ms"
 
 
@@ -411,7 +401,7 @@ def render_csv(records: list[ResultRecord]) -> str:
         lines.append(",".join([
             r.scheme, f"{r.snr_db:.10g}", f"{r.esr:.12g}", f"{r.ecr:.12g}",
             f"{r.epr:.12g}", f"{r.stderr:.12g}", f"{r.delta_mean:.12g}",
-            f"{r.n_clusters_mean:.12g}", f"{r.runtime_ms:.12g}",
+            f"{r.n_clusters_mean:.12g}", "0",
         ]))
     return "\n".join(lines) + "\n"
 

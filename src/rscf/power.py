@@ -97,7 +97,9 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
     with it to rounding.  In ``equal_split`` mode a single fraction is
     scanned and divided equally across clusters; ``per_cluster_exhaustive``
     scans a separate fraction per cluster (only for up to two clusters,
-    falling back to equal split beyond that).  The kernel re-scores the
+    falling back to equal split beyond that; ``config.validate`` rejects
+    the mode with ``cluster_mode=fixed`` and ``n_c > 2``, so the fallback
+    only happens under ``cluster_mode=auto``).  The kernel re-scores the
     candidates within ``_NEAR_TIE`` of the best score in grid order and keeps
     the first strict maximum, so on a flat objective (zero forcing at
     sigma_e = 0, say) the kernel's rounding picks the fraction.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -65,15 +65,6 @@ class AsrResult:
     def at(self, s: int) -> "AsrResult":
         """The result of SNR point ``s`` of a stacked evaluation."""
         return AsrResult(float(self.s_a[s]), self.mean_cr[s], self.mean_pr[s], self.min_cr[s])
-
-
-@dataclass(frozen=True)
-class RealizationRates:
-    """Per-realization record consumed by the ergodic aggregation."""
-
-    mean_cr: np.ndarray
-    mean_pr: np.ndarray
-    cluster_of: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -426,46 +417,48 @@ def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
     return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
 
 
-def ergodic_sum_rate(records: Sequence[RealizationRates]) -> EsrResult:
+def _min_sums(values: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
+    """Each row's cluster minima of ``values`` (R, K), summed in cluster order, (R,).
+
+    A cluster index with no members in a row adds an exact 0.0.
+    """
+    out = np.zeros(values.shape[0])
+    for i in range(int(cluster_of.max()) + 1):
+        members = cluster_of == i
+        mins = np.min(values, axis=1, where=members, initial=np.inf)
+        out += np.where(members.any(axis=1), mins, 0.0)
+    return out
+
+
+def ergodic_sum_rate(mean_cr: np.ndarray, mean_pr: np.ndarray,
+                     cluster_of: np.ndarray) -> EsrResult:
     """Aggregate per-realization averaged rates into ergodic quantities.
 
-    The private part is the plain per-user mean.  For the common part the
-    min-of-means estimator is used whenever all records share one
+    Row r of ``mean_cr``, ``mean_pr`` and ``cluster_of``, (R, K) each, is
+    one realization's per-user mean common and private rates and cluster
+    indices.  The private part is the plain per-user mean.  For the common
+    part the min-of-means estimator is used whenever all rows share one
     partition; with per-realization partitions (redrawn geometry) it is
     undefined and the mean of per-realization min-sums is reported as the
-    primary estimator instead.  Summations run in fixed order with
+    primary estimator instead.  Summations over realizations use
     compensated summation, so results do not depend on scheduling.
     """
-    if not records:
+    n_rec = mean_cr.shape[0]
+    if n_rec == 0:
         raise ValueError("need at least one realization record")
-    n_rec = len(records)
-    k_total = records[0].mean_cr.shape[0]
 
-    epr = math.fsum(math.fsum(float(r.mean_pr[u]) for r in records) / n_rec
-                    for u in range(k_total))
-
-    def min_sum(values: np.ndarray, cluster_of: np.ndarray) -> float:
-        # each cluster's smallest member value, summed in cluster order
-        out = 0.0
-        for i in range(int(cluster_of.max()) + 1):
-            members = np.flatnonzero(cluster_of == i)
-            if members.size:
-                out += float(values[members].min())
-        return out
-
-    per_record_cmin = [min_sum(r.mean_cr, r.cluster_of) for r in records]
-    ecr_mean_of_mins = math.fsum(per_record_cmin) / n_rec
+    epr = math.fsum(math.fsum(col) / n_rec for col in mean_pr.T.tolist())
+    per_record_cmin = _min_sums(mean_cr, cluster_of)
+    ecr_mean_of_mins = math.fsum(per_record_cmin.tolist()) / n_rec
 
     ecr_min_of_means: float | None = None
-    if all(np.array_equal(r.cluster_of, records[0].cluster_of) for r in records):
-        user_means = np.array([math.fsum(float(r.mean_cr[u]) for r in records) / n_rec
-                               for u in range(k_total)])
-        ecr_min_of_means = min_sum(user_means, records[0].cluster_of)
+    if (cluster_of == cluster_of[0]).all():
+        user_means = np.array([[math.fsum(col) / n_rec for col in mean_cr.T.tolist()]])
+        ecr_min_of_means = float(_min_sums(user_means, cluster_of[:1])[0])
 
     ecr = ecr_min_of_means if ecr_min_of_means is not None else ecr_mean_of_mins
 
-    samples = [c + math.fsum(float(v) for v in r.mean_pr)
-               for c, r in zip(per_record_cmin, records)]
+    samples = (per_record_cmin + [math.fsum(row) for row in mean_pr.tolist()]).tolist()
     if n_rec > 1:
         mean_s = math.fsum(samples) / n_rec
         var = math.fsum((s - mean_s) ** 2 for s in samples) / (n_rec - 1)

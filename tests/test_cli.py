@@ -74,6 +74,23 @@ class TestCliDispatch:
     def test_bad_value_exit_code(self, capsys):
         assert cli.main(["run", "--set", "M=eight"]) == 1
 
+    @pytest.mark.parametrize("pairs", [
+        ["area_side_m=0"], ["d0_m=60"], ["d1_m=0"], ["shadow_sigma_db=-1"],
+        ["bandwidth_hz=0"], ["T0_K=0"], ["freq_mhz=0"], ["h_ap_m=0"], ["h_u_m=-1"],
+        ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],
+    ], ids=",".join)
+    def test_out_of_range_value_exit_code(self, capsys, pairs):
+        # rejected before any run, not as a runtime error from the channel model
+        args = [arg for pair in pairs for arg in ("--set", pair)]
+        assert cli.main(["run", *SMALL_ARGS, *args]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_per_cluster_exhaustive_allowed_up_to_two_fixed_clusters(self, capsys):
+        assert cli.main(["run", "--print-config", "--set", "power_mode=per_cluster_exhaustive",
+                         "--set", "n_c=2"]) == 0
+        assert cli.main(["run", "--print-config", "--set", "power_mode=per_cluster_exhaustive",
+                         "--set", "n_c=3", "--set", "cluster_mode=auto"]) == 0
+
     def test_print_config(self, capsys):
         code = cli.main(["run", "--print-config", "--seed", "42", *SMALL_ARGS])
         assert code == 0

@@ -310,19 +310,24 @@ class TestAverageSumRate:
 
 class TestErgodicSumRate:
     def record(self, cr, pr, cluster_of):
-        return rates.RealizationRates(np.asarray(cr, float), np.asarray(pr, float),
-                                      np.asarray(cluster_of, int))
+        return cr, pr, cluster_of
+
+    def esr(self, records):
+        # one stacked row per realization record
+        cr, pr, cluster_of = zip(*records)
+        return rates.ergodic_sum_rate(np.array(cr, float), np.array(pr, float),
+                                      np.array(cluster_of, int))
 
     def test_single_record(self):
         rec = self.record([2.0, 1.0], [0.5, 0.25], [0, 0])
-        out = rates.ergodic_sum_rate([rec])
+        out = self.esr([rec])
         assert out.esr == pytest.approx(1.0 + 0.75)
         assert out.ecr == pytest.approx(1.0)
         assert out.stderr == 0.0
 
     def test_identical_records_zero_stderr(self):
         rec = self.record([2.0, 1.0], [0.5, 0.25], [0, 1])
-        out = rates.ergodic_sum_rate([rec, rec, rec])
+        out = self.esr([rec, rec, rec])
         assert out.stderr == 0.0
         assert out.esr == pytest.approx(2.0 + 1.0 + 0.75)
 
@@ -331,7 +336,7 @@ class TestErgodicSumRate:
         # per-user means are (3, 4) -> min-of-means 3, mean-of-mins 2
         a = self.record([1.0, 5.0], [1.0, 1.0], [0, 0])
         b = self.record([5.0, 3.0], [1.0, 1.0], [0, 0])
-        out = rates.ergodic_sum_rate([a, b])
+        out = self.esr([a, b])
         assert out.ecr_min_of_means == pytest.approx(3.0)
         assert out.ecr_mean_of_mins == pytest.approx(2.0)
         assert out.ecr == pytest.approx(3.0)
@@ -340,7 +345,7 @@ class TestErgodicSumRate:
     def test_fallback_when_partitions_differ(self):
         a = self.record([1.0, 5.0], [1.0, 1.0], [0, 0])
         b = self.record([5.0, 3.0], [1.0, 1.0], [0, 1])
-        out = rates.ergodic_sum_rate([a, b])
+        out = self.esr([a, b])
         assert out.ecr_min_of_means is None
         # record b contributes both users' rates as separate cluster minima
         assert out.ecr == pytest.approx((1.0 + 8.0) / 2.0)
@@ -351,10 +356,89 @@ class TestErgodicSumRate:
             return [self.record([g.uniform(1, 2), g.uniform(1, 2)],
                                 [g.uniform(0, 1), g.uniform(0, 1)], [0, 1])
                     for _ in range(n)]
-        small = rates.ergodic_sum_rate(batch(64))
-        large = rates.ergodic_sum_rate(batch(1024))
+        small = self.esr(batch(64))
+        large = self.esr(batch(1024))
         assert large.stderr < small.stderr
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rates.ergodic_sum_rate([])
+            rates.ergodic_sum_rate(np.empty((0, 2)), np.empty((0, 2)),
+                                   np.empty((0, 2), int))
+
+
+def reference_ergodic_sum_rate(records):
+    """The per-record reduction that the stacked one replaced, kept as its oracle.
+
+    ``records`` holds one (mean_cr, mean_pr, cluster_of) array triple per
+    realization; every sum and minimum runs in the original order.
+    """
+    n_rec = len(records)
+    k_total = records[0][0].shape[0]
+    epr = math.fsum(math.fsum(float(r[1][u]) for r in records) / n_rec
+                    for u in range(k_total))
+
+    def min_sum(values, cluster_of):
+        out = 0.0
+        for i in range(int(cluster_of.max()) + 1):
+            members = np.flatnonzero(cluster_of == i)
+            if members.size:
+                out += float(values[members].min())
+        return out
+
+    per_record_cmin = [min_sum(cr, cl) for cr, _, cl in records]
+    ecr_mean_of_mins = math.fsum(per_record_cmin) / n_rec
+    ecr_min_of_means = None
+    if all(np.array_equal(r[2], records[0][2]) for r in records):
+        user_means = np.array([math.fsum(float(r[0][u]) for r in records) / n_rec
+                               for u in range(k_total)])
+        ecr_min_of_means = min_sum(user_means, records[0][2])
+    ecr = ecr_min_of_means if ecr_min_of_means is not None else ecr_mean_of_mins
+    samples = [c + math.fsum(float(v) for v in r[1]) for c, r in zip(per_record_cmin, records)]
+    if n_rec > 1:
+        mean_s = math.fsum(samples) / n_rec
+        var = math.fsum((s - mean_s) ** 2 for s in samples) / (n_rec - 1)
+        stderr = math.sqrt(var / n_rec)
+    else:
+        stderr = 0.0
+    return rates.EsrResult(esr=ecr + epr, ecr=ecr, epr=epr, stderr=stderr,
+                           ecr_mean_of_mins=ecr_mean_of_mins, ecr_min_of_means=ecr_min_of_means)
+
+
+class TestErgodicReductionOracle:
+    """The stacked reduction is bitwise the per-record loop on random groups."""
+
+    @staticmethod
+    def group(rng, n_rec, k, shared):
+        # rates with clamped zeros; 1-3 clusters per row, a cluster index may be empty
+        cr = rng.uniform(0.0, 3.0, (n_rec, k)) * (rng.uniform(size=(n_rec, k)) > 0.1)
+        pr = rng.uniform(0.0, 5.0, (n_rec, k)) * (rng.uniform(size=(n_rec, k)) > 0.1)
+        rows = 1 if shared else n_rec
+        cluster_of = np.array([rng.integers(0, rng.integers(1, 4), k) for _ in range(rows)])
+        return cr, pr, np.broadcast_to(cluster_of, (n_rec, k)).copy()
+
+    def check(self, cr, pr, cluster_of):
+        stacked = rates.ergodic_sum_rate(cr, pr, cluster_of)
+        oracle = reference_ergodic_sum_rate(list(zip(cr, pr, cluster_of)))
+        for field in dataclasses.fields(rates.EsrResult):
+            assert getattr(stacked, field.name) == getattr(oracle, field.name), field.name
+        return stacked
+
+    def test_shared_partition(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            out = self.check(*self.group(rng, int(rng.integers(2, 120)),
+                                         int(rng.integers(2, 9)), shared=True))
+            assert out.ecr_min_of_means is not None
+
+    def test_mixed_partitions(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            cr, pr, cluster_of = self.group(rng, int(rng.integers(2, 120)),
+                                            int(rng.integers(2, 9)), shared=False)
+            cluster_of[1] = (cluster_of[0] + 1) % 2  # differs from row 0 in every user
+            assert self.check(cr, pr, cluster_of).ecr_min_of_means is None
+
+    def test_single_row(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            self.check(*self.group(rng, 1, int(rng.integers(1, 9)), shared=True))
