@@ -116,36 +116,13 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-# file/CLI key -> (dataclass attribute, parser)
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
+            "tuple[str, ...]": _parse_str_list, "tuple[float, ...]": _parse_float_list}
+_KEY_NAMES = {"m": "M", "k": "K", "t0_k": "T0_K"}  # keys that differ from their field
+
+# file/CLI key -> (dataclass attribute, parser), one per ExperimentConfig field
 KEY_SPECS: dict[str, tuple[str, object]] = {
-    "M": ("m", int),
-    "K": ("k", int),
-    "area_side_m": ("area_side_m", float),
-    "h_ap_m": ("h_ap_m", float),
-    "h_u_m": ("h_u_m", float),
-    "freq_mhz": ("freq_mhz", float),
-    "d0_m": ("d0_m", float),
-    "d1_m": ("d1_m", float),
-    "shadow_sigma_db": ("shadow_sigma_db", float),
-    "sigma_e2": ("sigma_e2", float),
-    "T0_K": ("t0_k", float),
-    "bandwidth_hz": ("bandwidth_hz", float),
-    "noise_figure_db": ("noise_figure_db", float),
-    "seed": ("seed", int),
-    "schemes": ("schemes", _parse_str_list),
-    "snr_grid_db": ("snr_grid_db", _parse_float_list),
-    "n_realizations": ("n_realizations", int),
-    "n_err": ("n_err", int),
-    "selection": ("selection", str),
-    "n_s": ("n_s", int),
-    "cluster_mode": ("cluster_mode", str),
-    "n_a": ("n_a", int),
-    "n_c": ("n_c", int),
-    "power_grid_step": ("power_grid_step", float),
-    "power_mode": ("power_mode", str),
-    "freeze_geometry": ("freeze_geometry", _parse_bool),
-    "workers": ("workers", int),
-}
+    _KEY_NAMES.get(f.name, f.name): (f.name, _PARSERS[f.type]) for f in fields(ExperimentConfig)}
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in KEY_SPECS.items()}
 
@@ -209,6 +186,10 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"sigma_e2 must lie in [0, 1), got {config.sigma_e2}")
     if not config.snr_grid_db:
         raise ConfigError("snr_grid_db must not be empty")
+    # a repeated label or SNR point would pool two copies' rows into one record
+    for key, values in (("schemes", config.schemes), ("snr_grid_db", config.snr_grid_db)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{key} must not repeat an entry, got {list(values)}")
     if config.n_realizations < 1 or config.n_err < 1:
         raise ConfigError("n_realizations and n_err must be at least 1")
     if config.selection not in ("threshold", "topn"):

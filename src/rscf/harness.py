@@ -114,25 +114,36 @@ def cluster_partition_for(config: ExperimentConfig,
     return clus.design_clusters(selection, n_a, zeta)
 
 
+def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
+                shadow_rng: np.random.Generator, channel_rng: np.random.Generator,
+                co_located: bool = False
+                ) -> tuple[chan.LargeScaleCoefficients, chan.ChannelRealization]:
+    """Large-scale gains and the channel with its estimate, drawn per ``config``.
+
+    Geometry, shadowing and small-scale fading each draw from their own
+    generator; the same generator may be passed for all three.  A
+    co-located array shares one shadowing value per user.
+    """
+    geometry = chan.place_network(
+        config.m, config.k, config.area_side_m, geometry_rng,
+        h_ap=config.h_ap_m, h_u=config.h_u_m, carrier_freq_mhz=config.freq_mhz)
+    if co_located:
+        geometry = geometry.co_located()
+    zeta = chan.large_scale(geometry, config.shadow_sigma_db, shadow_rng,
+                            d0=config.d0_m, d1=config.d1_m, per_user_shadow=co_located)
+    return zeta, chan.draw_channel(zeta, math.sqrt(config.sigma_e2), channel_rng)
+
+
 def _side_data(config: ExperimentConfig, index: int, attempt: int,
                co_located: bool, clustered: bool) -> SideData:
     geo_index = 0 if config.freeze_geometry else index
     geo_attempt = 0 if config.freeze_geometry else attempt
-    geometry = chan.place_network(
-        config.m, config.k, config.area_side_m,
-        seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
-        h_ap=config.h_ap_m, h_u=config.h_u_m, carrier_freq_mhz=config.freq_mhz)
-    if co_located:
-        geometry = geometry.co_located()
     # the shadowing and small-scale generators are re-seeded identically for
-    # both geometries, so the same normal draws underlie the two baselines;
-    # a co-located array shares one shadowing value per user
-    zeta = chan.large_scale(geometry, config.shadow_sigma_db,
-                            seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
-                            d0=config.d0_m, d1=config.d1_m,
-                            per_user_shadow=co_located)
-    realization = chan.draw_channel(zeta, math.sqrt(config.sigma_e2),
-                                    seeded_rng(config.seed, index, attempt, _SMALLSCALE))
+    # both geometries, so the same normal draws underlie the two baselines
+    zeta, realization = _draw_scene(
+        config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
+        seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
+        seeded_rng(config.seed, index, attempt, _SMALLSCALE), co_located)
     dense_partition = clus.single_cluster(config.m, config.k)
     dense_sparse = prec.dense_channel(realization.g_hat)
     clustered_partition = clustered_sparse = None
@@ -451,28 +462,23 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def random_instance(seed: int, m: int = 8, k: int = 4, sigma_e2: float = 0.025,
-                    kind: str = prec.LABEL_MMSE_SP, delta: float = 0.3,
-                    snr_db: float = 15.0, with_zeta: bool = False):
-    """A fully built evaluation instance on a random seeded network.
+def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_MMSE_SP,
+                    delta: float = 0.3, snr_db: float = 15.0, with_zeta: bool = False):
+    """A fully built evaluation instance on a random seeded network of ``config``.
 
-    Draws geometry, fading and a channel; clusters with the threshold
-    rule; builds the requested private construction plus the common SVD
-    beams; splits power with the given common fraction.  Seeds that land
-    on a degenerate clustering are re-derived (bounded retries).  With
-    ``with_zeta`` the large-scale gains are returned alongside, for
-    callers that resample estimation errors.
+    Draws geometry, fading and a channel from one generator; partitions per
+    the configured selection and clustering; builds the requested private
+    construction plus the common SVD beams; splits power with the given
+    common fraction.  Seeds that land on a degenerate draw are re-derived
+    (bounded retries).  With ``with_zeta`` the large-scale gains are
+    returned alongside, for callers that resample estimation errors.
     """
+    sigma_w2 = _noise(config)
     for attempt in range(20):
         rng = seeded_rng(seed, attempt, 100)
-        geometry = chan.place_network(m, k, 1000.0, rng)
-        zeta = chan.large_scale(geometry, 8.0, rng)
-        realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), rng)
-        selection = clus.select_aps_threshold(zeta)
-        n_a = clus.default_shared_ap_threshold(selection)
-        partition = clus.design_clusters(selection, n_a, zeta)
+        zeta, realization = _draw_scene(config, rng, rng, rng)
+        partition = cluster_partition_for(config, zeta)
         sparse = clus.sparse_channel(realization.g_hat, partition)
-        sigma_w2 = chan.noise_variance(290.0, 20e6, 9.0)
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
             common, cache = prec.common_precoder(sparse, partition)
@@ -480,19 +486,20 @@ def random_instance(seed: int, m: int = 8, k: int = 4, sigma_e2: float = 0.025,
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
         pset = prec.attach_common(pset, common)
-        alloc = pw.equal_split(pt, delta, partition.n_clusters, k)
+        alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
         inputs = rates.RateInputs(realization, sparse, partition, pset, cache, alloc, sigma_w2)
         return (inputs, zeta) if with_zeta else inputs
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
 
-def _seeded_instances(count: int, skipped: list[int], **kwargs) -> list[rates.RateInputs]:
+def _seeded_instances(config: ExperimentConfig, count: int, skipped: list[int],
+                      **kwargs) -> list[rates.RateInputs]:
     """``count`` random instances from seeds 0, 1, ...; a seed that cannot be
     built is appended to ``skipped`` and the next one taken, at most ``count`` times."""
     built: list[rates.RateInputs] = []
     for seed in range(2 * count):
         try:
-            built.append(random_instance(seed, **kwargs))
+            built.append(random_instance(seed, config, **kwargs))
         except RuntimeError:
             skipped.append(seed)
         if len(built) == count:
@@ -568,18 +575,15 @@ def _zf_residuals(instances, corrupt: bool = False) -> tuple[float, float]:
     return norm, mui
 
 
-def _partition_violations(gains) -> int:
-    """Gain matrices whose threshold-rule clustering breaks an invariant.
+def _partition_violations(config: ExperimentConfig, gains) -> int:
+    """Gain matrices whose clustering per ``config`` breaks an invariant.
 
     A partition must hold every user once, give no AP to two clusters and
-    replay identically from the same selection.
+    replay identically from the same gains.
     """
     bad = 0
     for z in gains:
-        sel = clus.select_aps_threshold(z)
-        n_a = clus.default_shared_ap_threshold(sel)
-        part = clus.design_clusters(sel, n_a, z)
-        again = clus.design_clusters(sel, n_a, z)
+        part, again = cluster_partition_for(config, z), cluster_partition_for(config, z)
         users = sorted(u for s in part.user_sets for u in s)
         aps = [a for s in part.ap_sets for a in s]
         if (users != list(range(z.shape[1])) or len(aps) != len(set(aps))
@@ -619,23 +623,21 @@ def verify(config: ExperimentConfig | None = None,
     res = 0.0
     for seed in range(10):
         rng = seeded_rng(config.seed, seed, 900)
-        geometry = chan.place_network(config.m, config.k, config.area_side_m, rng)
-        zeta = chan.large_scale(geometry, config.shadow_sigma_db, rng)
-        real = chan.draw_channel(zeta, math.sqrt(config.sigma_e2), rng)
+        _, real = _draw_scene(config, rng, rng, rng)
         lhs = real.g_hat
         rhs = math.sqrt(1.0 - config.sigma_e2) * real.g_true + real.g_err
         res = max(res, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
     add("channel reconstruction identity", res, 1e-12)
 
     # partition invariants and deterministic replay
-    bad = _partition_violations(
+    bad = _partition_violations(config, (
         seeded_rng(config.seed, seed, 901).lognormal(size=(config.m, config.k))
-        for seed in range(200))
+        for seed in range(200)))
     add("cluster partition invariants", float(bad), 0.0, "200 random selections")
 
-    # random instances of the configured size; a seed that is degenerate on
+    # random instances of the configured network; a seed that is degenerate on
     # every attempt is skipped for the next one and counted per check
-    instances = partial(_seeded_instances, m=config.m, k=config.k, sigma_e2=config.sigma_e2)
+    instances = partial(_seeded_instances, config)
 
     # zero-forcing orthogonality of the raw construction (with corruption hook)
     skipped: list[int] = []
@@ -660,7 +662,7 @@ def verify(config: ExperimentConfig | None = None,
     # closed forms against the kernel's one-draw view
     skipped = []
     res = _closed_form_residual(itertools.chain.from_iterable(
-        instances(10, skipped, sigma_e2=se2, kind=kind)
+        _seeded_instances(replace(config, sigma_e2=se2), 10, skipped, kind=kind)
         for se2 in (0.0, config.sigma_e2, 0.1) for kind in rates.CLOSED_FORM_KINDS))
     add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels", skipped)
 
@@ -670,8 +672,8 @@ def verify(config: ExperimentConfig | None = None,
     add("complexity scaling per AP", abs(r2 - r1) / r1, 0.05)
 
     # tiny end-to-end run: additive rate decomposition and replay determinism
-    small = ExperimentConfig(n_realizations=2, n_err=8, snr_grid_db=(0.0, 10.0),
-                             schemes=("CF-MF-SP", "RS-CF-MF-SP"), seed=config.seed)
+    small = replace(config, n_realizations=2, n_err=8, snr_grid_db=(0.0, 10.0),
+                    schemes=("CF-MF-SP", "RS-CF-MF-SP"))
     rec1, _ = run_experiment(small)
     rec2, _ = run_experiment(small)
     res = max(abs(r.esr - (r.ecr + r.epr)) for r in rec1)

@@ -350,7 +350,10 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
                     power: "PowerAllocation", sigma_w2: float,
                     sigma_e: float) -> AsrResult:
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-    cr, pr = rate_components_over_draws(bundle, power.a_c, power.a_p, sigma_w2, eps)
+    # a large stack can come back in a non-C order, and the mean over draws then
+    # sums in another order; C order makes a stacked point equal its own call
+    cr, pr = (np.ascontiguousarray(x) for x in rate_components_over_draws(
+        bundle, power.a_c, power.a_p, sigma_w2, eps))
     mean_cr = cr.mean(axis=-2)
     mean_pr = pr.mean(axis=-2)
     min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)

@@ -2,12 +2,13 @@
 
 The ergodic-curve criteria share one full-scale reference run (100
 realizations x 100 error draws over the 0..30 dB grid with the default
-master seed); everything else uses freshly seeded instances.  Run with
+master seed); everything else uses freshly seeded instances on the
+fixture network of ``fixture_network.py``.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
-import dataclasses
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from rscf import precoding as prec
 from rscf import rates
 from rscf.config import ExperimentConfig
 from rscf.harness import random_instance, seeded_rng
+
+from fixture_network import FIXTURE
 
 
 def report(number, ok, detail):
@@ -44,7 +47,8 @@ def test_criterion_01_closed_form_equivalence():
     levels = (0.0, 0.025, 0.1)
     count = 1000
     worst = harness._closed_form_residual(
-        random_instance(i, sigma_e2=levels[i % len(levels)], kind=kinds[i % len(kinds)])
+        random_instance(i, replace(FIXTURE, sigma_e2=levels[i % len(levels)]),
+                        kind=kinds[i % len(kinds)])
         for i in range(count))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed <= 60.0
@@ -56,14 +60,14 @@ def test_criterion_01_closed_form_equivalence():
 
 def test_criterion_02_zero_split_collapse():
     worst = harness._zero_split_residual(
-        random_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0) for seed in range(100))
+        random_instance(seed, FIXTURE, kind=prec.LABEL_MF_SP, delta=0.0) for seed in range(100))
     ok = worst <= 1e-12
     assert report(2, ok, f"100 realizations, max |difference| {worst:.2e}"), worst
 
 
 def test_criterion_03_power_budget():
     worst_budget, _, worst_trace = harness._budget_residuals(
-        random_instance(seed, kind=kind, delta=(seed % 10) / 10.0)
+        random_instance(seed, FIXTURE, kind=kind, delta=(seed % 10) / 10.0)
         for seed in range(50) for kind in (prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP))
     ok = worst_budget <= 1e-9 and worst_trace <= 1e-9
     assert report(3, ok, f"amplitude budget residual {worst_budget:.2e}, "
@@ -72,7 +76,8 @@ def test_criterion_03_power_budget():
 
 def test_criterion_04_zf_orthogonality():
     worst_norm, worst_mui = harness._zf_residuals(
-        random_instance(seed, sigma_e2=0.0, kind=prec.LABEL_ZF_SP) for seed in range(50))
+        random_instance(seed, replace(FIXTURE, sigma_e2=0.0), kind=prec.LABEL_ZF_SP)
+        for seed in range(50))
     ok = worst_norm <= 1e-9 and worst_mui <= 1e-18
     assert report(4, ok, f"max residual {worst_norm:.2e}, max MUI/signal {worst_mui:.2e}")
 
@@ -106,8 +111,8 @@ def test_criterion_07_cf_vs_bs_ordering(reference_run):
 
 
 def test_criterion_08_partition_invariants():
-    bad = harness._partition_violations(
-        np.random.default_rng(seed).lognormal(sigma=1.8, size=(8, 4)) for seed in range(1000))
+    bad = harness._partition_violations(FIXTURE, (
+        np.random.default_rng(seed).lognormal(sigma=1.8, size=(8, 4)) for seed in range(1000)))
     ok = bad == 0
     assert report(8, ok, f"1000 selection matrices, {bad} violations")
 
@@ -135,7 +140,7 @@ def test_criterion_11_worker_determinism(tmp_path):
     small = ExperimentConfig(n_realizations=6, n_err=12, snr_grid_db=(0.0, 20.0),
                              schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-MMSE-RD"), seed=2)
     harness.run_experiment(small, out_dir=tmp_path / "w1")
-    harness.run_experiment(dataclasses.replace(small, workers=3),
+    harness.run_experiment(replace(small, workers=3),
                            out_dir=tmp_path / "w3")
     same_csv = ((tmp_path / "w1" / "results.csv").read_bytes()
                 == (tmp_path / "w3" / "results.csv").read_bytes())

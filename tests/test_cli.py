@@ -78,6 +78,7 @@ class TestCliDispatch:
         ["area_side_m=0"], ["d0_m=60"], ["d1_m=0"], ["shadow_sigma_db=-1"],
         ["bandwidth_hz=0"], ["T0_K=0"], ["freq_mhz=0"], ["h_ap_m=0"], ["h_u_m=-1"],
         ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],
+        ["schemes=CF-MF,CF-MF"], ["snr_grid_db=0,0"],
     ], ids=",".join)
     def test_out_of_range_value_exit_code(self, capsys, pairs):
         # rejected before any run, not as a runtime error from the channel model
@@ -112,8 +113,10 @@ class TestCliDispatch:
         assert "verification PASSED" in out
 
     def test_verify_skips_unbuildable_seeds(self, capsys):
-        # at 12 APs and 6 users, zero forcing is degenerate on every attempt of seed 3
-        assert cli.main(["verify", "--set", "M=12", "--set", "K=6"]) == 0
+        # at 12 APs and 6 users on the threshold-selected, shared-AP network,
+        # zero forcing is degenerate on every attempt of seed 3
+        assert cli.main(["verify", "--set", "M=12", "--set", "K=6", "--set", "selection=threshold",
+                         "--set", "cluster_mode=auto"]) == 0
         lines = {line.split(":")[0]: line for line in capsys.readouterr().out.splitlines()}
         assert "verification PASSED" in lines
         assert lines["[PASS] zero-forcing orthogonality"].endswith("(skipped 1 unbuildable seed)")

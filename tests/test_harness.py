@@ -1,9 +1,17 @@
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from rscf import channel as chan
+from rscf import clustering as clus
 from rscf import harness
+from rscf import precoding as prec
 from rscf.config import ExperimentConfig, parse_scheme
+
+from fixture_network import FIXTURE
 
 SMALL = ExperimentConfig(n_realizations=3, n_err=10, snr_grid_db=(0.0, 10.0),
                          schemes=("CF-MF", "CF-MF-SP", "RS-CF-MF-SP", "BS-MF"),
@@ -295,7 +303,62 @@ class TestAggregate:
         assert "config error" in err and "unknown config key 'timing'" in err
 
 
+def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
+    """The instance chain written out: geometry, fading and channel from one
+    generator, threshold selection, the derived n_a and shared-AP clustering on
+    a 1000 m area with 8 dB shadowing and 290 K / 20 MHz / 9 dB noise."""
+    for attempt in range(20):
+        rng = harness.seeded_rng(seed, attempt, 100)
+        geometry = chan.place_network(m, k, 1000.0, rng)
+        zeta = chan.large_scale(geometry, 8.0, rng)
+        realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), rng)
+        selection = clus.select_aps_threshold(zeta)
+        n_a = clus.default_shared_ap_threshold(selection)
+        partition = clus.design_clusters(selection, n_a, zeta)
+        sparse = clus.sparse_channel(realization.g_hat, partition)
+        sigma_w2 = chan.noise_variance(290.0, 20e6, 9.0)
+        pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
+        try:
+            common, _ = prec.common_precoder(sparse, partition)
+            pset = harness._build_private(kind, sparse, partition, pt, sigma_w2)
+        except (prec.RankDeficientChannelError, prec.EmptyClusterError):
+            continue
+        return realization.g_hat, partition, pset.private, common, pt
+    return None
+
+
+class TestFixtureInstances:
+    @pytest.mark.parametrize("sigma_e2", [0.0, 0.025, 0.1])
+    def test_fixture_config_rebuilds_the_chain(self, sigma_e2):
+        config = replace(FIXTURE, sigma_e2=sigma_e2)
+        for seed in range(100):
+            for kind in prec.CONSTRUCTIONS:
+                want = fixture_chain(seed, 8, 4, sigma_e2, kind)
+                if want is None:
+                    with pytest.raises(RuntimeError):
+                        harness.random_instance(seed, config, kind=kind)
+                    continue
+                g_hat, partition, private, common, pt = want
+                got = harness.random_instance(seed, config, kind=kind)
+                assert np.array_equal(got.realization.g_hat, g_hat)
+                assert got.partition.user_sets == partition.user_sets
+                assert got.partition.ap_sets == partition.ap_sets
+                assert np.array_equal(got.partition.test_vectors, partition.test_vectors)
+                assert np.array_equal(got.precoders.private, private)
+                assert np.array_equal(got.precoders.common, common)
+                assert got.power.pt == pt
+
+
 class TestVerify:
+    def test_report_follows_selection_and_clustering(self):
+        # the instance checks draw on the configured network: top-n selection
+        # with fixed clusters and the fixture's threshold/shared-AP network differ
+        default, fixture = (harness.verify(config).format().splitlines()
+                            for config in (ExperimentConfig(), FIXTURE))
+        changed = {a.split(":")[0] for a, b in zip(default, fixture) if a != b}
+        assert {"[PASS] zero-forcing orthogonality",
+                "[PASS] closed-form SINR equivalence"} <= changed
+
     def test_default_passes(self):
         report = harness.verify()
         assert report.ok, report.format()

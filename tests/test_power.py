@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
 from rscf.harness import random_instance, seeded_rng
+
+from fixture_network import FIXTURE
 
 
 class TestUniformPrivate:
@@ -57,7 +60,7 @@ class TestDeltaGrid:
 
 
 def search_setup(seed, sigma_e2=0.025, kind=prec.LABEL_MF_SP):
-    return random_instance(seed, sigma_e2=sigma_e2, kind=kind, with_zeta=True)
+    return random_instance(seed, replace(FIXTURE, sigma_e2=sigma_e2), kind=kind, with_zeta=True)
 
 
 def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):

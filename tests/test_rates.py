@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from rscf import precoding as prec
 from rscf import rates
 from rscf.harness import (_build_private, _closed_form_residual, _draw_sum_rate,
                           _zero_split_residual, random_instance, seeded_rng)
+
+from fixture_network import FIXTURE
 
 
 def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True):
@@ -39,7 +42,8 @@ class TestGenericAgainstPowerOracle:
         worst = 0.0
         for seed in range(15):
             for kind in rates.CLOSED_FORM_KINDS:
-                inputs = random_instance(seed, sigma_e2=0.025, kind=kind, delta=0.35)
+                inputs = random_instance(seed, replace(FIXTURE, sigma_e2=0.025), kind=kind,
+                                         delta=0.35)
                 common, private = rates.draw_sinrs(inputs)
                 for k in range(4):
                     for a, b in ((common[k], rates.sinr_oracle(k, inputs, "common")),
@@ -49,7 +53,8 @@ class TestGenericAgainstPowerOracle:
 
     def test_agreement_under_strong_errors(self):
         for seed in range(5):
-            inputs = random_instance(seed, sigma_e2=0.25, kind=prec.LABEL_MF_SP, delta=0.5)
+            inputs = random_instance(seed, replace(FIXTURE, sigma_e2=0.25), kind=prec.LABEL_MF_SP,
+                                     delta=0.5)
             private = rates.draw_sinrs(inputs)[1]
             for k in range(4):
                 a, b = private[k], rates.sinr_oracle(k, inputs, "private")
@@ -104,19 +109,20 @@ class TestClosedForms:
     @pytest.mark.parametrize("kind", rates.CLOSED_FORM_KINDS)
     def test_matches_generic(self, kind):
         # the closed forms against the kernel's one-draw view
-        worst = _closed_form_residual(random_instance(seed, sigma_e2=se2, kind=kind, delta=0.3)
-                                      for seed in range(20) for se2 in (0.0, 0.025, 0.1))
+        worst = _closed_form_residual(
+            random_instance(seed, replace(FIXTURE, sigma_e2=se2), kind=kind, delta=0.3)
+            for seed in range(20) for se2 in (0.0, 0.025, 0.1))
         assert worst <= 1e-9
 
     def test_zf_private_numerator_is_exact(self):
-        inputs = random_instance(2, kind=prec.LABEL_ZF_SP, delta=0.2)
+        inputs = random_instance(2, FIXTURE, kind=prec.LABEL_ZF_SP, delta=0.2)
         scale = inputs.precoders.col_scale
         for k in range(4):
             own = inputs.realization.g_hat[:, k] @ inputs.precoders.private[:, k]
             assert own == pytest.approx(scale[k], rel=1e-9)
 
     def test_kind_mismatch_rejected(self):
-        inputs = random_instance(0, kind=prec.LABEL_MF_SP)
+        inputs = random_instance(0, FIXTURE, kind=prec.LABEL_MF_SP)
         with pytest.raises(ValueError):
             rates.sinr_closed_form(0, inputs, prec.LABEL_ZF_SP, "common")
         with pytest.raises(ValueError):
@@ -125,7 +131,7 @@ class TestClosedForms:
             rates.sinr_oracle(0, inputs, "sideways")
 
     def test_requires_cache(self):
-        inputs = random_instance(1, kind=prec.LABEL_MF_SP)
+        inputs = random_instance(1, FIXTURE, kind=prec.LABEL_MF_SP)
         stripped = rates.RateInputs(inputs.realization, inputs.sparse, inputs.partition,
                                     inputs.precoders, None, inputs.power, inputs.sigma_w2)
         with pytest.raises(ValueError):
@@ -165,7 +171,7 @@ class TestOneDrawView:
         # row n of an n-draw kernel call is the one-draw view of draw n, bit for bit
         for se2 in (0.0, 0.025, 0.1):
             for seed in range(3):
-                inputs = random_instance(seed, sigma_e2=se2, kind=kind)
+                inputs = random_instance(seed, replace(FIXTURE, sigma_e2=se2), kind=kind)
                 sigma_e = math.sqrt(se2)
                 err = chan.draw_error_matrices(np.abs(inputs.realization.g_hat) ** 2, sigma_e,
                                                20, seeded_rng(seed, 17))
@@ -180,7 +186,7 @@ class TestOneDrawView:
                     assert np.array_equal(private[n], view[1])
 
     def test_min_rule_on_one_draw_bundle(self):
-        inputs = random_instance(7, kind=prec.LABEL_MMSE_SP, delta=0.4)
+        inputs = random_instance(7, FIXTURE, kind=prec.LABEL_MMSE_SP, delta=0.4)
         real = inputs.realization
         bundle = rates.project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
                                          inputs.partition)
@@ -195,13 +201,14 @@ class TestOneDrawView:
 
     def test_zero_split_collapse(self):
         # zero common power: the rate-split evaluation equals the plain one
-        inputs = random_instance(8, kind=prec.LABEL_MF_SP, delta=0.0)
+        inputs = random_instance(8, FIXTURE, kind=prec.LABEL_MF_SP, delta=0.0)
         assert _zero_split_residual([inputs]) <= 1e-12
 
 
 class TestVectorisedPath:
     def test_matches_scalar_per_draw(self):
-        inputs = random_instance(9, kind=prec.LABEL_MMSE_SP, delta=0.35, sigma_e2=0.05)
+        inputs = random_instance(9, replace(FIXTURE, sigma_e2=0.05), kind=prec.LABEL_MMSE_SP,
+                                 delta=0.35)
         zeta = np.abs(inputs.realization.g_hat) ** 2 * 0 + 1.0  # unit gains for the draw
         err = chan.draw_error_matrices(zeta, math.sqrt(0.05), 6, np.random.default_rng(0))
         bundle = rates.project_precoders(inputs.realization.g_hat, err,
@@ -219,23 +226,31 @@ class TestSnrAxis:
     """Stacked projections and kernel calls equal the per-point calls, bit for bit."""
 
     def test_stacked_calls_equal_per_point_calls(self):
-        inputs = random_instance(14, kind=prec.LABEL_MMSE_SP, sigma_e2=0.05)
+        self.check_stacked(8, 4, 20, 3, (prec.LABEL_MMSE_SP, prec.LABEL_MF_SP))
+        # the kernel returns a stack this large in a non-C order
+        self.check_stacked(64, 16, 300, 7, (prec.LABEL_MF_SP,))
+
+    @staticmethod
+    def check_stacked(m, k, n_err, points, labels):
+        """``labels`` may mix sets with an SNR axis (pt-dependent) and without."""
+        inputs = random_instance(14, replace(FIXTURE, m=m, k=k, sigma_e2=0.05),
+                                 kind=prec.LABEL_MMSE_SP)
         g_hat, part, sigma_w2 = inputs.realization.g_hat, inputs.partition, inputs.sigma_w2
         sigma_e = math.sqrt(0.05)
-        err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, 20, seeded_rng(3))
-        pts = inputs.power.pt * 10.0 ** np.arange(-1.0, 2.0)
-        cluster_of, own = part.cluster_of_users(4), np.arange(4)
+        err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, n_err, seeded_rng(3))
+        pts = inputs.power.pt * 10.0 ** np.arange(-1.0, points - 1.0)
+        cluster_of, own = part.cluster_of_users(k), np.arange(k)
         common = rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of)
 
         def kernel(bundle, pt, delta):
             # equal split per point, stacked along a leading axis for an array pt
-            allocs = [pw.equal_split(p, delta, part.n_clusters, 4) for p in np.atleast_1d(pt)]
+            allocs = [pw.equal_split(p, delta, part.n_clusters, k) for p in np.atleast_1d(pt)]
             stack = (lambda a: a[0]) if np.ndim(pt) == 0 else np.stack
             power = pw.PowerAllocation(stack([a.a_c for a in allocs]),
                                        stack([a.a_p for a in allocs]), delta, pt)
             return rates.asr_from_bundle(bundle, part, power, sigma_w2, sigma_e)
 
-        for label in (prec.LABEL_MMSE_SP, prec.LABEL_MF_SP):  # with and without an SNR axis
+        for label in labels:
             pset = _build_private(label, inputs.sparse, part, pts, sigma_w2)
             stacked = rates.ProjectionBundle(
                 common, rates.project_streams(g_hat, err, pset.private, own), cluster_of)
@@ -253,12 +268,13 @@ class TestSnrAxis:
                     for field in ("mean_cr", "mean_pr", "min_cr"):
                         assert np.array_equal(getattr(got, field), getattr(one, field))
             # the tracer reads til_p as (draws, K, K), the SNR axis folded in
-            assert stacked.til_p.shape == (stacked.private.til.size // 16, 4, 4)
+            assert stacked.til_p.shape == (stacked.private.til.size // k ** 2, k, k)
 
 
 class TestAverageSumRate:
     def test_perfect_estimate_independent_of_draws(self):
-        inputs = random_instance(10, kind=prec.LABEL_MF_SP, delta=0.2, sigma_e2=0.0)
+        inputs = random_instance(10, replace(FIXTURE, sigma_e2=0.0), kind=prec.LABEL_MF_SP,
+                                 delta=0.2)
         zeta = np.ones((8, 4))
         one = rates.average_sum_rate(inputs.realization.g_hat,
                                      chan.draw_error_matrices(zeta, 0.0, 1, seeded_rng(1)), 0.0,
@@ -272,7 +288,8 @@ class TestAverageSumRate:
         assert one.s_a == pytest.approx(_draw_sum_rate(inputs), rel=1e-12)
 
     def test_single_draw_matches_instantaneous(self):
-        inputs = random_instance(11, kind=prec.LABEL_MMSE_SP, delta=0.3, sigma_e2=0.04)
+        inputs = random_instance(11, replace(FIXTURE, sigma_e2=0.04), kind=prec.LABEL_MMSE_SP,
+                                 delta=0.3)
         zeta = np.full((8, 4), 0.7)
         sigma_e = math.sqrt(0.04)
         err = chan.draw_error_matrices(zeta, sigma_e, 1, seeded_rng(5))
@@ -284,7 +301,8 @@ class TestAverageSumRate:
                                         rel=1e-10)
 
     def test_reproducible_and_convergent(self):
-        inputs = random_instance(12, kind=prec.LABEL_MF_SP, delta=0.4, sigma_e2=0.025)
+        inputs = random_instance(12, replace(FIXTURE, sigma_e2=0.025), kind=prec.LABEL_MF_SP,
+                                 delta=0.4)
         zeta = np.abs(inputs.realization.g_hat) ** 2  # gain proxy, any positive matrix works
         sigma_e = math.sqrt(0.025)
         args = (sigma_e, inputs.partition, inputs.precoders, inputs.power, inputs.sigma_w2)
@@ -300,7 +318,7 @@ class TestAverageSumRate:
         assert abs(wide.s_a - a.s_a) < 0.3 * max(a.s_a, 1.0)
 
     def test_rejects_zero_draws(self):
-        inputs = random_instance(13)
+        inputs = random_instance(13, FIXTURE)
         err = chan.draw_error_matrices(np.ones((8, 4)), 0.1, 0, seeded_rng(0))
         with pytest.raises(ValueError):
             rates.average_sum_rate(inputs.realization.g_hat, err, 0.1,
