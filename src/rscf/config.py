@@ -7,6 +7,7 @@ reproduce the reference scenario: 8 APs, 4 users, estimate-error variance
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -15,48 +16,45 @@ class ConfigError(ValueError):
     """Malformed key, value or configuration state."""
 
 
-PRECODER_KINDS = ("MF", "ZF", "MMSE")
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
-    """Parsed transmission-scheme label.
+    """One transmission scheme, as :data:`SCHEMES` defines it.
 
     ``rs`` toggles rate splitting (common streams plus the fraction
     search), ``bs`` the co-located-antenna baseline geometry.
     ``construction`` is the private precoder's key in
-    ``precoding.CONSTRUCTIONS``; ``scope`` applies it to the dense
-    channel or to the clustered (masked) one.
+    ``precoding.CONSTRUCTIONS``; ``dense`` applies it to the unmasked
+    channel as one cluster instead of the clustered (masked) one.
     """
 
     label: str
     rs: bool
     bs: bool
-    construction: str  # "MF-SP" | "ZF-SP" | "MMSE-SP" | "RU-ZF-RD" | "RU-MMSE-RD"
-    scope: str         # "dense" | "sp" | "rd"
+    dense: bool
+    construction: str
 
 
-def valid_scheme_labels() -> list[str]:
-    labels = []
-    for p in PRECODER_KINDS:
-        labels += [f"BS-{p}", f"RS-BS-{p}", f"CF-{p}", f"CF-{p}-SP", f"RS-CF-{p}-SP"]
-        if p != "MF":
-            labels += [f"CF-{p}-RD", f"RS-CF-{p}-RD"]
-    return labels
+def _scheme(rs: bool, bs: bool, kind: str, suffix: str = "") -> SchemeSpec:
+    label = ("RS-" if rs else "") + ("BS-" if bs else "CF-") + kind + suffix
+    construction = f"RU-{kind}-RD" if suffix == "-RD" else f"{kind}-SP"
+    return SchemeSpec(label, rs, bs, not suffix, construction)
+
+
+# The one table of scheme labels, [RS-]{BS|CF}-{MF|ZF|MMSE}[-SP|-RD]: BS places all
+# antennas at the area centre, CF distributes them; -SP masks the channel to the cluster
+# support, -RD also inverts per cluster (not for MF); RS- adds one common stream per cluster.
+SCHEMES: dict[str, SchemeSpec] = {
+    spec.label: spec for kind in ("MF", "ZF", "MMSE") for spec in (
+        _scheme(False, True, kind), _scheme(True, True, kind), _scheme(False, False, kind),
+        _scheme(False, False, kind, "-SP"), _scheme(True, False, kind, "-SP"),
+        *(() if kind == "MF" else
+          (_scheme(False, False, kind, "-RD"), _scheme(True, False, kind, "-RD"))))}
 
 
 def parse_scheme(label: str) -> SchemeSpec:
-    if label not in valid_scheme_labels():
-        raise ConfigError(
-            f"unknown scheme {label!r}; valid schemes: {', '.join(valid_scheme_labels())}")
-    parts = label.split("-")
-    rs = parts[0] == "RS"
-    if rs:
-        parts = parts[1:]
-    bs = parts[0] == "BS"
-    scope = parts[2].lower() if len(parts) > 2 else "dense"
-    construction = f"RU-{parts[1]}-RD" if scope == "rd" else f"{parts[1]}-SP"
-    return SchemeSpec(label, rs, bs, construction, scope)
+    if label not in SCHEMES:
+        raise ConfigError(f"unknown scheme {label!r}; valid schemes: {', '.join(SCHEMES)}")
+    return SCHEMES[label]
 
 
 DEFAULT_SCHEMES = (
@@ -176,10 +174,16 @@ def validate(config: ExperimentConfig) -> None:
         value = getattr(config, KEY_SPECS[key][0])
         if not value > 0:
             raise ConfigError(f"{key} must be positive, got {value}")
-    for key in ("h_u_m", "shadow_sigma_db", "n_a"):  # n_a = 0 derives the threshold
+    for key in ("seed", "h_u_m", "shadow_sigma_db", "n_a"):  # n_a = 0 derives the threshold
         value = getattr(config, KEY_SPECS[key][0])
         if not value >= 0:
             raise ConfigError(f"{key} must be non-negative, got {value}")
+    # a NaN or infinite value passes some range checks and fails mid-run
+    for f in fields(config):
+        value = getattr(config, f.name)
+        items = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
+        if not all(math.isfinite(v) for v in items):
+            raise ConfigError(f"{_ATTR_TO_KEY[f.name]} must be finite, got {value}")
     if not 0 < config.d0_m < config.d1_m:
         raise ConfigError(f"need 0 < d0_m < d1_m, got d0_m={config.d0_m}, d1_m={config.d1_m}")
     if not 0.0 <= config.sigma_e2 < 1.0:

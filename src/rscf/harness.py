@@ -12,17 +12,14 @@ state, ``_attempt_precoders`` for the precoders, inside one ``_with_redraws``
 loop.
 
 The SNR grid is an array axis.  Phase 1 of an attempt builds each private
-set once per (side, scope, construction) at the whole array of power
+set once per (side, channel, construction) at the whole array of power
 budgets (a set that never reads the budget has no SNR axis), and each
 common beam once.  Phase 2 projects a set in chunks of SNR points whose
 stacked private projection, n*K*K complex entries per point, fits
 ``_CHUNK_BYTES``; plain schemes take one rate-kernel call per chunk, the
 split search runs per point on views of the chunk's projection.
 
-Scheme labels follow  [RS-]{BS|CF}-{MF|ZF|MMSE}[-SP|-RD]:  BS places all
-antennas at the area centre, CF distributes them; SP masks the channel to
-the cluster support, RD additionally inverts per cluster; the RS prefix
-adds one common stream per cluster with a searched power split.
+A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
 from __future__ import annotations
 
@@ -63,10 +60,9 @@ class SideData:
 
     zeta: chan.LargeScaleCoefficients
     realization: chan.ChannelRealization
-    dense_partition: clus.ClusterPartition
-    dense_sparse: clus.SparseChannel
-    clustered_partition: clus.ClusterPartition | None = None
-    clustered_sparse: clus.SparseChannel | None = None
+    # (partition, channel) keyed by ``SchemeSpec.dense``: the single-cluster
+    # dense channel, and the clustered one when a scheme uses it
+    channels: dict[bool, tuple[clus.ClusterPartition, clus.SparseChannel]]
 
 
 @dataclass(frozen=True)
@@ -144,35 +140,32 @@ def _side_data(config: ExperimentConfig, index: int, attempt: int,
         config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
         seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
         seeded_rng(config.seed, index, attempt, _SMALLSCALE), co_located)
-    dense_partition = clus.single_cluster(config.m, config.k)
-    dense_sparse = prec.dense_channel(realization.g_hat)
-    clustered_partition = clustered_sparse = None
+    channels = {True: (clus.single_cluster(config.m, config.k),
+                       prec.dense_channel(realization.g_hat))}
     if clustered:
-        clustered_partition = cluster_partition_for(config, zeta)
-        clustered_sparse = clus.sparse_channel(realization.g_hat, clustered_partition)
-    return SideData(zeta, realization, dense_partition, dense_sparse,
-                    clustered_partition, clustered_sparse)
+        partition = cluster_partition_for(config, zeta)
+        channels[False] = partition, clus.sparse_channel(realization.g_hat, partition)
+    return SideData(zeta, realization, channels)
 
 
 def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
                   attempt: int) -> dict[bool, SideData]:
     """Channel state of the geometries a scheme list needs, keyed by ``bs``.
 
-    The distributed side is built first and is clustered when any scheme
-    masks the channel; the co-located side is never clustered.
+    The distributed side is always built, as the power budget is solved on
+    it, and is clustered when any scheme masks the channel; the co-located
+    side is built when a scheme uses it and is never clustered.
     """
-    clustered = any(s.scope != "dense" for s in specs)
     return {bs: _side_data(config, index, attempt, co_located=bs,
-                           clustered=clustered and not bs)
-            for bs in (False, True) if any(s.bs == bs for s in specs)}
+                           clustered=not bs and any(not s.dense for s in specs))
+            for bs in (False, True) if not bs or any(s.bs for s in specs)}
 
 
 def _power_budget(config: ExperimentConfig, sides: dict[bool, SideData],
                   snr_db: float) -> float:
-    # one power budget per (realization, SNR point), solved on the primary
-    # distributed geometry and shared by every scheme for a fair comparison
-    reference = sides[False] if False in sides else sides[True]
-    return chan.pt_for_snr(reference.realization.g_true, snr_db, _noise(config))
+    # one power budget per (realization, SNR point), solved on the distributed
+    # geometry and shared by every scheme for a fair comparison
+    return chan.pt_for_snr(sides[False].realization.g_true, snr_db, _noise(config))
 
 
 def _build_private(construction: str, sparse: clus.SparseChannel,
@@ -183,19 +176,6 @@ def _build_private(construction: str, sparse: clus.SparseChannel,
         prec.construct(construction, sparse, partition, pt, sigma_w2))
 
 
-def _scope(spec: SchemeSpec, side: SideData
-           ) -> tuple[clus.ClusterPartition, clus.SparseChannel]:
-    if spec.scope == "dense":
-        return side.dense_partition, side.dense_sparse
-    return side.clustered_partition, side.clustered_sparse
-
-
-def _keys(spec: SchemeSpec) -> tuple[tuple, tuple[bool, bool]]:
-    # a private set per (side, scope, construction), with an SNR axis when
-    # the construction reads pt; SVD beams per side and dense or clustered channel
-    return (spec.bs, spec.scope, spec.construction), (spec.bs, spec.scope == "dense")
-
-
 def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
                        sides: dict[bool, SideData], pt: float | np.ndarray):
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
@@ -203,17 +183,17 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     ``pt`` is one power budget or the array of the SNR grid's.  Whether a
     draw is degenerate does not depend on it, so the first scheme to fail
     raises the error that building every scheme at the first SNR point
-    would, before any rate work.  Returns both sets by :func:`_keys`.
+    would, before any rate work.  Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
     """
     privates, commons = {}, {}
     for spec in specs:
-        partition, sparse = _scope(spec, sides[spec.bs])
-        key, ckey = _keys(spec)
+        partition, sparse = sides[spec.bs].channels[spec.dense]
+        key = spec.bs, spec.dense, spec.construction
         if key not in privates:
             privates[key] = _build_private(spec.construction, sparse, partition, pt,
                                            _noise(config))
-        if spec.rs and ckey not in commons:
-            commons[ckey], _ = prec.common_precoder(sparse, partition)
+        if spec.rs and (spec.bs, spec.dense) not in commons:
+            commons[spec.bs, spec.dense], _ = prec.common_precoder(sparse, partition)
     return privates, commons
 
 
@@ -247,24 +227,23 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
     pts = np.array([_power_budget(config, sides, snr) for snr in snr_grid])
     privates, commons = _attempt_precoders(config, specs, sides, pts)
-    # one error stack per side, shared by every scheme and SNR point: the
-    # sides draw from the same seeded stream, scaled by their own gains
-    errs = {bs: chan.draw_error_matrices(side.zeta, sigma_e, config.n_err,
+    # one error stack per side a scheme uses, shared by every scheme and SNR
+    # point: the sides draw from the same seeded stream, scaled by their own gains
+    errs = {bs: chan.draw_error_matrices(sides[bs].zeta, sigma_e, config.n_err,
                                          seeded_rng(config.seed, index, attempt, _ERRDRAWS))
-            for bs, side in sides.items()}
+            for bs in {s.bs for s in specs}}
 
-    # phase 2, one group per (side, scope, construction) sharing its projections
+    # phase 2, one group per (side, channel, construction) sharing its projections
     groups: dict[tuple, list[int]] = {}
     for j, spec in enumerate(specs):
-        groups.setdefault(_keys(spec)[0], []).append(j)
+        groups.setdefault((spec.bs, spec.dense, spec.construction), []).append(j)
     n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
     common_streams, rows = {}, {}
-    for key, members in groups.items():
-        first = specs[members[0]]
-        partition, _ = _scope(first, sides[first.bs])
-        g_hat, err = sides[first.bs].realization.g_hat, errs[first.bs]
-        cluster_of, ckey = partition.cluster_of_users(config.k), _keys(first)[1]
-        private = privates.pop(key).private  # (S, M, K), or (M, K) when pt-free
+    for (bs, dense, construction), members in groups.items():
+        partition, _ = sides[bs].channels[dense]
+        g_hat, err = sides[bs].realization.g_hat, errs[bs]
+        cluster_of, ckey = partition.cluster_of_users(config.k), (bs, dense)
+        private = privates.pop((bs, dense, construction)).private  # (S, M, K) or (M, K)
         step = n_chunk if private.ndim == 3 else len(pts)
         if ckey in commons and ckey not in common_streams:
             common_streams[ckey] = rates.project_streams(g_hat, err, commons[ckey], cluster_of)
@@ -323,9 +302,9 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
                                                _power_budget(config, sides, snr_db))
         built = {}
         for spec in specs:
-            key, ckey = _keys(spec)
-            pset = prec.attach_common(privates[key], commons[ckey]) if spec.rs else privates[key]
-            built[spec.label] = _scope(spec, sides[spec.bs])[0], pset
+            pset = privates[spec.bs, spec.dense, spec.construction]
+            pset = prec.attach_common(pset, commons[spec.bs, spec.dense]) if spec.rs else pset
+            built[spec.label] = sides[spec.bs].channels[spec.dense][0], pset
         return sides, built
     return _with_redraws(config, index, attempt_fn)
 
@@ -333,9 +312,9 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterPartition:
     """User/AP partition that the clustered schemes of a run use in one realization."""
     sides, _ = realization_precoders(config, index, float(config.snr_grid_db[0]))
-    if False not in sides or sides[False].clustered_partition is None:
+    if False not in sides[False].channels:
         raise ConfigError("no scheme in 'schemes' is clustered (-SP or -RD)")
-    return sides[False].clustered_partition
+    return sides[False].channels[False][0]
 
 
 def aggregate(config: ExperimentConfig, rows: list[TrialRow]) -> list[ResultRecord]:
@@ -663,7 +642,7 @@ def verify(config: ExperimentConfig | None = None,
     skipped = []
     res = _closed_form_residual(itertools.chain.from_iterable(
         _seeded_instances(replace(config, sigma_e2=se2), 10, skipped, kind=kind)
-        for se2 in (0.0, config.sigma_e2, 0.1) for kind in rates.CLOSED_FORM_KINDS))
+        for se2 in (0.0, config.sigma_e2, 0.1) for kind in prec.CONSTRUCTIONS))
     add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels", skipped)
 
     # per-AP cost stays flat when the network doubles at fixed cluster size

@@ -37,8 +37,6 @@ from .precoding import (CONSTRUCTIONS, LABEL_MF_SP, LABEL_RU_ZF_RD, LABEL_ZF_SP,
 if TYPE_CHECKING:
     from .power import PowerAllocation
 
-CLOSED_FORM_KINDS = tuple(CONSTRUCTIONS)
-
 
 @dataclass(frozen=True)
 class RateInputs:
@@ -169,8 +167,9 @@ def sinr_closed_form(k: int, inputs: RateInputs, kind: str, stream: str) -> floa
     ``kind`` must match the construction the precoder set was built with;
     ``stream`` is "common" or "private".
     """
-    if kind not in CLOSED_FORM_KINDS:
-        raise ValueError(f"no closed form for kind {kind!r}; expected one of {CLOSED_FORM_KINDS}")
+    if kind not in CONSTRUCTIONS:
+        raise ValueError(
+            f"no closed form for kind {kind!r}; expected one of {tuple(CONSTRUCTIONS)}")
     ps = inputs.precoders
     if ps.label != kind:
         raise ValueError(f"precoder set was built as {ps.label!r}, requested {kind!r}")

@@ -43,7 +43,7 @@ def test_criterion_01_closed_form_equivalence():
     # 1000 seeded instances, three estimate-quality levels, all five
     # constructions; closed forms match the rate kernel's one-draw view to 1e-9.
     start = time.perf_counter()
-    kinds = rates.CLOSED_FORM_KINDS
+    kinds = tuple(prec.CONSTRUCTIONS)
     levels = (0.0, 0.025, 0.1)
     count = 1000
     worst = harness._closed_form_residual(

@@ -78,13 +78,18 @@ class TestCliDispatch:
         ["area_side_m=0"], ["d0_m=60"], ["d1_m=0"], ["shadow_sigma_db=-1"],
         ["bandwidth_hz=0"], ["T0_K=0"], ["freq_mhz=0"], ["h_ap_m=0"], ["h_u_m=-1"],
         ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],
-        ["schemes=CF-MF,CF-MF"], ["snr_grid_db=0,0"],
+        ["schemes=CF-MF,CF-MF"], ["snr_grid_db=0,0"], ["seed=-1"], ["snr_grid_db=nan"],
+        ["noise_figure_db=inf"], ["shadow_sigma_db=inf"], ["area_side_m=inf"],
     ], ids=",".join)
     def test_out_of_range_value_exit_code(self, capsys, pairs):
         # rejected before any run, not as a runtime error from the channel model
         args = [arg for pair in pairs for arg in ("--set", pair)]
         assert cli.main(["run", *SMALL_ARGS, *args]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_code(self, capsys):
+        assert cli.main(["run", *SMALL_ARGS, "--seed", "-1"]) == 1
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_per_cluster_exhaustive_allowed_up_to_two_fixed_clusters(self, capsys):
         assert cli.main(["run", "--print-config", "--set", "power_mode=per_cluster_exhaustive",

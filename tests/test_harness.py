@@ -9,7 +9,7 @@ from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import harness
 from rscf import precoding as prec
-from rscf.config import ExperimentConfig, parse_scheme
+from rscf.config import SCHEMES, ExperimentConfig, parse_scheme
 
 from fixture_network import FIXTURE
 
@@ -18,20 +18,45 @@ SMALL = ExperimentConfig(n_realizations=3, n_err=10, snr_grid_db=(0.0, 10.0),
                          seed=5)
 
 
+LABELS = [
+    "BS-MF", "RS-BS-MF", "CF-MF", "CF-MF-SP", "RS-CF-MF-SP",
+    "BS-ZF", "RS-BS-ZF", "CF-ZF", "CF-ZF-SP", "RS-CF-ZF-SP", "CF-ZF-RD", "RS-CF-ZF-RD",
+    "BS-MMSE", "RS-BS-MMSE", "CF-MMSE", "CF-MMSE-SP", "RS-CF-MMSE-SP", "CF-MMSE-RD",
+    "RS-CF-MMSE-RD",
+]
+
+
 class TestSchemeGrammar:
     def test_parse_fields(self):
         spec = parse_scheme("RS-CF-MMSE-RD")
         assert spec.rs and not spec.bs and spec.construction == "RU-MMSE-RD"
-        assert spec.scope == "rd"
+        assert not spec.dense
         spec = parse_scheme("BS-ZF")
-        assert not spec.rs and spec.bs and spec.scope == "dense"
+        assert not spec.rs and spec.bs and spec.dense
         assert spec.construction == "ZF-SP"
+
+    def test_table_holds_every_label_in_order(self):
+        assert list(SCHEMES) == LABELS
+        assert all(spec.label == label for label, spec in SCHEMES.items())
+
+    def test_constructions_follow_the_label(self):
+        for label, spec in SCHEMES.items():
+            kind = label.removeprefix("RS-").split("-")[1]
+            assert spec.construction in prec.CONSTRUCTIONS
+            assert spec.rs == label.startswith("RS-") and spec.bs == ("BS-" in label)
+            if label.endswith("-RD"):
+                assert spec.construction == f"RU-{kind}-RD" and not spec.dense
+            else:
+                assert spec.construction == f"{kind}-SP"
+                assert spec.dense == (not label.endswith("-SP"))
 
     def test_rejects_unknown(self):
         from rscf.config import ConfigError
         for label in ("RS-CF-MF-RD", "CF-THP", "XX-MF", "RS-BS-MF-SP"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError) as info:
                 parse_scheme(label)
+            assert str(info.value) == (
+                f"unknown scheme {label!r}; valid schemes: " + ", ".join(LABELS))
 
 
 class TestRunTrial:
@@ -220,10 +245,22 @@ class TestRunExperiment:
         rows = harness.run_realization(dataclasses.replace(
             cfg, schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-ZF-RD")), 1)
         assert len(draws) == rows[0].redraws + 1
+        # the distributed side of a co-located list sets the budget, draws no stack
+        draws.clear()
+        rows = harness.run_realization(dataclasses.replace(cfg, schemes=("BS-MF",)), 1)
+        assert len(draws) == rows[0].redraws + 1
+
+    def test_co_located_rows_do_not_depend_on_distributed_schemes(self):
+        # the power budget is solved on the distributed geometry whether or
+        # not a CF scheme is in the list
+        cfg = replace(SMALL, schemes=("BS-MF", "RS-BS-MF"))
+        _, alone = harness.run_experiment(cfg)
+        _, mixed = harness.run_experiment(replace(cfg, schemes=(*cfg.schemes, "CF-MF")))
+        assert alone == [row for row in mixed if row.scheme != "CF-MF"]
 
     def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
         # one attempt of the default list: every private set is built once per
-        # (side, scope, construction), with all SNR points in one build; the
+        # (side, channel, construction), with all SNR points in one build; the
         # SVD beams once per (side, dense or clustered channel)
         from rscf import precoding as prec
         builds, beams = [], []

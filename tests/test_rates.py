@@ -41,7 +41,7 @@ class TestGenericAgainstPowerOracle:
     def test_random_instances_all_kinds(self):
         worst = 0.0
         for seed in range(15):
-            for kind in rates.CLOSED_FORM_KINDS:
+            for kind in tuple(prec.CONSTRUCTIONS):
                 inputs = random_instance(seed, replace(FIXTURE, sigma_e2=0.025), kind=kind,
                                          delta=0.35)
                 common, private = rates.draw_sinrs(inputs)
@@ -106,7 +106,7 @@ class TestPerfectCsitReduction:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("kind", rates.CLOSED_FORM_KINDS)
+    @pytest.mark.parametrize("kind", tuple(prec.CONSTRUCTIONS))
     def test_matches_generic(self, kind):
         # the closed forms against the kernel's one-draw view
         worst = _closed_form_residual(
@@ -166,7 +166,7 @@ def with_error(inputs, g_err, sigma_e):
 
 
 class TestOneDrawView:
-    @pytest.mark.parametrize("kind", rates.CLOSED_FORM_KINDS)
+    @pytest.mark.parametrize("kind", tuple(prec.CONSTRUCTIONS))
     def test_rows_of_the_batch(self, kind):
         # row n of an n-draw kernel call is the one-draw view of draw n, bit for bit
         for se2 in (0.0, 0.025, 0.1):
