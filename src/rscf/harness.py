@@ -16,8 +16,9 @@ set once per (side, channel, construction) at the whole array of power
 budgets (a set that never reads the budget has no SNR axis), and each
 common beam once.  Phase 2 projects a set in chunks of SNR points whose
 stacked private projection, n*K*K complex entries per point, fits
-``_CHUNK_BYTES``; plain schemes take one rate-kernel call per chunk, the
-split search runs per point on views of the chunk's projection.
+``_CHUNK_BYTES``.  The split search ranks its grid per point on views of
+the chunk's projection; each scheme, plain or split, then takes one
+rate-kernel call per chunk, on its per-point allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
@@ -28,7 +29,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -243,6 +244,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
         partition, _ = sides[bs].channels[dense]
         g_hat, err = sides[bs].realization.g_hat, errs[bs]
         cluster_of, ckey = partition.cluster_of_users(config.k), (bs, dense)
+        clusters = tuple(cluster_of.tolist())
         private = privates.pop((bs, dense, construction)).private  # (S, M, K) or (M, K)
         step = n_chunk if private.ndim == 3 else len(pts)
         if ckey in commons and ckey not in common_streams:
@@ -253,23 +255,24 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
             bundle = rates.ProjectionBundle(common_streams.get(ckey), rates.project_streams(
                 g_hat, err, private[chunk] if private.ndim == 3 else private,
                 np.arange(config.k)), cluster_of)
-            for j in members:
-                if not specs[j].rs:  # one kernel call for the chunk
+            points = range(len(pts))[chunk]
+            for j in members:  # one kernel call per scheme and chunk
+                if specs[j].rs:
+                    alloc = pw.stack([pw.allocate_common(
+                        bundle.at(s - lo), sigma_e, partition, sigma_w2, pts[s], **search)[0]
+                        for s in points])
+                else:
                     alloc = pw.no_split(pts[chunk], config.k)
-                    stacked = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
-                for s in range(len(pts))[chunk]:
-                    if specs[j].rs:
-                        alloc, asr = pw.allocate_common(bundle.at(s - lo), sigma_e, partition,
-                                                        sigma_w2, pts[s], **search)
-                    else:
-                        asr = stacked.at(s - lo)
+                asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
+                for s, delta, s_a, cr, pr, mn in zip(
+                        points, np.broadcast_to(alloc.delta, len(points)).tolist(),
+                        asr.s_a.tolist(), asr.mean_cr.tolist(), asr.mean_pr.tolist(),
+                        asr.min_cr.tolist()):
                     rows[s, j] = TrialRow(
                         realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
-                        s_a=asr.s_a, delta=alloc.delta, n_clusters=partition.n_clusters,
-                        mean_cr=tuple(float(v) for v in asr.mean_cr),
-                        mean_pr=tuple(float(v) for v in asr.mean_pr),
-                        min_cr=tuple(float(v) for v in asr.min_cr),
-                        cluster_of=tuple(int(v) for v in cluster_of), redraws=attempt)
+                        s_a=s_a, delta=delta, n_clusters=partition.n_clusters,
+                        mean_cr=tuple(cr), mean_pr=tuple(pr), min_cr=tuple(mn),
+                        cluster_of=clusters, redraws=attempt)
     return [rows[row] for row in sorted(rows)]
 
 
@@ -311,9 +314,9 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
 def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterPartition:
     """User/AP partition that the clustered schemes of a run use in one realization."""
-    sides, _ = realization_precoders(config, index, float(config.snr_grid_db[0]))
-    if False not in sides[False].channels:
+    if all(parse_scheme(label).dense for label in config.schemes):
         raise ConfigError("no scheme in 'schemes' is clustered (-SP or -RD)")
+    sides, _ = realization_precoders(config, index, float(config.snr_grid_db[0]))
     return sides[False].channels[False][0]
 
 
@@ -396,16 +399,27 @@ def render_csv(records: list[ResultRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# one trials.jsonl line in json.dumps(sort_keys=True) layout: keys sorted, finite
+# floats and ints as repr, the scheme label JSON-quoted
+_JSONL_ROW = ('{"cluster_of": [%s], "delta": %r, "mean_cr": [%s], "mean_pr": [%s], '
+              '"min_cr": [%s], "n_clusters": %r, "realization": %r, "redraws": %r, '
+              '"s_a": %r, "scheme": %s, "snr_db": %r}')
+
+
 def render_jsonl(rows: list[TrialRow]) -> str:
+    labels = {r.scheme: json.dumps(r.scheme) for r in rows}
     out = []
     for r in rows:
-        out.append(json.dumps({
-            "realization": r.realization, "scheme": r.scheme, "snr_db": r.snr_db,
-            "s_a": r.s_a, "delta": r.delta, "n_clusters": r.n_clusters,
-            "mean_cr": list(r.mean_cr), "mean_pr": list(r.mean_pr),
-            "min_cr": list(r.min_cr), "cluster_of": list(r.cluster_of),
-            "redraws": r.redraws,
-        }, sort_keys=True))
+        # a NaN or infinity poisons the sum (an overflow only costs the fallback);
+        # json spells them NaN/Infinity, repr nan/inf
+        if not math.isfinite(r.s_a + r.delta + r.snr_db + sum(r.mean_cr) + sum(r.mean_pr)
+                             + sum(r.min_cr)):
+            out.append(json.dumps(asdict(r), sort_keys=True))
+            continue
+        out.append(_JSONL_ROW % (
+            ", ".join(map(repr, r.cluster_of)), r.delta, ", ".join(map(repr, r.mean_cr)),
+            ", ".join(map(repr, r.mean_pr)), ", ".join(map(repr, r.min_cr)), r.n_clusters,
+            r.realization, r.redraws, r.s_a, labels[r.scheme], r.snr_db))
     return "\n".join(out) + "\n"
 
 

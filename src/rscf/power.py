@@ -36,7 +36,7 @@ class PowerAllocation:
     a_c: np.ndarray  # (N_c,) sqrt-Watt amplitudes; empty when no common streams
     a_p: np.ndarray  # (K,)
     delta: float
-    pt: float
+    pt: float  # a stacked allocation: (S, ...) amplitudes, and delta or pt may be (S,)
 
 
 def uniform_private(pt: float | np.ndarray, delta: float, k: int) -> np.ndarray:
@@ -84,25 +84,31 @@ def _grid(mu: float) -> tuple[float, ...]:
     return tuple(sorted(set(values)))
 
 
+def stack(allocs: list[PowerAllocation]) -> PowerAllocation:
+    """Per-point allocations stacked on a leading SNR axis, for one kernel call."""
+    return PowerAllocation(np.stack([a.a_c for a in allocs]), np.stack([a.a_p for a in allocs]),
+                           np.array([a.delta for a in allocs]), np.array([a.pt for a in allocs]))
+
+
 def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
                     partition: ClusterPartition, sigma_w2: float, pt: float, *,
-                    mu: float, mode: str = "equal_split"
-                    ) -> tuple[PowerAllocation, rates.AsrResult]:
+                    mu: float, mode: str = "equal_split") -> tuple[PowerAllocation, int]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
     Every candidate is scored on the one stack of estimation-error draws
     projected into ``bundle``, so the comparison is noise-free across the
     grid.  The whole grid is ranked at once from the bundle's per-draw
-    terms; the rate kernel then scores the winner and any candidate tied
-    with it to rounding.  In ``equal_split`` mode a single fraction is
-    scanned and divided equally across clusters; ``per_cluster_exhaustive``
-    scans a separate fraction per cluster (only for up to two clusters,
-    falling back to equal split beyond that; ``config.validate`` rejects
-    the mode with ``cluster_mode=fixed`` and ``n_c > 2``, so the fallback
-    only happens under ``cluster_mode=auto``).  The kernel re-scores the
-    candidates within ``_NEAR_TIE`` of the best score in grid order and keeps
-    the first strict maximum, so on a flat objective (zero forcing at
-    sigma_e = 0, say) the kernel's rounding picks the fraction.
+    terms; the caller scores the winner with the rate kernel.  In
+    ``equal_split`` mode a single fraction is scanned and divided equally
+    across clusters; ``per_cluster_exhaustive`` scans a separate fraction
+    per cluster (only for up to two clusters, falling back to equal split
+    beyond that; ``config.validate`` rejects the mode with
+    ``cluster_mode=fixed`` and ``n_c > 2``, so the fallback only happens
+    under ``cluster_mode=auto``).  Returns the winner and the number of
+    candidates within ``_NEAR_TIE`` of the best score.  When that is more
+    than one, the kernel scores them in grid order and the first strict
+    maximum wins, so on a flat objective (zero forcing at sigma_e = 0, say)
+    the kernel's rounding picks the fraction.
     """
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
@@ -121,14 +127,12 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
 
     scores = rates.split_grid_scores(bundle, partition, a_c, np.sqrt((1.0 - totals) * pt / k),
                                      sigma_w2, sigma_e)
-    # the kernel scores the scorer's best and every candidate within rounding
-    # reach of it, so a flat objective is settled as a scan of the grid would
     top = scores.max()
-    best_alloc = best_asr = None
-    for g in np.flatnonzero(scores >= top - _NEAR_TIE * abs(top)):
-        delta = float(totals[g])
-        alloc = PowerAllocation(a_c[g], uniform_private(pt, delta, k), delta, float(pt))
-        asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
-        if best_asr is None or asr.s_a > best_asr.s_a:
-            best_alloc, best_asr = alloc, asr
-    return best_alloc, best_asr
+    tied = np.flatnonzero(scores >= top - _NEAR_TIE * abs(top))
+    allocs = [PowerAllocation(a_c[g], uniform_private(pt, float(totals[g]), k),
+                              float(totals[g]), float(pt)) for g in tied]
+    if len(allocs) == 1:
+        return allocs[0], 1
+    # settled as a scan of the grid would: max keeps the kernel's first strict maximum
+    return max(allocs, key=lambda alloc: rates.asr_from_bundle(
+        bundle, partition, alloc, sigma_w2, sigma_e).s_a), len(allocs)

@@ -60,10 +60,6 @@ class AsrResult:
     mean_pr: np.ndarray  # (K,)
     min_cr: np.ndarray   # (N_c,) per-cluster minima of mean_cr
 
-    def at(self, s: int) -> "AsrResult":
-        """The result of SNR point ``s`` of a stacked evaluation."""
-        return AsrResult(float(self.s_a[s]), self.mean_cr[s], self.mean_pr[s], self.min_cr[s])
-
 
 @dataclass(frozen=True)
 class EsrResult:

@@ -223,3 +223,11 @@ class TestClusterReportMatchesRun:
         # the run uses no clustered partition, so there is none to report
         assert cli.main(["cluster-report", "--set", "schemes=CF-MF,BS-MF"]) == 1
         assert "clustered" in capsys.readouterr().err
+
+    def test_unclustered_list_fails_before_any_build(self, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(harness, "_build_private", lambda *args: builds.append(args))
+        assert cli.main(["cluster-report", "--set", "schemes=BS-MF,RS-BS-MF,BS-ZF"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: no scheme in 'schemes' is clustered (-SP or -RD)\n")
+        assert builds == []

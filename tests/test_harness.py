@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -124,6 +124,14 @@ class TestRunExperiment:
         entry = json.loads(lines[0])
         assert {"realization", "scheme", "snr_db", "s_a", "delta", "n_clusters",
                 "mean_cr", "mean_pr", "min_cr", "cluster_of", "redraws"} <= set(entry)
+
+    def test_jsonl_template_equals_json_dumps(self):
+        _, rows = harness.run_experiment(SMALL)
+        odd = [replace(rows[0], s_a=v, delta=-0.0, mean_cr=(v, 1.5, -0.0, 2e-300))
+               for v in (math.nan, math.inf, -math.inf, -0.0)]
+        lines = harness.render_jsonl(rows + odd).splitlines()
+        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in rows + odd]
+        assert "NaN" in lines[-4] and "-Infinity" in lines[-2]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         import dataclasses

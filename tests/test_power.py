@@ -9,7 +9,7 @@ from rscf import channel as chan
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
-from rscf.harness import random_instance, seeded_rng
+from rscf.harness import _build_private, random_instance, seeded_rng
 
 from fixture_network import FIXTURE
 
@@ -69,11 +69,14 @@ def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):
 
 
 def search(inputs, err, sigma_e, mu, mode="equal_split"):
-    """One split search of the instance's precoders over the stack ``err``."""
+    """One split search of the instance's precoders over the stack ``err``, and the
+    kernel's score of its winner."""
     bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                      inputs.partition)
-    return pw.allocate_common(bundle, sigma_e, inputs.partition, inputs.sigma_w2,
-                              inputs.power.pt, mu=mu, mode=mode)
+    alloc, _ = pw.allocate_common(bundle, sigma_e, inputs.partition, inputs.sigma_w2,
+                                  inputs.power.pt, mu=mu, mode=mode)
+    return alloc, rates.asr_from_bundle(bundle, inputs.partition, alloc, inputs.sigma_w2,
+                                        sigma_e)
 
 
 class TestAllocateCommon:
@@ -263,3 +266,41 @@ class TestGridScorer:
                         checked_values += 1
         assert searches >= 500
         assert clamped >= 50 and checked_values >= 100
+
+
+class TestStackedScoring:
+    def test_one_kernel_call_equals_per_point_calls(self):
+        # the harness scores a chunk's per-point winners with one stacked kernel
+        # call; the bundle has an SNR axis only for a set that reads the budget
+        ties = 0
+        for seed in range(17):
+            for kind in prec.CONSTRUCTIONS:
+                for se2 in (0.0, 0.025, 0.1):
+                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind)
+                    sigma_e, part, sigma_w2 = math.sqrt(se2), inputs.partition, inputs.sigma_w2
+                    g_hat = inputs.realization.g_hat
+                    k = g_hat.shape[1]
+                    err = errors(zeta, 30, seeded_rng(seed, 41), sigma_e)
+                    pts = np.array([chan.pt_for_snr(inputs.realization.g_true, snr, sigma_w2)
+                                    for snr in FIXTURE.snr_grid_db])
+                    assert len(pts) == 7
+                    private = _build_private(kind, inputs.sparse, part, pts, sigma_w2).private
+                    cluster_of = part.cluster_of_users(k)
+                    bundle = rates.ProjectionBundle(
+                        rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of),
+                        rates.project_streams(g_hat, err, private, np.arange(k)), cluster_of)
+                    for mode in TestGridScorer.MODES:
+                        mu = 0.05 if mode == "equal_split" else 0.1
+                        won = [pw.allocate_common(bundle.at(s), sigma_e, part, sigma_w2, pt,
+                                                  mu=mu, mode=mode) for s, pt in enumerate(pts)]
+                        ties += sum(n_tied > 1 for _, n_tied in won)
+                        stacked = rates.asr_from_bundle(
+                            bundle, part, pw.stack([alloc for alloc, _ in won]), sigma_w2, sigma_e)
+                        for s, (alloc, _) in enumerate(won):
+                            one = rates.asr_from_bundle(bundle.at(s), part, alloc, sigma_w2,
+                                                        sigma_e)
+                            for field in ("s_a", "mean_cr", "mean_pr", "min_cr"):
+                                assert np.array_equal(getattr(stacked, field)[s],
+                                                      getattr(one, field))
+        # flat objectives (zero forcing at sigma_e = 0) take the near-tie path
+        assert ties >= 1

@@ -5,9 +5,11 @@ a layer from the traced benchmark run; this test makes the rename fail.
 """
 import importlib.util
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import rscf
+from rscf.config import ExperimentConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -45,3 +47,22 @@ def test_positional_arguments_read_by_the_tracer():
     assert len(positional) <= 7 and all(p.kind is not p.VAR_POSITIONAL for p in positional)
     kernel = list(inspect.signature(rscf.rates.asr_from_bundle).parameters)
     assert kernel[0] == "bundle"
+
+
+def test_tracer_counts_one_realization():
+    # the tracer reads the chosen fraction of a search as result[0].delta and
+    # counts the kernel calls; one realization of the default scheme list
+    # makes 6 RS schemes x 7 SNR points searches and one kernel call per
+    # scheme and chunk (at n_err=10 the seven points fit one chunk)
+    tracer = load_tracing().Tracer()
+    config = replace(ExperimentConfig(), n_err=10, n_realizations=1)
+    tracer.install(rscf)
+    try:
+        rscf.harness.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary(config.m)
+    assert summary["power.search.calls"] == 42
+    assert summary["rates.kernel.calls"] == 11
+    hits = summary["power.search.grid_top_hits"]
+    assert isinstance(hits, int) and hits <= 42
