@@ -356,7 +356,8 @@ def run_experiment(config: ExperimentConfig,
     validate(config)
     indices = range(config.n_realizations)
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # a fork pool starts all its processes at once: no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(config.workers, config.n_realizations)) as pool:
             per_real = list(pool.map(partial(run_realization, config), indices))
     else:
         per_real = [run_realization(config, i) for i in indices]

@@ -6,7 +6,7 @@ the private streams.  The fraction itself is picked by an exhaustive grid
 search that maximises the average sum rate under one shared stack of
 estimation-error draws, projected by the caller, so candidates are compared
 under common random numbers and the winner can never fall below the
-no-split point delta=0.
+no-split point delta=0; a near tie keeps the smallest common fraction.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from . import rates
 from .clustering import ClusterPartition
 
 
-# relative score gap below which split candidates tie: far above the scorer's
-# rounding against the kernel (1e-14; a few 1e-12 at the zero-rate clamp)
+# relative score gap below which split candidates tie, so the smallest fraction wins: far
+# above the scorer's rounding (1e-14 against the kernel; a few 1e-12 at the zero-rate clamp)
 _NEAR_TIE = 1e-10
 
 
@@ -55,9 +55,9 @@ def equal_split(pt: float, delta: float, n_c: int, k: int) -> PowerAllocation:
     return PowerAllocation(a_c, uniform_private(pt, delta, k), float(delta), float(pt))
 
 
-def no_split(pt: float | np.ndarray, k: int, n_c: int = 0) -> PowerAllocation:
+def no_split(pt: float | np.ndarray, k: int) -> PowerAllocation:
     """All power on private streams (no rate splitting); an array Pt gives one row per point."""
-    return PowerAllocation(np.zeros(n_c), uniform_private(pt, 0.0, k), 0.0,
+    return PowerAllocation(np.zeros(0), uniform_private(pt, 0.0, k), 0.0,
                            pt if np.ndim(pt) else float(pt))
 
 
@@ -104,11 +104,11 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
     per cluster (only for up to two clusters, falling back to equal split
     beyond that; ``config.validate`` rejects the mode with
     ``cluster_mode=fixed`` and ``n_c > 2``, so the fallback only happens
-    under ``cluster_mode=auto``).  Returns the winner and the number of
-    candidates within ``_NEAR_TIE`` of the best score.  When that is more
-    than one, the kernel scores them in grid order and the first strict
-    maximum wins, so on a flat objective (zero forcing at sigma_e = 0, say)
-    the kernel's rounding picks the fraction.
+    under ``cluster_mode=auto``).  Candidates run in ascending total
+    fraction (then by the per-cluster fractions), and the first one within
+    ``_NEAR_TIE`` of the best score wins, so on a flat objective (zero
+    forcing at sigma_e = 0, say) delta is 0.  Returns the winner and the
+    number of candidates within ``_NEAR_TIE`` of the best score.
     """
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
@@ -129,10 +129,6 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
                                      sigma_w2, sigma_e)
     top = scores.max()
     tied = np.flatnonzero(scores >= top - _NEAR_TIE * abs(top))
-    allocs = [PowerAllocation(a_c[g], uniform_private(pt, float(totals[g]), k),
-                              float(totals[g]), float(pt)) for g in tied]
-    if len(allocs) == 1:
-        return allocs[0], 1
-    # settled as a scan of the grid would: max keeps the kernel's first strict maximum
-    return max(allocs, key=lambda alloc: rates.asr_from_bundle(
-        bundle, partition, alloc, sigma_w2, sigma_e).s_a), len(allocs)
+    g = tied[0]
+    return PowerAllocation(a_c[g], uniform_private(pt, float(totals[g]), k),
+                           float(totals[g]), float(pt)), len(tied)

@@ -223,7 +223,6 @@ def sinr_closed_form(k: int, inputs: RateInputs, kind: str, stream: str) -> floa
 class StreamProjection:
     """Amplitude-free per-draw terms of one set of columns, for the kernel and scorer."""
 
-    til: np.ndarray       # (n, K, C) error draws projected through the columns
     e2: np.ndarray        # (n, K, C) |h - t|^2 through every column
     own_e2: np.ndarray    # (n, K) the same through the own column
     hat_own2: np.ndarray  # (K,) estimate power |h|^2 of the own column
@@ -244,14 +243,14 @@ class ProjectionBundle:
 
     @property
     def til_p(self) -> np.ndarray:
-        # (points * n, K, K): any leading SNR axis is folded into the draw axis
-        return self.private.til.reshape((-1,) + self.private.til.shape[-2:])
+        # private |h - t|^2 as (points * n, K, K), SNR axis folded in; the tracer reads its shape
+        return self.private.e2.reshape((-1,) + self.private.e2.shape[-2:])
 
     def at(self, s: int) -> "ProjectionBundle":
         """SNR point ``s`` of the bundle; one without an SNR axis serves every point."""
         p = self.private
-        return self if p.til.ndim == 3 else ProjectionBundle(self.common, StreamProjection(
-            p.til[s], p.e2[s], p.own_e2[s], p.hat_own2[s], p.loss[s]), self.cluster_of)
+        return self if p.e2.ndim == 3 else ProjectionBundle(self.common, StreamProjection(
+            p.e2[s], p.own_e2[s], p.hat_own2[s], p.loss[s]), self.cluster_of)
 
 
 def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarray,
@@ -267,7 +266,7 @@ def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarra
     hat_own, til_own = hat[..., users, own], til[..., users, own]
     e2 = np.abs(hat[..., None, :, :] - til) ** 2
     return StreamProjection(
-        til=til, e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
+        e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
         loss=np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[..., None, :] * til_own).real)
 
 

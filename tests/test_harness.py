@@ -144,6 +144,37 @@ class TestRunExperiment:
         assert ((tmp_path / "w1" / "trials.jsonl").read_bytes()
                 == (tmp_path / "w2" / "trials.jsonl").read_bytes())
 
+    def test_pool_never_larger_than_the_realization_count(self, monkeypatch):
+        # a fork pool starts every worker up front; the fake starts none
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = replace(SMALL, n_realizations=2)
+        records, rows = harness.run_experiment(replace(cfg, workers=64))
+        assert sizes == [2]
+        assert (records, rows) == harness.run_experiment(cfg)
+
+    def test_flat_split_objective_reports_no_common_rate(self):
+        # perfect estimates with single-user clusters: every split fraction
+        # gives the same sum rate, and the search keeps delta = 0
+        cfg = replace(FIXTURE, sigma_e2=0.0, n_realizations=4, schemes=(
+            "RS-CF-MF-SP", "RS-CF-ZF-SP", "RS-CF-MMSE-SP", "RS-CF-ZF-RD", "RS-CF-MMSE-RD"))
+        records, _ = harness.run_experiment(cfg)
+        assert len(records) == 5 * 7
+        assert all(r.delta_mean == 0.0 and r.ecr == 0.0 for r in records)
+
     def test_single_trial_perfect_estimate_equals_instantaneous(self):
         cfg = ExperimentConfig(n_realizations=1, n_err=1, sigma_e2=0.0,
                                snr_grid_db=(10.0,), schemes=("CF-MF",), seed=9)

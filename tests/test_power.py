@@ -192,8 +192,34 @@ class TestAllocateCommon:
                                mode="simulated-annealing")
 
 
+class TestFlatObjective:
+    # zero forcing with perfect estimates: every split has the same sum rate
+    # up to rounding, so the tie rule, not the rounding, picks the fraction
+    def flat_search(self):
+        inputs, zeta = search_setup(0, sigma_e2=0.0, kind=prec.LABEL_ZF_SP)
+        err = errors(zeta, 30, seeded_rng(0, 41), 0.0)
+        assert not err.any()
+        bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
+                                         inputs.partition)
+        return pw.allocate_common(bundle, 0.0, inputs.partition, inputs.sigma_w2,
+                                  inputs.power.pt, mu=0.05)
+
+    def test_near_tie_keeps_the_smallest_fraction(self):
+        alloc, n_tied = self.flat_search()
+        assert n_tied == 20
+        assert alloc.delta == 0.0 and np.all(alloc.a_c == 0.0)
+
+    def test_search_never_calls_the_kernel(self, monkeypatch):
+        def kernel(*args, **kwargs):
+            raise AssertionError("the split search called the rate kernel")
+        monkeypatch.setattr(rates, "asr_from_bundle", kernel)
+        _, n_tied = self.flat_search()
+        assert n_tied == 20
+
+
 def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mode):
-    """Oracle: the rate kernel on every candidate allocation, first strict maximum wins."""
+    """Oracle: the rate kernel on every candidate allocation; the first candidate
+    within 1e-10 relative of the best score wins."""
     n_c, k = partition.n_clusters, g_hat.shape[1]
     if mode == "per_cluster_exhaustive" and n_c <= 2:
         candidates = []
@@ -210,10 +236,8 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
     bundle = rates.project_precoders(g_hat, err, precoders, partition)
     results = [rates.asr_from_bundle(bundle, partition, a, sigma_w2, sigma_e)
                for a in allocations]
-    best = 0
-    for g, asr in enumerate(results):
-        if asr.s_a > results[best].s_a:
-            best = g
+    top = max(asr.s_a for asr in results)
+    best = next(g for g, asr in enumerate(results) if asr.s_a >= top - 1e-10 * abs(top))
     return bundle, allocations, results, best
 
 

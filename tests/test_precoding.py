@@ -6,6 +6,10 @@ import pytest
 from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
+from rscf.config import ExperimentConfig
+from rscf.harness import _build_private, random_instance
+
+from fixture_network import FIXTURE
 
 
 def rng(seed=0):
@@ -213,6 +217,21 @@ class TestReducedDimension:
                 for r in others:
                     cross = max(cross, abs(g_hat[:, k] @ rd.private[:, r]))
         assert cross > 1e-6 * np.max(np.abs(rd.private))
+
+    @pytest.mark.parametrize("network", [FIXTURE, ExperimentConfig()],
+                             ids=["fixture", "default"])
+    def test_disjoint_clusters_make_sparse_zf_the_reduced_zf(self, network):
+        # disjoint AP sets make the masked Gram block-diagonal, and column
+        # normalisation removes the trace scaling: CF-ZF-SP and CF-ZF-RD
+        # transmit the same unit-norm columns
+        for seed in range(100):
+            inputs = random_instance(seed, network, kind=prec.LABEL_ZF_SP)
+            aps = [a for ap_set in inputs.partition.ap_sets for a in ap_set]
+            assert len(aps) == len(set(aps))
+            rd = _build_private(prec.LABEL_RU_ZF_RD, inputs.sparse, inputs.partition,
+                                inputs.power.pt, inputs.sigma_w2)
+            np.testing.assert_allclose(rd.private, inputs.precoders.private, rtol=0.0,
+                                       atol=1e-12)
 
     def test_mmse_rd_reduced_inversion_oracle(self):
         # dimension bookkeeping: each cluster solves its own |K_i| system

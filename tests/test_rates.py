@@ -268,7 +268,7 @@ class TestSnrAxis:
                     for field in ("mean_cr", "mean_pr", "min_cr"):
                         assert np.array_equal(getattr(asr, field)[s], getattr(one, field))
             # the tracer reads til_p as (draws, K, K), the SNR axis folded in
-            assert stacked.til_p.shape == (stacked.private.til.size // k ** 2, k, k)
+            assert stacked.til_p.shape == (stacked.private.e2.size // k ** 2, k, k)
 
 
 class TestAverageSumRate:
