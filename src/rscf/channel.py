@@ -174,12 +174,14 @@ def draw_error_matrices(zeta, sigma_e: float, n: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Stack of ``n`` estimation-error matrices, entries CN(0, sigma_e^2 zeta).
 
-    Returns shape (n, M, K).  Used to average rates over the error
-    distribution conditioned on one channel estimate.
+    Returns shape (n, M, K) in (n, K, M) memory order, so the stack enters
+    the projection's GEMM as one (n K, M) matrix without a copy.  Used to
+    average rates over the error distribution conditioned on one channel
+    estimate.
     """
     gains = gain_matrix(zeta)
     # complex_normal scaled in place: same draws and rounding, no complex temporaries
-    h = np.empty((n,) + gains.shape, dtype=complex)
+    h = np.empty((n,) + gains.shape[::-1], dtype=complex).transpose(0, 2, 1)
     h.real = rng.standard_normal(h.shape)
     h.imag = rng.standard_normal(h.shape)
     h /= np.sqrt(2.0)

@@ -14,11 +14,14 @@ loop.
 The SNR grid is an array axis.  Phase 1 of an attempt builds each private
 set once per (side, channel, construction) at the whole array of power
 budgets (a set that never reads the budget has no SNR axis), and each
-common beam once.  Phase 2 projects a set in chunks of SNR points whose
-stacked private projection, n*K*K complex entries per point, fits
-``_CHUNK_BYTES``.  The split search ranks its grid per point on views of
-the chunk's projection; each scheme, plain or split, then takes one
-rate-kernel call per chunk, on its per-point allocations stacked.
+common beam once.  Phase 2 runs per side.  Every private set of the side
+becomes slices on one axis, one per SNR point or a single one for a set
+without an SNR axis, and the axis is cut into chunks of as many slices as
+fit ``_CHUNK_BYTES`` of stacked private projection, n*K*K complex entries
+per slice.  Each chunk is projected by one call, one GEMM on the side's
+error stack.  The split search ranks its grid per point on a view of its
+slice; the rate kernel then runs once per (channel, plain or split) and
+chunk, on the per-(scheme, point) allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
@@ -30,7 +33,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,7 @@ log = logging.getLogger("rscf")
 # sub-stream identifiers for per-realization seeding
 _GEOMETRY, _SHADOW, _SMALLSCALE, _ERRDRAWS = 0, 1, 2, 3
 MAX_REDRAWS = 3
-# bytes of stacked private projection, (n, K, K) complex per SNR point, per chunk
+# bytes of stacked private projection, (n, K, K) complex per slice, per chunk
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -220,6 +223,28 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
+def _side_slices(specs: list[SchemeSpec], bs: bool, privates: dict, n_points: int
+                 ) -> tuple[list[np.ndarray], dict[tuple[bool, bool], list[tuple[int, int, int]]]]:
+    """The private columns of side ``bs`` as (M, K) slices on one axis, and the kernel entries.
+
+    A set built at every power budget gives one slice per SNR point, a set
+    that never reads it a single one.  The entries (scheme, point, slice)
+    are grouped by (dense, rs): a group takes one kernel call per chunk.
+    """
+    slices, first, calls = [], {}, {}
+    for j, spec in enumerate(specs):
+        if spec.bs != bs:
+            continue
+        private = privates[bs, spec.dense, spec.construction].private  # (S, M, K) or (M, K)
+        key = spec.dense, spec.construction
+        if key not in first:
+            first[key] = len(slices)
+            slices.extend(private if private.ndim == 3 else [private])
+        calls.setdefault((spec.dense, spec.rs), []).extend(
+            (j, s, first[key] + s * (private.ndim == 3)) for s in range(n_points))
+    return slices, calls
+
+
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                          snr_grid: tuple[float, ...]) -> list[TrialRow]:
     specs = [parse_scheme(label) for label in config.schemes]
@@ -228,44 +253,47 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
     pts = np.array([_power_budget(config, sides, snr) for snr in snr_grid])
     privates, commons = _attempt_precoders(config, specs, sides, pts)
-    # one error stack per side a scheme uses, shared by every scheme and SNR
-    # point: the sides draw from the same seeded stream, scaled by their own gains
-    errs = {bs: chan.draw_error_matrices(sides[bs].zeta, sigma_e, config.n_err,
-                                         seeded_rng(config.seed, index, attempt, _ERRDRAWS))
-            for bs in {s.bs for s in specs}}
-
-    # phase 2, one group per (side, channel, construction) sharing its projections
-    groups: dict[tuple, list[int]] = {}
-    for j, spec in enumerate(specs):
-        groups.setdefault((spec.bs, spec.dense, spec.construction), []).append(j)
     n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
-    common_streams, rows = {}, {}
-    for (bs, dense, construction), members in groups.items():
-        partition, _ = sides[bs].channels[dense]
-        g_hat, err = sides[bs].realization.g_hat, errs[bs]
-        cluster_of, ckey = partition.cluster_of_users(config.k), (bs, dense)
-        clusters = tuple(cluster_of.tolist())
-        private = privates.pop((bs, dense, construction)).private  # (S, M, K) or (M, K)
-        step = n_chunk if private.ndim == 3 else len(pts)
-        if ckey in commons and ckey not in common_streams:
-            common_streams[ckey] = rates.project_streams(g_hat, err, commons[ckey], cluster_of)
-        for lo in range(0, len(pts), step):
-            chunk = slice(lo, lo + step)
-            bundle = None  # drop the last chunk's bundle before the next
-            bundle = rates.ProjectionBundle(common_streams.get(ckey), rates.project_streams(
-                g_hat, err, private[chunk] if private.ndim == 3 else private,
-                np.arange(config.k)), cluster_of)
-            points = range(len(pts))[chunk]
-            for j in members:  # one kernel call per scheme and chunk
-                if specs[j].rs:
+    users, rows = np.arange(config.k), {}
+    for bs in dict.fromkeys(spec.bs for spec in specs):
+        # phase 2, per side: one projection per chunk of slices, and one kernel call
+        # per (channel, plain or split) and chunk
+        side = sides[bs]
+        slices, calls = _side_slices(specs, bs, privates, len(pts))
+        channels = {dense: (partition, partition.cluster_of_users(config.k))
+                    for dense, (partition, _) in side.channels.items()}
+        # one error stack per side, shared by every scheme and SNR point: the sides draw
+        # from the same seeded stream, scaled by their own gains
+        err = proj = bundle = None  # drop the last side's stack and projection before the draw
+        err = chan.draw_error_matrices(side.zeta, sigma_e, config.n_err,
+                                       seeded_rng(config.seed, index, attempt, _ERRDRAWS))
+        g_hat = side.realization.g_hat
+        common_streams = {dense: rates.project_streams(g_hat, err, commons[bs, dense],
+                                                       channels[dense][1])
+                          for dense, rs in calls if rs}
+        for lo in range(0, len(slices), n_chunk):
+            proj = bundle = None  # drop the last chunk's projection before the next
+            proj = rates.project_streams(g_hat, err, np.stack(slices[lo:lo + n_chunk]), users)
+            for (dense, rs), entries in calls.items():
+                mine = [(j, s, t - lo) for j, s, t in entries if lo <= t < lo + n_chunk]
+                if not mine:
+                    continue
+                partition, cluster_of = channels[dense]
+                bundle = rates.ProjectionBundle(common_streams.get(dense), proj, cluster_of)
+                if rs:
                     alloc = pw.stack([pw.allocate_common(
-                        bundle.at(s - lo), sigma_e, partition, sigma_w2, pts[s], **search)[0]
-                        for s in points])
+                        bundle.at(t), sigma_e, partition, sigma_w2, pts[s], **search)[0]
+                        for _, s, t in mine])
                 else:
-                    alloc = pw.no_split(pts[chunk], config.k)
-                asr = rates.asr_from_bundle(bundle, partition, alloc, sigma_w2, sigma_e)
-                for s, delta, s_a, cr, pr, mn in zip(
-                        points, np.broadcast_to(alloc.delta, len(points)).tolist(),
+                    alloc = pw.no_split(pts[[s for _, s, _ in mine]], config.k)
+                # entries on one slice broadcast it instead of stacking copies of it
+                picks = [t for _, _, t in mine]
+                asr = rates.asr_from_bundle(
+                    bundle.at(picks[0] if len(set(picks)) == 1 else np.array(picks)),
+                    partition, alloc, sigma_w2, sigma_e)
+                clusters = tuple(cluster_of.tolist())
+                for (j, s, _), delta, s_a, cr, pr, mn in zip(
+                        mine, np.broadcast_to(alloc.delta, len(mine)).tolist(),
                         asr.s_a.tolist(), asr.mean_cr.tolist(), asr.mean_pr.tolist(),
                         asr.min_cr.tolist()):
                     rows[s, j] = TrialRow(
@@ -400,11 +428,15 @@ def render_csv(records: list[ResultRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# one trials.jsonl line in json.dumps(sort_keys=True) layout: keys sorted, finite
-# floats and ints as repr, the scheme label JSON-quoted
-_JSONL_ROW = ('{"cluster_of": [%s], "delta": %r, "mean_cr": [%s], "mean_pr": [%s], '
-              '"min_cr": [%s], "n_clusters": %r, "realization": %r, "redraws": %r, '
-              '"s_a": %r, "scheme": %s, "snr_db": %r}')
+@lru_cache(maxsize=None)
+def _jsonl_template(*lengths: int) -> str:
+    """One trials.jsonl line in json.dumps(sort_keys=True) layout, for rows whose
+    cluster_of, mean_cr, mean_pr and min_cr have ``lengths``: keys sorted, finite
+    floats and ints as repr, the scheme label JSON-quoted."""
+    n_of, n_cr, n_pr, n_min = (", ".join(["%r"] * n) for n in lengths)
+    return (f'{{"cluster_of": [{n_of}], "delta": %r, "mean_cr": [{n_cr}], "mean_pr": '
+            f'[{n_pr}], "min_cr": [{n_min}], "n_clusters": %r, "realization": %r, '
+            f'"redraws": %r, "s_a": %r, "scheme": %s, "snr_db": %r}}')
 
 
 def render_jsonl(rows: list[TrialRow]) -> str:
@@ -417,10 +449,11 @@ def render_jsonl(rows: list[TrialRow]) -> str:
                              + sum(r.min_cr)):
             out.append(json.dumps(asdict(r), sort_keys=True))
             continue
-        out.append(_JSONL_ROW % (
-            ", ".join(map(repr, r.cluster_of)), r.delta, ", ".join(map(repr, r.mean_cr)),
-            ", ".join(map(repr, r.mean_pr)), ", ".join(map(repr, r.min_cr)), r.n_clusters,
-            r.realization, r.redraws, r.s_a, labels[r.scheme], r.snr_db))
+        template = _jsonl_template(len(r.cluster_of), len(r.mean_cr), len(r.mean_pr),
+                                   len(r.min_cr))
+        out.append(template % (*r.cluster_of, r.delta, *r.mean_cr, *r.mean_pr, *r.min_cr,
+                               r.n_clusters, r.realization, r.redraws, r.s_a,
+                               labels[r.scheme], r.snr_db))
     return "\n".join(out) + "\n"
 
 

@@ -228,6 +228,12 @@ class StreamProjection:
     hat_own2: np.ndarray  # (K,) estimate power |h|^2 of the own column
     loss: np.ndarray      # (n, K) CSIT power-loss term |t|^2 - 2 Re(conj(h) t), own column
 
+    def take(self, index: int | np.ndarray) -> "StreamProjection":
+        """Slice ``index`` of a stacked projection: a view for an int, a gathered stack for
+        an index array."""
+        return StreamProjection(self.e2[index], self.own_e2[index], self.hat_own2[index],
+                                self.loss[index])
+
 
 @dataclass(frozen=True)
 class ProjectionBundle:
@@ -243,14 +249,15 @@ class ProjectionBundle:
 
     @property
     def til_p(self) -> np.ndarray:
-        # private |h - t|^2 as (points * n, K, K), SNR axis folded in; the tracer reads its shape
+        # private |h - t|^2 as (slices * n, K, K), the slice axis folded in; the tracer
+        # reads its shape
         return self.private.e2.reshape((-1,) + self.private.e2.shape[-2:])
 
-    def at(self, s: int) -> "ProjectionBundle":
-        """SNR point ``s`` of the bundle; one without an SNR axis serves every point."""
-        p = self.private
-        return self if p.e2.ndim == 3 else ProjectionBundle(self.common, StreamProjection(
-            p.e2[s], p.own_e2[s], p.hat_own2[s], p.loss[s]), self.cluster_of)
+    def at(self, s: int | np.ndarray) -> "ProjectionBundle":
+        """Slice ``s`` of the bundle, or the stack of slices an index array picks; one
+        without a slice axis serves every slice."""
+        return self if self.private.e2.ndim == 3 else ProjectionBundle(
+            self.common, self.private.take(s), self.cluster_of)
 
 
 def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarray,
@@ -258,16 +265,27 @@ def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarra
     """Project the estimate and every error draw through ``columns`` (M, C).
 
     ``own[k]`` is the column user k decodes: k, or its cluster's beam.
-    Columns of shape (S, M, C) add a leading SNR axis to every term.
+    Columns of shape (S, M, C) add a leading slice axis to every term.
+    The error product is one GEMM (n K, M) @ (M, S C); a stack held in
+    (n, K, M) memory order, as ``channel.draw_error_matrices`` returns it,
+    enters it without a copy.
     """
-    users = np.arange(g_hat.shape[1])
-    hat = g_hat.T @ columns
-    til = err_stack.transpose(0, 2, 1) @ columns[..., None, :, :]
-    hat_own, til_own = hat[..., users, own], til[..., users, own]
-    e2 = np.abs(hat[..., None, :, :] - til) ** 2
-    return StreamProjection(
-        e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
-        loss=np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[..., None, :] * til_own).real)
+    n, m, k = err_stack.shape
+    users = np.arange(k)
+    stack = columns.reshape((-1, m, columns.shape[-1]))
+    hat = g_hat.T @ stack                                    # (S, K, C)
+    til = (err_stack.transpose(0, 2, 1).reshape(n * k, m)
+           @ stack.transpose(1, 0, 2).reshape(m, -1)).reshape(n, k, len(stack), -1)
+    by_slice = np.moveaxis(til, 2, 0)                        # (S, n, K, C) view
+    hat_own, til_own = hat[:, users, own], by_slice[..., users, own]
+    loss = np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[..., None, :] * til_own).real
+    # t - h in place, in the GEMM's (n, K, S, C) layout: |t - h| is |h - t| bit for bit
+    til -= np.ascontiguousarray(hat.transpose(1, 0, 2))
+    e2 = np.abs(by_slice, out=np.empty(by_slice.shape))
+    np.square(e2, out=e2)
+    proj = StreamProjection(e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
+                            loss=loss)
+    return proj if columns.ndim == 3 else proj.take(0)
 
 
 def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: PrecoderSet,

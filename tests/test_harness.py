@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from dataclasses import asdict, replace
@@ -127,10 +128,18 @@ class TestRunExperiment:
 
     def test_jsonl_template_equals_json_dumps(self):
         _, rows = harness.run_experiment(SMALL)
+        # row shapes alternate in one batch: BS and dense CF rows (one cluster),
+        # clustered CF and RS rows (two), and RS rows of M=64, K=16 in four clusters
+        big = harness.run_realization(replace(
+            SMALL, m=64, k=16, cluster_mode="fixed", n_c=4, schemes=("RS-CF-MF-SP",)), 0)
+        assert {(r.scheme.startswith("RS-"), r.n_clusters) for r in rows} == {
+            (False, 1), (False, 2), (True, 2)}
+        assert {(r.n_clusters, len(r.mean_cr)) for r in big} == {(4, 16)}
         odd = [replace(rows[0], s_a=v, delta=-0.0, mean_cr=(v, 1.5, -0.0, 2e-300))
                for v in (math.nan, math.inf, -math.inf, -0.0)]
-        lines = harness.render_jsonl(rows + odd).splitlines()
-        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in rows + odd]
+        batch = [row for pair in zip(rows, itertools.cycle(big)) for row in pair] + odd
+        lines = harness.render_jsonl(batch).splitlines()
+        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in batch]
         assert "NaN" in lines[-4] and "-Infinity" in lines[-2]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
@@ -343,17 +352,41 @@ class TestRunExperiment:
         rows = harness.run_realization(cfg, 0)
         assert rows[0].redraws == 1
         assert len(searches) == 6 * 7  # six RS schemes at seven SNR points
-        assert len(projections) == 9 + 2  # each private set and each beam once
+        # at n_err=10 each side's slices fit one chunk: one private stack per side,
+        # and each beam once
+        assert len(projections) == 2 + 2
 
+    @pytest.mark.parametrize("slices", [1, 3, 39])
+    def test_slice_chunks_do_not_change_rows(self, monkeypatch, slices):
+        # the chunk budget only decides how many slices one projection stacks and one
+        # kernel call covers; the default list has both sides, dense and clustered
+        # channels, plain and RS schemes, and sets with and without an SNR axis, and
+        # 39 slices hold every slice of a side (38 distributed, 1 co-located)
+        cfg = ExperimentConfig(n_err=10, n_realizations=2, seed=1)
+        _, whole = harness.run_experiment(cfg)
+        assert harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2) >= 39
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", slices * 16 * cfg.n_err * cfg.k ** 2)
+        assert harness.run_experiment(cfg)[1] == whole
 
-    @pytest.mark.parametrize("points", [1, 3])
-    def test_snr_chunks_do_not_change_rows(self, monkeypatch, points):
-        # the chunk budget only decides how many SNR points one projection stacks
-        cfg = ExperimentConfig(n_err=10, seed=1)
-        whole = harness.run_realization(cfg, 0)
-        assert harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2) >= len(cfg.snr_grid_db)
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", points * 16 * cfg.n_err * cfg.k ** 2)
-        assert harness.run_realization(cfg, 0) == whole
+    def test_private_stacks_stay_within_the_chunk_budget(self, monkeypatch):
+        # at M=64, K=16 and n_err=100 one slice fills a chunk: an unchunked stack of a
+        # side's slices would hold 38 of them
+        from rscf import rates
+        stacks = []
+        project = rates.project_streams
+
+        def recorded(g_hat, err, columns, own):
+            if columns.ndim == 3:
+                stacks.append(len(columns))
+            return project(g_hat, err, columns, own)
+        monkeypatch.setattr(rates, "project_streams", recorded)
+        cfg = ExperimentConfig(m=64, k=16, cluster_mode="fixed", n_c=4, n_err=100, seed=1)
+        rows = harness.run_realization(cfg, 0)
+        limit = max(1, harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2))
+        assert limit == 1 and max(stacks) <= limit
+        # every slice projected once (a degenerate attempt projects none): 4 sets
+        # without an SNR axis, 5 with seven points
+        assert len(rows) == 7 * 11 and sum(stacks) == 4 + 5 * 7
 
 
 class TestAggregate:

@@ -53,7 +53,10 @@ def test_tracer_counts_one_realization():
     # the tracer reads the chosen fraction of a search as result[0].delta and
     # counts the kernel calls; one realization of the default scheme list
     # makes 6 RS schemes x 7 SNR points searches and one kernel call per
-    # scheme and chunk (at n_err=10 the seven points fit one chunk)
+    # (side, channel, plain or split) and chunk.  At n_err=10 each side's
+    # slices fit one chunk: the distributed side calls for its dense plain
+    # (CF-MF, CF-ZF, CF-MMSE), clustered plain (CF-MF-SP) and clustered RS
+    # schemes, the co-located side for BS-MF and RS-BS-MF, 3 + 2 = 5
     tracer = load_tracing().Tracer()
     config = replace(ExperimentConfig(), n_err=10, n_realizations=1)
     tracer.install(rscf)
@@ -63,6 +66,6 @@ def test_tracer_counts_one_realization():
         tracer.uninstall()
     summary = tracer.summary(config.m)
     assert summary["power.search.calls"] == 42
-    assert summary["rates.kernel.calls"] == 11
+    assert summary["rates.kernel.calls"] == 5
     hits = summary["power.search.grid_top_hits"]
     assert isinstance(hits, int) and hits <= 42
