@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import clustering as clus
@@ -58,16 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> cfg.ExperimentConfig:
-    config = cfg.resolve(args.config, args.overrides)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
-    cfg.validate(config)
-    return config
-
-
 def _cmd_run(args, config: cfg.ExperimentConfig) -> int:
     records, _ = harness.run_experiment(config, out_dir=args.out)
     sys.stdout.write(harness.render_csv(records))
@@ -103,6 +92,9 @@ def _cmd_verify(args, config: cfg.ExperimentConfig) -> int:
 
 
 def _cmd_cluster_report(args, config: cfg.ExperimentConfig) -> int:
+    if not 0 <= args.realization < config.n_realizations:
+        raise cfg.ConfigError(f"--realization must lie in [0, n_realizations) = "
+                              f"[0, {config.n_realizations}), got {args.realization}")
     partition = harness.cluster_partition(config, args.realization)
     payload = clus.cluster_report(partition)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -119,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve(args)
+        config = cfg.resolve(args.config, args.overrides, seed=args.seed,
+                             workers=args.workers)
     except cfg.ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

@@ -19,13 +19,6 @@ from .channel import gain_matrix
 
 
 @dataclass(frozen=True)
-class SelectionMatrix:
-    """Binary (M, K) matrix; entry (m, k) = 1 when AP m is a candidate for user k."""
-
-    j: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClusterPartition:
     """Disjoint user groups, their serving AP sets and final test vectors."""
 
@@ -58,8 +51,10 @@ class SparseChannel:
     reduced: tuple[np.ndarray, ...]
 
 
-def select_aps_threshold(zeta) -> SelectionMatrix:
-    """Keep the links whose gain exceeds the mean over all M*K links.
+def select_aps_threshold(zeta) -> np.ndarray:
+    """Binary (M, K) selection: entry (m, k) = 1 when AP m is a candidate for user k.
+
+    Keeps the links whose gain exceeds the mean over all M*K links.
 
     A user whose column ends up empty falls back to its single strongest
     AP (lowest index on ties) so that nobody is left unserved.
@@ -69,11 +64,11 @@ def select_aps_threshold(zeta) -> SelectionMatrix:
     j = (z > mu).astype(int)
     for k in np.flatnonzero(j.sum(axis=0) == 0):
         j[int(np.argmax(z[:, k])), k] = 1
-    return SelectionMatrix(j)
+    return j
 
 
-def select_aps_topn(zeta, n_s: int) -> SelectionMatrix:
-    """Keep the n_s strongest APs per user (lowest AP index on ties)."""
+def select_aps_topn(zeta, n_s: int) -> np.ndarray:
+    """Binary (M, K) selection of the n_s strongest APs per user (lowest AP index on ties)."""
     z = gain_matrix(zeta)
     m = z.shape[0]
     if not 1 <= n_s <= m:
@@ -82,12 +77,12 @@ def select_aps_topn(zeta, n_s: int) -> SelectionMatrix:
     for k in range(z.shape[1]):
         order = np.argsort(-z[:, k], kind="stable")
         j[order[:n_s], k] = 1
-    return SelectionMatrix(j)
+    return j
 
 
-def default_shared_ap_threshold(selection: SelectionMatrix) -> int:
+def default_shared_ap_threshold(j: np.ndarray) -> int:
     """Default n_a: half the mean selected-AP count per user, rounded up."""
-    per_user = selection.j.sum(axis=0)
+    per_user = j.sum(axis=0)
     return max(1, math.ceil(per_user.mean() / 2.0))
 
 
@@ -109,7 +104,7 @@ def _assign_aps(test_vectors, user_sets, zeta) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(a) for a in ap_sets)
 
 
-def design_clusters(selection: SelectionMatrix, n_a: int, zeta) -> ClusterPartition:
+def design_clusters(j: np.ndarray, n_a: int, zeta) -> ClusterPartition:
     """Greedy cluster formation from the selection matrix.
 
     User 0 seeds the first cluster with its own column as test vector.
@@ -119,7 +114,6 @@ def design_clusters(selection: SelectionMatrix, n_a: int, zeta) -> ClusterPartit
     """
     if n_a < 1:
         raise ValueError(f"n_a must be at least 1, got {n_a}")
-    j = selection.j
     k_total = j.shape[1]
     user_sets: list[list[int]] = [[0]]
     test_vectors: list[np.ndarray] = [j[:, 0].copy()]
@@ -141,7 +135,7 @@ def design_clusters(selection: SelectionMatrix, n_a: int, zeta) -> ClusterPartit
     )
 
 
-def design_clusters_fixed(selection: SelectionMatrix, n_c: int, zeta) -> ClusterPartition:
+def design_clusters_fixed(j: np.ndarray, n_c: int, zeta) -> ClusterPartition:
     """Cluster into exactly ``n_c`` groups.
 
     Seeds are the n_c users sharing the fewest candidate APs (greedy:
@@ -149,7 +143,6 @@ def design_clusters_fixed(selection: SelectionMatrix, n_c: int, zeta) -> Cluster
     overlap with the chosen seeds).  Remaining users join the cluster of
     maximum overlap; new clusters are never opened.
     """
-    j = selection.j
     k_total = j.shape[1]
     if not 1 <= n_c <= k_total:
         raise ValueError(f"n_c must lie in [1, {k_total}], got {n_c}")

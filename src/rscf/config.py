@@ -151,9 +151,10 @@ def load_file(path: str | Path, base: ExperimentConfig | None = None) -> Experim
     return config
 
 
-def resolve(config_path: str | Path | None = None,
-            overrides: list[str] | None = None) -> ExperimentConfig:
-    """File (optional) then key=value overrides, highest precedence last."""
+def resolve(config_path: str | Path | None = None, overrides: list[str] | None = None,
+            seed: int | None = None, workers: int | None = None) -> ExperimentConfig:
+    """File (optional), key=value overrides, then ``seed`` and ``workers`` when given:
+    highest precedence last, validated once."""
     config = ExperimentConfig()
     if config_path is not None:
         config = load_file(config_path, config)
@@ -162,6 +163,10 @@ def resolve(config_path: str | Path | None = None,
             raise ConfigError(f"override must be key=value, got {pair!r}")
         key, value = (part.strip() for part in pair.split("=", 1))
         config = apply_pair(config, key, value)
+    if seed is not None:
+        config = replace(config, seed=seed)
+    if workers is not None:
+        config = replace(config, workers=workers)
     validate(config)
     return config
 
@@ -228,11 +233,11 @@ def render(config: ExperimentConfig) -> str:
         key = _ATTR_TO_KEY[f.name]
         value = getattr(config, f.name)
         if isinstance(value, tuple):
-            text = ",".join(f"{v:g}" if isinstance(v, float) else str(v) for v in value)
+            text = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         elif isinstance(value, bool):
             text = "true" if value else "false"
         elif isinstance(value, float):
-            text = f"{value:g}"
+            text = repr(value)
         else:
             text = str(value)
         lines.append(f"{key} = {text}")

@@ -18,10 +18,10 @@ common beam once.  Phase 2 runs per side.  Every private set of the side
 becomes slices on one axis, one per SNR point or a single one for a set
 without an SNR axis, and the axis is cut into chunks of as many slices as
 fit ``_CHUNK_BYTES`` of stacked private projection, n*K*K complex entries
-per slice.  Each chunk is projected by one call, one GEMM on the side's
-error stack.  The split search ranks its grid per point on a view of its
-slice; the rate kernel then runs once per (channel, plain or split) and
-chunk, on the per-(scheme, point) allocations stacked.
+per slice.  Each chunk is projected by one call, one GEMM per slice on the
+side's error stack.  The split search ranks its grid per point on a view
+of its slice; the rate kernel then runs once per (channel, plain or split)
+and chunk, on the per-(scheme, point) allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
@@ -144,8 +144,8 @@ def _side_data(config: ExperimentConfig, index: int, attempt: int,
         config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
         seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
         seeded_rng(config.seed, index, attempt, _SMALLSCALE), co_located)
-    channels = {True: (clus.single_cluster(config.m, config.k),
-                       prec.dense_channel(realization.g_hat))}
+    single = clus.single_cluster(config.m, config.k)
+    channels = {True: (single, clus.sparse_channel(realization.g_hat, single))}
     if clustered:
         partition = cluster_partition_for(config, zeta)
         channels[False] = partition, clus.sparse_channel(realization.g_hat, partition)
@@ -163,13 +163,6 @@ def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
     return {bs: _side_data(config, index, attempt, co_located=bs,
                            clustered=not bs and any(not s.dense for s in specs))
             for bs in (False, True) if not bs or any(s.bs for s in specs)}
-
-
-def _power_budget(config: ExperimentConfig, sides: dict[bool, SideData],
-                  snr_db: float) -> float:
-    # one power budget per (realization, SNR point), solved on the distributed
-    # geometry and shared by every scheme for a fair comparison
-    return chan.pt_for_snr(sides[False].realization.g_true, snr_db, _noise(config))
 
 
 def _build_private(construction: str, sparse: clus.SparseChannel,
@@ -245,13 +238,15 @@ def _side_slices(specs: list[SchemeSpec], bs: bool, privates: dict, n_points: in
     return slices, calls
 
 
-def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
-                         snr_grid: tuple[float, ...]) -> list[TrialRow]:
+def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> list[TrialRow]:
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
     sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
-    pts = np.array([_power_budget(config, sides, snr) for snr in snr_grid])
+    # one power budget per SNR point, solved on the distributed geometry and shared
+    # by every scheme for a fair comparison
+    g_true = sides[False].realization.g_true
+    pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in config.snr_grid_db])
     privates, commons = _attempt_precoders(config, specs, sides, pts)
     n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
     users, rows = np.arange(config.k), {}
@@ -297,7 +292,8 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int,
                         asr.s_a.tolist(), asr.mean_cr.tolist(), asr.mean_pr.tolist(),
                         asr.min_cr.tolist()):
                     rows[s, j] = TrialRow(
-                        realization=index, scheme=specs[j].label, snr_db=float(snr_grid[s]),
+                        realization=index, scheme=specs[j].label,
+                        snr_db=float(config.snr_grid_db[s]),
                         s_a=s_a, delta=delta, n_clusters=partition.n_clusters,
                         mean_cr=tuple(cr), mean_pr=tuple(pr), min_cr=tuple(mn),
                         cluster_of=clusters, redraws=attempt)
@@ -308,12 +304,10 @@ def _noise(config: ExperimentConfig) -> float:
     return chan.noise_variance(config.t0_k, config.bandwidth_hz, config.noise_figure_db)
 
 
-def run_realization(config: ExperimentConfig, index: int,
-                    snr_grid: tuple[float, ...] | None = None) -> list[TrialRow]:
+def run_realization(config: ExperimentConfig, index: int) -> list[TrialRow]:
     """All (scheme, SNR) trial rows of one realization, redrawn while degenerate."""
-    grid = tuple(snr_grid) if snr_grid is not None else tuple(config.snr_grid_db)
-    return _with_redraws(
-        config, index, lambda attempt: _realization_attempt(config, index, attempt, grid))
+    return _with_redraws(config, index,
+                         lambda attempt: _realization_attempt(config, index, attempt))
 
 
 def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -> tuple[
@@ -329,12 +323,12 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
     def attempt_fn(attempt):
         sides = _scheme_sides(config, specs, index, attempt)
-        privates, commons = _attempt_precoders(config, specs, sides,
-                                               _power_budget(config, sides, snr_db))
+        pt = chan.pt_for_snr(sides[False].realization.g_true, snr_db, _noise(config))
+        privates, commons = _attempt_precoders(config, specs, sides, pt)
         built = {}
         for spec in specs:
             pset = privates[spec.bs, spec.dense, spec.construction]
-            pset = prec.attach_common(pset, commons[spec.bs, spec.dense]) if spec.rs else pset
+            pset = replace(pset, common=commons[spec.bs, spec.dense]) if spec.rs else pset
             built[spec.label] = sides[spec.bs].channels[spec.dense][0], pset
         return sides, built
     return _with_redraws(config, index, attempt_fn)
@@ -512,7 +506,7 @@ def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_
             pset = _build_private(kind, sparse, partition, pt, sigma_w2)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
-        pset = prec.attach_common(pset, common)
+        pset = replace(pset, common=common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
         inputs = rates.RateInputs(realization, sparse, partition, pset, cache, alloc, sigma_w2)
         return (inputs, zeta) if with_zeta else inputs

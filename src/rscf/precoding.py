@@ -41,15 +41,14 @@ class EmptyClusterError(ValueError):
 
 @dataclass(frozen=True)
 class SvdCache:
-    """Leading singular triplets of the per-cluster reduced channels.
+    """Leading singular values and left vectors of the per-cluster reduced channels.
 
-    ``v1[i]`` is cluster i's unit-norm beam (length M), ``psi1[i]`` the top
-    singular value, and ``u1[i][q]`` the leading left-singular coefficient
-    of the cluster's q-th user (ascending user order), so that the masked
-    row of user k in cluster i satisfies  g_bar_k^T v1[i] = u1 * psi1.
+    ``psi1[i]`` is the top singular value of cluster i and ``u1[i][q]`` the
+    leading left-singular coefficient of the cluster's q-th user (ascending
+    user order), so that the masked row of user k in cluster i satisfies
+    g_bar_k^T v_i = u1 * psi1, with v_i column i of the common precoder.
     """
 
-    v1: np.ndarray            # (N_c, M)
     psi1: np.ndarray          # (N_c,)
     u1: tuple[np.ndarray, ...]
 
@@ -70,16 +69,6 @@ def _empty_common(m: int) -> np.ndarray:
     return np.zeros((m, 0), dtype=complex)
 
 
-def attach_common(pset: PrecoderSet, common: np.ndarray) -> PrecoderSet:
-    return replace(pset, common=common)
-
-
-def dense_channel(g_hat: np.ndarray) -> SparseChannel:
-    """Wrap an unmasked channel estimate as a single-cluster sparse channel."""
-    g = np.asarray(g_hat)
-    return SparseChannel(g, (g.T.copy(),))
-
-
 def _check_condition(gram: np.ndarray, context: str) -> None:
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -98,7 +87,7 @@ def common_precoder(sparse: SparseChannel,
     if partition.n_clusters == 0:
         raise ValueError("partition has no clusters")
     m = sparse.g_bar.shape[0]
-    v1 = np.zeros((partition.n_clusters, m), dtype=complex)
+    beams = np.zeros((m, partition.n_clusters), dtype=complex)
     psi1 = np.zeros(partition.n_clusters)
     u1 = []
     for i, reduced in enumerate(sparse.reduced):
@@ -109,10 +98,10 @@ def common_precoder(sparse: SparseChannel,
         coeff = uu[:, 0]
         pivot = vec[int(np.argmax(np.abs(vec)))]
         phase = pivot / abs(pivot)
-        v1[i] = vec * phase.conjugate()
+        beams[:, i] = vec * phase.conjugate()
         u1.append(coeff * phase.conjugate())
         psi1[i] = ss[0]
-    return v1.T.copy(), SvdCache(v1, psi1, tuple(u1))
+    return beams, SvdCache(psi1, tuple(u1))
 
 
 def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
@@ -244,7 +233,7 @@ def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,
     """Raw private precoder set of the construction named ``label``.
 
     A dense (unmasked) precoder is the same construction applied to
-    :func:`dense_channel` with a single cluster.
+    ``sparse_channel(g_hat, single_cluster(M, K))``.
     """
     if label not in CONSTRUCTIONS:
         raise ValueError(

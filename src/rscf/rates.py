@@ -266,22 +266,21 @@ def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarra
 
     ``own[k]`` is the column user k decodes: k, or its cluster's beam.
     Columns of shape (S, M, C) add a leading slice axis to every term.
-    The error product is one GEMM (n K, M) @ (M, S C); a stack held in
-    (n, K, M) memory order, as ``channel.draw_error_matrices`` returns it,
+    Each slice's error product is one GEMM (n K, M) @ (M, C), so a slice's
+    terms do not depend on the other slices it is stacked with; a stack held
+    in (n, K, M) memory order, as ``channel.draw_error_matrices`` returns it,
     enters it without a copy.
     """
     n, m, k = err_stack.shape
     users = np.arange(k)
     stack = columns.reshape((-1, m, columns.shape[-1]))
     hat = g_hat.T @ stack                                    # (S, K, C)
-    til = (err_stack.transpose(0, 2, 1).reshape(n * k, m)
-           @ stack.transpose(1, 0, 2).reshape(m, -1)).reshape(n, k, len(stack), -1)
-    by_slice = np.moveaxis(til, 2, 0)                        # (S, n, K, C) view
-    hat_own, til_own = hat[:, users, own], by_slice[..., users, own]
+    til = (err_stack.transpose(0, 2, 1).reshape(n * k, m) @ stack).reshape(
+        len(stack), n, k, -1)                                # (S, n, K, C)
+    hat_own, til_own = hat[:, users, own], til[..., users, own]
     loss = np.abs(til_own) ** 2 - 2.0 * (np.conj(hat_own)[..., None, :] * til_own).real
-    # t - h in place, in the GEMM's (n, K, S, C) layout: |t - h| is |h - t| bit for bit
-    til -= np.ascontiguousarray(hat.transpose(1, 0, 2))
-    e2 = np.abs(by_slice, out=np.empty(by_slice.shape))
+    til -= hat[:, None]  # |t - h| is |h - t| bit for bit
+    e2 = np.abs(til)
     np.square(e2, out=e2)
     proj = StreamProjection(e2=e2, own_e2=e2[..., users, own], hat_own2=np.abs(hat_own) ** 2,
                             loss=loss)
@@ -335,14 +334,6 @@ def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
     return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
 
 
-def rate_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
-                               a_p: np.ndarray, sigma_w2: float,
-                               eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw per-user common and private rates log2(1 + SINR), shapes (..., n, K) each."""
-    sinr_c, sinr_p = sinr_components_over_draws(bundle, a_c, a_p, sigma_w2, eps)
-    return np.log2(1.0 + sinr_c), np.log2(1.0 + sinr_p)
-
-
 def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
     """Common and private SINRs, (K,) each, of the realization's own error draw.
 
@@ -364,7 +355,7 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
     # a large stack can come back in a non-C order, and the mean over draws then
     # sums in another order; C order makes a stacked point equal its own call
-    cr, pr = (np.ascontiguousarray(x) for x in rate_components_over_draws(
+    cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in sinr_components_over_draws(
         bundle, power.a_c, power.a_p, sigma_w2, eps))
     mean_cr = cr.mean(axis=-2)
     mean_pr = pr.mean(axis=-2)

@@ -17,6 +17,11 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text(render(cfg), encoding="utf-8")
         assert load_file(path) == cfg
+        # floats that need more than six significant digits
+        cfg = ExperimentConfig(sigma_e2=0.0123456789, bandwidth_hz=12345678.9,
+                               area_side_m=1000.0000001, snr_grid_db=(0.1 + 0.2, -7.25e-9))
+        path.write_text(render(cfg), encoding="utf-8")
+        assert load_file(path) == cfg
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -90,6 +95,13 @@ class TestCliDispatch:
     def test_negative_seed_flag_exit_code(self, capsys):
         assert cli.main(["run", *SMALL_ARGS, "--seed", "-1"]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_flags_override_the_set_values_before_validation(self, capsys):
+        # one validation of the resolved config: a flag replaces an out-of-range --set
+        assert cli.main(["run", "--print-config", "--set", "seed=-1", "--seed", "4",
+                         "--set", "workers=0", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "seed = 4\n" in out and "workers = 2\n" in out
 
     def test_per_cluster_exhaustive_allowed_up_to_two_fixed_clusters(self, capsys):
         assert cli.main(["run", "--print-config", "--set", "power_mode=per_cluster_exhaustive",
@@ -218,6 +230,16 @@ class TestClusterReportMatchesRun:
         args = ["--set", "freeze_geometry=true"]
         first = self.report(capsys, 0, args)
         assert [self.report(capsys, r, args) for r in range(1, 5)] == [first] * 4
+
+    @pytest.mark.parametrize("realization, args", [
+        (-1, []), (5, ["--set", "n_realizations=5"])], ids=["negative", "past_the_run"])
+    def test_realization_outside_the_run_is_a_config_error(self, capsys, realization, args):
+        # the run draws realizations 0 .. n_realizations - 1 only
+        assert cli.main(["cluster-report", "--realization", str(realization), *args]) == 1
+        n = 5 if args else 100
+        assert capsys.readouterr().err == (
+            f"config error: --realization must lie in [0, n_realizations) = [0, {n}), "
+            f"got {realization}\n")
 
     def test_no_clustered_scheme_is_a_config_error(self, capsys):
         # the run uses no clustered partition, so there is none to report

@@ -12,43 +12,43 @@ class TestThresholdSelection:
     def test_single_dominant_entry(self):
         # hand instance: mean = 3.25, only the 10 lies above it
         zeta = np.array([[10.0, 1.0], [1.0, 1.0]])
-        j = clus.select_aps_threshold(zeta).j
+        j = clus.select_aps_threshold(zeta)
         assert j[0, 0] == 1
         # the fallback keeps the starved users' strongest APs
         assert j[:, 1].sum() == 1 and j[np.argmax(zeta[:, 1]), 1] == 1
 
     def test_diagonal_dominant(self):
         zeta = np.array([[100.0, 1.0], [1.0, 100.0], [1.0, 1.0], [1.0, 1.0]])
-        j = clus.select_aps_threshold(zeta).j
+        j = clus.select_aps_threshold(zeta)
         assert np.array_equal(j, np.array([[1, 0], [0, 1], [0, 0], [0, 0]]))
 
     def test_degenerate_equal_gains_fallback(self):
-        j = clus.select_aps_threshold(np.ones((4, 3))).j
+        j = clus.select_aps_threshold(np.ones((4, 3)))
         # raw rule selects nothing; each user keeps AP 0 (lowest-index tie break)
         assert np.array_equal(j, np.array([[1, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
     def test_scale_invariance(self):
         zeta = rng(1).lognormal(size=(8, 4))
-        a = clus.select_aps_threshold(zeta).j
-        b = clus.select_aps_threshold(123.456 * zeta).j
+        a = clus.select_aps_threshold(zeta)
+        b = clus.select_aps_threshold(123.456 * zeta)
         assert np.array_equal(a, b)
 
 
 class TestTopNSelection:
     def test_all_aps(self):
         zeta = rng(2).lognormal(size=(5, 3))
-        assert np.all(clus.select_aps_topn(zeta, 5).j == 1)
+        assert np.all(clus.select_aps_topn(zeta, 5) == 1)
 
     def test_single_best(self):
         zeta = rng(3).lognormal(size=(5, 3))
-        j = clus.select_aps_topn(zeta, 1).j
+        j = clus.select_aps_topn(zeta, 1)
         assert np.array_equal(j.sum(axis=0), [1, 1, 1])
         for k in range(3):
             assert j[np.argmax(zeta[:, k]), k] == 1
 
     def test_matches_sort_oracle(self):
         zeta = np.array([[3.0, 9.0], [5.0, 1.0], [4.0, 7.0]])
-        j = clus.select_aps_topn(zeta, 2).j
+        j = clus.select_aps_topn(zeta, 2)
         for k in range(2):
             expected = sorted(np.argsort(-zeta[:, k])[:2])
             assert sorted(np.flatnonzero(j[:, k])) == expected
@@ -61,20 +61,20 @@ class TestTopNSelection:
 class TestClusterDesign:
     def test_identical_users_merge(self):
         j = np.ones((8, 2), dtype=int)
-        part = clus.design_clusters(clus.SelectionMatrix(j), 4, np.ones((8, 2)))
+        part = clus.design_clusters(j, 4, np.ones((8, 2)))
         assert part.user_sets == ((0, 1),)
         assert np.all(part.test_vectors == 1)
 
     def test_disjoint_support_splits(self):
         j = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
-        part = clus.design_clusters(clus.SelectionMatrix(j), 1, np.ones((4, 2)))
+        part = clus.design_clusters(j, 1, np.ones((4, 2)))
         assert part.user_sets == ((0,), (1,))
 
     def test_hand_trace(self):
         # users 1,2 share two APs (join), user 3 has none in common with the
         # refined test vector (new cluster)
         j = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
-        part = clus.design_clusters(clus.SelectionMatrix(j), 2, np.ones((4, 3)))
+        part = clus.design_clusters(j, 2, np.ones((4, 3)))
         assert part.user_sets == ((0, 1), (2,))
         assert np.array_equal(part.test_vectors[0], [1, 1, 0, 0])
         assert np.array_equal(part.test_vectors[1], [0, 0, 1, 1])
@@ -87,7 +87,7 @@ class TestClusterDesign:
             for users, tv in zip(part.user_sets, part.test_vectors):
                 expected = np.ones(8, dtype=int)
                 for u in users:
-                    expected *= sel.j[:, u]
+                    expected *= sel[:, u]
                 assert np.array_equal(tv, expected)
 
     def test_partition_invariants_randomized(self):
@@ -118,8 +118,7 @@ class TestClusterDesign:
 
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
-            clus.design_clusters(clus.SelectionMatrix(np.ones((4, 2), dtype=int)), 0,
-                                 np.ones((4, 2)))
+            clus.design_clusters(np.ones((4, 2), dtype=int), 0, np.ones((4, 2)))
 
     def test_matches_reference_implementation(self):
         # independent slow re-implementation of the greedy grouping; every
@@ -148,7 +147,7 @@ class TestClusterDesign:
             sel = clus.select_aps_threshold(zeta)
             for n_a in (1, 2, 3):
                 part = clus.design_clusters(sel, n_a, zeta)
-                clusters, vectors, joins = reference(sel.j, n_a)
+                clusters, vectors, joins = reference(sel, n_a)
                 assert part.user_sets == tuple(tuple(c) for c in clusters)
                 assert np.array_equal(part.test_vectors, np.array(vectors))
                 for _, _, shared in joins:
@@ -171,7 +170,7 @@ class TestFixedClusterDesign:
     def test_seeding_matches_bruteforce(self):
         # seeds {0, 2} share no APs; user 1 joins user 0 (overlap 2 beats 1)
         j = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]])
-        part = clus.design_clusters_fixed(clus.SelectionMatrix(j), 2, np.ones((4, 3)))
+        part = clus.design_clusters_fixed(j, 2, np.ones((4, 3)))
         overlap = j.T @ j
         pairs = [(overlap[a, b], a, b) for a in range(3) for b in range(a + 1, 3)]
         assert min(pairs)[1:] == (0, 2)
@@ -188,8 +187,7 @@ class TestFixedClusterDesign:
 
     def test_rejects_too_many_clusters(self):
         with pytest.raises(ValueError):
-            clus.design_clusters_fixed(clus.SelectionMatrix(np.ones((8, 4), dtype=int)),
-                                       5, np.ones((8, 4)))
+            clus.design_clusters_fixed(np.ones((8, 4), dtype=int), 5, np.ones((8, 4)))
 
 
 class TestSparseChannel:

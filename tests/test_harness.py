@@ -62,8 +62,9 @@ class TestSchemeGrammar:
 
 class TestRunTrial:
     def test_deterministic_replay(self):
-        a = harness.run_realization(SMALL, 1, snr_grid=(10.0,))
-        b = harness.run_realization(SMALL, 1, snr_grid=(10.0,))
+        cfg = replace(SMALL, snr_grid_db=(10.0,))
+        a = harness.run_realization(cfg, 1)
+        b = harness.run_realization(cfg, 1)
         assert len(a) == len(b) == len(SMALL.schemes)
         for ra, rb in zip(a, b):
             assert ra == rb
@@ -72,9 +73,9 @@ class TestRunTrial:
         # the rate-split scheme with the fraction forced to zero must equal
         # the plain scheme: the grid's delta=0 point evaluates identically
         import dataclasses
-        cfg = dataclasses.replace(SMALL, power_grid_step=1.0,
+        cfg = dataclasses.replace(SMALL, power_grid_step=1.0, snr_grid_db=(10.0,),
                                   schemes=("CF-MF-SP", "RS-CF-MF-SP"))
-        rows = harness.run_realization(cfg, 0, snr_grid=(10.0,))
+        rows = harness.run_realization(cfg, 0)
         by_scheme = {r.scheme: r for r in rows}
         assert by_scheme["RS-CF-MF-SP"].delta == 0.0
         assert by_scheme["RS-CF-MF-SP"].s_a == pytest.approx(
@@ -83,11 +84,11 @@ class TestRunTrial:
     def test_runs_quickly(self):
         import time
         start = time.perf_counter()
-        harness.run_realization(ExperimentConfig(n_err=100, seed=3), 0, snr_grid=(20.0,))
+        harness.run_realization(ExperimentConfig(n_err=100, seed=3, snr_grid_db=(20.0,)), 0)
         assert time.perf_counter() - start < 1.0
 
     def test_trial_fields(self):
-        rows = harness.run_realization(SMALL, 2, snr_grid=(0.0,))
+        rows = harness.run_realization(replace(SMALL, snr_grid_db=(0.0,)), 2)
         for row in rows:
             assert row.realization == 2 and row.snr_db == 0.0
             assert len(row.mean_cr) == SMALL.k and len(row.mean_pr) == SMALL.k
@@ -306,6 +307,14 @@ class TestRunExperiment:
         _, mixed = harness.run_experiment(replace(cfg, schemes=(*cfg.schemes, "CF-MF")))
         assert alone == [row for row in mixed if row.scheme != "CF-MF"]
 
+    def test_distributed_rows_do_not_depend_on_other_schemes(self):
+        # at K=2 the private GEMM of a slice has two columns; it must not round
+        # differently next to the default list's other slices
+        cfg = replace(SMALL, k=2, n_c=1, schemes=("CF-MF", "CF-ZF", "RS-CF-ZF-SP"))
+        _, alone = harness.run_experiment(cfg)
+        _, mixed = harness.run_experiment(replace(cfg, schemes=ExperimentConfig().schemes))
+        assert alone == [row for row in mixed if row.scheme in cfg.schemes]
+
     def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
         # one attempt of the default list: every private set is built once per
         # (side, channel, construction), with all SNR points in one build; the
@@ -356,13 +365,16 @@ class TestRunExperiment:
         # and each beam once
         assert len(projections) == 2 + 2
 
-    @pytest.mark.parametrize("slices", [1, 3, 39])
-    def test_slice_chunks_do_not_change_rows(self, monkeypatch, slices):
+    @pytest.mark.parametrize("k, n_c, slices", [
+        pytest.param(k, n_c, slices, id=f"{slices}" if k == 4 else f"K{k}-{slices}")
+        for k, n_c in ((4, 2), (2, 1), (1, 1)) for slices in (1, 3, 39)])
+    def test_slice_chunks_do_not_change_rows(self, monkeypatch, k, n_c, slices):
         # the chunk budget only decides how many slices one projection stacks and one
         # kernel call covers; the default list has both sides, dense and clustered
         # channels, plain and RS schemes, and sets with and without an SNR axis, and
-        # 39 slices hold every slice of a side (38 distributed, 1 co-located)
-        cfg = ExperimentConfig(n_err=10, n_realizations=2, seed=1)
+        # 39 slices hold every slice of a side (38 distributed, 1 co-located).  At
+        # K <= 2 a GEMM over several slices would round a slice by its neighbours
+        cfg = ExperimentConfig(k=k, n_c=n_c, n_err=10, n_realizations=2, seed=1)
         _, whole = harness.run_experiment(cfg)
         assert harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2) >= 39
         monkeypatch.setattr(harness, "_CHUNK_BYTES", slices * 16 * cfg.n_err * cfg.k ** 2)

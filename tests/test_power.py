@@ -244,7 +244,8 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
 def has_clamped_draw(bundle, alloc, sigma_w2, sigma_e):
     # a clamped draw is the only way to a zero rate on a stream with power
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-    cr, pr = rates.rate_components_over_draws(bundle, alloc.a_c, alloc.a_p, sigma_w2, eps)
+    cr, pr = (np.log2(1.0 + x) for x in rates.sinr_components_over_draws(
+        bundle, alloc.a_c, alloc.a_p, sigma_w2, eps))
     powered = alloc.a_c[bundle.cluster_of] > 0.0
     return bool((pr == 0.0).any() or (cr[:, powered] == 0.0).any())
 

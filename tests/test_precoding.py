@@ -103,12 +103,12 @@ class TestCommonPrecoder:
 class TestMatchedFilter:
     def test_real_channel_unchanged(self):
         g = np.abs(complex_matrix(4, 2, 8)).astype(complex)
-        sparse = prec.dense_channel(g)
+        sparse = clus.sparse_channel(g, clus.single_cluster(*g.shape))
         assert np.array_equal(prec.mf_sp(sparse).private, g)
 
     def test_conjugation(self):
         g = complex_matrix(2, 2, 9)
-        sparse = prec.dense_channel(g)
+        sparse = clus.sparse_channel(g, clus.single_cluster(*g.shape))
         np.testing.assert_allclose(prec.mf_sp(sparse).private, g.conj(), rtol=1e-15)
 
     def test_sparsity_inherited(self):
@@ -120,7 +120,7 @@ class TestMatchedFilter:
 class TestZeroForcing:
     def test_orthonormal_columns(self):
         q, _ = np.linalg.qr(complex_matrix(8, 4, 12))
-        sparse = prec.dense_channel(q.conj())  # makes g_bar^T g_bar* = I
+        sparse = clus.sparse_channel(q.conj(), clus.single_cluster(8, 4))  # g_bar^T g_bar* = I
         pset = prec.zf_sp(sparse, pt=2.0)
         assert pset.beta == pytest.approx(math.sqrt(2.0 / 4.0), rel=1e-9)
         np.testing.assert_allclose(pset.private, pset.beta * q, atol=1e-9)
@@ -140,13 +140,13 @@ class TestZeroForcing:
         g = complex_matrix(8, 4, 15)
         g[:, 1] = g[:, 0]
         with pytest.raises(prec.RankDeficientChannelError):
-            prec.zf_sp(prec.dense_channel(g), pt=1.0)
+            prec.zf_sp(clus.sparse_channel(g, clus.single_cluster(*g.shape)), pt=1.0)
 
 
 class TestMmse:
     def test_vanishing_noise_reduces_to_zf(self):
         g = complex_matrix(8, 4, 16)
-        dense = prec.dense_channel(g)
+        dense = clus.sparse_channel(g, clus.single_cluster(*g.shape))
         pt = 1.0
         zf = prec.zf_sp(dense, pt)
         mmse = prec.mmse_sp(dense, pt, sigma_w2=1e-12 * pt)
@@ -155,7 +155,7 @@ class TestMmse:
 
     def test_vanishing_power_aligns_with_mf(self):
         g = complex_matrix(8, 4, 17)
-        dense = prec.dense_channel(g)
+        dense = clus.sparse_channel(g, clus.single_cluster(*g.shape))
         mmse = prec.mmse_sp(dense, pt=1e-12, sigma_w2=1.0)
         for k in range(4):
             a = mmse.private[:, k] / np.linalg.norm(mmse.private[:, k])
@@ -282,9 +282,8 @@ class TestNetworkWide:
     """Dense (unmasked) precoders: a table construction on the dense channel."""
 
     def wide(self, g_hat, label, pt=1.0, sigma_w2=0.1):
-        m, k = g_hat.shape
-        return prec.construct(label, prec.dense_channel(g_hat), clus.single_cluster(m, k),
-                              pt, sigma_w2)
+        part = clus.single_cluster(*g_hat.shape)
+        return prec.construct(label, clus.sparse_channel(g_hat, part), part, pt, sigma_w2)
 
     def test_full_coverage_equals_sparse(self):
         g_hat = complex_matrix(8, 4, 26)
@@ -345,7 +344,8 @@ class TestSnrAxis:
     def test_stacked_build_equals_scalar_builds(self, label, dense):
         sparse, part, g_hat = clustered_instance(40)
         if dense:
-            sparse, part = prec.dense_channel(g_hat), clus.single_cluster(*g_hat.shape)
+            part = clus.single_cluster(*g_hat.shape)
+            sparse = clus.sparse_channel(g_hat, part)
         sigma_w2 = 1e-3
         pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
         for normalise in (False, True):

@@ -30,7 +30,7 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
         pset = prec.zf_sp(sparse, pt=1.0)
     else:
         raise ValueError(kind)
-    pset = prec.attach_common(pset, common)
+    pset = replace(pset, common=common)
     alloc = pw.equal_split(1.0, delta, part.n_clusters, 4)
     return rates.RateInputs(real, sparse, part, pset, cache, alloc, 1e-3)
 
@@ -149,7 +149,7 @@ class TestClamping:
             (g_hat - g_err) / math.sqrt(1 - 0.25), g_hat, g_err, 0.5)
         part = clus.single_cluster(4, 1)
         sparse = clus.sparse_channel(g_hat, part)
-        pset = prec.attach_common(prec.mf_sp(sparse), np.ones((4, 1)) / 2.0)
+        pset = replace(prec.mf_sp(sparse), common=np.ones((4, 1)) / 2.0)
         alloc = pw.PowerAllocation(np.zeros(1), np.ones(1), 0.0, 1.0)
         inputs = rates.RateInputs(real, sparse, part, pset, None, alloc, 1e-9)
         assert rates.draw_sinrs(inputs)[1][0] == 0.0
@@ -214,8 +214,8 @@ class TestVectorisedPath:
         bundle = rates.project_precoders(inputs.realization.g_hat, err,
                                          inputs.precoders, inputs.partition)
         eps = 1.0 / math.sqrt(1.0 - 0.05)
-        cr, pr = rates.rate_components_over_draws(bundle, inputs.power.a_c,
-                                                  inputs.power.a_p, inputs.sigma_w2, eps)
+        cr, pr = (np.log2(1.0 + x) for x in rates.sinr_components_over_draws(
+            bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2, eps))
         for n in range(6):
             common, private = rates.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
             np.testing.assert_allclose(cr[n], np.log2(1.0 + common), rtol=1e-10)
