@@ -202,7 +202,7 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
     ``freeze_geometry`` an empty cluster fails at once: the gains and the
     partition, hence the cluster, are the same on every attempt.
     """
-    last_error: Exception | None = None
+    last_error = ""  # the message only: an exception's traceback holds this frame
     for attempt in range(MAX_REDRAWS + 1):
         try:
             return attempt_fn(attempt)
@@ -211,7 +211,7 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
                 raise RuntimeError(f"realization {index}: {exc}; the clustering cannot "
                                    "change under freeze_geometry, pick another seed") from exc
             log.warning("realization %d attempt %d redrawn: %s", index, attempt, exc)
-            last_error = exc
+            last_error = str(exc)
     raise RuntimeError(
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
@@ -276,9 +276,11 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                 partition, cluster_of = channels[dense]
                 bundle = rates.ProjectionBundle(common_streams.get(dense), proj, cluster_of)
                 if rs:
-                    alloc = pw.stack([pw.allocate_common(
-                        bundle.at(t), sigma_e, partition, sigma_w2, pts[s], **search)[0]
-                        for _, s, t in mine])
+                    # one view per slice, dropped after its searches: its terms serve each point
+                    alloc = pw.stack([
+                        pw.allocate_common(view, sigma_e, partition, sigma_w2, pts[s], **search)[0]
+                        for t, group in itertools.groupby(mine, key=lambda entry: entry[2])
+                        for view in [bundle.at(t)] for _, s, _ in group])
                 else:
                     alloc = pw.no_split(pts[[s for _, s, _ in mine]], config.k)
                 # entries on one slice broadcast it instead of stacking copies of it

@@ -90,36 +90,44 @@ def stack(allocs: list[PowerAllocation]) -> PowerAllocation:
                            np.array([a.delta for a in allocs]), np.array([a.pt for a in allocs]))
 
 
+@functools.lru_cache(maxsize=None)
+def _exhaustive_candidates(mu: float, n_c: int) -> tuple[np.ndarray, np.ndarray]:
+    """``per_cluster_exhaustive``'s candidates in search order: totals (G,) and the
+    per-cluster fractions (G, N_c), read-only: every search shares them."""
+    candidates = sorted((round(sum(combo), 12), combo)
+                        for combo in itertools.product(_grid(mu), repeat=n_c)
+                        if round(sum(combo), 12) < 1.0 - 1e-12)
+    totals, fractions = (np.array(column) for column in zip(*candidates))
+    totals.flags.writeable = fractions.flags.writeable = False
+    return totals, fractions
+
+
 def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
                     partition: ClusterPartition, sigma_w2: float, pt: float, *,
                     mu: float, mode: str = "equal_split") -> tuple[PowerAllocation, int]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
-    Every candidate is scored on the one stack of estimation-error draws
-    projected into ``bundle``, so the comparison is noise-free across the
-    grid.  The whole grid is ranked at once from the bundle's per-draw
-    terms; the caller scores the winner with the rate kernel.  In
-    ``equal_split`` mode a single fraction is scanned and divided equally
-    across clusters; ``per_cluster_exhaustive`` scans a separate fraction
-    per cluster (only for up to two clusters, falling back to equal split
-    beyond that; ``config.validate`` rejects the mode with
-    ``cluster_mode=fixed`` and ``n_c > 2``, so the fallback only happens
-    under ``cluster_mode=auto``).  Candidates run in ascending total
-    fraction (then by the per-cluster fractions), and the first one within
-    ``_NEAR_TIE`` of the best score wins, so on a flat objective (zero
-    forcing at sigma_e = 0, say) delta is 0.  Returns the winner and the
-    number of candidates within ``_NEAR_TIE`` of the best score.
+    Every candidate is scored on the one stack of error draws projected into
+    ``bundle``, so the comparison is noise-free across the grid, and
+    :func:`rates.split_grid_scores` ranks the whole grid at once from the
+    split terms that a bundle view builds once for all its searches; the
+    caller scores the winner with the rate kernel.  ``equal_split`` scans one
+    fraction, divided equally across clusters; ``per_cluster_exhaustive``
+    scans one per cluster, from a table cached per (mu, n_c), for up to two
+    clusters and falls back to equal split beyond (``config.validate``
+    rejects it with ``cluster_mode=fixed`` and ``n_c > 2``).  Candidates run
+    in ascending total fraction, then by the per-cluster fractions, and the
+    first within ``_NEAR_TIE`` of the best score wins, so delta is 0 on a
+    flat objective (zero forcing at sigma_e = 0, say).  Returns the winner
+    and the number of candidates within ``_NEAR_TIE`` of the best score.
     """
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
     n_c = partition.n_clusters
     k = len(bundle.cluster_of)
     if mode == "per_cluster_exhaustive" and n_c <= 2:
-        candidates = sorted((round(sum(combo), 12), combo)
-                            for combo in itertools.product(_grid(mu), repeat=n_c)
-                            if round(sum(combo), 12) < 1.0 - 1e-12)
-        totals = np.array([total for total, _ in candidates])
-        a_c = np.sqrt(np.array([combo for _, combo in candidates]) * pt)
+        totals, fractions = _exhaustive_candidates(mu, n_c)
+        a_c = np.sqrt(fractions * pt)
     else:
         # the amplitudes of equal_split, one row per candidate
         totals = np.array(_grid(mu))

@@ -23,6 +23,7 @@ and ergodic sum rates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -253,6 +254,17 @@ class ProjectionBundle:
         # reads its shape
         return self.private.e2.reshape((-1,) + self.private.e2.shape[-2:])
 
+    @functools.cached_property
+    def split_terms(self) -> np.ndarray:
+        """Per-draw terms of :func:`split_grid_scores`, (K, N_c + 4, n), built once per view:
+        own common power loss, |e_c|^2 of every beam, sum_r |e_p|^2, private power loss
+        minus own |e_p|^2 plus sum_r |e_p|^2, and ones that carry the noise."""
+        c, p = self.common, self.private
+        e_p2_all = p.e2.sum(axis=2)                          # (n, K)
+        return np.concatenate([c.loss.T[:, None], c.e2.transpose(1, 2, 0),
+                               e_p2_all.T[:, None], (p.loss - p.own_e2 + e_p2_all).T[:, None],
+                               np.ones((len(self.cluster_of), 1, len(p.loss)))], axis=1)
+
     def at(self, s: int | np.ndarray) -> "ProjectionBundle":
         """Slice ``s`` of the bundle, or the stack of slices an index array picks; one
         without a slice axis serves every slice."""
@@ -370,43 +382,39 @@ def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
     """Average sum rate of G split candidates at once, shape (G,), for ranking.
 
     ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
-    across users.  Every SINR denominator is a matrix product of amplitude
-    weights (K, G, B) with the bundle's per-draw terms (K, B, n), and the
-    SINRs and clamp are those of :func:`sinr_components_over_draws`; the
+    across users.  One product of weights (K, 2G, N_c + 4) with the bundle's
+    ``split_terms`` (K, N_c + 4, n) gives every candidate's common SINR
+    denominators in rows 0..G-1 and private ones in rows G..2G-1, and the
+    clamp, log2 and mean over draws run once, in place, for both streams.
+    The SINRs and clamp are those of :func:`sinr_components_over_draws`; the
     summation order differs, so values agree with the kernel to rounding.
     """
-    c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
-    n, k_total = p.loss.shape
-    # terms per user: own power loss, |e_c|^2 of every beam, private
-    # interference, and a row of ones that carries the noise
-    e_c2, ones = c.e2.transpose(1, 2, 0), np.ones((k_total, 1, n))
-    e_p2_all = p.e2.sum(axis=2).T[:, None, :]            # (K, 1, n)
-    terms_c = np.concatenate([c.loss.T[:, None, :], e_c2, e_p2_all, ones], axis=1)
-    terms_p = np.concatenate([(p.loss - p.own_e2).T[:, None, :] + e_p2_all, e_c2, ones], axis=1)
-
+    terms, i_of = bundle.split_terms, bundle.cluster_of
+    k_total, n_terms, _ = terms.shape
     ac2 = np.asarray(a_c, dtype=float) ** 2              # (G, N_c)
-    ap2 = np.tile(np.asarray(a_p, dtype=float) ** 2, (k_total, 1))[:, :, None]  # (K, G, 1)
-    own_ac2 = ac2[:, i_of].T[:, :, None]                 # (K, G, 1)
-    # only the other clusters' common streams interfere
-    others = ac2[None, :, :] * (np.arange(ac2.shape[1]) != i_of[:, None])[:, None, :]
-    noise = np.full_like(ap2, sigma_w2 * (1.0 - sigma_e ** 2))  # the kernel's sigma_w2 / eps^2
-
-    def mean_rate(weights, terms, num):
-        # log2(1 + num/den) as log2((den + num)/den); a draw with den <= 0 has rate 0
-        den = weights @ terms
-        weights[:, :, -1:] += num
-        ratio = weights @ terms
-        clamped = den <= 0.0
-        np.divide(ratio, den, out=ratio)
-        ratio[clamped] = 1.0
-        return np.log2(ratio, out=ratio).mean(axis=2)   # (K, G)
-
-    mean_cr = mean_rate(np.concatenate([own_ac2, others, ap2, noise], axis=2), terms_c,
-                        own_ac2 * c.hat_own2[:, None, None])
-    mean_pr = mean_rate(np.concatenate([ap2, others, noise], axis=2), terms_p,
-                        ap2 * p.hat_own2[:, None, None])
-    min_cr = np.stack([mean_cr[list(u)].min(axis=0) for u in partition.user_sets])
-    return min_cr.sum(axis=0) + mean_pr.sum(axis=0)
+    ap2, g = np.asarray(a_p, dtype=float) ** 2, len(a_p)  # (G,)
+    own_ac2 = ac2[:, i_of].T                             # (K, G)
+    # weights of the terms: common rows own a_c^2, the other clusters' a_c^2, a_p^2,
+    # 0, noise; private rows 0, the other clusters' a_c^2, 0, a_p^2, noise
+    weights = np.zeros((k_total, 2 * g, n_terms))
+    weights[:, :g, 0] = own_ac2
+    weights[:, :g, 1:-3] = weights[:, g:, 1:-3] = ac2
+    weights[np.arange(k_total), :, 1 + i_of] = 0.0
+    weights[:, :g, -3] = weights[:, g:, -2] = ap2
+    weights[:, :, -1] = sigma_w2 * (1.0 - sigma_e ** 2)  # the kernel's sigma_w2 / eps^2
+    num = np.concatenate([own_ac2 * bundle.common.hat_own2[:, None],
+                          ap2 * bundle.private.hat_own2[:, None]], axis=1)
+    sinr = weights @ terms                               # (K, 2G, n) denominators
+    # a draw whose power-loss terms push the denominator to or below zero has rate 0
+    sinr[sinr <= 0.0] = np.inf
+    np.divide(num[:, :, None], sinr, out=sinr)
+    sinr += 1.0
+    mean_rate = np.log2(sinr, out=sinr).mean(axis=2)    # (K, 2G)
+    # the cluster minima of the common rates, users taken in cluster order
+    order = np.concatenate(partition.user_sets)
+    starts = np.cumsum([0] + [len(u) for u in partition.user_sets[:-1]])
+    min_cr = np.minimum.reduceat(mean_rate[order, :g], starts, axis=0)
+    return min_cr.sum(axis=0) + mean_rate[:, g:].sum(axis=0)
 
 
 def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,

@@ -3,8 +3,9 @@
 Every benchmark run checks its result records against the full-precision
 goldens in ``bench/goldens``: split fractions exact, rates to 1e-12
 relative.  This test applies the same check, with the benchmark's own
-code, to config seed 1 of each workload, so a faster path that moves a
-split fraction fails here and not only inside the benchmark.
+code, to config seed 1 of each workload and to config seeds 2 to 4 of
+each workload with its own golden, so a faster path that moves a split
+fraction fails here and not only inside the benchmark.
 ``reference-w2`` runs the process pool and is checked against the
 ``reference`` golden, as the benchmark does.
 """
@@ -31,14 +32,24 @@ golden = load_bench("golden")
 workloads = load_bench("workloads")
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_config_seed_1_matches_golden(name):
-    # reference-w2 runs the process pool and is checked against the reference golden
-    workload = workloads.WORKLOADS[name]
-    cfg = config.resolve(None, workload.config_overrides(1))
+def assert_matches_golden(workload, seed):
+    cfg = config.resolve(None, workload.config_overrides(seed))
     records, _ = harness.run_experiment(cfg)
     got = [[r.scheme, r.snr_db, r.esr, r.ecr, r.epr, r.stderr, r.delta_mean, r.n_clusters_mean]
            for r in records]
-    want = golden.load(workload.golden, 1)
+    want = golden.load(workload.golden, seed)
     assert [g[:2] for g, w in zip(got, want) if not golden.record_ok(g, w)] == []
     assert golden.count_failed(got, want) == 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_config_seed_1_matches_golden(name):
+    # reference-w2 runs the process pool and is checked against the reference golden
+    assert_matches_golden(workloads.WORKLOADS[name], 1)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(workloads.GOLDENS))
+def test_config_seeds_2_to_4_match_golden(name, seed):
+    # a split fraction that flips on another seed's draws fails here too
+    assert_matches_golden(workloads.GOLDENS[name], seed)

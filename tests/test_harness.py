@@ -257,6 +257,26 @@ class TestRunExperiment:
         # replay reproduces the redrawn outcome bit for bit
         assert harness.run_realization(cfg, hit[0].realization) == hit
 
+    def test_redrawn_realization_leaves_no_reference_cycle(self, monkeypatch):
+        # realization 10 of this list is redrawn once; a kept exception would hold its
+        # traceback, whose frames hold the failed attempt, until the cycle collector ran.
+        # The redraw warning is muted: a captured log record would keep the exception
+        # reachable, and the collector would find nothing to free
+        import gc
+        monkeypatch.setattr(harness.log, "disabled", True)
+        cfg = ExperimentConfig(schemes=("BS-MF", "BS-ZF", "BS-MMSE", "CF-MF", "CF-ZF",
+                                        "CF-MMSE", "CF-MF-SP", "CF-ZF-SP", "CF-MMSE-SP",
+                                        "CF-ZF-RD", "CF-MMSE-RD"), n_err=10, seed=1)
+        gc.disable()
+        try:
+            gc.collect()
+            rows = harness.run_realization(cfg, 10)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert rows[0].redraws == 1
+        assert freed == 0
+
     def test_frozen_degenerate_geometry_fails_loudly(self, monkeypatch):
         # with frozen geometry the gains never change, so a clustering that
         # strands a cluster cannot be redrawn away and must raise at once
@@ -364,6 +384,35 @@ class TestRunExperiment:
         # at n_err=10 each side's slices fit one chunk: one private stack per side,
         # and each beam once
         assert len(projections) == 2 + 2
+
+    @pytest.mark.parametrize("n_err", [10, 100])
+    def test_split_terms_built_once_per_slice(self, monkeypatch, n_err):
+        # the default list searches six RS schemes at seven SNR points on 24 slices:
+        # three sets with an SNR axis, and the clustered MF-SP, the RU-ZF-RD and the
+        # co-located MF-SP sets without one, whose one view serves all seven searches
+        from functools import cached_property
+
+        from rscf import power as pw
+        from rscf import rates
+        builds, searches = [], []
+        terms, search = rates.ProjectionBundle.split_terms.func, pw.allocate_common
+
+        def counted_terms(bundle):
+            builds.append(bundle.private.e2.shape)
+            return terms(bundle)
+
+        def counted_search(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+        counted = cached_property(counted_terms)
+        counted.__set_name__(rates.ProjectionBundle, "split_terms")
+        monkeypatch.setattr(rates.ProjectionBundle, "split_terms", counted)
+        monkeypatch.setattr(pw, "allocate_common", counted_search)
+        cfg = ExperimentConfig(n_err=n_err, seed=1)
+        rows = harness.run_realization(cfg, 0)
+        assert rows[0].redraws == 0
+        assert len(searches) == 6 * 7 and len(builds) == 3 * 7 + 3
+        assert set(builds) == {(n_err, cfg.k, cfg.k)}
 
     @pytest.mark.parametrize("k, n_c, slices", [
         pytest.param(k, n_c, slices, id=f"{slices}" if k == 4 else f"K{k}-{slices}")

@@ -9,6 +9,7 @@ from rscf import channel as chan
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
+from rscf.config import ExperimentConfig
 from rscf.harness import _build_private, random_instance, seeded_rng
 
 from fixture_network import FIXTURE
@@ -59,8 +60,8 @@ class TestDeltaGrid:
                 pw.delta_grid(mu)
 
 
-def search_setup(seed, sigma_e2=0.025, kind=prec.LABEL_MF_SP):
-    return random_instance(seed, replace(FIXTURE, sigma_e2=sigma_e2), kind=kind, with_zeta=True)
+def search_setup(seed, sigma_e2=0.025, kind=prec.LABEL_MF_SP, network=FIXTURE):
+    return random_instance(seed, replace(network, sigma_e2=sigma_e2), kind=kind, with_zeta=True)
 
 
 def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):
@@ -252,16 +253,21 @@ def has_clamped_draw(bundle, alloc, sigma_w2, sigma_e):
 
 class TestGridScorer:
     MODES = ("equal_split", "per_cluster_exhaustive")
+    # four fixed clusters: every user sees three interfering common beams, where the
+    # fixture's partitions have at most two clusters
+    SCALED = ExperimentConfig(m=64, k=16, cluster_mode="fixed", n_c=4)
 
     def test_search_matches_per_candidate_loop(self):
-        searches = clamped = checked_values = 0
-        for seed in range(17):
+        searches = clamped = checked_values = scaled_values = 0
+        cases = ([(FIXTURE, seed, self.MODES) for seed in range(17)]
+                 + [(self.SCALED, seed, ("equal_split",)) for seed in range(3)])
+        for network, seed, modes in cases:
             for kind in prec.CONSTRUCTIONS:
                 for se2 in (0.0, 0.025, 0.1):
-                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind)
+                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind, network=network)
                     sigma_e = math.sqrt(se2)
                     err = errors(zeta, 30, seeded_rng(seed, 41), sigma_e)
-                    for mode in self.MODES:
+                    for mode in modes:
                         mu = 0.05 if mode == "equal_split" else 0.1
                         args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
                                 inputs.precoders, inputs.sigma_w2, inputs.power.pt, mu)
@@ -277,10 +283,13 @@ class TestGridScorer:
                             np.testing.assert_array_equal(getattr(asr, field),
                                                           getattr(results[best], field))
 
+                        # at the zero-rate clamp the two may part by a few 1e-12 on the
+                        # fixture; the scaled inputs stay within 1e-12 on every search
                         if any(has_clamped_draw(bundle, a, inputs.sigma_w2, sigma_e)
                                for a in allocations):
                             clamped += 1
-                            continue
+                            if network is not self.SCALED:
+                                continue
                         table = np.array([a.a_c for a in allocations])
                         scores = rates.split_grid_scores(
                             bundle, inputs.partition, table,
@@ -289,8 +298,10 @@ class TestGridScorer:
                         np.testing.assert_allclose(scores, [r.s_a for r in results],
                                                    rtol=1e-12, atol=0.0)
                         checked_values += 1
+                        scaled_values += network is self.SCALED
         assert searches >= 500
         assert clamped >= 50 and checked_values >= 100
+        assert scaled_values == 3 * len(prec.CONSTRUCTIONS) * 3
 
 
 class TestStackedScoring:
