@@ -5,11 +5,14 @@ imperfect estimate, clusters the network, and evaluates every configured
 transmission scheme over the SNR grid.  Realizations are independently
 seeded work items derived from (master seed, realization index), so the
 result of a run is a pure function of the configuration no matter how the
-work is scheduled; the reduction walks trial rows in index order with
-compensated summation.  The run, the precoder dump and the cluster report
-all build a realization the same way: ``_scheme_sides`` for the channel
-state, ``_attempt_precoders`` for the precoders, inside one ``_with_redraws``
-loop.
+work is scheduled; the reduction walks realizations in index order with
+compensated summation.  A realization's trial rows travel as one
+:class:`RealizationBlock` of per-entry arrays, filled where the rate kernel
+returns them; ``trials.jsonl`` is streamed one block at a time, and a
+:class:`TrialRow` is only built when a row is read.  The run, the precoder
+dump and the cluster report all build a realization the same way:
+``_scheme_sides`` for the channel state, ``_attempt_precoders`` for the
+precoders, inside one ``_with_redraws`` loop.
 
 The SNR grid is an array axis.  Phase 1 of an attempt builds each private
 set once per (side, channel, construction) at the whole array of power
@@ -31,9 +34,11 @@ import itertools
 import json
 import logging
 import math
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +76,11 @@ class SideData:
 
 @dataclass(frozen=True)
 class TrialRow:
-    """One (realization, scheme, SNR) outcome."""
+    """One (realization, scheme, SNR) outcome.
+
+    A run holds its rows per realization as the arrays of a
+    :class:`RealizationBlock`; a TrialRow is built from them when read.
+    """
 
     realization: int
     scheme: str
@@ -84,6 +93,80 @@ class TrialRow:
     min_cr: tuple[float, ...]
     cluster_of: tuple[int, ...]
     redraws: int
+
+
+class _RowSequence(Sequence):
+    """Read-only trial rows; equal to a list or row sequence of equal TrialRows."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, _RowSequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+@dataclass(frozen=True, eq=False)
+class RealizationBlock(_RowSequence):
+    """The trial rows of one realization as arrays, entry ``point * len(schemes) + scheme``.
+
+    ``min_cr`` is padded to K columns: an entry's first ``n_clusters`` are its own.
+    """
+
+    realization: int
+    redraws: int
+    schemes: tuple[str, ...]
+    snr_db: tuple[float, ...]
+    s_a: np.ndarray         # (E,)
+    delta: np.ndarray       # (E,)
+    n_clusters: np.ndarray  # (E,) int
+    mean_cr: np.ndarray     # (E, K)
+    mean_pr: np.ndarray     # (E, K)
+    min_cr: np.ndarray      # (E, K)
+    cluster_of: np.ndarray  # (E, K) int
+
+    def __len__(self) -> int:
+        return len(self.s_a)
+
+    def __iter__(self):
+        return itertools.starmap(TrialRow, self.row_fields())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        entry = range(len(self))[index]
+        return TrialRow(*next(self.row_fields(entry, entry + 1)))
+
+    def row_fields(self, lo: int = 0, hi: int | None = None):
+        """TrialRow fields of entries lo..hi-1 as tuples, each column read by one ``tolist``."""
+        cut = slice(lo, hi)
+        n_clusters = self.n_clusters[cut].tolist()
+        return zip(itertools.repeat(self.realization),
+                   (self.schemes * len(self.snr_db))[cut],
+                   [snr for snr in self.snr_db for _ in self.schemes][cut],
+                   self.s_a[cut].tolist(), self.delta[cut].tolist(), n_clusters,
+                   map(tuple, self.mean_cr[cut].tolist()), map(tuple, self.mean_pr[cut].tolist()),
+                   map(lambda mn, n: tuple(mn[:n]), self.min_cr[cut].tolist(), n_clusters),
+                   map(tuple, self.cluster_of[cut].tolist()), itertools.repeat(self.redraws))
+
+
+class TrialRows(_RowSequence):
+    """Every trial row of a run in realization order, read from the realizations' blocks."""
+
+    def __init__(self, blocks: list[RealizationBlock]):
+        self.blocks = blocks
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.blocks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        block, entry = divmod(range(len(self))[index], len(self.blocks[0]))
+        return self.blocks[block][entry]
 
 
 @dataclass(frozen=True)
@@ -238,7 +321,7 @@ def _side_slices(specs: list[SchemeSpec], bs: bool, privates: dict, n_points: in
     return slices, calls
 
 
-def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> list[TrialRow]:
+def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> RealizationBlock:
     specs = [parse_scheme(label) for label in config.schemes]
     sides = _scheme_sides(config, specs, index, attempt)
     sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
@@ -249,7 +332,12 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
     pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in config.snr_grid_db])
     privates, commons = _attempt_precoders(config, specs, sides, pts)
     n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
-    users, rows = np.arange(config.k), {}
+    users = np.arange(config.k)
+    # the block's columns, one entry per (point, scheme), filled from the kernel's stacks
+    n_entries = len(pts) * len(specs)
+    s_a, delta, n_clusters = np.empty(n_entries), np.empty(n_entries), np.empty(n_entries, int)
+    mean_cr, mean_pr, min_cr = (np.zeros((n_entries, config.k)) for _ in range(3))
+    cluster_of = np.empty((n_entries, config.k), int)
     for bs in dict.fromkeys(spec.bs for spec in specs):
         # phase 2, per side: one projection per chunk of slices, and one kernel call
         # per (channel, plain or split) and chunk
@@ -273,8 +361,8 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                 mine = [(j, s, t - lo) for j, s, t in entries if lo <= t < lo + n_chunk]
                 if not mine:
                     continue
-                partition, cluster_of = channels[dense]
-                bundle = rates.ProjectionBundle(common_streams.get(dense), proj, cluster_of)
+                partition, labels = channels[dense]
+                bundle = rates.ProjectionBundle(common_streams.get(dense), proj, labels)
                 if rs:
                     # one view per slice, dropped after its searches: its terms serve each point
                     alloc = pw.stack([
@@ -288,25 +376,20 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                 asr = rates.asr_from_bundle(
                     bundle.at(picks[0] if len(set(picks)) == 1 else np.array(picks)),
                     partition, alloc, sigma_w2, sigma_e)
-                clusters = tuple(cluster_of.tolist())
-                for (j, s, _), delta, s_a, cr, pr, mn in zip(
-                        mine, np.broadcast_to(alloc.delta, len(mine)).tolist(),
-                        asr.s_a.tolist(), asr.mean_cr.tolist(), asr.mean_pr.tolist(),
-                        asr.min_cr.tolist()):
-                    rows[s, j] = TrialRow(
-                        realization=index, scheme=specs[j].label,
-                        snr_db=float(config.snr_grid_db[s]),
-                        s_a=s_a, delta=delta, n_clusters=partition.n_clusters,
-                        mean_cr=tuple(cr), mean_pr=tuple(pr), min_cr=tuple(mn),
-                        cluster_of=clusters, redraws=attempt)
-    return [rows[row] for row in sorted(rows)]
+                at = [s * len(specs) + j for j, s, _ in mine]
+                s_a[at], delta[at], n_clusters[at] = asr.s_a, alloc.delta, partition.n_clusters
+                mean_cr[at], mean_pr[at], cluster_of[at] = asr.mean_cr, asr.mean_pr, labels
+                min_cr[at, :partition.n_clusters] = asr.min_cr
+    return RealizationBlock(index, attempt, tuple(config.schemes),
+                            tuple(map(float, config.snr_grid_db)), s_a, delta, n_clusters,
+                            mean_cr, mean_pr, min_cr, cluster_of)
 
 
 def _noise(config: ExperimentConfig) -> float:
     return chan.noise_variance(config.t0_k, config.bandwidth_hz, config.noise_figure_db)
 
 
-def run_realization(config: ExperimentConfig, index: int) -> list[TrialRow]:
+def run_realization(config: ExperimentConfig, index: int) -> RealizationBlock:
     """All (scheme, SNR) trial rows of one realization, redrawn while degenerate."""
     return _with_redraws(config, index,
                          lambda attempt: _realization_attempt(config, index, attempt))
@@ -344,55 +427,61 @@ def cluster_partition(config: ExperimentConfig, index: int) -> clus.ClusterParti
     return sides[False].channels[False][0]
 
 
-def aggregate(config: ExperimentConfig, rows: list[TrialRow]) -> list[ResultRecord]:
-    """Reduce trial rows to per-(scheme, SNR) ergodic records, in fixed order."""
-    by_key: dict[tuple[str, float], list[TrialRow]] = {}
-    for row in rows:
-        by_key.setdefault((row.scheme, row.snr_db), []).append(row)
+def aggregate(config: ExperimentConfig,
+              blocks: list[RealizationBlock]) -> list[ResultRecord]:
+    """Reduce the realizations' blocks to per-(scheme, SNR) ergodic records, in fixed order.
+
+    Each column is stacked once over the blocks, in realization order; a
+    (scheme, SNR) group is one entry of the stacks.
+    """
+    mean_cr, mean_pr, cluster_of, delta, n_clusters = (
+        np.stack([getattr(block, name) for block in blocks])
+        for name in ("mean_cr", "mean_pr", "cluster_of", "delta", "n_clusters"))
+    delta, n_clusters, n = delta.T.tolist(), n_clusters.T.tolist(), len(blocks)
     records = []
-    for scheme in config.schemes:
-        for snr in config.snr_grid_db:
-            group = sorted(by_key.get((scheme, float(snr)), []),
-                           key=lambda r: r.realization)
-            if not group:
-                continue
-            esr = rates.ergodic_sum_rate(np.array([r.mean_cr for r in group]),
-                                         np.array([r.mean_pr for r in group]),
-                                         np.array([r.cluster_of for r in group]))
-            n = len(group)
+    for j, scheme in enumerate(config.schemes):
+        for point, snr in enumerate(config.snr_grid_db):
+            entry = point * len(config.schemes) + j
+            esr = rates.ergodic_sum_rate(mean_cr[:, entry], mean_pr[:, entry],
+                                         cluster_of[:, entry])
             records.append(ResultRecord(
                 scheme=scheme, snr_db=float(snr), esr=esr.esr, ecr=esr.ecr,
                 epr=esr.epr, stderr=esr.stderr,
-                delta_mean=math.fsum(r.delta for r in group) / n,
-                n_clusters_mean=math.fsum(r.n_clusters for r in group) / n))
+                delta_mean=math.fsum(delta[entry]) / n,
+                n_clusters_mean=math.fsum(n_clusters[entry]) / n))
     return records
 
 
 def run_experiment(config: ExperimentConfig,
                    out_dir: str | Path | None = None
-                   ) -> tuple[list[ResultRecord], list[TrialRow]]:
+                   ) -> tuple[list[ResultRecord], TrialRows]:
     """Full sweep: realizations x SNR grid x schemes, with optional outputs.
 
     Writes ``results.csv`` and ``trials.jsonl`` under ``out_dir`` when
     given.  The outputs are a pure function of (config, seed): trial rows
-    are reduced in realization order whatever the worker count.
+    are reduced in realization order whatever the worker count.  Each
+    realization's rows are held as one :class:`RealizationBlock` of arrays
+    (what a pool worker sends back), ``trials.jsonl`` is streamed one block
+    at a time, and the returned :class:`TrialRows` builds a TrialRow only
+    when one is read.
     """
     validate(config)
     indices = range(config.n_realizations)
     if config.workers > 1:
         # a fork pool starts all its processes at once: no more than there are tasks
         with ProcessPoolExecutor(max_workers=min(config.workers, config.n_realizations)) as pool:
-            per_real = list(pool.map(partial(run_realization, config), indices))
+            blocks = list(pool.map(partial(run_realization, config), indices))
     else:
-        per_real = [run_realization(config, i) for i in indices]
-    rows = [row for chunk in per_real for row in chunk]
-    records = aggregate(config, rows)
+        blocks = [run_realization(config, i) for i in indices]
+    records = aggregate(config, blocks)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "results.csv").write_text(render_csv(records), encoding="utf-8")
-        (out / "trials.jsonl").write_text(render_jsonl(rows), encoding="utf-8")
-    return records, rows
+        with (out / "trials.jsonl").open("w", encoding="utf-8") as fh:
+            for block in blocks:
+                fh.write(render_jsonl(block))
+    return records, TrialRows(blocks)
 
 
 def dump_precoders(config: ExperimentConfig, realization_index: int = 0,
@@ -435,21 +524,27 @@ def _jsonl_template(*lengths: int) -> str:
             f'"redraws": %r, "s_a": %r, "scheme": %s, "snr_db": %r}}')
 
 
-def render_jsonl(rows: list[TrialRow]) -> str:
-    labels = {r.scheme: json.dumps(r.scheme) for r in rows}
+# a scheme label JSON-quoted, once per distinct label
+_json_label = lru_cache(maxsize=None)(json.dumps)
+# a TrialRow's fields as one tuple, in the order of RealizationBlock.row_fields
+_ROW_FIELDS = attrgetter(*(field.name for field in fields(TrialRow)))
+
+
+def render_jsonl(rows: Iterable[TrialRow]) -> str:
+    """``trials.jsonl`` lines of ``rows``; a RealizationBlock is read from its columns."""
     out = []
-    for r in rows:
+    for row in (rows.row_fields() if isinstance(rows, RealizationBlock)
+                else map(_ROW_FIELDS, rows)):
+        (realization, scheme, snr_db, s_a, delta, n_clusters, mean_cr, mean_pr, min_cr,
+         cluster_of, redraws) = row
         # a NaN or infinity poisons the sum (an overflow only costs the fallback);
         # json spells them NaN/Infinity, repr nan/inf
-        if not math.isfinite(r.s_a + r.delta + r.snr_db + sum(r.mean_cr) + sum(r.mean_pr)
-                             + sum(r.min_cr)):
-            out.append(json.dumps(asdict(r), sort_keys=True))
+        if not math.isfinite(s_a + delta + snr_db + sum(mean_cr) + sum(mean_pr) + sum(min_cr)):
+            out.append(json.dumps(asdict(TrialRow(*row)), sort_keys=True))
             continue
-        template = _jsonl_template(len(r.cluster_of), len(r.mean_cr), len(r.mean_pr),
-                                   len(r.min_cr))
-        out.append(template % (*r.cluster_of, r.delta, *r.mean_cr, *r.mean_pr, *r.min_cr,
-                               r.n_clusters, r.realization, r.redraws, r.s_a,
-                               labels[r.scheme], r.snr_db))
+        template = _jsonl_template(len(cluster_of), len(mean_cr), len(mean_pr), len(min_cr))
+        out.append(template % (*cluster_of, delta, *mean_cr, *mean_pr, *min_cr, n_clusters,
+                               realization, redraws, s_a, _json_label(scheme), snr_db))
     return "\n".join(out) + "\n"
 
 

@@ -18,6 +18,9 @@ SMALL = ExperimentConfig(n_realizations=3, n_err=10, snr_grid_db=(0.0, 10.0),
                          schemes=("CF-MF", "CF-MF-SP", "RS-CF-MF-SP", "BS-MF"),
                          seed=5)
 
+# the benchmark's conventional workload: every scheme without rate splitting
+CONVENTIONAL = ("BS-MF", "BS-ZF", "BS-MMSE", "CF-MF", "CF-ZF", "CF-MMSE", "CF-MF-SP",
+                "CF-ZF-SP", "CF-MMSE-SP", "CF-ZF-RD", "CF-MMSE-RD")
 
 LABELS = [
     "BS-MF", "RS-BS-MF", "CF-MF", "CF-MF-SP", "RS-CF-MF-SP",
@@ -142,6 +145,11 @@ class TestRunExperiment:
         lines = harness.render_jsonl(batch).splitlines()
         assert lines == [json.dumps(asdict(r), sort_keys=True) for r in batch]
         assert "NaN" in lines[-4] and "-Infinity" in lines[-2]
+        # a realization's block is rendered from its columns, a NaN entry by the fallback
+        block = replace(big, s_a=np.where(np.arange(len(big)) % 2, math.nan, big.s_a))
+        lines = harness.render_jsonl(block).splitlines()
+        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in block]
+        assert "NaN" in lines[1] and "NaN" not in lines[0]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         import dataclasses
@@ -448,6 +456,39 @@ class TestRunExperiment:
         # every slice projected once (a degenerate attempt projects none): 4 sets
         # without an SNR axis, 5 with seven points
         assert len(rows) == 7 * 11 and sum(stacks) == 4 + 5 * 7
+
+
+    def test_rows_read_each_realization_block(self):
+        # the run keeps one block of arrays per realization and reads its rows from them
+        _, rows = harness.run_experiment(SMALL)
+        expected = [row for i in range(SMALL.n_realizations)
+                    for row in harness.run_realization(SMALL, i)]
+        assert len(rows) == len(expected) == 3 * 4 * 2
+        assert all(rows[i] == row for i, row in enumerate(expected))
+        assert rows[-1] == expected[-1] and rows[2:7] == expected[2:7]
+        assert list(rows) == expected and rows == expected and expected == rows
+        assert rows != expected[:-1] and rows != expected[::-1]
+        assert all(isinstance(row, harness.TrialRow) for row in rows)
+        with pytest.raises(IndexError):
+            rows[len(expected)]
+
+    def test_memory_per_trial_row_stays_small(self, tmp_path):
+        # rows are held as per-realization arrays and trials.jsonl is streamed, so the
+        # traced peak of a run grows by far less per row than one TrialRow object
+        import tracemalloc
+        cfg = ExperimentConfig(schemes=CONVENTIONAL, n_err=2, seed=1)
+
+        def peak(n_realizations):
+            tracemalloc.start()
+            try:
+                harness.run_experiment(replace(cfg, n_realizations=n_realizations),
+                                       tmp_path / str(n_realizations))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        peak(2)  # first-use caches
+        small, large = peak(10), peak(40)
+        assert (large - small) / (30 * 7 * len(CONVENTIONAL)) <= 400
 
 
 class TestAggregate:
