@@ -8,6 +8,7 @@ reproduce the reference scenario: 8 APs, 4 users, estimate-error variance
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -220,6 +221,9 @@ def validate(config: ExperimentConfig) -> None:
                           f"got cluster_mode=fixed with n_c={config.n_c}")
     if config.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {config.workers}")
+    if config.workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"workers={config.workers} forks realization workers, "
+                          "and this platform has no os.fork; use workers=1")
     if not config.schemes:
         raise ConfigError("schemes must not be empty")
     for label in config.schemes:

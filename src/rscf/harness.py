@@ -34,11 +34,12 @@ import itertools
 import json
 import logging
 import math
+import os
+import pickle
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +453,72 @@ def aggregate(config: ExperimentConfig,
     return records
 
 
+def _forked_blocks(config: ExperimentConfig, workers: int) -> list[RealizationBlock]:
+    """Every realization's block, computed by ``workers`` forked children.
+
+    Child w runs realizations w, w + workers, ... in order, stops at its first
+    exception and pickles its blocks, or (index, exception), into its own pipe
+    as one message; exit status 0 acknowledges a complete message.  Every pipe
+    is read and every child reaped on every path, and the lowest-index failure
+    is raised, a dead child's as a RuntimeError.
+    """
+    n = config.n_realizations
+    children = []  # (pid, read end of the child's pipe)
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    blocks = []
+                    try:
+                        for index in range(w, n, workers):
+                            blocks.append(run_realization(config, index))
+                        message = blocks
+                    except Exception as exc:
+                        message = index, exc
+                    with os.fdopen(write_fd, "wb") as fh:
+                        pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        payloads = [fh.read() for _, fh in children]
+    except BaseException:
+        import signal  # only on this path: a run that is not interrupted never loads it
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, fh in children:
+            fh.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    blocks, failures = [], []
+    for w, (payload, status) in enumerate(zip(payloads, statuses)):
+        if status != 0:
+            lost = ", ".join(map(str, range(w, n, workers)))
+            failures.append((w, RuntimeError(
+                f"realization worker {w} exited with status {status} without sending "
+                f"its results; realizations {lost} are lost")))
+        elif isinstance(message := pickle.loads(payload), tuple):
+            failures.append(message)
+        else:
+            blocks += message
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    return sorted(blocks, key=attrgetter("realization"))
+
+
 def run_experiment(config: ExperimentConfig,
                    out_dir: str | Path | None = None
                    ) -> tuple[list[ResultRecord], TrialRows]:
@@ -459,20 +526,20 @@ def run_experiment(config: ExperimentConfig,
 
     Writes ``results.csv`` and ``trials.jsonl`` under ``out_dir`` when
     given.  The outputs are a pure function of (config, seed): trial rows
-    are reduced in realization order whatever the worker count.  Each
-    realization's rows are held as one :class:`RealizationBlock` of arrays
-    (what a pool worker sends back), ``trials.jsonl`` is streamed one block
-    at a time, and the returned :class:`TrialRows` builds a TrialRow only
-    when one is read.
+    are reduced in realization order whatever the worker count.  With
+    ``workers`` W > 1 the run forks min(W, n_realizations) children (POSIX
+    ``os.fork``); each computes every W-th realization and sends its blocks
+    back as one message.  Each realization's rows are held as one
+    :class:`RealizationBlock` of arrays, ``trials.jsonl`` is streamed one
+    block at a time, and the returned :class:`TrialRows` builds a TrialRow
+    only when one is read.
     """
     validate(config)
-    indices = range(config.n_realizations)
-    if config.workers > 1:
-        # a fork pool starts all its processes at once: no more than there are tasks
-        with ProcessPoolExecutor(max_workers=min(config.workers, config.n_realizations)) as pool:
-            blocks = list(pool.map(partial(run_realization, config), indices))
+    workers = min(config.workers, config.n_realizations)
+    if workers > 1:
+        blocks = _forked_blocks(config, workers)
     else:
-        blocks = [run_realization(config, i) for i in indices]
+        blocks = [run_realization(config, i) for i in range(config.n_realizations)]
     records = aggregate(config, blocks)
     if out_dir is not None:
         out = Path(out_dir)

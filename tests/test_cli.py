@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -95,6 +96,26 @@ class TestCliDispatch:
     def test_negative_seed_flag_exit_code(self, capsys):
         assert cli.main(["run", *SMALL_ARGS, "--seed", "-1"]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err
+
+    def test_workers_need_fork(self, capsys, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert cli.main(["run", *SMALL_ARGS, "--workers", "2"]) == 1
+        assert "no os.fork" in capsys.readouterr().err
+        assert cli.main(["run", *SMALL_ARGS, "--workers", "1"]) == 0
+
+    def test_runtime_failure_is_the_same_at_any_worker_count(self, capsys):
+        # threshold selection with auto clusters exhausts realization 4's redraws
+        args = ["run", "--set", "selection=threshold", "--set", "cluster_mode=auto",
+                "--set", "n_realizations=30"]
+        last_lines = []
+        for workers in ("1", "2"):
+            assert cli.main([*args, "--workers", workers]) == 3
+            last_lines.append(capsys.readouterr().err.splitlines()[-1])
+        assert last_lines[0] == last_lines[1]
+        assert last_lines[0].startswith("runtime error: realization 4: exhausted 3 redraws: "
+                                        "rank-deficient channel (sparse zero-forcing)")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_flags_override_the_set_values_before_validation(self, capsys):
         # one validation of the resolved config: a flag replaces an out-of-range --set

@@ -8,7 +8,7 @@ each workload with its own golden, so a faster path that moves a split
 fraction fails here and not only inside the benchmark.  Like the
 benchmark, it also checks that ``trials.jsonl`` has one line per trial row
 and ``results.csv`` one per record plus its header.
-``reference-w2`` runs the process pool and is checked against the
+``reference-w2`` runs two forked workers and is checked against the
 ``reference`` golden, as the benchmark does.
 """
 import importlib.util
@@ -50,7 +50,7 @@ def assert_matches_golden(workload, seed, out_dir):
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_config_seed_1_matches_golden(name, tmp_path):
-    # reference-w2 runs the process pool and is checked against the reference golden
+    # reference-w2 runs two forked workers and is checked against the reference golden
     assert_matches_golden(workloads.WORKLOADS[name], 1, tmp_path)
 
 

@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,26 +167,57 @@ class TestRunExperiment:
                 == (tmp_path / "w2" / "trials.jsonl").read_bytes())
 
     def test_pool_never_larger_than_the_realization_count(self, monkeypatch):
-        # a fork pool starts every worker up front; the fake starts none
-        sizes = []
+        forks, fork = [], os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        def counting_fork():
+            forks.append(1)
+            return fork()
+        monkeypatch.setattr(os, "fork", counting_fork)
         cfg = replace(SMALL, n_realizations=2)
         records, rows = harness.run_experiment(replace(cfg, workers=64))
-        assert sizes == [2]
+        assert len(forks) == 2
         assert (records, rows) == harness.run_experiment(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_lowest_index_failure_is_raised(self, monkeypatch, workers):
+        run = harness.run_realization
+
+        def failing(config, index):
+            if index >= 4:
+                raise ValueError(f"realization {index} failed")
+            return run(config, index)
+        monkeypatch.setattr(harness, "run_realization", failing)
+        with pytest.raises(ValueError, match=r"^realization 4 failed$"):
+            harness.run_experiment(replace(SMALL, n_realizations=8, workers=workers))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker_names_its_realizations(self, monkeypatch):
+        run = harness.run_realization
+
+        def dying(config, index):
+            if index == 3:
+                os._exit(5)
+            return run(config, index)
+        monkeypatch.setattr(harness, "run_realization", dying)
+        with pytest.raises(RuntimeError, match=r"status 5 .*realizations 1, 3, 5 are lost"):
+            harness.run_experiment(replace(SMALL, n_realizations=6, workers=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_one_worker_run_loads_no_process_pool(self):
+        # the forked workers need only os and pickle; the pool stack costs memory and start-up
+        src = Path(harness.__file__).resolve().parents[1]
+        code = ("import sys, rscf\n"
+                "from rscf.config import ExperimentConfig\n"
+                "rscf.run_experiment(ExperimentConfig(n_realizations=2, n_err=5,"
+                " snr_grid_db=(0.0,), schemes=('CF-MF', 'RS-CF-MF-SP')))\n"
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+                " if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+                             check=True).stdout
+        assert out.strip() == "[]"
 
     def test_flat_split_objective_reports_no_common_rate(self):
         # perfect estimates with single-user clusters: every split fraction
