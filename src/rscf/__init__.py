@@ -6,9 +6,9 @@ SVD multicast beam per cluster, matched-filter / zero-forcing / MMSE
 private precoders (sparse and reduced-dimension variants) and a grid
 search over the common-stream power fraction.
 """
-from .channel import (ChannelRealization, LargeScaleCoefficients, NetworkGeometry,
-                      attenuation_constant, draw_channel, large_scale, noise_variance,
-                      path_loss, place_network, pt_for_snr, snr_db)
+from .channel import (ChannelRealization, NetworkGeometry, attenuation_constant,
+                      draw_channel, large_scale, noise_variance, path_loss, place_network,
+                      pt_for_snr, snr_db)
 from .clustering import (ClusterPartition, SparseChannel, design_clusters,
                          design_clusters_fixed, select_aps_threshold, select_aps_topn,
                          sparse_channel)

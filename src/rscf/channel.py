@@ -51,15 +51,6 @@ class NetworkGeometry:
 
 
 @dataclass(frozen=True)
-class LargeScaleCoefficients:
-    """Linear-scale power gains plus their dB decomposition."""
-
-    zeta: np.ndarray          # (M, K), zeta = 10**((path_loss_db + shadow_db)/10)
-    path_loss_db: np.ndarray  # (M, K)
-    shadow_db: np.ndarray     # (M, K)
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """True channel, its estimate and the estimation error for one block."""
 
@@ -122,8 +113,8 @@ def path_loss(d, attenuation_db: float, d0: float = 10.0, d1: float = 50.0):
 
 def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float,
                 rng: np.random.Generator, d0: float = 10.0, d1: float = 50.0,
-                per_user_shadow: bool = False) -> LargeScaleCoefficients:
-    """Path loss plus log-normal shadowing, returned as linear power gains.
+                per_user_shadow: bool = False) -> np.ndarray:
+    """Path loss plus log-normal shadowing, returned as the (M, K) linear power gains.
 
     ``per_user_shadow`` draws one shadowing value per user shared by all
     antennas, the physical model for co-located arrays; by default each
@@ -133,19 +124,9 @@ def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float,
         raise ValueError("shadowing standard deviation must be non-negative")
     att = attenuation_constant(geometry.carrier_freq_mhz, geometry.h_ap, geometry.h_u)
     pl_db = path_loss(geometry.distances(), att, d0, d1)
-    if per_user_shadow:
-        shadow_db = np.broadcast_to(
-            sigma_shadow_db * rng.standard_normal(size=(1, pl_db.shape[1])),
-            pl_db.shape).copy()
-    else:
-        shadow_db = sigma_shadow_db * rng.standard_normal(size=pl_db.shape)
-    zeta = 10.0 ** ((pl_db + shadow_db) / 10.0)
-    return LargeScaleCoefficients(zeta, pl_db, shadow_db)
-
-
-def gain_matrix(zeta) -> np.ndarray:
-    """The (M, K) gains of a LargeScaleCoefficients bundle or of a raw gain array."""
-    return zeta.zeta if isinstance(zeta, LargeScaleCoefficients) else np.asarray(zeta, dtype=float)
+    shape = (1, pl_db.shape[1]) if per_user_shadow else pl_db.shape
+    shadow_db = sigma_shadow_db * rng.standard_normal(size=shape)
+    return 10.0 ** ((pl_db + shadow_db) / 10.0)
 
 
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -153,24 +134,21 @@ def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def draw_channel(zeta, sigma_e: float, rng: np.random.Generator) -> ChannelRealization:
-    """One coherence-block channel draw with its imperfect estimate.
-
-    ``zeta`` may be a LargeScaleCoefficients bundle or a raw (M, K) gain array.
-    """
+def draw_channel(zeta: np.ndarray, sigma_e: float,
+                 rng: np.random.Generator) -> ChannelRealization:
+    """One coherence-block channel draw on the (M, K) gains, with its imperfect estimate."""
     if not 0.0 <= sigma_e < 1.0:
         raise ValueError(f"sigma_e must lie in [0, 1), got {sigma_e}")
-    gains = gain_matrix(zeta)
-    amp = np.sqrt(gains)
-    h = complex_normal(rng, gains.shape)
-    h_err = complex_normal(rng, gains.shape)
+    amp = np.sqrt(zeta)
+    h = complex_normal(rng, zeta.shape)
+    h_err = complex_normal(rng, zeta.shape)
     g_true = amp * h
     g_err = sigma_e * amp * h_err
     g_hat = amp * (math.sqrt(1.0 - sigma_e ** 2) * h + sigma_e * h_err)
     return ChannelRealization(g_true, g_hat, g_err, float(sigma_e))
 
 
-def draw_error_matrices(zeta, sigma_e: float, n: int,
+def draw_error_matrices(zeta: np.ndarray, sigma_e: float, n: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Stack of ``n`` estimation-error matrices, entries CN(0, sigma_e^2 zeta).
 
@@ -179,13 +157,12 @@ def draw_error_matrices(zeta, sigma_e: float, n: int,
     average rates over the error distribution conditioned on one channel
     estimate.
     """
-    gains = gain_matrix(zeta)
     # complex_normal scaled in place: same draws and rounding, no complex temporaries
-    h = np.empty((n,) + gains.shape[::-1], dtype=complex).transpose(0, 2, 1)
+    h = np.empty((n,) + zeta.shape[::-1], dtype=complex).transpose(0, 2, 1)
     h.real = rng.standard_normal(h.shape)
     h.imag = rng.standard_normal(h.shape)
     h /= np.sqrt(2.0)
-    h *= sigma_e * np.sqrt(gains)
+    h *= sigma_e * np.sqrt(zeta)
     return h
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import gain_matrix
-
 
 @dataclass(frozen=True)
 class ClusterPartition:
@@ -51,7 +49,7 @@ class SparseChannel:
     reduced: tuple[np.ndarray, ...]
 
 
-def select_aps_threshold(zeta) -> np.ndarray:
+def select_aps_threshold(zeta: np.ndarray) -> np.ndarray:
     """Binary (M, K) selection: entry (m, k) = 1 when AP m is a candidate for user k.
 
     Keeps the links whose gain exceeds the mean over all M*K links.
@@ -59,23 +57,20 @@ def select_aps_threshold(zeta) -> np.ndarray:
     A user whose column ends up empty falls back to its single strongest
     AP (lowest index on ties) so that nobody is left unserved.
     """
-    z = gain_matrix(zeta)
-    mu = z.mean()
-    j = (z > mu).astype(int)
+    j = (zeta > zeta.mean()).astype(int)
     for k in np.flatnonzero(j.sum(axis=0) == 0):
-        j[int(np.argmax(z[:, k])), k] = 1
+        j[int(np.argmax(zeta[:, k])), k] = 1
     return j
 
 
-def select_aps_topn(zeta, n_s: int) -> np.ndarray:
+def select_aps_topn(zeta: np.ndarray, n_s: int) -> np.ndarray:
     """Binary (M, K) selection of the n_s strongest APs per user (lowest AP index on ties)."""
-    z = gain_matrix(zeta)
-    m = z.shape[0]
+    m = zeta.shape[0]
     if not 1 <= n_s <= m:
         raise ValueError(f"n_s must lie in [1, {m}], got {n_s}")
-    j = np.zeros_like(z, dtype=int)
-    for k in range(z.shape[1]):
-        order = np.argsort(-z[:, k], kind="stable")
+    j = np.zeros_like(zeta, dtype=int)
+    for k in range(zeta.shape[1]):
+        order = np.argsort(-zeta[:, k], kind="stable")
         j[order[:n_s], k] = 1
     return j
 
@@ -86,25 +81,24 @@ def default_shared_ap_threshold(j: np.ndarray) -> int:
     return max(1, math.ceil(per_user.mean() / 2.0))
 
 
-def _assign_aps(test_vectors, user_sets, zeta) -> tuple[tuple[int, ...], ...]:
+def _assign_aps(test_vectors, user_sets, zeta: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Resolve AP ownership so cluster AP sets are disjoint.
 
     An AP claimed by several test vectors goes to the cluster whose users
     it serves best (largest summed gain; lowest cluster index on ties).
     APs claimed by no test vector stay unassigned and transmit nothing.
     """
-    z = gain_matrix(zeta)
     ap_sets: list[list[int]] = [[] for _ in user_sets]
-    for m in range(z.shape[0]):
+    for m in range(zeta.shape[0]):
         claimants = [i for i, tv in enumerate(test_vectors) if tv[m]]
         if not claimants:
             continue
-        scores = [float(z[m, list(user_sets[i])].sum()) for i in claimants]
+        scores = [float(zeta[m, list(user_sets[i])].sum()) for i in claimants]
         ap_sets[claimants[int(np.argmax(scores))]].append(m)
     return tuple(tuple(a) for a in ap_sets)
 
 
-def design_clusters(j: np.ndarray, n_a: int, zeta) -> ClusterPartition:
+def design_clusters(j: np.ndarray, n_a: int, zeta: np.ndarray) -> ClusterPartition:
     """Greedy cluster formation from the selection matrix.
 
     User 0 seeds the first cluster with its own column as test vector.
@@ -135,7 +129,7 @@ def design_clusters(j: np.ndarray, n_a: int, zeta) -> ClusterPartition:
     )
 
 
-def design_clusters_fixed(j: np.ndarray, n_c: int, zeta) -> ClusterPartition:
+def design_clusters_fixed(j: np.ndarray, n_c: int, zeta: np.ndarray) -> ClusterPartition:
     """Cluster into exactly ``n_c`` groups.
 
     Seeds are the n_c users sharing the fewest candidate APs (greedy:

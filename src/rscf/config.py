@@ -140,7 +140,13 @@ def apply_pair(config: ExperimentConfig, key: str, value: str) -> ExperimentConf
 
 def load_file(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     config = base or ExperimentConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        # utf-8-sig: a leading byte-order mark is not part of the first key
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -7,12 +7,13 @@ seeded work items derived from (master seed, realization index), so the
 result of a run is a pure function of the configuration no matter how the
 work is scheduled; the reduction walks realizations in index order with
 compensated summation.  A realization's trial rows travel as one
-:class:`RealizationBlock` of per-entry arrays, filled where the rate kernel
-returns them; ``trials.jsonl`` is streamed one block at a time, and a
-:class:`TrialRow` is only built when a row is read.  The run, the precoder
-dump and the cluster report all build a realization the same way:
-``_scheme_sides`` for the channel state, ``_attempt_precoders`` for the
-precoders, inside one ``_with_redraws`` loop.
+:class:`RealizationBlock`, a plain record of per-entry columns filled where
+the rate kernel returns them, which is also what a forked worker pickles;
+``trials.jsonl`` is streamed one block at a time.  :class:`TrialRows` is the
+one row view over a run's blocks and builds a :class:`TrialRow` only when a
+row is read.  The run, the precoder dump and the cluster report all build a
+realization the same way: ``_scheme_sides`` for the channel state,
+``_attempt_precoders`` for the precoders, inside one ``_with_redraws`` loop.
 
 The SNR grid is an array axis.  Phase 1 of an attempt builds each private
 set once per (side, channel, construction) at the whole array of power
@@ -36,8 +37,8 @@ import logging
 import math
 import os
 import pickle
-from collections.abc import Iterable, Sequence
-from dataclasses import asdict, dataclass, fields, replace
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -68,7 +69,7 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 class SideData:
     """Channel state of one geometry (distributed or co-located)."""
 
-    zeta: chan.LargeScaleCoefficients
+    zeta: np.ndarray  # (M, K) large-scale gains
     realization: chan.ChannelRealization
     # (partition, channel) keyed by ``SchemeSpec.dense``: the single-cluster
     # dense channel, and the clustered one when a scheme uses it
@@ -96,20 +97,9 @@ class TrialRow:
     redraws: int
 
 
-class _RowSequence(Sequence):
-    """Read-only trial rows; equal to a list or row sequence of equal TrialRows."""
-
-    __hash__ = None
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, _RowSequence)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-@dataclass(frozen=True, eq=False)
-class RealizationBlock(_RowSequence):
-    """The trial rows of one realization as arrays, entry ``point * len(schemes) + scheme``.
+@dataclass(frozen=True)
+class RealizationBlock:
+    """The trial rows of one realization as columns, entry ``point * len(schemes) + scheme``.
 
     ``min_cr`` is padded to K columns: an entry's first ``n_clusters`` are its own.
     """
@@ -126,48 +116,37 @@ class RealizationBlock(_RowSequence):
     min_cr: np.ndarray      # (E, K)
     cluster_of: np.ndarray  # (E, K) int
 
-    def __len__(self) -> int:
-        return len(self.s_a)
-
-    def __iter__(self):
-        return itertools.starmap(TrialRow, self.row_fields())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        entry = range(len(self))[index]
-        return TrialRow(*next(self.row_fields(entry, entry + 1)))
-
-    def row_fields(self, lo: int = 0, hi: int | None = None):
-        """TrialRow fields of entries lo..hi-1 as tuples, each column read by one ``tolist``."""
-        cut = slice(lo, hi)
-        n_clusters = self.n_clusters[cut].tolist()
-        return zip(itertools.repeat(self.realization),
-                   (self.schemes * len(self.snr_db))[cut],
-                   [snr for snr in self.snr_db for _ in self.schemes][cut],
-                   self.s_a[cut].tolist(), self.delta[cut].tolist(), n_clusters,
-                   map(tuple, self.mean_cr[cut].tolist()), map(tuple, self.mean_pr[cut].tolist()),
-                   map(lambda mn, n: tuple(mn[:n]), self.min_cr[cut].tolist(), n_clusters),
-                   map(tuple, self.cluster_of[cut].tolist()), itertools.repeat(self.redraws))
+    def row_fields(self):
+        """TrialRow fields of every entry as tuples, each column read by one ``tolist``."""
+        n_clusters = self.n_clusters.tolist()
+        return zip(itertools.repeat(self.realization), self.schemes * len(self.snr_db),
+                   [snr for snr in self.snr_db for _ in self.schemes],
+                   self.s_a.tolist(), self.delta.tolist(), n_clusters,
+                   map(tuple, self.mean_cr.tolist()), map(tuple, self.mean_pr.tolist()),
+                   map(lambda mn, n: tuple(mn[:n]), self.min_cr.tolist(), n_clusters),
+                   map(tuple, self.cluster_of.tolist()), itertools.repeat(self.redraws))
 
 
-class TrialRows(_RowSequence):
-    """Every trial row of a run in realization order, read from the realizations' blocks."""
+class TrialRows(Sequence):
+    """Every trial row of a run in realization order, read from the realizations' blocks.
+
+    Supports ``len``, integer indexing and iteration; a TrialRow is built
+    only when read.  Compare ``list(rows)``.
+    """
 
     def __init__(self, blocks: list[RealizationBlock]):
         self.blocks = blocks
 
     def __len__(self) -> int:
-        return sum(map(len, self.blocks))
+        return len(self.blocks) * len(self.blocks[0].s_a)
 
     def __iter__(self):
-        return itertools.chain.from_iterable(self.blocks)
+        for block in self.blocks:
+            yield from itertools.starmap(TrialRow, block.row_fields())
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        block, entry = divmod(range(len(self))[index], len(self.blocks[0]))
-        return self.blocks[block][entry]
+    def __getitem__(self, index: int) -> TrialRow:
+        block, entry = divmod(range(len(self))[index], len(self.blocks[0].s_a))
+        return TrialRow(*next(itertools.islice(self.blocks[block].row_fields(), entry, None)))
 
 
 @dataclass(frozen=True)
@@ -184,8 +163,7 @@ class ResultRecord:
     n_clusters_mean: float
 
 
-def cluster_partition_for(config: ExperimentConfig,
-                          zeta: chan.LargeScaleCoefficients) -> clus.ClusterPartition:
+def cluster_partition_for(config: ExperimentConfig, zeta: np.ndarray) -> clus.ClusterPartition:
     """Partition per the configured AP selection rule and clustering mode."""
     if config.selection == "topn":
         n_s = config.n_s if config.n_s >= 1 else config.m
@@ -201,8 +179,8 @@ def cluster_partition_for(config: ExperimentConfig,
 def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
                 shadow_rng: np.random.Generator, channel_rng: np.random.Generator,
                 co_located: bool = False
-                ) -> tuple[chan.LargeScaleCoefficients, chan.ChannelRealization]:
-    """Large-scale gains and the channel with its estimate, drawn per ``config``.
+                ) -> tuple[np.ndarray, chan.ChannelRealization]:
+    """(M, K) large-scale gains and the channel with its estimate, drawn per ``config``.
 
     Geometry, shadowing and small-scale fading each draw from their own
     generator; the same generator may be passed for all three.  A
@@ -530,9 +508,10 @@ def run_experiment(config: ExperimentConfig,
     ``workers`` W > 1 the run forks min(W, n_realizations) children (POSIX
     ``os.fork``); each computes every W-th realization and sends its blocks
     back as one message.  Each realization's rows are held as one
-    :class:`RealizationBlock` of arrays, ``trials.jsonl`` is streamed one
-    block at a time, and the returned :class:`TrialRows` builds a TrialRow
-    only when one is read.
+    :class:`RealizationBlock` of columns and ``trials.jsonl`` is streamed one
+    block at a time.  The returned :class:`TrialRows` supports ``len``,
+    integer indexing and iteration, and builds a TrialRow only when one is
+    read; compare ``list(rows)``.
     """
     validate(config)
     workers = min(config.workers, config.n_realizations)
@@ -593,15 +572,12 @@ def _jsonl_template(*lengths: int) -> str:
 
 # a scheme label JSON-quoted, once per distinct label
 _json_label = lru_cache(maxsize=None)(json.dumps)
-# a TrialRow's fields as one tuple, in the order of RealizationBlock.row_fields
-_ROW_FIELDS = attrgetter(*(field.name for field in fields(TrialRow)))
 
 
-def render_jsonl(rows: Iterable[TrialRow]) -> str:
-    """``trials.jsonl`` lines of ``rows``; a RealizationBlock is read from its columns."""
+def render_jsonl(block: RealizationBlock) -> str:
+    """``trials.jsonl`` lines of one realization's block, read from its columns."""
     out = []
-    for row in (rows.row_fields() if isinstance(rows, RealizationBlock)
-                else map(_ROW_FIELDS, rows)):
+    for row in block.row_fields():
         (realization, scheme, snr_db, s_a, delta, n_clusters, mean_cr, mean_pr, min_cr,
          cluster_of, redraws) = row
         # a NaN or infinity poisons the sum (an overflow only costs the fallback);

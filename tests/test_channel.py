@@ -74,37 +74,46 @@ class TestPathLoss:
             chan.path_loss(10.0, 140.72, 50.0, 10.0)
 
 
+def path_loss_db(geo):
+    att = chan.attenuation_constant(geo.carrier_freq_mhz, geo.h_ap, geo.h_u)
+    return chan.path_loss(geo.distances(), att)
+
+
 class TestLargeScale:
     def test_decomposition_identity(self):
+        # replay the shadowing draw: zeta = 10^((path loss + 8 dB * N(0, 1)) / 10)
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        ls = chan.large_scale(geo, 8.0, rng(4))
-        rebuilt = 10.0 ** ((ls.path_loss_db + ls.shadow_db) / 10.0)
-        np.testing.assert_allclose(ls.zeta, rebuilt, rtol=1e-12)
-        assert np.all(ls.zeta > 0)
+        zeta = chan.large_scale(geo, 8.0, rng(4))
+        shadow = 8.0 * rng(4).standard_normal(size=(8, 4))
+        np.testing.assert_allclose(zeta, 10.0 ** ((path_loss_db(geo) + shadow) / 10.0),
+                                   rtol=1e-12)
+        assert zeta.shape == (8, 4) and np.all(zeta > 0)
 
     def test_no_shadowing(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        ls = chan.large_scale(geo, 0.0, rng(4))
-        np.testing.assert_allclose(ls.zeta, 10.0 ** (ls.path_loss_db / 10.0), rtol=1e-12)
+        zeta = chan.large_scale(geo, 0.0, rng(4))
+        np.testing.assert_allclose(zeta, 10.0 ** (path_loss_db(geo) / 10.0), rtol=1e-12)
 
     def test_reproducible(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
         a = chan.large_scale(geo, 8.0, rng(11))
         b = chan.large_scale(geo, 8.0, rng(11))
-        assert np.array_equal(a.zeta, b.zeta)
+        assert np.array_equal(a, b)
 
     def test_all_near_branch_constant(self):
         # users within d0 of every AP: no shadowing -> identical gains
         ap = np.full((3, 2), 5.0)
         ue = np.full((2, 2), 6.0)
         geo = chan.NetworkGeometry(ap, ue, 20.0)
-        ls = chan.large_scale(geo, 0.0, rng(0))
-        assert np.allclose(ls.zeta, ls.zeta[0, 0])
+        zeta = chan.large_scale(geo, 0.0, rng(0))
+        assert np.allclose(zeta, zeta[0, 0])
 
     def test_per_user_shadow_shared_across_antennas(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3)).co_located()
-        ls = chan.large_scale(geo, 8.0, rng(4), per_user_shadow=True)
-        assert np.allclose(ls.shadow_db, ls.shadow_db[0][None, :])
+        zeta = chan.large_scale(geo, 8.0, rng(4), per_user_shadow=True)
+        shadow_db = 10.0 * np.log10(zeta) - path_loss_db(geo)
+        assert np.allclose(shadow_db, shadow_db[0][None, :])
+        assert np.ptp(shadow_db[0]) > 1.0  # users shadow independently
 
 
 class TestChannelDraw:

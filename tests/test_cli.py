@@ -93,6 +93,29 @@ class TestCliDispatch:
         assert cli.main(["run", *SMALL_ARGS, *args]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_missing_config_file_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "absent.cfg"
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: {path}: No such file or directory\n"
+
+    def test_config_directory_is_a_config_error(self, capsys, tmp_path):
+        assert cli.main(["run", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {tmp_path}: Is a directory\n"
+
+    def test_undecodable_config_file_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"M = 9\n# caf\xe9\n")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and "can't decode byte 0xe9" in err
+        assert "Traceback" not in err
+
+    def test_config_file_with_byte_order_mark_loads(self, capsys, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfM = 9\nK = 3\n")
+        assert cli.main(["run", "--config", str(path), "--print-config"]) == 0
+        assert capsys.readouterr().out.startswith("M = 9\nK = 3\n")
+
     def test_negative_seed_flag_exit_code(self, capsys):
         assert cli.main(["run", *SMALL_ARGS, "--seed", "-1"]) == 1
         assert "seed must be non-negative" in capsys.readouterr().err

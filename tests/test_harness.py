@@ -26,6 +26,12 @@ SMALL = ExperimentConfig(n_realizations=3, n_err=10, snr_grid_db=(0.0, 10.0),
 CONVENTIONAL = ("BS-MF", "BS-ZF", "BS-MMSE", "CF-MF", "CF-ZF", "CF-MMSE", "CF-MF-SP",
                 "CF-ZF-SP", "CF-MMSE-SP", "CF-ZF-RD", "CF-MMSE-RD")
 
+
+def realization_rows(config, index):
+    """The trial rows of one realization, read through the run's row view."""
+    return harness.TrialRows([harness.run_realization(config, index)])
+
+
 LABELS = [
     "BS-MF", "RS-BS-MF", "CF-MF", "CF-MF-SP", "RS-CF-MF-SP",
     "BS-ZF", "RS-BS-ZF", "CF-ZF", "CF-ZF-SP", "RS-CF-ZF-SP", "CF-ZF-RD", "RS-CF-ZF-RD",
@@ -70,8 +76,8 @@ class TestSchemeGrammar:
 class TestRunTrial:
     def test_deterministic_replay(self):
         cfg = replace(SMALL, snr_grid_db=(10.0,))
-        a = harness.run_realization(cfg, 1)
-        b = harness.run_realization(cfg, 1)
+        a = realization_rows(cfg, 1)
+        b = realization_rows(cfg, 1)
         assert len(a) == len(b) == len(SMALL.schemes)
         for ra, rb in zip(a, b):
             assert ra == rb
@@ -82,7 +88,7 @@ class TestRunTrial:
         import dataclasses
         cfg = dataclasses.replace(SMALL, power_grid_step=1.0, snr_grid_db=(10.0,),
                                   schemes=("CF-MF-SP", "RS-CF-MF-SP"))
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         by_scheme = {r.scheme: r for r in rows}
         assert by_scheme["RS-CF-MF-SP"].delta == 0.0
         assert by_scheme["RS-CF-MF-SP"].s_a == pytest.approx(
@@ -95,7 +101,7 @@ class TestRunTrial:
         assert time.perf_counter() - start < 1.0
 
     def test_trial_fields(self):
-        rows = harness.run_realization(replace(SMALL, snr_grid_db=(0.0,)), 2)
+        rows = realization_rows(replace(SMALL, snr_grid_db=(0.0,)), 2)
         for row in rows:
             assert row.realization == 2 and row.snr_db == 0.0
             assert len(row.mean_cr) == SMALL.k and len(row.mean_pr) == SMALL.k
@@ -134,26 +140,37 @@ class TestRunExperiment:
         assert {"realization", "scheme", "snr_db", "s_a", "delta", "n_clusters",
                 "mean_cr", "mean_pr", "min_cr", "cluster_of", "redraws"} <= set(entry)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_written_rows_equal_returned_rows(self, tmp_path, workers):
+        _, rows = harness.run_experiment(replace(SMALL, workers=workers), out_dir=tmp_path)
+        lines = (tmp_path / "trials.jsonl").read_text(encoding="utf-8").splitlines()
+        # JSON arrays read back as lists; every float must read back bitwise
+        assert [json.loads(line) for line in lines] == [
+            {key: list(value) if isinstance(value, tuple) else value
+             for key, value in asdict(row).items()} for row in rows]
+
     def test_jsonl_template_equals_json_dumps(self):
         _, rows = harness.run_experiment(SMALL)
-        # row shapes alternate in one batch: BS and dense CF rows (one cluster),
-        # clustered CF and RS rows (two), and RS rows of M=64, K=16 in four clusters
+        # block shapes alternate: each SMALL block holds BS and dense CF entries (one
+        # cluster) next to clustered CF and RS entries (two), and the M=64, K=16 block
+        # RS entries in four clusters
         big = harness.run_realization(replace(
             SMALL, m=64, k=16, cluster_mode="fixed", n_c=4, schemes=("RS-CF-MF-SP",)), 0)
         assert {(r.scheme.startswith("RS-"), r.n_clusters) for r in rows} == {
             (False, 1), (False, 2), (True, 2)}
-        assert {(r.n_clusters, len(r.mean_cr)) for r in big} == {(4, 16)}
-        odd = [replace(rows[0], s_a=v, delta=-0.0, mean_cr=(v, 1.5, -0.0, 2e-300))
-               for v in (math.nan, math.inf, -math.inf, -0.0)]
-        batch = [row for pair in zip(rows, itertools.cycle(big)) for row in pair] + odd
-        lines = harness.render_jsonl(batch).splitlines()
-        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in batch]
-        assert "NaN" in lines[-4] and "-Infinity" in lines[-2]
-        # a realization's block is rendered from its columns, a NaN entry by the fallback
-        block = replace(big, s_a=np.where(np.arange(len(big)) % 2, math.nan, big.s_a))
-        lines = harness.render_jsonl(block).splitlines()
-        assert lines == [json.dumps(asdict(r), sort_keys=True) for r in block]
-        assert "NaN" in lines[1] and "NaN" not in lines[0]
+        assert {(r.n_clusters, len(r.mean_cr)) for r in harness.TrialRows([big])} == {(4, 16)}
+        # NaN and infinities take the json.dumps fallback; -0.0 and 2e-300 the template
+        block = rows.blocks[0]
+        values = np.resize([math.nan, math.inf, -math.inf, -0.0], len(block.s_a))
+        mean_cr = np.tile([1.0, 1.5, -0.0, 2e-300], (len(values), 1))
+        mean_cr[:, 0] = values
+        odd = replace(block, s_a=values, delta=np.full(len(values), -0.0), mean_cr=mean_cr)
+        batch = [b for pair in zip(rows.blocks, itertools.repeat(big)) for b in pair] + [odd]
+        lines = "".join(map(harness.render_jsonl, batch)).splitlines()
+        assert lines == [json.dumps(asdict(r), sort_keys=True)
+                         for b in batch for r in harness.TrialRows([b])]
+        assert "NaN" in lines[-8] and "-Infinity" in lines[-6]
+        assert '"s_a": -0.0' in lines[-5] and "2e-300" in lines[-5] and "NaN" not in lines[-5]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         import dataclasses
@@ -176,7 +193,8 @@ class TestRunExperiment:
         cfg = replace(SMALL, n_realizations=2)
         records, rows = harness.run_experiment(replace(cfg, workers=64))
         assert len(forks) == 2
-        assert (records, rows) == harness.run_experiment(cfg)
+        again, rows_again = harness.run_experiment(cfg)
+        assert records == again and list(rows) == list(rows_again)
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_lowest_index_failure_is_raised(self, monkeypatch, workers):
@@ -291,14 +309,14 @@ class TestRunExperiment:
                                   snr_grid_db=(10.0,))
         hit = None
         for index in range(80):
-            rows = harness.run_realization(cfg, index)
+            rows = realization_rows(cfg, index)
             if rows[0].redraws > 0:
                 hit = rows
                 break
         assert hit is not None, "no degenerate draw within 80 realizations"
         assert hit[0].s_a >= 0.0
         # replay reproduces the redrawn outcome bit for bit
-        assert harness.run_realization(cfg, hit[0].realization) == hit
+        assert list(realization_rows(cfg, hit[0].realization)) == list(hit)
 
     def test_redrawn_realization_leaves_no_reference_cycle(self, monkeypatch):
         # realization 10 of this list is redrawn once; a kept exception would hold its
@@ -313,7 +331,7 @@ class TestRunExperiment:
         gc.disable()
         try:
             gc.collect()
-            rows = harness.run_realization(cfg, 10)
+            rows = realization_rows(cfg, 10)
             freed = gc.collect()
         finally:
             gc.enable()
@@ -350,16 +368,16 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n_err=10, snr_grid_db=(0.0, 10.0), seed=5)
         # realization 0 of seed 5 is redrawn once: its first attempt fails in the
         # precoder builds, before any stack is drawn
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 1 and len(rows) == 2 * len(cfg.schemes)
         assert len(draws) == 2  # distributed and co-located sides, kept attempt only
         draws.clear()
-        rows = harness.run_realization(dataclasses.replace(
+        rows = realization_rows(dataclasses.replace(
             cfg, schemes=("CF-MF", "RS-CF-MF-SP", "RS-CF-ZF-RD")), 1)
         assert len(draws) == rows[0].redraws + 1
         # the distributed side of a co-located list sets the budget, draws no stack
         draws.clear()
-        rows = harness.run_realization(dataclasses.replace(cfg, schemes=("BS-MF",)), 1)
+        rows = realization_rows(dataclasses.replace(cfg, schemes=("BS-MF",)), 1)
         assert len(draws) == rows[0].redraws + 1
 
     def test_co_located_rows_do_not_depend_on_distributed_schemes(self):
@@ -368,7 +386,7 @@ class TestRunExperiment:
         cfg = replace(SMALL, schemes=("BS-MF", "RS-BS-MF"))
         _, alone = harness.run_experiment(cfg)
         _, mixed = harness.run_experiment(replace(cfg, schemes=(*cfg.schemes, "CF-MF")))
-        assert alone == [row for row in mixed if row.scheme != "CF-MF"]
+        assert list(alone) == [row for row in mixed if row.scheme != "CF-MF"]
 
     def test_distributed_rows_do_not_depend_on_other_schemes(self):
         # at K=2 the private GEMM of a slice has two columns; it must not round
@@ -376,7 +394,7 @@ class TestRunExperiment:
         cfg = replace(SMALL, k=2, n_c=1, schemes=("CF-MF", "CF-ZF", "RS-CF-ZF-SP"))
         _, alone = harness.run_experiment(cfg)
         _, mixed = harness.run_experiment(replace(cfg, schemes=ExperimentConfig().schemes))
-        assert alone == [row for row in mixed if row.scheme in cfg.schemes]
+        assert list(alone) == [row for row in mixed if row.scheme in cfg.schemes]
 
     def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
         # one attempt of the default list: every private set is built once per
@@ -396,7 +414,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_build_private", counted_build)
         monkeypatch.setattr(prec, "common_precoder", counted_beam)
         cfg = ExperimentConfig(n_err=10, seed=1)
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 0 and len(rows) == 7 * len(cfg.schemes) == 7 * 11
         assert len(builds) == 9  # 3 MF-SP + 1 RU-ZF-RD + 5 pt-dependent, each once
         assert len(beams) == 2
@@ -421,7 +439,7 @@ class TestRunExperiment:
         monkeypatch.setattr(rates, "project_streams", counted_project)
         monkeypatch.setattr(pw, "allocate_common", counted_search)
         cfg = ExperimentConfig(n_err=10, seed=5)
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 1
         assert len(searches) == 6 * 7  # six RS schemes at seven SNR points
         # at n_err=10 each side's slices fit one chunk: one private stack per side,
@@ -452,7 +470,7 @@ class TestRunExperiment:
         monkeypatch.setattr(rates.ProjectionBundle, "split_terms", counted)
         monkeypatch.setattr(pw, "allocate_common", counted_search)
         cfg = ExperimentConfig(n_err=n_err, seed=1)
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 0
         assert len(searches) == 6 * 7 and len(builds) == 3 * 7 + 3
         assert set(builds) == {(n_err, cfg.k, cfg.k)}
@@ -470,7 +488,7 @@ class TestRunExperiment:
         _, whole = harness.run_experiment(cfg)
         assert harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2) >= 39
         monkeypatch.setattr(harness, "_CHUNK_BYTES", slices * 16 * cfg.n_err * cfg.k ** 2)
-        assert harness.run_experiment(cfg)[1] == whole
+        assert list(harness.run_experiment(cfg)[1]) == list(whole)
 
     def test_private_stacks_stay_within_the_chunk_budget(self, monkeypatch):
         # at M=64, K=16 and n_err=100 one slice fills a chunk: an unchunked stack of a
@@ -485,7 +503,7 @@ class TestRunExperiment:
             return project(g_hat, err, columns, own)
         monkeypatch.setattr(rates, "project_streams", recorded)
         cfg = ExperimentConfig(m=64, k=16, cluster_mode="fixed", n_c=4, n_err=100, seed=1)
-        rows = harness.run_realization(cfg, 0)
+        rows = realization_rows(cfg, 0)
         limit = max(1, harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2))
         assert limit == 1 and max(stacks) <= limit
         # every slice projected once (a degenerate attempt projects none): 4 sets
@@ -497,12 +515,12 @@ class TestRunExperiment:
         # the run keeps one block of arrays per realization and reads its rows from them
         _, rows = harness.run_experiment(SMALL)
         expected = [row for i in range(SMALL.n_realizations)
-                    for row in harness.run_realization(SMALL, i)]
+                    for row in realization_rows(SMALL, i)]
         assert len(rows) == len(expected) == 3 * 4 * 2
         assert all(rows[i] == row for i, row in enumerate(expected))
-        assert rows[-1] == expected[-1] and rows[2:7] == expected[2:7]
-        assert list(rows) == expected and rows == expected and expected == rows
-        assert rows != expected[:-1] and rows != expected[::-1]
+        assert rows[-1] == expected[-1] and [rows[i] for i in range(2, 7)] == expected[2:7]
+        assert list(rows) == expected and list(reversed(rows)) == expected[::-1]
+        assert list(rows) != expected[:-1] and list(rows) != expected[::-1]
         assert all(isinstance(row, harness.TrialRow) for row in rows)
         with pytest.raises(IndexError):
             rows[len(expected)]
