@@ -9,9 +9,8 @@ search over the common-stream power fraction.
 from .channel import (ChannelRealization, NetworkGeometry, attenuation_constant,
                       draw_channel, large_scale, noise_variance, path_loss, place_network,
                       pt_for_snr, snr_db)
-from .clustering import (ClusterPartition, SparseChannel, design_clusters,
-                         design_clusters_fixed, select_aps_threshold, select_aps_topn,
-                         sparse_channel)
+from .clustering import (ClusterPartition, design_clusters, design_clusters_fixed,
+                         select_aps_threshold, select_aps_topn, sparse_channel)
 from .config import ConfigError, ExperimentConfig
 from .power import PowerAllocation, allocate_common, uniform_private
 from .precoding import (CONSTRUCTIONS, EmptyClusterError, PrecoderSet,

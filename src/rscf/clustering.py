@@ -6,7 +6,8 @@ APs.  Users are then grouped greedily: a user joins the first cluster with
 which it shares at least ``n_a`` candidate APs, otherwise it opens a new
 cluster.  Each cluster keeps a binary test vector, the elementwise AND of
 its members' selection columns.  Finally every AP is assigned to at most
-one cluster so the cluster AP sets are pairwise disjoint.
+one cluster so the cluster AP sets are pairwise disjoint, and the channel
+estimate is masked to that support (:func:`sparse_channel`).
 """
 from __future__ import annotations
 
@@ -34,19 +35,6 @@ class ClusterPartition:
         for i, users in enumerate(self.user_sets):
             out[list(users)] = i
         return out
-
-
-@dataclass(frozen=True)
-class SparseChannel:
-    """Estimated channel masked to the cluster structure.
-
-    ``g_bar[m, k]`` keeps the estimate only when AP m serves user k's
-    cluster, and ``reduced[i]`` stacks cluster i's masked user rows as a
-    (|K_i|, M) matrix (users in ascending index order).
-    """
-
-    g_bar: np.ndarray
-    reduced: tuple[np.ndarray, ...]
 
 
 def select_aps_threshold(zeta: np.ndarray) -> np.ndarray:
@@ -186,15 +174,15 @@ def single_cluster(m: int, k: int) -> ClusterPartition:
     )
 
 
-def sparse_channel(g_hat: np.ndarray, partition: ClusterPartition) -> SparseChannel:
-    """Mask the channel estimate to the cluster support and slice per cluster."""
+def sparse_channel(g_hat: np.ndarray, partition: ClusterPartition) -> np.ndarray:
+    """The (M, K) estimate kept where AP m serves user k's cluster, zero elsewhere;
+    cluster i's reduced channel is its block on ``ap_sets[i]`` x ``user_sets[i]``."""
     g_bar = np.zeros_like(np.asarray(g_hat))
     for users, aps in zip(partition.user_sets, partition.ap_sets):
         if users and aps:
             idx = np.ix_(list(aps), list(users))
             g_bar[idx] = g_hat[idx]
-    reduced = tuple(g_bar.T[list(users), :].copy() for users in partition.user_sets)
-    return SparseChannel(g_bar, reduced)
+    return g_bar
 
 
 def cluster_report(partition: ClusterPartition) -> list[dict]:

@@ -71,9 +71,9 @@ class SideData:
 
     zeta: np.ndarray  # (M, K) large-scale gains
     realization: chan.ChannelRealization
-    # (partition, channel) keyed by ``SchemeSpec.dense``: the single-cluster
-    # dense channel, and the clustered one when a scheme uses it
-    channels: dict[bool, tuple[clus.ClusterPartition, clus.SparseChannel]]
+    # (partition, masked estimate) keyed by ``SchemeSpec.dense``: the
+    # single-cluster dense channel, and the clustered one when a scheme uses it
+    channels: dict[bool, tuple[clus.ClusterPartition, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -227,12 +227,12 @@ def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
             for bs in (False, True) if not bs or any(s.bs for s in specs)}
 
 
-def _build_private(construction: str, sparse: clus.SparseChannel,
+def _build_private(construction: str, g_bar: np.ndarray,
                    partition: clus.ClusterPartition, pt: float | np.ndarray,
                    sigma_w2: float) -> prec.PrecoderSet:
     # transmit composition: unit-norm columns, amplitudes carry the power
     return prec.normalize_private_columns(
-        prec.construct(construction, sparse, partition, pt, sigma_w2))
+        prec.construct(construction, g_bar, partition, pt, sigma_w2))
 
 
 def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
@@ -246,13 +246,13 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     """
     privates, commons = {}, {}
     for spec in specs:
-        partition, sparse = sides[spec.bs].channels[spec.dense]
+        partition, g_bar = sides[spec.bs].channels[spec.dense]
         key = spec.bs, spec.dense, spec.construction
         if key not in privates:
-            privates[key] = _build_private(spec.construction, sparse, partition, pt,
+            privates[key] = _build_private(spec.construction, g_bar, partition, pt,
                                            _noise(config))
         if spec.rs and (spec.bs, spec.dense) not in commons:
-            commons[spec.bs, spec.dense], _ = prec.common_precoder(sparse, partition)
+            commons[spec.bs, spec.dense], _ = prec.common_precoder(g_bar, partition)
     return privates, commons
 
 
@@ -639,16 +639,16 @@ def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_
         rng = seeded_rng(seed, attempt, 100)
         zeta, realization = _draw_scene(config, rng, rng, rng)
         partition = cluster_partition_for(config, zeta)
-        sparse = clus.sparse_channel(realization.g_hat, partition)
+        g_bar = clus.sparse_channel(realization.g_hat, partition)
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
-            common, cache = prec.common_precoder(sparse, partition)
-            pset = _build_private(kind, sparse, partition, pt, sigma_w2)
+            common, cache = prec.common_precoder(g_bar, partition)
+            pset = _build_private(kind, g_bar, partition, pt, sigma_w2)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
         pset = replace(pset, common=common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
-        inputs = rates.RateInputs(realization, sparse, partition, pset, cache, alloc, sigma_w2)
+        inputs = rates.RateInputs(realization, g_bar, partition, pset, cache, alloc, sigma_w2)
         return (inputs, zeta) if with_zeta else inputs
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
@@ -694,7 +694,7 @@ def _zero_split_residual(instances) -> float:
     for inputs in instances:
         pt, k = inputs.power.pt, inputs.realization.g_hat.shape[1]
         rs = replace(inputs, power=pw.equal_split(pt, 0.0, inputs.partition.n_clusters, k))
-        plain_set = prec.normalize_private_columns(prec.mf_sp(inputs.sparse))
+        plain_set = prec.normalize_private_columns(prec.mf_sp(inputs.g_bar))
         plain = replace(inputs, precoders=plain_set, svd_cache=None, power=pw.no_split(pt, k))
         worst = max(worst, abs(_draw_sum_rate(rs) - _draw_sum_rate(plain)))
     return worst
@@ -711,7 +711,7 @@ def _budget_residuals(instances) -> tuple[float, float, float]:
         total = float(np.sum(alloc.a_c ** 2 * np.sum(np.abs(ps.common) ** 2, axis=0))
                       + np.sum(alloc.a_p ** 2 * np.sum(np.abs(ps.private) ** 2, axis=0)))
         cov = max(cov, abs(total - alloc.pt) / alloc.pt)
-        raw = prec.construct(ps.label, inputs.sparse, inputs.partition, alloc.pt, inputs.sigma_w2)
+        raw = prec.construct(ps.label, inputs.g_bar, inputs.partition, alloc.pt, inputs.sigma_w2)
         trace = max(trace, abs(float(np.sum(np.abs(raw.private) ** 2)) - alloc.pt) / alloc.pt)
     return budget, cov, trace
 
@@ -722,9 +722,9 @@ def _zf_residuals(instances, corrupt: bool = False) -> tuple[float, float]:
     precoder entry first, a hook that the check must then fail."""
     norm = mui = 0.0
     for inputs in instances:
-        g_bar = inputs.sparse.g_bar
+        g_bar = inputs.g_bar
         eye = np.eye(g_bar.shape[1])
-        raw = prec.zf_sp(inputs.sparse, inputs.power.pt)
+        raw = prec.zf_sp(g_bar, inputs.power.pt)
         private = raw.private.copy()
         if corrupt:
             private[0, 0] += 10.0 * np.max(np.abs(private))

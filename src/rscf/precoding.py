@@ -1,10 +1,11 @@
 """Common and private precoders for the clustered cell-free downlink.
 
-The common precoder of each cluster is the leading right singular vector
-of that cluster's reduced channel, so one multicast beam per cluster.
-Private precoders come in matched-filter, zero-forcing and regularised
-(MMSE) flavours, each either computed on the full sparse channel or per
-cluster with reduced-size inversions and an index mapping back to users.
+Every construction reads the (M, K) masked estimate ``g_bar``.  Cluster i's
+reduced channel is its (|A_i|, |K_i|) block on the cluster's APs and users;
+its common precoder, one multicast beam, is the block's leading singular
+vector.  Private precoders come in matched-filter, zero-forcing and
+regularised (MMSE) flavours, computed on all of ``g_bar`` or per cluster on
+its block; a per-cluster result is exactly zero off the cluster's APs.
 
 Every private construction records the factors needed to evaluate its
 SINRs in closed form later: the Gram-inverse ``lam`` and a per-column
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ClusterPartition, SparseChannel
+from .clustering import ClusterPartition
 
 COND_LIMIT = 1e12
 
@@ -36,7 +37,7 @@ class RankDeficientChannelError(ValueError):
 
 
 class EmptyClusterError(ValueError):
-    """A cluster ended up with an all-zero reduced channel."""
+    """A cluster ended up with no AP or an all-zero reduced channel."""
 
 
 @dataclass(frozen=True)
@@ -76,30 +77,36 @@ def _check_condition(gram: np.ndarray, context: str) -> None:
             f"rank-deficient channel {context}: condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
 
 
-def common_precoder(sparse: SparseChannel,
+def _cluster_blocks(g_bar: np.ndarray, partition: ClusterPartition):
+    """(APs, users, ``at = np.ix_(APs, users)``, reduced channel ``g_bar[at]``) per cluster."""
+    for aps, users in zip(partition.ap_sets, partition.user_sets):
+        at = np.ix_(aps, users)
+        yield aps, users, at, g_bar[at]
+
+
+def common_precoder(g_bar: np.ndarray,
                     partition: ClusterPartition) -> tuple[np.ndarray, SvdCache]:
     """One unit-norm SVD beam per cluster, with the cached singular triplets.
 
-    The phase of each beam is pinned so its largest-magnitude entry is
-    real positive, keeping results identical across linear-algebra
-    backends.
+    Beam i is the leading singular vector of cluster i's block on its APs
+    and zero on every other AP.  The phase of each beam is pinned so its
+    largest-magnitude entry is real positive, keeping results identical
+    across linear-algebra backends.
     """
     if partition.n_clusters == 0:
         raise ValueError("partition has no clusters")
-    m = sparse.g_bar.shape[0]
-    beams = np.zeros((m, partition.n_clusters), dtype=complex)
+    beams = np.zeros((g_bar.shape[0], partition.n_clusters), dtype=complex)
     psi1 = np.zeros(partition.n_clusters)
     u1 = []
-    for i, reduced in enumerate(sparse.reduced):
-        if not np.any(reduced):
+    for i, (aps, _, _, block) in enumerate(_cluster_blocks(g_bar, partition)):
+        if not np.any(block):
             raise EmptyClusterError(f"empty cluster channel (cluster {i})")
-        uu, ss, vh = np.linalg.svd(reduced, full_matrices=False)
+        uu, ss, vh = np.linalg.svd(block.T, full_matrices=False)
         vec = vh[0].conj()
-        coeff = uu[:, 0]
         pivot = vec[int(np.argmax(np.abs(vec)))]
         phase = pivot / abs(pivot)
-        beams[:, i] = vec * phase.conjugate()
-        u1.append(coeff * phase.conjugate())
+        beams[aps, i] = vec * phase.conjugate()
+        u1.append(uu[:, 0] * phase.conjugate())
         psi1[i] = ss[0]
     return beams, SvdCache(psi1, tuple(u1))
 
@@ -120,9 +127,8 @@ def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
                    col_scale=None if pset.col_scale is None else pset.col_scale / norms)
 
 
-def mf_sp(sparse: SparseChannel) -> PrecoderSet:
+def mf_sp(g_bar: np.ndarray) -> PrecoderSet:
     """Matched filter on the sparse channel: the conjugate of each column."""
-    g_bar = sparse.g_bar
     k = g_bar.shape[1]
     return PrecoderSet(LABEL_MF_SP, _empty_common(g_bar.shape[0]),
                        g_bar.conj().copy(), beta=1.0,
@@ -136,9 +142,8 @@ def _trace_scaled(f: np.ndarray, pt, share: int = 1) -> tuple[np.ndarray, np.nda
     return beta, beta[..., None, None] * f
 
 
-def zf_sp(sparse: SparseChannel, pt: float | np.ndarray) -> PrecoderSet:
+def zf_sp(g_bar: np.ndarray, pt: float | np.ndarray) -> PrecoderSet:
     """Zero-forcing pseudoinverse of the sparse channel, trace-normalised to Pt."""
-    g_bar = sparse.g_bar
     k = g_bar.shape[1]
     gram = g_bar.T @ g_bar.conj()
     _check_condition(gram, "(sparse zero-forcing)")
@@ -148,7 +153,7 @@ def zf_sp(sparse: SparseChannel, pt: float | np.ndarray) -> PrecoderSet:
                        beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
-def mmse_sp(sparse: SparseChannel, pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
+def mmse_sp(g_bar: np.ndarray, pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Regularised inverse on the sparse channel, trace-normalised to Pt.
 
     Regulariser K * sigma_w^2 / Pt with K the total user count.
@@ -156,7 +161,6 @@ def mmse_sp(sparse: SparseChannel, pt: float | np.ndarray, sigma_w2: float) -> P
     pt = np.asarray(pt, dtype=float)
     if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
-    g_bar = sparse.g_bar
     k = g_bar.shape[1]
     gram = g_bar.T @ g_bar.conj() + (k * sigma_w2 / pt[..., None, None]) * np.eye(k)
     lam = np.linalg.inv(gram)
@@ -165,27 +169,26 @@ def mmse_sp(sparse: SparseChannel, pt: float | np.ndarray, sigma_w2: float) -> P
                        beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
-def ru_zf_rd(sparse: SparseChannel, partition: ClusterPartition) -> PrecoderSet:
+def ru_zf_rd(g_bar: np.ndarray, partition: ClusterPartition) -> PrecoderSet:
     """Per-cluster zero-forcing with reduced-size inversions.
 
-    Column k of the result is the mapped column of its cluster's
-    pseudoinverse; no global normalisation is applied.
+    Column k of the result is its cluster's pseudoinverse column on the
+    cluster's APs and zero elsewhere; no global normalisation is applied.
     """
-    m, k_total = sparse.g_bar.shape
+    m, k_total = g_bar.shape
     private = np.zeros((m, k_total), dtype=complex)
     lam = np.zeros((k_total, k_total), dtype=complex)
-    for i, (users, reduced) in enumerate(zip(partition.user_sets, sparse.reduced)):
-        gram = reduced @ reduced.conj().T
+    for i, (_, users, at, block) in enumerate(_cluster_blocks(g_bar, partition)):
+        gram = block.T @ block.conj()
         _check_condition(gram, f"in cluster {i}")
         lam_i = np.linalg.inv(gram)
-        cols = list(users)
-        private[:, cols] = reduced.conj().T @ lam_i
-        lam[np.ix_(cols, cols)] = lam_i
+        private[at] = block.conj() @ lam_i
+        lam[np.ix_(users, users)] = lam_i
     return PrecoderSet(LABEL_RU_ZF_RD, _empty_common(m), private, beta=1.0,
                        lam=lam, col_scale=np.ones(k_total))
 
 
-def ru_mmse_rd(sparse: SparseChannel, partition: ClusterPartition,
+def ru_mmse_rd(g_bar: np.ndarray, partition: ClusterPartition,
                pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Per-cluster regularised inverses with per-cluster power scaling.
 
@@ -196,44 +199,44 @@ def ru_mmse_rd(sparse: SparseChannel, partition: ClusterPartition,
     pt = np.asarray(pt, dtype=float)
     if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
-    m, k_total = sparse.g_bar.shape
+    m, k_total = g_bar.shape
     private = np.zeros(pt.shape + (m, k_total), dtype=complex)
     lam = np.zeros(pt.shape + (k_total, k_total), dtype=complex)
     col_scale = np.ones(pt.shape + (k_total,))
     betas = np.zeros(pt.shape + (partition.n_clusters,))
-    for i, (users, reduced) in enumerate(zip(partition.user_sets, sparse.reduced)):
+    for i, (_, users, at, block) in enumerate(_cluster_blocks(g_bar, partition)):
         ki = len(users)
-        gram = (reduced @ reduced.conj().T
+        gram = (block.T @ block.conj()
                 + (k_total * ki * sigma_w2 / pt[..., None, None]) * np.eye(ki))
         lam_i = np.linalg.inv(gram)
-        cols = list(users)
-        betas[..., i], private[..., cols] = _trace_scaled(reduced.conj().T @ lam_i, pt,
-                                                          k_total)
-        lam[(...,) + np.ix_(cols, cols)] = lam_i
-        col_scale[..., cols] = betas[..., i, None]
+        betas[..., i], private[(...,) + at] = _trace_scaled(
+            block.conj() @ lam_i, pt, k_total)
+        lam[(...,) + np.ix_(users, users)] = lam_i
+        col_scale[..., users] = betas[..., i, None]
     return PrecoderSet(LABEL_RU_MMSE_RD, _empty_common(m), private,
                        beta=betas, lam=lam, col_scale=col_scale)
 
 
-# construction label -> builder(sparse, partition, pt, sigma_w2).  The
+# construction label -> builder(g_bar, partition, pt, sigma_w2).  The
 # entries look the construction functions up when called, so a wrapper set
 # on a module attribute (bench/tracing.py does this) sees every build.
 CONSTRUCTIONS = {
-    LABEL_MF_SP: lambda sparse, partition, pt, sigma_w2: mf_sp(sparse),
-    LABEL_ZF_SP: lambda sparse, partition, pt, sigma_w2: zf_sp(sparse, pt),
-    LABEL_MMSE_SP: lambda sparse, partition, pt, sigma_w2: mmse_sp(sparse, pt, sigma_w2),
-    LABEL_RU_ZF_RD: lambda sparse, partition, pt, sigma_w2: ru_zf_rd(sparse, partition),
-    LABEL_RU_MMSE_RD: lambda sparse, partition, pt, sigma_w2: ru_mmse_rd(
-        sparse, partition, pt, sigma_w2),
+    LABEL_MF_SP: lambda g_bar, partition, pt, sigma_w2: mf_sp(g_bar),
+    LABEL_ZF_SP: lambda g_bar, partition, pt, sigma_w2: zf_sp(g_bar, pt),
+    LABEL_MMSE_SP: lambda g_bar, partition, pt, sigma_w2: mmse_sp(g_bar, pt, sigma_w2),
+    LABEL_RU_ZF_RD: lambda g_bar, partition, pt, sigma_w2: ru_zf_rd(g_bar, partition),
+    LABEL_RU_MMSE_RD: lambda g_bar, partition, pt, sigma_w2: ru_mmse_rd(
+        g_bar, partition, pt, sigma_w2),
 }
 
 
-def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,
+def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
               pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
     """Raw private precoder set of the construction named ``label``.
 
-    A dense (unmasked) precoder is the same construction applied to
-    ``sparse_channel(g_hat, single_cluster(M, K))``.
+    ``g_bar`` is ``sparse_channel(g_hat, partition)``; a dense (unmasked)
+    precoder takes ``partition = single_cluster(M, K)``.  A cluster with
+    users but no AP raises :class:`EmptyClusterError`.
     """
     if label not in CONSTRUCTIONS:
         raise ValueError(
@@ -241,7 +244,7 @@ def construct(label: str, sparse: SparseChannel, partition: ClusterPartition,
     for i, (users, aps) in enumerate(zip(partition.user_sets, partition.ap_sets)):
         if users and not aps:
             raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution")
-    return CONSTRUCTIONS[label](sparse, partition, pt, sigma_w2)
+    return CONSTRUCTIONS[label](g_bar, partition, pt, sigma_w2)
 
 
 def precoder_dump(pset: PrecoderSet) -> dict:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import channel as chan
-from .clustering import ClusterPartition, SparseChannel
+from .clustering import ClusterPartition
 from .precoding import (CONSTRUCTIONS, LABEL_MF_SP, LABEL_RU_ZF_RD, LABEL_ZF_SP,
                         PrecoderSet, SvdCache)
 
@@ -44,7 +44,7 @@ class RateInputs:
     """Everything needed to evaluate the SINRs of one configuration."""
 
     realization: chan.ChannelRealization
-    sparse: SparseChannel
+    g_bar: np.ndarray  # (M, K) estimate masked to the partition
     partition: ClusterPartition
     precoders: PrecoderSet
     svd_cache: SvdCache | None
@@ -144,7 +144,7 @@ def _closed_form_projections(k: int, inputs: RateInputs) -> tuple[np.ndarray, np
     ps = inputs.precoders
     i, _ = _cluster_and_position(inputs.partition, k)
     users_i = list(inputs.partition.user_sets[i])
-    g_bar_conj = inputs.sparse.g_bar.conj()
+    g_bar_conj = inputs.g_bar.conj()
     rh = inputs.realization.g_hat[:, k] @ g_bar_conj
     rt = inputs.realization.g_err[:, k] @ g_bar_conj
     hat_p = (rh @ ps.lam) * ps.col_scale
@@ -154,7 +154,7 @@ def _closed_form_projections(k: int, inputs: RateInputs) -> tuple[np.ndarray, np
         hat_p[users_i] = 0.0
         hat_p[k] = ps.col_scale[k]
     elif ps.label == LABEL_MF_SP:
-        hat_p[k] = ps.col_scale[k] * float(np.sum(np.abs(inputs.sparse.g_bar[:, k]) ** 2))
+        hat_p[k] = ps.col_scale[k] * float(np.sum(np.abs(inputs.g_bar[:, k]) ** 2))
     return hat_p, til_p
 
 

@@ -125,6 +125,44 @@ def test_criterion_09_complexity_scaling():
     assert report(9, ok, f"per-AP cost {r1:.2f} -> {r2:.2f}, change {change * 100:.2f}%")
 
 
+def test_criterion_09_counted_from_the_constructions(monkeypatch):
+    # criterion 9's bound on the factorisations the SVD beams and RU-MMSE-RD
+    # actually run on drawn networks at n_c = K/4: a*b*min(a, b) per SVD of an
+    # (a, b) matrix and k^3 per (k, k) inverse, per AP, averaged over 5 seeds
+    costs = []
+    svd, inv = np.linalg.svd, np.linalg.inv
+
+    def counted_svd(a, *args, **kwargs):
+        costs.append(a.shape[0] * a.shape[1] * min(a.shape))
+        return svd(a, *args, **kwargs)
+
+    def counted_inv(a):
+        costs.append(a.shape[0] ** 3)
+        return inv(a)
+
+    per_ap = []
+    for m, k in ((32, 16), (64, 32)):
+        network = replace(ExperimentConfig(), m=m, k=k, cluster_mode="fixed", n_c=k // 4)
+        total = 0.0
+        for seed in range(5):
+            inputs = random_instance(seed, network, kind=prec.LABEL_RU_MMSE_RD)
+            costs.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", counted_svd)
+                patch.setattr(np.linalg, "inv", counted_inv)
+                prec.common_precoder(inputs.g_bar, inputs.partition)
+                prec.construct(prec.LABEL_RU_MMSE_RD, inputs.g_bar, inputs.partition,
+                               inputs.power.pt, inputs.sigma_w2)
+            assert len(costs) == 2 * inputs.partition.n_clusters
+            total += sum(costs) / m
+        per_ap.append(total / 5)
+    r1, r2 = per_ap
+    change = abs(r2 - r1) / r1
+    ok = change < 0.05
+    assert report(9, ok, f"counted per-AP cost {r1:.2f} -> {r2:.2f}, "
+                         f"change {change * 100:.2f}%")
+
+
 def test_criterion_10_channel_moments():
     sigma_e2 = 0.025
     zeta = np.full((1000, 100), 0.43)

@@ -194,32 +194,34 @@ class TestSparseChannel:
     def test_full_coverage_recovers_estimate(self):
         g_hat = rng(6).normal(size=(8, 4)) + 1j * rng(7).normal(size=(8, 4))
         part = clus.single_cluster(8, 4)
-        sp = clus.sparse_channel(g_hat, part)
-        assert np.array_equal(sp.g_bar, g_hat)
-        assert np.array_equal(sp.reduced[0], g_hat.T)
+        assert np.array_equal(clus.sparse_channel(g_hat, part), g_hat)
 
     def test_masking_pattern(self):
         g_hat = np.ones((4, 3), dtype=complex)
         part = clus.ClusterPartition(((0, 1), (2,)), ((0, 1), (3,)),
                                      np.array([[1, 1, 0, 0], [0, 0, 0, 1]]))
-        sp = clus.sparse_channel(g_hat, part)
+        g_bar = clus.sparse_channel(g_hat, part)
         expected = np.zeros((4, 3), dtype=complex)
         expected[np.ix_([0, 1], [0, 1])] = 1.0
         expected[3, 2] = 1.0
-        assert np.array_equal(sp.g_bar, expected)
+        assert np.array_equal(g_bar, expected)
         # AP 2 serves nobody: its row stays zero
-        assert np.all(sp.g_bar[2] == 0)
+        assert np.all(g_bar[2] == 0)
 
     def test_reduced_rows_are_user_rows(self):
+        # each cluster's block holds its users' estimates on its APs, and the
+        # masked channel is zero wherever no cluster pairs the AP and the user
         g_hat = rng(8).normal(size=(6, 4)) + 1j * rng(9).normal(size=(6, 4))
         zeta = rng(10).lognormal(size=(6, 4))
         sel = clus.select_aps_topn(zeta, 3)
         part = clus.design_clusters(sel, 1, zeta)
-        sp = clus.sparse_channel(g_hat, part)
-        for users, reduced in zip(part.user_sets, sp.reduced):
-            assert reduced.shape == (len(users), 6)
-            for row, u in enumerate(users):
-                assert np.array_equal(reduced[row], sp.g_bar[:, u])
+        g_bar = clus.sparse_channel(g_hat, part)
+        covered = np.zeros(g_bar.shape, dtype=bool)
+        for users, aps in zip(part.user_sets, part.ap_sets):
+            idx = np.ix_(list(aps), list(users))
+            assert np.array_equal(g_bar[idx], g_hat[idx])
+            covered[idx] = True
+        assert np.all(g_bar[~covered] == 0)
 
 
 def test_cluster_report_schema():

@@ -3,8 +3,9 @@
 Every benchmark run checks its result records against the full-precision
 goldens in ``bench/goldens``: split fractions exact, rates to 1e-12
 relative.  This test applies the same check, with the benchmark's own
-code, to config seed 1 of each workload and to config seeds 2 to 4 of
-each workload with its own golden, so a faster path that moves a split
+code, to config seed 1 of each workload and to every other config seed
+(2 to 16, any of which ``bench/run.py --seed n`` can draw) of each
+workload with its own golden, so a faster path that moves a split
 fraction fails here and not only inside the benchmark.  Like the
 benchmark, it also checks that ``trials.jsonl`` has one line per trial row
 and ``results.csv`` one per record plus its header.
@@ -54,7 +55,7 @@ def test_config_seed_1_matches_golden(name, tmp_path):
     assert_matches_golden(workloads.WORKLOADS[name], 1, tmp_path)
 
 
-@pytest.mark.parametrize("seed", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(2, workloads.GOLDEN_SEEDS + 1))
 @pytest.mark.parametrize("name", sorted(workloads.GOLDENS))
 def test_config_seeds_2_to_4_match_golden(name, seed, tmp_path):
     # a split fraction that flips on another seed's draws fails here too

@@ -579,12 +579,12 @@ def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
         selection = clus.select_aps_threshold(zeta)
         n_a = clus.default_shared_ap_threshold(selection)
         partition = clus.design_clusters(selection, n_a, zeta)
-        sparse = clus.sparse_channel(realization.g_hat, partition)
+        g_bar = clus.sparse_channel(realization.g_hat, partition)
         sigma_w2 = chan.noise_variance(290.0, 20e6, 9.0)
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
-            common, _ = prec.common_precoder(sparse, partition)
-            pset = harness._build_private(kind, sparse, partition, pt, sigma_w2)
+            common, _ = prec.common_precoder(g_bar, partition)
+            pset = harness._build_private(kind, g_bar, partition, pt, sigma_w2)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
         return realization.g_hat, partition, pset.private, common, pt

@@ -320,7 +320,7 @@ class TestStackedScoring:
                     pts = np.array([chan.pt_for_snr(inputs.realization.g_true, snr, sigma_w2)
                                     for snr in FIXTURE.snr_grid_db])
                     assert len(pts) == 7
-                    private = _build_private(kind, inputs.sparse, part, pts, sigma_w2).private
+                    private = _build_private(kind, inputs.g_bar, part, pts, sigma_w2).private
                     cluster_of = part.cluster_of_users(k)
                     bundle = rates.ProjectionBundle(
                         rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of),

@@ -22,7 +22,7 @@ def complex_matrix(m, k, seed):
 
 
 def clustered_instance(seed, m=8, k=4):
-    """Random channel plus a non-trivial partition and its masked estimate."""
+    """Masked estimate of a random channel, its non-trivial partition and the estimate."""
     g = rng(seed)
     zeta = g.lognormal(sigma=1.5, size=(m, k))
     g_hat = np.sqrt(zeta) * complex_matrix(m, k, seed + 1000)
@@ -31,16 +31,20 @@ def clustered_instance(seed, m=8, k=4):
     return clus.sparse_channel(g_hat, part), part, g_hat
 
 
+def cluster_block(g_bar, part, i):
+    """Cluster i's reduced channel: its (|A_i|, |K_i|) block of the masked estimate."""
+    return g_bar[np.ix_(list(part.ap_sets[i]), list(part.user_sets[i]))]
+
+
 class TestCommonPrecoder:
     def test_rank_one_cluster(self):
         a = complex_matrix(6, 1, 1).ravel()
         b = complex_matrix(5, 1, 2).ravel()
-        # rank-1 reduced matrix, rows = users, columns = APs
-        reduced = np.outer(a[:3], b)
-        sparse = clus.SparseChannel(reduced.T.copy(), (reduced,))
+        # rank-1 masked channel, rows = APs, columns = users
+        g_bar = np.outer(b, a[:3])
         part = clus.ClusterPartition(((0, 1, 2),), (tuple(range(5)),),
                                      np.ones((1, 5), dtype=int))
-        common, cache = prec.common_precoder(sparse, part)
+        common, cache = prec.common_precoder(g_bar, part)
         v = common[:, 0]
         direction = b.conj() / np.linalg.norm(b)
         phase = direction[np.argmax(np.abs(direction))]
@@ -49,15 +53,16 @@ class TestCommonPrecoder:
         assert cache.psi1[0] == pytest.approx(np.linalg.norm(a[:3]) * np.linalg.norm(b), rel=1e-10)
 
     def test_unit_norm_columns(self):
-        sparse, part, _ = clustered_instance(3)
-        common, _ = prec.common_precoder(sparse, part)
+        g_bar, part, _ = clustered_instance(3)
+        common, _ = prec.common_precoder(g_bar, part)
         np.testing.assert_allclose(np.linalg.norm(common, axis=0), 1.0, rtol=1e-12)
 
     def test_power_iteration_oracle(self):
         # leading singular value from an independent power iteration
-        sparse, part, _ = clustered_instance(4)
-        common, cache = prec.common_precoder(sparse, part)
-        for i, reduced in enumerate(sparse.reduced):
+        g_bar, part, _ = clustered_instance(4)
+        common, cache = prec.common_precoder(g_bar, part)
+        for i, aps in enumerate(part.ap_sets):
+            reduced = cluster_block(g_bar, part, i).T
             gram = reduced.conj().T @ reduced
             v = np.ones(gram.shape[0], dtype=complex)
             for _ in range(2000):
@@ -65,75 +70,99 @@ class TestCommonPrecoder:
                 v = v / np.linalg.norm(v)
             psi = math.sqrt(float((v.conj() @ (gram @ v)).real))
             assert cache.psi1[i] == pytest.approx(psi, rel=1e-10)
-            assert np.linalg.norm(reduced @ common[:, i]) == pytest.approx(psi, rel=1e-10)
+            assert np.linalg.norm(reduced @ common[list(aps), i]) == pytest.approx(psi, rel=1e-10)
 
     def test_svd_cache_row_identity(self):
-        sparse, part, _ = clustered_instance(5)
-        common, cache = prec.common_precoder(sparse, part)
+        g_bar, part, _ = clustered_instance(5)
+        common, cache = prec.common_precoder(g_bar, part)
         for i, users in enumerate(part.user_sets):
             for pos, u in enumerate(users):
-                lhs = sparse.g_bar[:, u] @ common[:, i]
+                lhs = g_bar[:, u] @ common[:, i]
                 rhs = cache.u1[i][pos] * cache.psi1[i]
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
 
     def test_reduced_times_beam_matches_cache(self):
-        sparse, part, _ = clustered_instance(6)
-        common, cache = prec.common_precoder(sparse, part)
-        for i, reduced in enumerate(sparse.reduced):
-            lhs = reduced @ common[:, i]
+        # the users' masked rows over all M APs times the whole beam
+        g_bar, part, _ = clustered_instance(6)
+        common, cache = prec.common_precoder(g_bar, part)
+        for i, users in enumerate(part.user_sets):
+            lhs = g_bar[:, list(users)].T @ common[:, i]
             rhs = cache.psi1[i] * cache.u1[i]
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * cache.psi1[i])
 
     def test_beam_vanishes_outside_cluster_aps(self):
-        sparse, part, _ = clustered_instance(7)
-        common, _ = prec.common_precoder(sparse, part)
-        for i, aps in enumerate(part.ap_sets):
-            outside = [m for m in range(sparse.g_bar.shape[0]) if m not in aps]
-            if outside:
-                assert np.max(np.abs(common[outside, i])) < 1e-12
+        # exact zeros: the common beams and the per-cluster private columns
+        # are built on each cluster's own APs only
+        outside_entries = 0
+        for network in (FIXTURE, ExperimentConfig()):
+            for seed in range(20):
+                inputs = random_instance(seed, network, kind=prec.LABEL_RU_ZF_RD)
+                g_bar, part = inputs.g_bar, inputs.partition
+                columns = (inputs.precoders.private,
+                           prec.construct(prec.LABEL_RU_MMSE_RD, g_bar, part,
+                                          inputs.power.pt, inputs.sigma_w2).private)
+                for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
+                    outside = [m for m in range(g_bar.shape[0]) if m not in aps]
+                    assert np.all(inputs.precoders.common[outside, i] == 0)
+                    for private in columns:
+                        assert np.all(private[np.ix_(outside, list(users))] == 0)
+                    outside_entries += len(outside)
+        assert outside_entries > 0
 
     def test_empty_cluster_rejected(self):
-        sparse = clus.SparseChannel(np.zeros((4, 2), dtype=complex),
-                                    (np.zeros((2, 4), dtype=complex),))
+        g_bar = np.zeros((4, 2), dtype=complex)
         part = clus.single_cluster(4, 2)
         with pytest.raises(prec.EmptyClusterError):
-            prec.common_precoder(sparse, part)
+            prec.common_precoder(g_bar, part)
+
+    def test_apless_cluster_rejected(self):
+        # cluster 1 has users but lost every AP: every construction and the
+        # SVD beams refuse the partition
+        g_hat = complex_matrix(8, 4, 36)
+        part = clus.ClusterPartition(((0, 1), (2, 3)), (tuple(range(8)), ()),
+                                     np.array([[1] * 8, [0] * 8]))
+        g_bar = clus.sparse_channel(g_hat, part)
+        for label in prec.CONSTRUCTIONS:
+            with pytest.raises(prec.EmptyClusterError, match="cluster 1"):
+                prec.construct(label, g_bar, part, 1.0, 0.1)
+        with pytest.raises(prec.EmptyClusterError, match="cluster 1"):
+            prec.common_precoder(g_bar, part)
 
 
 class TestMatchedFilter:
     def test_real_channel_unchanged(self):
         g = np.abs(complex_matrix(4, 2, 8)).astype(complex)
-        sparse = clus.sparse_channel(g, clus.single_cluster(*g.shape))
-        assert np.array_equal(prec.mf_sp(sparse).private, g)
+        g_bar = clus.sparse_channel(g, clus.single_cluster(*g.shape))
+        assert np.array_equal(prec.mf_sp(g_bar).private, g)
 
     def test_conjugation(self):
         g = complex_matrix(2, 2, 9)
-        sparse = clus.sparse_channel(g, clus.single_cluster(*g.shape))
-        np.testing.assert_allclose(prec.mf_sp(sparse).private, g.conj(), rtol=1e-15)
+        g_bar = clus.sparse_channel(g, clus.single_cluster(*g.shape))
+        np.testing.assert_allclose(prec.mf_sp(g_bar).private, g.conj(), rtol=1e-15)
 
     def test_sparsity_inherited(self):
-        sparse, part, _ = clustered_instance(10)
-        pset = prec.mf_sp(sparse)
-        assert np.array_equal(pset.private == 0, sparse.g_bar == 0)
+        g_bar, part, _ = clustered_instance(10)
+        pset = prec.mf_sp(g_bar)
+        assert np.array_equal(pset.private == 0, g_bar == 0)
 
 
 class TestZeroForcing:
     def test_orthonormal_columns(self):
         q, _ = np.linalg.qr(complex_matrix(8, 4, 12))
-        sparse = clus.sparse_channel(q.conj(), clus.single_cluster(8, 4))  # g_bar^T g_bar* = I
-        pset = prec.zf_sp(sparse, pt=2.0)
+        g_bar = clus.sparse_channel(q.conj(), clus.single_cluster(8, 4))  # g_bar^T g_bar* = I
+        pset = prec.zf_sp(g_bar, pt=2.0)
         assert pset.beta == pytest.approx(math.sqrt(2.0 / 4.0), rel=1e-9)
         np.testing.assert_allclose(pset.private, pset.beta * q, atol=1e-9)
 
     def test_orthogonality_residual(self):
-        sparse, _, _ = clustered_instance(13)
-        pset = prec.zf_sp(sparse, pt=3.0)
-        prod = sparse.g_bar.T @ pset.private
+        g_bar, _, _ = clustered_instance(13)
+        pset = prec.zf_sp(g_bar, pt=3.0)
+        prod = g_bar.T @ pset.private
         np.testing.assert_allclose(prod, pset.beta * np.eye(4), atol=1e-9 * pset.beta)
 
     def test_trace_normalisation(self):
-        sparse, _, _ = clustered_instance(14)
-        pset = prec.zf_sp(sparse, pt=5.0)
+        g_bar, _, _ = clustered_instance(14)
+        pset = prec.zf_sp(g_bar, pt=5.0)
         assert np.sum(np.abs(pset.private) ** 2) == pytest.approx(5.0, rel=1e-9)
 
     def test_duplicate_columns_rejected(self):
@@ -164,10 +193,9 @@ class TestMmse:
 
     def test_solve_oracle(self):
         # independent route: solve the regularised system instead of inverting
-        sparse, _, _ = clustered_instance(18)
+        g_bar, _, _ = clustered_instance(18)
         pt, sigma_w2 = 2.0, 0.3
-        pset = prec.mmse_sp(sparse, pt, sigma_w2)
-        g_bar = sparse.g_bar
+        pset = prec.mmse_sp(g_bar, pt, sigma_w2)
         gram = g_bar.T @ g_bar.conj() + (4 * sigma_w2 / pt) * np.eye(4)
         x = np.linalg.solve(gram, np.eye(4, dtype=complex))
         reference = g_bar.conj() @ x
@@ -176,8 +204,8 @@ class TestMmse:
                                    atol=1e-10 * np.max(np.abs(reference)) * beta)
 
     def test_trace_normalisation(self):
-        sparse, _, _ = clustered_instance(19)
-        pset = prec.mmse_sp(sparse, pt=7.0, sigma_w2=0.1)
+        g_bar, _, _ = clustered_instance(19)
+        pset = prec.mmse_sp(g_bar, pt=7.0, sigma_w2=0.1)
         assert np.sum(np.abs(pset.private) ** 2) == pytest.approx(7.0, rel=1e-9)
 
 
@@ -185,28 +213,28 @@ class TestReducedDimension:
     def test_single_cluster_matches_sparse_zf_direction(self):
         g_hat = complex_matrix(8, 4, 20)
         part = clus.single_cluster(8, 4)
-        sparse = clus.sparse_channel(g_hat, part)
-        rd = prec.ru_zf_rd(sparse, part)
-        sp = prec.zf_sp(sparse, pt=1.0)
+        g_bar = clus.sparse_channel(g_hat, part)
+        rd = prec.ru_zf_rd(g_bar, part)
+        sp = prec.zf_sp(g_bar, pt=1.0)
         np.testing.assert_allclose(rd.private, sp.private / sp.beta, atol=1e-10)
 
     def test_singleton_clusters_conjugate_direction(self):
         g_hat = complex_matrix(6, 2, 21)
         part = clus.ClusterPartition(((0,), (1,)), ((0, 1, 2), (3, 4, 5)),
                                      np.array([[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]]))
-        sparse = clus.sparse_channel(g_hat, part)
-        rd = prec.ru_zf_rd(sparse, part)
+        g_bar = clus.sparse_channel(g_hat, part)
+        rd = prec.ru_zf_rd(g_bar, part)
         for k in range(2):
-            col = sparse.g_bar[:, k]
+            col = g_bar[:, k]
             np.testing.assert_allclose(rd.private[:, k], col.conj() / np.sum(np.abs(col) ** 2),
                                        atol=1e-12)
 
     def test_within_cluster_orthogonality(self):
-        sparse, part, g_hat = clustered_instance(22)
-        rd = prec.ru_zf_rd(sparse, part)
+        g_bar, part, g_hat = clustered_instance(22)
+        rd = prec.ru_zf_rd(g_bar, part)
         for users in part.user_sets:
             cols = list(users)
-            prod = sparse.g_bar[:, cols].T @ rd.private[:, cols]
+            prod = g_bar[:, cols].T @ rd.private[:, cols]
             np.testing.assert_allclose(prod, np.eye(len(cols)), atol=1e-9)
         # the unmasked estimate still leaks across clusters in general
         cross = 0.0
@@ -228,39 +256,42 @@ class TestReducedDimension:
             inputs = random_instance(seed, network, kind=prec.LABEL_ZF_SP)
             aps = [a for ap_set in inputs.partition.ap_sets for a in ap_set]
             assert len(aps) == len(set(aps))
-            rd = _build_private(prec.LABEL_RU_ZF_RD, inputs.sparse, inputs.partition,
+            rd = _build_private(prec.LABEL_RU_ZF_RD, inputs.g_bar, inputs.partition,
                                 inputs.power.pt, inputs.sigma_w2)
             np.testing.assert_allclose(rd.private, inputs.precoders.private, rtol=0.0,
                                        atol=1e-12)
 
     def test_mmse_rd_reduced_inversion_oracle(self):
         # dimension bookkeeping: each cluster solves its own |K_i| system
-        sparse, part, _ = clustered_instance(23)
+        g_bar, part, _ = clustered_instance(23)
         pt, sigma_w2 = 4.0, 0.2
-        rd = prec.ru_mmse_rd(sparse, part, pt, sigma_w2)
+        rd = prec.ru_mmse_rd(g_bar, part, pt, sigma_w2)
         k_total = 4
-        for i, (users, reduced) in enumerate(zip(part.user_sets, sparse.reduced)):
+        for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
             ki = len(users)
+            reduced = cluster_block(g_bar, part, i).T
             gram = reduced @ reduced.conj().T + (k_total * ki * sigma_w2 / pt) * np.eye(ki)
-            p_bar = reduced.conj().T @ np.linalg.solve(gram, np.eye(ki, dtype=complex))
+            # the solution on the cluster's APs, zero on every other AP
+            p_bar = np.zeros((8, ki), dtype=complex)
+            p_bar[list(aps)] = reduced.conj().T @ np.linalg.solve(gram, np.eye(ki, dtype=complex))
             beta = math.sqrt(pt / (k_total * np.sum(np.abs(p_bar) ** 2)))
             np.testing.assert_allclose(rd.private[:, list(users)], beta * p_bar,
                                        atol=1e-10 * np.max(np.abs(p_bar)) * beta)
             assert rd.beta[i] == pytest.approx(beta, rel=1e-9)
 
     def test_mmse_rd_vanishing_noise_is_zf_rd(self):
-        sparse, part, _ = clustered_instance(24)
-        rd_zf = prec.ru_zf_rd(sparse, part)
-        rd_mmse = prec.ru_mmse_rd(sparse, part, pt=1.0, sigma_w2=1e-14)
+        g_bar, part, _ = clustered_instance(24)
+        rd_zf = prec.ru_zf_rd(g_bar, part)
+        rd_mmse = prec.ru_mmse_rd(g_bar, part, pt=1.0, sigma_w2=1e-14)
         for k in range(4):
             a = rd_mmse.private[:, k] / np.linalg.norm(rd_mmse.private[:, k])
             b = rd_zf.private[:, k] / np.linalg.norm(rd_zf.private[:, k])
             assert abs(np.vdot(a, b)) >= 1.0 - 1e-6
 
     def test_private_columns_confined_to_cluster_aps(self):
-        sparse, part, _ = clustered_instance(35)
-        for pset in (prec.ru_zf_rd(sparse, part), prec.zf_sp(sparse, pt=1.0),
-                     prec.mmse_sp(sparse, pt=1.0, sigma_w2=1e-3)):
+        g_bar, part, _ = clustered_instance(35)
+        for pset in (prec.ru_zf_rd(g_bar, part), prec.zf_sp(g_bar, pt=1.0),
+                     prec.mmse_sp(g_bar, pt=1.0, sigma_w2=1e-3)):
             for users, aps in zip(part.user_sets, part.ap_sets):
                 outside = [m for m in range(8) if m not in aps]
                 for k in users:
@@ -273,9 +304,9 @@ class TestReducedDimension:
         g_hat[:, 3] = g_hat[:, 2]
         part = clus.ClusterPartition(((0, 1), (2, 3)), ((0, 1, 2, 3), (4, 5, 6, 7)),
                                      np.array([[1] * 4 + [0] * 4, [0] * 4 + [1] * 4]))
-        sparse = clus.sparse_channel(g_hat, part)
+        g_bar = clus.sparse_channel(g_hat, part)
         with pytest.raises(prec.RankDeficientChannelError, match="cluster 1"):
-            prec.ru_zf_rd(sparse, part)
+            prec.ru_zf_rd(g_bar, part)
 
 
 class TestNetworkWide:
@@ -288,15 +319,15 @@ class TestNetworkWide:
     def test_full_coverage_equals_sparse(self):
         g_hat = complex_matrix(8, 4, 26)
         part = clus.single_cluster(8, 4)
-        sparse = clus.sparse_channel(g_hat, part)
+        g_bar = clus.sparse_channel(g_hat, part)
         for label in (prec.LABEL_MF_SP, prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP):
             wide = self.wide(g_hat, label)
             if label == prec.LABEL_MF_SP:
-                sp = prec.mf_sp(sparse)
+                sp = prec.mf_sp(g_bar)
             elif label == prec.LABEL_ZF_SP:
-                sp = prec.zf_sp(sparse, 1.0)
+                sp = prec.zf_sp(g_bar, 1.0)
             else:
-                sp = prec.mmse_sp(sparse, 1.0, 0.1)
+                sp = prec.mmse_sp(g_bar, 1.0, 0.1)
             np.testing.assert_allclose(wide.private, sp.private, atol=1e-12)
 
     def test_zf_kind_orthogonality(self):
@@ -317,16 +348,16 @@ class TestNetworkWide:
 
 class TestColumnNormalisation:
     def test_unit_columns(self):
-        sparse, _, _ = clustered_instance(30)
-        pset = prec.normalize_private_columns(prec.zf_sp(sparse, pt=2.0))
+        g_bar, _, _ = clustered_instance(30)
+        pset = prec.normalize_private_columns(prec.zf_sp(g_bar, pt=2.0))
         np.testing.assert_allclose(np.linalg.norm(pset.private, axis=0), 1.0, rtol=1e-12)
 
     def test_col_scale_tracks(self):
-        sparse, _, _ = clustered_instance(33)
-        raw = prec.zf_sp(sparse, pt=2.0)
+        g_bar, _, _ = clustered_instance(33)
+        raw = prec.zf_sp(g_bar, pt=2.0)
         pset = prec.normalize_private_columns(raw)
         # col_scale still reproduces the columns through conj(g_bar) @ lam
-        rebuilt = (sparse.g_bar.conj() @ pset.lam) * pset.col_scale
+        rebuilt = (g_bar.conj() @ pset.lam) * pset.col_scale
         np.testing.assert_allclose(rebuilt, pset.private, rtol=1e-9)
 
     def test_zero_column_rejected(self):
@@ -342,15 +373,15 @@ class TestSnrAxis:
     @pytest.mark.parametrize("label", list(prec.CONSTRUCTIONS))
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "clustered"])
     def test_stacked_build_equals_scalar_builds(self, label, dense):
-        sparse, part, g_hat = clustered_instance(40)
+        g_bar, part, g_hat = clustered_instance(40)
         if dense:
             part = clus.single_cluster(*g_hat.shape)
-            sparse = clus.sparse_channel(g_hat, part)
+            g_bar = clus.sparse_channel(g_hat, part)
         sigma_w2 = 1e-3
         pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
         for normalise in (False, True):
             def build(pt):
-                pset = prec.construct(label, sparse, part, pt, sigma_w2)
+                pset = prec.construct(label, g_bar, part, pt, sigma_w2)
                 return prec.normalize_private_columns(pset) if normalise else pset
             stacked, singles = build(pts), [build(pt) for pt in pts]
             # MF-SP and RU-ZF-RD never read pt: their sets carry no SNR axis

@@ -22,17 +22,17 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
     g_hat = (g.normal(size=(8, 4)) + 1j * g.normal(size=(8, 4))) / np.sqrt(2)
     real = chan.ChannelRealization(g_hat, g_hat, np.zeros_like(g_hat), 0.0)
     part = clus.single_cluster(8, 4)
-    sparse = clus.sparse_channel(g_hat, part)
-    common, cache = prec.common_precoder(sparse, part)
+    g_bar = clus.sparse_channel(g_hat, part)
+    common, cache = prec.common_precoder(g_bar, part)
     if kind == prec.LABEL_MF_SP:
-        pset = prec.mf_sp(sparse)
+        pset = prec.mf_sp(g_bar)
     elif kind == prec.LABEL_ZF_SP:
-        pset = prec.zf_sp(sparse, pt=1.0)
+        pset = prec.zf_sp(g_bar, pt=1.0)
     else:
         raise ValueError(kind)
     pset = replace(pset, common=common)
     alloc = pw.equal_split(1.0, delta, part.n_clusters, 4)
-    return rates.RateInputs(real, sparse, part, pset, cache, alloc, 1e-3)
+    return rates.RateInputs(real, g_bar, part, pset, cache, alloc, 1e-3)
 
 
 class TestGenericAgainstPowerOracle:
@@ -132,7 +132,7 @@ class TestClosedForms:
 
     def test_requires_cache(self):
         inputs = random_instance(1, FIXTURE, kind=prec.LABEL_MF_SP)
-        stripped = rates.RateInputs(inputs.realization, inputs.sparse, inputs.partition,
+        stripped = rates.RateInputs(inputs.realization, inputs.g_bar, inputs.partition,
                                     inputs.precoders, None, inputs.power, inputs.sigma_w2)
         with pytest.raises(ValueError):
             rates.sinr_closed_form(0, stripped, prec.LABEL_MF_SP, "common")
@@ -148,10 +148,10 @@ class TestClamping:
         real = chan.ChannelRealization(
             (g_hat - g_err) / math.sqrt(1 - 0.25), g_hat, g_err, 0.5)
         part = clus.single_cluster(4, 1)
-        sparse = clus.sparse_channel(g_hat, part)
-        pset = replace(prec.mf_sp(sparse), common=np.ones((4, 1)) / 2.0)
+        g_bar = clus.sparse_channel(g_hat, part)
+        pset = replace(prec.mf_sp(g_bar), common=np.ones((4, 1)) / 2.0)
         alloc = pw.PowerAllocation(np.zeros(1), np.ones(1), 0.0, 1.0)
-        inputs = rates.RateInputs(real, sparse, part, pset, None, alloc, 1e-9)
+        inputs = rates.RateInputs(real, g_bar, part, pset, None, alloc, 1e-9)
         assert rates.draw_sinrs(inputs)[1][0] == 0.0
         assert rates.sinr_oracle(0, inputs, "private") == 0.0
         assert _draw_sum_rate(inputs) >= 0.0
@@ -251,7 +251,7 @@ class TestSnrAxis:
             return rates.asr_from_bundle(bundle, part, power, sigma_w2, sigma_e)
 
         for label in labels:
-            pset = _build_private(label, inputs.sparse, part, pts, sigma_w2)
+            pset = _build_private(label, inputs.g_bar, part, pts, sigma_w2)
             stacked = rates.ProjectionBundle(
                 common, rates.project_streams(g_hat, err, pset.private, own), cluster_of)
             for delta in (0.0, 0.3):
