@@ -28,9 +28,6 @@ class NetworkGeometry:
     ap_positions: np.ndarray    # (M, 2)
     user_positions: np.ndarray  # (K, 2)
     area_side: float
-    h_ap: float = 15.0
-    h_u: float = 1.65
-    carrier_freq_mhz: float = 1900.0
 
     def distances(self) -> np.ndarray:
         """(M, K) horizontal AP-to-user distances in metres."""
@@ -45,9 +42,7 @@ class NetworkGeometry:
         """
         centre = np.full_like(np.asarray(self.ap_positions, dtype=float),
                               self.area_side / 2.0)
-        return NetworkGeometry(centre, np.array(self.user_positions, dtype=float),
-                               self.area_side, self.h_ap, self.h_u,
-                               self.carrier_freq_mhz)
+        return NetworkGeometry(centre, np.array(self.user_positions, dtype=float), self.area_side)
 
 
 @dataclass(frozen=True)
@@ -58,6 +53,7 @@ class ChannelRealization:
     g_hat: np.ndarray
     g_err: np.ndarray
     sigma_e: float
+    zeta: np.ndarray  # (M, K) large-scale gains the draw is scaled by
 
     @property
     def epsilon(self) -> float:
@@ -65,9 +61,7 @@ class ChannelRealization:
         return 1.0 / math.sqrt(1.0 - self.sigma_e ** 2)
 
 
-def place_network(m: int, k: int, area_side: float, rng: np.random.Generator,
-                  h_ap: float = 15.0, h_u: float = 1.65,
-                  carrier_freq_mhz: float = 1900.0) -> NetworkGeometry:
+def place_network(m: int, k: int, area_side: float, rng: np.random.Generator) -> NetworkGeometry:
     """Drop M APs and K users i.i.d. uniform over the square.
 
     Requires the under-loaded regime M > K >= 1.
@@ -80,8 +74,7 @@ def place_network(m: int, k: int, area_side: float, rng: np.random.Generator,
         raise ValueError(f"area side must be positive, got {area_side}")
     ap = rng.uniform(0.0, area_side, size=(m, 2))
     ue = rng.uniform(0.0, area_side, size=(k, 2))
-    return NetworkGeometry(ap, ue, float(area_side), float(h_ap), float(h_u),
-                           float(carrier_freq_mhz))
+    return NetworkGeometry(ap, ue, float(area_side))
 
 
 def attenuation_constant(freq_mhz: float, h_ap: float, h_u: float) -> float:
@@ -111,10 +104,10 @@ def path_loss(d, attenuation_db: float, d0: float = 10.0, d1: float = 50.0):
     return float(out) if out.ndim == 0 else out
 
 
-def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float,
+def large_scale(geometry: NetworkGeometry, attenuation_db: float, sigma_shadow_db: float,
                 rng: np.random.Generator, d0: float = 10.0, d1: float = 50.0,
                 per_user_shadow: bool = False) -> np.ndarray:
-    """Path loss plus log-normal shadowing, returned as the (M, K) linear power gains.
+    """Path loss on the fixed ``attenuation_db`` plus log-normal shadowing, as (M, K) linear gains.
 
     ``per_user_shadow`` draws one shadowing value per user shared by all
     antennas, the physical model for co-located arrays; by default each
@@ -122,8 +115,7 @@ def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float,
     """
     if sigma_shadow_db < 0:
         raise ValueError("shadowing standard deviation must be non-negative")
-    att = attenuation_constant(geometry.carrier_freq_mhz, geometry.h_ap, geometry.h_u)
-    pl_db = path_loss(geometry.distances(), att, d0, d1)
+    pl_db = path_loss(geometry.distances(), attenuation_db, d0, d1)
     shape = (1, pl_db.shape[1]) if per_user_shadow else pl_db.shape
     shadow_db = sigma_shadow_db * rng.standard_normal(size=shape)
     return 10.0 ** ((pl_db + shadow_db) / 10.0)
@@ -145,7 +137,7 @@ def draw_channel(zeta: np.ndarray, sigma_e: float,
     g_true = amp * h
     g_err = sigma_e * amp * h_err
     g_hat = amp * (math.sqrt(1.0 - sigma_e ** 2) * h + sigma_e * h_err)
-    return ChannelRealization(g_true, g_hat, g_err, float(sigma_e))
+    return ChannelRealization(g_true, g_hat, g_err, float(sigma_e), zeta)
 
 
 def draw_error_matrices(zeta: np.ndarray, sigma_e: float, n: int,

@@ -69,10 +69,9 @@ def seeded_rng(*parts: int) -> np.random.Generator:
 class SideData:
     """Channel state of one geometry (distributed or co-located)."""
 
-    zeta: np.ndarray  # (M, K) large-scale gains
     realization: chan.ChannelRealization
-    # (partition, masked estimate) keyed by ``SchemeSpec.dense``: the
-    # single-cluster dense channel, and the clustered one when a scheme uses it
+    # (partition, masked estimate) keyed by ``SchemeSpec.dense``: the single-cluster
+    # dense channel ``g_hat`` itself, and the clustered one when a scheme uses it
     channels: dict[bool, tuple[clus.ClusterPartition, np.ndarray]]
 
 
@@ -101,7 +100,8 @@ class TrialRow:
 class RealizationBlock:
     """The trial rows of one realization as columns, entry ``point * len(schemes) + scheme``.
 
-    ``min_cr`` is padded to K columns: an entry's first ``n_clusters`` are its own.
+    Every cluster has a user, so an entry's cluster count is ``max(cluster_of) + 1``;
+    ``min_cr`` is padded to K columns, and that many are the entry's own.
     """
 
     realization: int
@@ -110,7 +110,6 @@ class RealizationBlock:
     snr_db: tuple[float, ...]
     s_a: np.ndarray         # (E,)
     delta: np.ndarray       # (E,)
-    n_clusters: np.ndarray  # (E,) int
     mean_cr: np.ndarray     # (E, K)
     mean_pr: np.ndarray     # (E, K)
     min_cr: np.ndarray      # (E, K)
@@ -118,7 +117,7 @@ class RealizationBlock:
 
     def row_fields(self):
         """TrialRow fields of every entry as tuples, each column read by one ``tolist``."""
-        n_clusters = self.n_clusters.tolist()
+        n_clusters = (self.cluster_of.max(axis=-1) + 1).tolist()
         return zip(itertools.repeat(self.realization), self.schemes * len(self.snr_db),
                    [snr for snr in self.snr_db for _ in self.schemes],
                    self.s_a.tolist(), self.delta.tolist(), n_clusters,
@@ -178,40 +177,36 @@ def cluster_partition_for(config: ExperimentConfig, zeta: np.ndarray) -> clus.Cl
 
 def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
                 shadow_rng: np.random.Generator, channel_rng: np.random.Generator,
-                co_located: bool = False
-                ) -> tuple[np.ndarray, chan.ChannelRealization]:
-    """(M, K) large-scale gains and the channel with its estimate, drawn per ``config``.
+                co_located: bool = False) -> chan.ChannelRealization:
+    """The channel with its estimate and its (M, K) large-scale gains, drawn per ``config``.
 
     Geometry, shadowing and small-scale fading each draw from their own
     generator; the same generator may be passed for all three.  A
     co-located array shares one shadowing value per user.
     """
-    geometry = chan.place_network(
-        config.m, config.k, config.area_side_m, geometry_rng,
-        h_ap=config.h_ap_m, h_u=config.h_u_m, carrier_freq_mhz=config.freq_mhz)
+    geometry = chan.place_network(config.m, config.k, config.area_side_m, geometry_rng)
     if co_located:
         geometry = geometry.co_located()
-    zeta = chan.large_scale(geometry, config.shadow_sigma_db, shadow_rng,
+    att = chan.attenuation_constant(config.freq_mhz, config.h_ap_m, config.h_u_m)
+    zeta = chan.large_scale(geometry, att, config.shadow_sigma_db, shadow_rng,
                             d0=config.d0_m, d1=config.d1_m, per_user_shadow=co_located)
-    return zeta, chan.draw_channel(zeta, math.sqrt(config.sigma_e2), channel_rng)
+    return chan.draw_channel(zeta, math.sqrt(config.sigma_e2), channel_rng)
 
 
 def _side_data(config: ExperimentConfig, index: int, attempt: int,
                co_located: bool, clustered: bool) -> SideData:
-    geo_index = 0 if config.freeze_geometry else index
-    geo_attempt = 0 if config.freeze_geometry else attempt
+    geo_index, geo_attempt = (0, 0) if config.freeze_geometry else (index, attempt)
     # the shadowing and small-scale generators are re-seeded identically for
     # both geometries, so the same normal draws underlie the two baselines
-    zeta, realization = _draw_scene(
+    realization = _draw_scene(
         config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
         seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
         seeded_rng(config.seed, index, attempt, _SMALLSCALE), co_located)
-    single = clus.single_cluster(config.m, config.k)
-    channels = {True: (single, clus.sparse_channel(realization.g_hat, single))}
+    channels = {True: (clus.single_cluster(config.m, config.k), realization.g_hat)}
     if clustered:
-        partition = cluster_partition_for(config, zeta)
+        partition = cluster_partition_for(config, realization.zeta)
         channels[False] = partition, clus.sparse_channel(realization.g_hat, partition)
-    return SideData(zeta, realization, channels)
+    return SideData(realization, channels)
 
 
 def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
@@ -242,17 +237,24 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     ``pt`` is one power budget or the array of the SNR grid's.  Whether a
     draw is degenerate does not depend on it, so the first scheme to fail
     raises the error that building every scheme at the first SNR point
-    would, before any rate work.  Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
+    would, before any rate work, naming the configured schemes that read the
+    failed build.  Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
     """
     privates, commons = {}, {}
     for spec in specs:
         partition, g_bar = sides[spec.bs].channels[spec.dense]
         key = spec.bs, spec.dense, spec.construction
-        if key not in privates:
-            privates[key] = _build_private(spec.construction, g_bar, partition, pt,
-                                           _noise(config))
-        if spec.rs and (spec.bs, spec.dense) not in commons:
-            commons[spec.bs, spec.dense], _ = prec.common_precoder(g_bar, partition)
+        try:
+            if key not in privates:
+                privates[key] = _build_private(spec.construction, g_bar, partition, pt,
+                                               _noise(config))
+            if spec.rs and key[:2] not in commons:
+                commons[key[:2]], _ = prec.common_precoder(g_bar, partition)
+        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
+            failed = key if key not in privates else key[:2]
+            labels = [s.label for s in specs if (s.rs or len(failed) == 3)
+                      and (s.bs, s.dense, s.construction)[:len(failed)] == failed]
+            raise type(exc)(f"{exc} (schemes {', '.join(labels)})") from exc
     return privates, commons
 
 
@@ -314,7 +316,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
     users = np.arange(config.k)
     # the block's columns, one entry per (point, scheme), filled from the kernel's stacks
     n_entries = len(pts) * len(specs)
-    s_a, delta, n_clusters = np.empty(n_entries), np.empty(n_entries), np.empty(n_entries, int)
+    s_a, delta = np.empty(n_entries), np.empty(n_entries)
     mean_cr, mean_pr, min_cr = (np.zeros((n_entries, config.k)) for _ in range(3))
     cluster_of = np.empty((n_entries, config.k), int)
     for bs in dict.fromkeys(spec.bs for spec in specs):
@@ -327,7 +329,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
         # one error stack per side, shared by every scheme and SNR point: the sides draw
         # from the same seeded stream, scaled by their own gains
         err = proj = bundle = None  # drop the last side's stack and projection before the draw
-        err = chan.draw_error_matrices(side.zeta, sigma_e, config.n_err,
+        err = chan.draw_error_matrices(side.realization.zeta, sigma_e, config.n_err,
                                        seeded_rng(config.seed, index, attempt, _ERRDRAWS))
         g_hat = side.realization.g_hat
         common_streams = {dense: rates.project_streams(g_hat, err, commons[bs, dense],
@@ -356,11 +358,11 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                     bundle.at(picks[0] if len(set(picks)) == 1 else np.array(picks)),
                     partition, alloc, sigma_w2, sigma_e)
                 at = [s * len(specs) + j for j, s, _ in mine]
-                s_a[at], delta[at], n_clusters[at] = asr.s_a, alloc.delta, partition.n_clusters
+                s_a[at], delta[at] = asr.s_a, alloc.delta
                 mean_cr[at], mean_pr[at], cluster_of[at] = asr.mean_cr, asr.mean_pr, labels
                 min_cr[at, :partition.n_clusters] = asr.min_cr
     return RealizationBlock(index, attempt, tuple(config.schemes),
-                            tuple(map(float, config.snr_grid_db)), s_a, delta, n_clusters,
+                            tuple(map(float, config.snr_grid_db)), s_a, delta,
                             mean_cr, mean_pr, min_cr, cluster_of)
 
 
@@ -413,10 +415,10 @@ def aggregate(config: ExperimentConfig,
     Each column is stacked once over the blocks, in realization order; a
     (scheme, SNR) group is one entry of the stacks.
     """
-    mean_cr, mean_pr, cluster_of, delta, n_clusters = (
+    mean_cr, mean_pr, cluster_of, delta = (
         np.stack([getattr(block, name) for block in blocks])
-        for name in ("mean_cr", "mean_pr", "cluster_of", "delta", "n_clusters"))
-    delta, n_clusters, n = delta.T.tolist(), n_clusters.T.tolist(), len(blocks)
+        for name in ("mean_cr", "mean_pr", "cluster_of", "delta"))
+    delta, n_clusters, n = delta.T.tolist(), (cluster_of.max(axis=-1) + 1).T.tolist(), len(blocks)
     records = []
     for j, scheme in enumerate(config.schemes):
         for point, snr in enumerate(config.snr_grid_db):
@@ -624,21 +626,20 @@ class VerifyReport:
 
 
 def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_MMSE_SP,
-                    delta: float = 0.3, snr_db: float = 15.0, with_zeta: bool = False):
+                    delta: float = 0.3, snr_db: float = 15.0) -> rates.RateInputs:
     """A fully built evaluation instance on a random seeded network of ``config``.
 
     Draws geometry, fading and a channel from one generator; partitions per
     the configured selection and clustering; builds the requested private
     construction plus the common SVD beams; splits power with the given
     common fraction.  Seeds that land on a degenerate draw are re-derived
-    (bounded retries).  With ``with_zeta`` the large-scale gains are
-    returned alongside, for callers that resample estimation errors.
+    (bounded retries).
     """
     sigma_w2 = _noise(config)
     for attempt in range(20):
         rng = seeded_rng(seed, attempt, 100)
-        zeta, realization = _draw_scene(config, rng, rng, rng)
-        partition = cluster_partition_for(config, zeta)
+        realization = _draw_scene(config, rng, rng, rng)
+        partition = cluster_partition_for(config, realization.zeta)
         g_bar = clus.sparse_channel(realization.g_hat, partition)
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
@@ -648,8 +649,7 @@ def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_
             continue
         pset = replace(pset, common=common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
-        inputs = rates.RateInputs(realization, g_bar, partition, pset, cache, alloc, sigma_w2)
-        return (inputs, zeta) if with_zeta else inputs
+        return rates.RateInputs(realization, g_bar, partition, pset, cache, alloc, sigma_w2)
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
 
@@ -784,7 +784,7 @@ def verify(config: ExperimentConfig | None = None,
     res = 0.0
     for seed in range(10):
         rng = seeded_rng(config.seed, seed, 900)
-        _, real = _draw_scene(config, rng, rng, rng)
+        real = _draw_scene(config, rng, rng, rng)
         lhs = real.g_hat
         rhs = math.sqrt(1.0 - config.sigma_e2) * real.g_true + real.g_err
         res = max(res, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))

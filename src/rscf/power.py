@@ -61,17 +61,13 @@ def no_split(pt: float | np.ndarray, k: int) -> PowerAllocation:
                            pt if np.ndim(pt) else float(pt))
 
 
-def delta_grid(mu: float) -> list[float]:
+@functools.lru_cache(maxsize=None)
+def delta_grid(mu: float) -> tuple[float, ...]:
     """Search grid {0, mu, 2 mu, ...} capped strictly below 1.
 
     The all-common endpoint delta=1 would leave zero private power, so a
     grid whose step divides 1 has its endpoint clamped to 1-mu.
     """
-    return list(_grid(mu))
-
-
-@functools.lru_cache(maxsize=None)
-def _grid(mu: float) -> tuple[float, ...]:
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"grid step must lie in (0, 1], got {mu}")
     n = int(math.floor((1.0 + 1e-12) / mu))
@@ -95,7 +91,7 @@ def _exhaustive_candidates(mu: float, n_c: int) -> tuple[np.ndarray, np.ndarray]
     """``per_cluster_exhaustive``'s candidates in search order: totals (G,) and the
     per-cluster fractions (G, N_c), read-only: every search shares them."""
     candidates = sorted((round(sum(combo), 12), combo)
-                        for combo in itertools.product(_grid(mu), repeat=n_c)
+                        for combo in itertools.product(delta_grid(mu), repeat=n_c)
                         if round(sum(combo), 12) < 1.0 - 1e-12)
     totals, fractions = (np.array(column) for column in zip(*candidates))
     totals.flags.writeable = fractions.flags.writeable = False
@@ -130,7 +126,7 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
         a_c = np.sqrt(fractions * pt)
     else:
         # the amplitudes of equal_split, one row per candidate
-        totals = np.array(_grid(mu))
+        totals = np.array(delta_grid(mu))
         a_c = np.sqrt(totals * pt / n_c)[:, None].repeat(n_c, axis=1)
 
     scores = rates.split_grid_scores(bundle, partition, a_c, np.sqrt((1.0 - totals) * pt / k),

@@ -235,7 +235,7 @@ def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
     """Raw private precoder set of the construction named ``label``.
 
     ``g_bar`` is ``sparse_channel(g_hat, partition)``; a dense (unmasked)
-    precoder takes ``partition = single_cluster(M, K)``.  A cluster with
+    precoder takes ``g_hat`` itself and ``single_cluster(M, K)``.  A cluster with
     users but no AP raises :class:`EmptyClusterError`.
     """
     if label not in CONSTRUCTIONS:

@@ -74,16 +74,19 @@ class TestPathLoss:
             chan.path_loss(10.0, 140.72, 50.0, 10.0)
 
 
+# the attenuation of the reference carrier and antenna heights
+ATT = chan.attenuation_constant(1900.0, 15.0, 1.65)
+
+
 def path_loss_db(geo):
-    att = chan.attenuation_constant(geo.carrier_freq_mhz, geo.h_ap, geo.h_u)
-    return chan.path_loss(geo.distances(), att)
+    return chan.path_loss(geo.distances(), ATT)
 
 
 class TestLargeScale:
     def test_decomposition_identity(self):
         # replay the shadowing draw: zeta = 10^((path loss + 8 dB * N(0, 1)) / 10)
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, 8.0, rng(4))
+        zeta = chan.large_scale(geo, ATT, 8.0, rng(4))
         shadow = 8.0 * rng(4).standard_normal(size=(8, 4))
         np.testing.assert_allclose(zeta, 10.0 ** ((path_loss_db(geo) + shadow) / 10.0),
                                    rtol=1e-12)
@@ -91,13 +94,13 @@ class TestLargeScale:
 
     def test_no_shadowing(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, 0.0, rng(4))
+        zeta = chan.large_scale(geo, ATT, 0.0, rng(4))
         np.testing.assert_allclose(zeta, 10.0 ** (path_loss_db(geo) / 10.0), rtol=1e-12)
 
     def test_reproducible(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        a = chan.large_scale(geo, 8.0, rng(11))
-        b = chan.large_scale(geo, 8.0, rng(11))
+        a = chan.large_scale(geo, ATT, 8.0, rng(11))
+        b = chan.large_scale(geo, ATT, 8.0, rng(11))
         assert np.array_equal(a, b)
 
     def test_all_near_branch_constant(self):
@@ -105,12 +108,12 @@ class TestLargeScale:
         ap = np.full((3, 2), 5.0)
         ue = np.full((2, 2), 6.0)
         geo = chan.NetworkGeometry(ap, ue, 20.0)
-        zeta = chan.large_scale(geo, 0.0, rng(0))
+        zeta = chan.large_scale(geo, ATT, 0.0, rng(0))
         assert np.allclose(zeta, zeta[0, 0])
 
     def test_per_user_shadow_shared_across_antennas(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3)).co_located()
-        zeta = chan.large_scale(geo, 8.0, rng(4), per_user_shadow=True)
+        zeta = chan.large_scale(geo, ATT, 8.0, rng(4), per_user_shadow=True)
         shadow_db = 10.0 * np.log10(zeta) - path_loss_db(geo)
         assert np.allclose(shadow_db, shadow_db[0][None, :])
         assert np.ptp(shadow_db[0]) > 1.0  # users shadow independently
@@ -119,7 +122,7 @@ class TestLargeScale:
 class TestChannelDraw:
     def test_perfect_estimate(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, 8.0, rng(6))
+        ls = chan.large_scale(geo, ATT, 8.0, rng(6))
         real = chan.draw_channel(ls, 0.0, rng(7))
         assert np.array_equal(real.g_hat, real.g_true)
         assert np.all(real.g_err == 0)
@@ -127,7 +130,7 @@ class TestChannelDraw:
 
     def test_reconstruction_identity(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, 8.0, rng(6))
+        ls = chan.large_scale(geo, ATT, 8.0, rng(6))
         sigma_e = math.sqrt(0.025)
         real = chan.draw_channel(ls, sigma_e, rng(7))
         lhs = real.g_hat

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +138,8 @@ class TestCliDispatch:
         assert last_lines[0] == last_lines[1]
         assert last_lines[0].startswith("runtime error: realization 4: exhausted 3 redraws: "
                                         "rank-deficient channel (sparse zero-forcing)")
+        # the one scheme whose build failed is named
+        assert last_lines[0].endswith(" (schemes RS-CF-ZF-SP)")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -237,6 +240,15 @@ class TestCliDispatch:
         monkeypatch.setattr(harness, "run_experiment", boom)
         assert cli.main(["run", *SMALL_ARGS]) == 3
         assert "runtime error" in capsys.readouterr().err
+
+
+def test_readme_configuration_table_names_every_key():
+    # a new config key cannot land without its row in README's configuration table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = {name.strip() for line in table.splitlines() if line.startswith("| ")
+                  for name in line.split("|")[1].split(",")}
+    assert sorted(set(KEY_SPECS) - documented) == []
 
 
 class TestClusterReportMatchesRun:

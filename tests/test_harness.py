@@ -1,5 +1,6 @@
 import itertools
 import json
+import logging
 import math
 import os
 import subprocess
@@ -446,6 +447,49 @@ class TestRunExperiment:
         # and each beam once
         assert len(projections) == 2 + 2
 
+    def test_redraw_warning_names_the_broken_schemes(self, caplog):
+        # the first attempt of realization 0 of seed 5 loses cluster 1's every AP, which
+        # breaks the clustered MF-SP set, read by two of the default schemes
+        with caplog.at_level(logging.WARNING, logger="rscf"):
+            rows = realization_rows(ExperimentConfig(n_err=10, seed=5), 0)
+        assert rows[0].redraws == 1
+        assert [record.getMessage() for record in caplog.records] == [
+            "realization 0 attempt 0 redrawn: cluster 1 lost every AP in conflict resolution "
+            "(schemes CF-MF-SP, RS-CF-MF-SP)"]
+
+    def test_failed_common_beam_names_the_schemes_that_send_it(self, monkeypatch):
+        # the clustered beam is read by the clustered RS schemes, not by the plain
+        # clustered scheme nor by the co-located RS scheme
+        def singular(g_bar, partition):
+            raise prec.RankDeficientChannelError("singular beam")
+        monkeypatch.setattr(prec, "common_precoder", singular)
+        cfg = ExperimentConfig(schemes=("CF-MF-SP", "RS-CF-ZF-RD", "RS-BS-MF", "RS-CF-MF-SP"))
+        specs = [parse_scheme(label) for label in cfg.schemes]
+        sides = harness._scheme_sides(cfg, specs, 0, 0)
+        with pytest.raises(prec.RankDeficientChannelError) as info:
+            harness._attempt_precoders(cfg, specs, sides, 1.0)
+        assert str(info.value) == "singular beam (schemes RS-CF-ZF-RD, RS-CF-MF-SP)"
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"selection": "threshold", "cluster_mode": "auto", "n_realizations": 10,
+             "power_mode": "per_cluster_exhaustive",
+             "schemes": ("RS-CF-MF-SP", "RS-CF-MMSE-RD", "BS-MF")}])
+    def test_cluster_count_is_read_from_the_labels(self, tmp_path, overrides):
+        # a row's count is derived from its labels; it must match the kernel's
+        # per-cluster minima and, on a clustered channel, the partition the run used
+        cfg = replace(ExperimentConfig(n_realizations=4, n_err=10), **overrides)
+        harness.run_experiment(cfg, tmp_path)
+        rows = [json.loads(line) for line in (tmp_path / "trials.jsonl").read_text().splitlines()]
+        assert all(row["n_clusters"] == max(row["cluster_of"]) + 1 == len(row["min_cr"])
+                   for row in rows)
+        partitions = {index: harness.cluster_partition(cfg, index)
+                      for index in range(cfg.n_realizations)}
+        clustered = [row for row in rows if not parse_scheme(row["scheme"]).dense]
+        assert all(row["n_clusters"] == partitions[row["realization"]].n_clusters
+                   for row in clustered)
+        if overrides:  # the shared-AP rule varies the count between realizations
+            assert len({row["n_clusters"] for row in clustered}) > 1
+
     @pytest.mark.parametrize("n_err", [10, 100])
     def test_split_terms_built_once_per_slice(self, monkeypatch, n_err):
         # the default list searches six RS schemes at seven SNR points on 24 slices:
@@ -570,11 +614,12 @@ class TestAggregate:
 def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
     """The instance chain written out: geometry, fading and channel from one
     generator, threshold selection, the derived n_a and shared-AP clustering on
-    a 1000 m area with 8 dB shadowing and 290 K / 20 MHz / 9 dB noise."""
+    a 1000 m area with the 1900 MHz / 15 m / 1.65 m attenuation, 8 dB shadowing
+    and 290 K / 20 MHz / 9 dB noise."""
     for attempt in range(20):
         rng = harness.seeded_rng(seed, attempt, 100)
         geometry = chan.place_network(m, k, 1000.0, rng)
-        zeta = chan.large_scale(geometry, 8.0, rng)
+        zeta = chan.large_scale(geometry, chan.attenuation_constant(1900.0, 15.0, 1.65), 8.0, rng)
         realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), rng)
         selection = clus.select_aps_threshold(zeta)
         n_a = clus.default_shared_ap_threshold(selection)

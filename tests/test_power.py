@@ -44,7 +44,7 @@ class TestDeltaGrid:
         np.testing.assert_allclose(np.diff(grid), 0.05)
 
     def test_unit_step_collapses_to_zero(self):
-        assert pw.delta_grid(1.0) == [0.0]
+        assert pw.delta_grid(1.0) == (0.0,)
 
     def test_non_divisor_step(self):
         assert pw.delta_grid(0.3) == pytest.approx([0.0, 0.3, 0.6, 0.9])
@@ -61,12 +61,12 @@ class TestDeltaGrid:
 
 
 def search_setup(seed, sigma_e2=0.025, kind=prec.LABEL_MF_SP, network=FIXTURE):
-    return random_instance(seed, replace(network, sigma_e2=sigma_e2), kind=kind, with_zeta=True)
+    return random_instance(seed, replace(network, sigma_e2=sigma_e2), kind=kind)
 
 
-def errors(zeta, n_err, rng, sigma_e=math.sqrt(0.025)):
-    """The stack the harness draws once per side and attempt."""
-    return chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
+def errors(inputs, n_err, rng, sigma_e=math.sqrt(0.025)):
+    """The stack the harness draws once per side and attempt, on the instance's gains."""
+    return chan.draw_error_matrices(inputs.realization.zeta, sigma_e, n_err, rng)
 
 
 def search(inputs, err, sigma_e, mu, mode="equal_split"):
@@ -83,9 +83,9 @@ def search(inputs, err, sigma_e, mu, mode="equal_split"):
 class TestAllocateCommon:
     def test_never_below_zero_split(self):
         for seed in range(8):
-            inputs, zeta = search_setup(seed)
+            inputs = search_setup(seed)
             sigma_e = math.sqrt(0.025)
-            err = errors(zeta, 30, seeded_rng(seed, 77))
+            err = errors(inputs, 30, seeded_rng(seed, 77))
             alloc, best = search(inputs, err, sigma_e, 0.05)
             base = rates.average_sum_rate(
                 inputs.realization.g_hat, err, sigma_e, inputs.partition,
@@ -95,15 +95,15 @@ class TestAllocateCommon:
             assert best.s_a >= base.s_a - 1e-12
 
     def test_unit_step_returns_zero_split(self):
-        inputs, zeta = search_setup(1)
-        alloc, _ = search(inputs, errors(zeta, 10, seeded_rng(3)), math.sqrt(0.025), 1.0)
+        inputs = search_setup(1)
+        alloc, _ = search(inputs, errors(inputs, 10, seeded_rng(3)), math.sqrt(0.025), 1.0)
         assert alloc.delta == 0.0
         assert np.all(alloc.a_c == 0.0)
 
     def test_deterministic(self):
-        inputs, zeta = search_setup(2)
-        a1, r1 = search(inputs, errors(zeta, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
-        a2, r2 = search(inputs, errors(zeta, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
+        inputs = search_setup(2)
+        a1, r1 = search(inputs, errors(inputs, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
+        a2, r2 = search(inputs, errors(inputs, 20, seeded_rng(9)), math.sqrt(0.025), 0.05)
         assert a1.delta == a2.delta and r1.s_a == r2.s_a
 
     def test_coarse_grid_near_fine_grid_optimum(self):
@@ -114,8 +114,8 @@ class TestAllocateCommon:
         # robust part of the check)
         close_delta = 0
         for seed in range(10):
-            inputs, zeta = search_setup(seed)
-            err = errors(zeta, 40, seeded_rng(11))
+            inputs = search_setup(seed)
+            err = errors(inputs, 40, seeded_rng(11))
             coarse, rc = search(inputs, err, math.sqrt(0.025), 0.05)
             fine, rf = search(inputs, err, math.sqrt(0.025), 0.01)
             assert rf.s_a >= rc.s_a - 1e-12
@@ -124,8 +124,8 @@ class TestAllocateCommon:
         assert close_delta >= 7
 
     def test_refinement_never_decreases(self):
-        inputs, zeta = search_setup(4)
-        err = errors(zeta, 25, seeded_rng(13))
+        inputs = search_setup(4)
+        err = errors(inputs, 25, seeded_rng(13))
         _, coarse = search(inputs, err, math.sqrt(0.025), 0.1)
         _, fine = search(inputs, err, math.sqrt(0.025), 0.05)
         assert fine.s_a >= coarse.s_a - 1e-12
@@ -135,15 +135,15 @@ class TestAllocateCommon:
         # nonzero common fraction on most realizations
         hits = 0
         for seed in range(10):
-            inputs, zeta = search_setup(seed, sigma_e2=0.025)
-            alloc, _ = search(inputs, errors(zeta, 30, seeded_rng(seed, 5)),
+            inputs = search_setup(seed, sigma_e2=0.025)
+            alloc, _ = search(inputs, errors(inputs, 30, seeded_rng(seed, 5)),
                               math.sqrt(0.025), 0.05)
             hits += alloc.delta > 0.0
         assert hits >= 6
 
     def test_budget_of_returned_allocation(self):
-        inputs, zeta = search_setup(5)
-        alloc, _ = search(inputs, errors(zeta, 20, seeded_rng(1)), math.sqrt(0.025), 0.05)
+        inputs = search_setup(5)
+        alloc, _ = search(inputs, errors(inputs, 20, seeded_rng(1)), math.sqrt(0.025), 0.05)
         total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
         assert total == pytest.approx(alloc.pt, rel=1e-12)
 
@@ -151,11 +151,11 @@ class TestAllocateCommon:
         # the exhaustive mode scans one fraction per cluster; its winner
         # must respect the budget and never fall below the no-split point
         for seed in range(6):
-            inputs, zeta = search_setup(seed)
+            inputs = search_setup(seed)
             if inputs.partition.n_clusters > 2:
                 continue
             sigma_e = math.sqrt(0.025)
-            err = errors(zeta, 25, seeded_rng(21))
+            err = errors(inputs, 25, seeded_rng(21))
             alloc, best = search(inputs, err, sigma_e, 0.1, mode="per_cluster_exhaustive")
             assert alloc.delta < 1.0
             total = np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2)
@@ -171,10 +171,10 @@ class TestAllocateCommon:
         # the per-cluster grid grows exponentially; beyond two clusters
         # the search falls back to the equal split
         for seed in range(20):
-            inputs, zeta = search_setup(seed)
+            inputs = search_setup(seed)
             if inputs.partition.n_clusters <= 2:
                 continue
-            args = (inputs, errors(zeta, 15, seeded_rng(31)), math.sqrt(0.025), 0.2)
+            args = (inputs, errors(inputs, 15, seeded_rng(31)), math.sqrt(0.025), 0.2)
             ex_alloc, ex = search(*args, mode="per_cluster_exhaustive")
             eq_alloc, eq = search(*args, mode="equal_split")
             assert ex_alloc.delta == eq_alloc.delta
@@ -184,10 +184,10 @@ class TestAllocateCommon:
         pytest.skip("no instance with more than two clusters in the scanned seeds")
 
     def test_unknown_mode_rejected(self):
-        inputs, zeta = search_setup(6)
+        inputs = search_setup(6)
         with pytest.raises(ValueError):
             bundle = rates.project_precoders(inputs.realization.g_hat,
-                                             errors(zeta, 10, seeded_rng(0), 0.1),
+                                             errors(inputs, 10, seeded_rng(0), 0.1),
                                              inputs.precoders, inputs.partition)
             pw.allocate_common(bundle, 0.1, inputs.partition, inputs.sigma_w2, 1.0, mu=0.05,
                                mode="simulated-annealing")
@@ -197,8 +197,8 @@ class TestFlatObjective:
     # zero forcing with perfect estimates: every split has the same sum rate
     # up to rounding, so the tie rule, not the rounding, picks the fraction
     def flat_search(self):
-        inputs, zeta = search_setup(0, sigma_e2=0.0, kind=prec.LABEL_ZF_SP)
-        err = errors(zeta, 30, seeded_rng(0, 41), 0.0)
+        inputs = search_setup(0, sigma_e2=0.0, kind=prec.LABEL_ZF_SP)
+        err = errors(inputs, 30, seeded_rng(0, 41), 0.0)
         assert not err.any()
         bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                          inputs.partition)
@@ -264,9 +264,9 @@ class TestGridScorer:
         for network, seed, modes in cases:
             for kind in prec.CONSTRUCTIONS:
                 for se2 in (0.0, 0.025, 0.1):
-                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind, network=network)
+                    inputs = search_setup(seed, sigma_e2=se2, kind=kind, network=network)
                     sigma_e = math.sqrt(se2)
-                    err = errors(zeta, 30, seeded_rng(seed, 41), sigma_e)
+                    err = errors(inputs, 30, seeded_rng(seed, 41), sigma_e)
                     for mode in modes:
                         mu = 0.05 if mode == "equal_split" else 0.1
                         args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
@@ -312,11 +312,11 @@ class TestStackedScoring:
         for seed in range(17):
             for kind in prec.CONSTRUCTIONS:
                 for se2 in (0.0, 0.025, 0.1):
-                    inputs, zeta = search_setup(seed, sigma_e2=se2, kind=kind)
+                    inputs = search_setup(seed, sigma_e2=se2, kind=kind)
                     sigma_e, part, sigma_w2 = math.sqrt(se2), inputs.partition, inputs.sigma_w2
                     g_hat = inputs.realization.g_hat
                     k = g_hat.shape[1]
-                    err = errors(zeta, 30, seeded_rng(seed, 41), sigma_e)
+                    err = errors(inputs, 30, seeded_rng(seed, 41), sigma_e)
                     pts = np.array([chan.pt_for_snr(inputs.realization.g_true, snr, sigma_w2)
                                     for snr in FIXTURE.snr_grid_db])
                     assert len(pts) == 7

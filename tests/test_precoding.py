@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
 from rscf.config import ExperimentConfig
-from rscf.harness import _build_private, random_instance
+from rscf.harness import _build_private, _side_data, random_instance
 
 from fixture_network import FIXTURE
 
@@ -307,6 +308,28 @@ class TestReducedDimension:
         g_bar = clus.sparse_channel(g_hat, part)
         with pytest.raises(prec.RankDeficientChannelError, match="cluster 1"):
             prec.ru_zf_rd(g_bar, part)
+
+    def test_whole_and_per_cluster_rank_checks_reject_the_same_draws(self):
+        # ZF-SP checks the condition of the whole masked Gram, RU-ZF-RD each
+        # cluster's block: on the clustered channel of the run's attempt-0 draws
+        # they must reject exactly the same ones
+        outcomes = set()
+        for overrides in ({}, {"m": 64, "k": 16, "cluster_mode": "fixed", "n_c": 4},
+                          {"selection": "threshold", "cluster_mode": "auto"}):
+            config = replace(ExperimentConfig(), **overrides)
+            for index in range(200):
+                side = _side_data(config, index, 0, co_located=False, clustered=True)
+                part, g_bar = side.channels[False]
+                rejected = []
+                for build in (lambda: prec.zf_sp(g_bar, 1.0), lambda: prec.ru_zf_rd(g_bar, part)):
+                    try:
+                        build()
+                        rejected.append(False)
+                    except prec.RankDeficientChannelError:
+                        rejected.append(True)
+                assert rejected[0] == rejected[1], (overrides, index)
+                outcomes.add(rejected[0])
+        assert outcomes == {False, True}
 
 
 class TestNetworkWide:

@@ -20,7 +20,7 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
     """Perfect-CSIT single-cluster instance on an unmasked channel."""
     g = np.random.default_rng(seed)
     g_hat = (g.normal(size=(8, 4)) + 1j * g.normal(size=(8, 4))) / np.sqrt(2)
-    real = chan.ChannelRealization(g_hat, g_hat, np.zeros_like(g_hat), 0.0)
+    real = chan.ChannelRealization(g_hat, g_hat, np.zeros_like(g_hat), 0.0, np.ones((8, 4)))
     part = clus.single_cluster(8, 4)
     g_bar = clus.sparse_channel(g_hat, part)
     common, cache = prec.common_precoder(g_bar, part)
@@ -146,7 +146,7 @@ class TestClamping:
         g_hat = np.ones((4, 1), dtype=complex)
         g_err = 0.9 * np.ones((4, 1), dtype=complex)
         real = chan.ChannelRealization(
-            (g_hat - g_err) / math.sqrt(1 - 0.25), g_hat, g_err, 0.5)
+            (g_hat - g_err) / math.sqrt(1 - 0.25), g_hat, g_err, 0.5, np.ones((4, 1)))
         part = clus.single_cluster(4, 1)
         g_bar = clus.sparse_channel(g_hat, part)
         pset = replace(prec.mf_sp(g_bar), common=np.ones((4, 1)) / 2.0)
@@ -161,7 +161,7 @@ def with_error(inputs, g_err, sigma_e):
     """The instance with its estimation error replaced by ``g_err``."""
     g_hat = inputs.realization.g_hat
     real = chan.ChannelRealization((g_hat - g_err) / math.sqrt(1.0 - sigma_e ** 2), g_hat,
-                                   g_err, sigma_e)
+                                   g_err, sigma_e, inputs.realization.zeta)
     return dataclasses.replace(inputs, realization=real)
 
 
