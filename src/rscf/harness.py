@@ -16,16 +16,17 @@ realization the same way: ``_scheme_sides`` for the channel state,
 ``_attempt_precoders`` for the precoders, inside one ``_with_redraws`` loop.
 
 The SNR grid is an array axis.  Phase 1 of an attempt builds each private
-set once per (side, channel, construction) at the whole array of power
-budgets (a set that never reads the budget has no SNR axis), and each
-common beam once.  Phase 2 runs per side.  Every private set of the side
-becomes slices on one axis, one per SNR point or a single one for a set
-without an SNR axis, and the axis is cut into chunks of as many slices as
-fit ``_CHUNK_BYTES`` of stacked private projection, n*K*K complex entries
-per slice.  Each chunk is projected by one call, one GEMM per slice on the
-side's error stack.  The split search ranks its grid per point on a view
-of its slice; the rate kernel then runs once per (channel, plain or split)
-and chunk, on the per-(scheme, point) allocations stacked.
+set once per (side, channel, construction): a regularised set at the whole
+array of power budgets, a set whose unit-norm columns do not read the
+budget (matched filter and zero forcing) at one budget and without an SNR
+axis, and each common beam once.  Phase 2 runs per side.  Every private
+set of the side becomes slices on one axis, one per SNR point or a single
+one for a set without an SNR axis, and the axis is cut into chunks of as
+many slices as fit ``_CHUNK_BYTES`` of stacked private projection, n*K*K
+complex entries per slice.  Each chunk is projected by one call, one GEMM
+per slice on the side's error stack.  The split search ranks its grid per
+point on a view of its slice; the rate kernel then runs once per (channel,
+plain or split) and chunk, on the per-(scheme, point) allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
@@ -222,6 +223,13 @@ def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
             for bs in (False, True) if not bs or any(s.bs for s in specs)}
 
 
+# constructions whose unit-norm columns never read the power budget: matched filter and
+# per-cluster zero forcing ignore it, and the trace scaling beta(Pt) of sparse zero forcing
+# is divided out again by the column normalisation.  One build serves every SNR point;
+# the regularised (MMSE) constructions are built at each point's budget
+_ONE_BUDGET = frozenset({prec.LABEL_MF_SP, prec.LABEL_ZF_SP, prec.LABEL_RU_ZF_RD})
+
+
 def _build_private(construction: str, g_bar: np.ndarray,
                    partition: clus.ClusterPartition, pt: float | np.ndarray,
                    sigma_w2: float) -> prec.PrecoderSet:
@@ -234,26 +242,31 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
                        sides: dict[bool, SideData], pt: float | np.ndarray):
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
 
-    ``pt`` is one power budget or the array of the SNR grid's.  Whether a
-    draw is degenerate does not depend on it, so the first scheme to fail
-    raises the error that building every scheme at the first SNR point
-    would, before any rate work, naming the configured schemes that read the
-    failed build.  Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
+    ``pt`` is one power budget or the array of the SNR grid's; a
+    construction in ``_ONE_BUDGET`` is built once, at the first.  Whether a
+    draw is degenerate does not depend on the budget, so the first scheme to
+    fail raises the error that building every scheme at the first SNR point
+    would, before any rate work, naming the configured schemes the failure
+    breaks: an empty cluster every scheme on its channel, a rank-deficient
+    build the readers of that set or beam.  Keys: ``(bs, dense,
+    construction)`` and ``(bs, dense)``.
     """
     privates, commons = {}, {}
+    first_pt = np.ravel(pt)[0]
     for spec in specs:
         partition, g_bar = sides[spec.bs].channels[spec.dense]
         key = spec.bs, spec.dense, spec.construction
         try:
             if key not in privates:
-                privates[key] = _build_private(spec.construction, g_bar, partition, pt,
-                                               _noise(config))
+                privates[key] = _build_private(
+                    spec.construction, g_bar, partition,
+                    first_pt if spec.construction in _ONE_BUDGET else pt, _noise(config))
             if spec.rs and key[:2] not in commons:
                 commons[key[:2]], _ = prec.common_precoder(g_bar, partition)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
-            failed = key if key not in privates else key[:2]
-            labels = [s.label for s in specs if (s.rs or len(failed) == 3)
-                      and (s.bs, s.dense, s.construction)[:len(failed)] == failed]
+            empty = isinstance(exc, prec.EmptyClusterError)
+            labels = [s.label for s in specs if (s.bs, s.dense) == key[:2] and (
+                empty or (s.rs if key in privates else s.construction == key[2]))]
             raise type(exc)(f"{exc} (schemes {', '.join(labels)})") from exc
     return privates, commons
 
@@ -285,7 +298,7 @@ def _side_slices(specs: list[SchemeSpec], bs: bool, privates: dict, n_points: in
     """The private columns of side ``bs`` as (M, K) slices on one axis, and the kernel entries.
 
     A set built at every power budget gives one slice per SNR point, a set
-    that never reads it a single one.  The entries (scheme, point, slice)
+    built at one budget a single one.  The entries (scheme, point, slice)
     are grouped by (dense, rs): a group takes one kernel call per chunk.
     """
     slices, first, calls = [], {}, {}
@@ -412,24 +425,24 @@ def aggregate(config: ExperimentConfig,
               blocks: list[RealizationBlock]) -> list[ResultRecord]:
     """Reduce the realizations' blocks to per-(scheme, SNR) ergodic records, in fixed order.
 
-    Each column is stacked once over the blocks, in realization order; a
-    (scheme, SNR) group is one entry of the stacks.
+    Each column is stacked once over the blocks into (entry, realization)
+    order, and one ergodic reduction covers every (scheme, SNR) entry.
     """
     mean_cr, mean_pr, cluster_of, delta = (
-        np.stack([getattr(block, name) for block in blocks])
+        np.stack([getattr(block, name) for block in blocks], axis=1)
         for name in ("mean_cr", "mean_pr", "cluster_of", "delta"))
-    delta, n_clusters, n = delta.T.tolist(), (cluster_of.max(axis=-1) + 1).T.tolist(), len(blocks)
+    esrs = rates.ergodic_sum_rate(mean_cr, mean_pr, cluster_of)
+    n_clusters, n = cluster_of.max(axis=-1) + 1, len(blocks)
     records = []
     for j, scheme in enumerate(config.schemes):
         for point, snr in enumerate(config.snr_grid_db):
             entry = point * len(config.schemes) + j
-            esr = rates.ergodic_sum_rate(mean_cr[:, entry], mean_pr[:, entry],
-                                         cluster_of[:, entry])
+            esr = esrs[entry]
             records.append(ResultRecord(
                 scheme=scheme, snr_db=float(snr), esr=esr.esr, ecr=esr.ecr,
                 epr=esr.epr, stderr=esr.stderr,
-                delta_mean=math.fsum(delta[entry]) / n,
-                n_clusters_mean=math.fsum(n_clusters[entry]) / n))
+                delta_mean=math.fsum(delta[entry].tolist()) / n,
+                n_clusters_mean=math.fsum(n_clusters[entry].tolist()) / n))
     return records
 
 

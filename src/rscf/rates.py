@@ -432,20 +432,20 @@ def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
 
 
 def _min_sums(values: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
-    """Each row's cluster minima of ``values`` (R, K), summed in cluster order, (R,).
+    """Each row's cluster minima of ``values`` (..., K), summed in cluster order, (...).
 
     A cluster index with no members in a row adds an exact 0.0.
     """
-    out = np.zeros(values.shape[0])
+    out = np.zeros(values.shape[:-1])
     for i in range(int(cluster_of.max()) + 1):
         members = cluster_of == i
-        mins = np.min(values, axis=1, where=members, initial=np.inf)
-        out += np.where(members.any(axis=1), mins, 0.0)
+        mins = np.min(values, axis=-1, where=members, initial=np.inf)
+        out += np.where(members.any(axis=-1), mins, 0.0)
     return out
 
 
 def ergodic_sum_rate(mean_cr: np.ndarray, mean_pr: np.ndarray,
-                     cluster_of: np.ndarray) -> EsrResult:
+                     cluster_of: np.ndarray) -> EsrResult | list[EsrResult]:
     """Aggregate per-realization averaged rates into ergodic quantities.
 
     Row r of ``mean_cr``, ``mean_pr`` and ``cluster_of``, (R, K) each, is
@@ -456,30 +456,42 @@ def ergodic_sum_rate(mean_cr: np.ndarray, mean_pr: np.ndarray,
     undefined and the mean of per-realization min-sums is reported as the
     primary estimator instead.  Summations over realizations use
     compensated summation, so results do not depend on scheduling.
+
+    A leading entry axis, (E, R, K) each, reduces E independent groups in
+    one call and returns one result per entry: the cluster minima and the
+    same-partition check run over every entry at once, and each entry's
+    compensated sums are the ones, in the same order, of its own call.
     """
-    n_rec = mean_cr.shape[0]
+    single = mean_cr.ndim == 2
+    if single:
+        mean_cr, mean_pr, cluster_of = mean_cr[None], mean_pr[None], cluster_of[None]
+    n_rec = mean_cr.shape[1]
     if n_rec == 0:
         raise ValueError("need at least one realization record")
 
-    epr = math.fsum(math.fsum(col) / n_rec for col in mean_pr.T.tolist())
-    per_record_cmin = _min_sums(mean_cr, cluster_of)
-    ecr_mean_of_mins = math.fsum(per_record_cmin.tolist()) / n_rec
+    per_record_cmin = _min_sums(mean_cr, cluster_of)  # (E, R)
+    user_means = np.array([[math.fsum(col) / n_rec for col in cr.T.tolist()] for cr in mean_cr])
+    min_of_means = _min_sums(user_means, cluster_of[:, 0]).tolist()
+    shared = (cluster_of == cluster_of[:, :1]).all(axis=(1, 2)).tolist()
 
-    ecr_min_of_means: float | None = None
-    if (cluster_of == cluster_of[0]).all():
-        user_means = np.array([[math.fsum(col) / n_rec for col in mean_cr.T.tolist()]])
-        ecr_min_of_means = float(_min_sums(user_means, cluster_of[:1])[0])
+    results = []
+    for cmin, pr, ecr_min_of_means, same in zip(per_record_cmin, mean_pr, min_of_means, shared):
+        # one entry's lists at a time: every entry's at once would outweigh the run's rows
+        cmin, rows = cmin.tolist(), pr.tolist()
+        epr = math.fsum(math.fsum(col) / n_rec for col in zip(*rows))
+        ecr_mean_of_mins = math.fsum(cmin) / n_rec
+        if not same:
+            ecr_min_of_means = None
+        ecr = ecr_mean_of_mins if ecr_min_of_means is None else ecr_min_of_means
 
-    ecr = ecr_min_of_means if ecr_min_of_means is not None else ecr_mean_of_mins
-
-    samples = (per_record_cmin + [math.fsum(row) for row in mean_pr.tolist()]).tolist()
-    if n_rec > 1:
-        mean_s = math.fsum(samples) / n_rec
-        var = math.fsum((s - mean_s) ** 2 for s in samples) / (n_rec - 1)
-        stderr = math.sqrt(var / n_rec)
-    else:
-        stderr = 0.0
-
-    return EsrResult(esr=ecr + epr, ecr=ecr, epr=epr, stderr=stderr,
-                     ecr_mean_of_mins=ecr_mean_of_mins,
-                     ecr_min_of_means=ecr_min_of_means)
+        samples = [c + p for c, p in zip(cmin, map(math.fsum, rows))]
+        if n_rec > 1:
+            mean_s = math.fsum(samples) / n_rec
+            var = math.fsum((s - mean_s) ** 2 for s in samples) / (n_rec - 1)
+            stderr = math.sqrt(var / n_rec)
+        else:
+            stderr = 0.0
+        results.append(EsrResult(esr=ecr + epr, ecr=ecr, epr=epr, stderr=stderr,
+                                 ecr_mean_of_mins=ecr_mean_of_mins,
+                                 ecr_min_of_means=ecr_min_of_means))
+    return results[0] if single else results

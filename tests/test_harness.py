@@ -449,13 +449,15 @@ class TestRunExperiment:
 
     def test_redraw_warning_names_the_broken_schemes(self, caplog):
         # the first attempt of realization 0 of seed 5 loses cluster 1's every AP, which
-        # breaks the clustered MF-SP set, read by two of the default schemes
+        # breaks every set and beam on the clustered channel: the clustered MF-SP set fails
+        # first, and all six default schemes that read that channel are named
         with caplog.at_level(logging.WARNING, logger="rscf"):
             rows = realization_rows(ExperimentConfig(n_err=10, seed=5), 0)
         assert rows[0].redraws == 1
         assert [record.getMessage() for record in caplog.records] == [
             "realization 0 attempt 0 redrawn: cluster 1 lost every AP in conflict resolution "
-            "(schemes CF-MF-SP, RS-CF-MF-SP)"]
+            "(schemes CF-MF-SP, RS-CF-MF-SP, RS-CF-ZF-SP, RS-CF-ZF-RD, RS-CF-MMSE-SP, "
+            "RS-CF-MMSE-RD)"]
 
     def test_failed_common_beam_names_the_schemes_that_send_it(self, monkeypatch):
         # the clustered beam is read by the clustered RS schemes, not by the plain
@@ -492,9 +494,10 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n_err", [10, 100])
     def test_split_terms_built_once_per_slice(self, monkeypatch, n_err):
-        # the default list searches six RS schemes at seven SNR points on 24 slices:
-        # three sets with an SNR axis, and the clustered MF-SP, the RU-ZF-RD and the
-        # co-located MF-SP sets without one, whose one view serves all seven searches
+        # the default list searches six RS schemes at seven SNR points on 18 slices:
+        # the clustered MMSE-SP and the RU-MMSE-RD sets with an SNR axis, and the
+        # clustered MF-SP and ZF-SP, the RU-ZF-RD and the co-located MF-SP sets without
+        # one, whose one view serves all seven searches
         from functools import cached_property
 
         from rscf import power as pw
@@ -516,7 +519,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n_err=n_err, seed=1)
         rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 0
-        assert len(searches) == 6 * 7 and len(builds) == 3 * 7 + 3
+        assert len(searches) == 6 * 7 and len(builds) == 2 * 7 + 4
         assert set(builds) == {(n_err, cfg.k, cfg.k)}
 
     @pytest.mark.parametrize("k, n_c, slices", [
@@ -526,7 +529,7 @@ class TestRunExperiment:
         # the chunk budget only decides how many slices one projection stacks and one
         # kernel call covers; the default list has both sides, dense and clustered
         # channels, plain and RS schemes, and sets with and without an SNR axis, and
-        # 39 slices hold every slice of a side (38 distributed, 1 co-located).  At
+        # 39 slices hold every slice of a side (26 distributed, 1 co-located).  At
         # K <= 2 a GEMM over several slices would round a slice by its neighbours
         cfg = ExperimentConfig(k=k, n_c=n_c, n_err=10, n_realizations=2, seed=1)
         _, whole = harness.run_experiment(cfg)
@@ -536,7 +539,7 @@ class TestRunExperiment:
 
     def test_private_stacks_stay_within_the_chunk_budget(self, monkeypatch):
         # at M=64, K=16 and n_err=100 one slice fills a chunk: an unchunked stack of a
-        # side's slices would hold 38 of them
+        # side's slices would hold 26 of them
         from rscf import rates
         stacks = []
         project = rates.project_streams
@@ -550,9 +553,10 @@ class TestRunExperiment:
         rows = realization_rows(cfg, 0)
         limit = max(1, harness._CHUNK_BYTES // (16 * cfg.n_err * cfg.k ** 2))
         assert limit == 1 and max(stacks) <= limit
-        # every slice projected once (a degenerate attempt projects none): 4 sets
-        # without an SNR axis, 5 with seven points
-        assert len(rows) == 7 * 11 and sum(stacks) == 4 + 5 * 7
+        # every slice projected once (a degenerate attempt projects none): 6 sets
+        # without an SNR axis (every matched-filter and zero-forcing set), 3 with seven
+        # points
+        assert len(rows) == 7 * 11 and sum(stacks) == 6 + 3 * 7
 
 
     def test_rows_read_each_realization_block(self):

@@ -8,7 +8,7 @@ from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
 from rscf.config import ExperimentConfig
-from rscf.harness import _build_private, _side_data, random_instance
+from rscf.harness import _ONE_BUDGET, _build_private, _side_data, random_instance
 
 from fixture_network import FIXTURE
 
@@ -416,6 +416,27 @@ class TestSnrAxis:
                     want = np.asarray(getattr(single, field))
                     assert np.array_equal(got[s] if got.ndim > want.ndim else got, want), \
                         (field, s, normalise)
+
+    @pytest.mark.parametrize("label", list(prec.CONSTRUCTIONS))
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "clustered"])
+    def test_one_budget_sets_have_budget_free_columns(self, label, dense):
+        # the run builds the sets of harness._ONE_BUDGET once, at the first point's budget,
+        # for every SNR point: their unit-norm columns must not read the budget (zero
+        # forcing's trace scaling is divided out), while a regularised set's must
+        g_bar, part, g_hat = clustered_instance(40)
+        if dense:
+            part = clus.single_cluster(*g_hat.shape)
+            g_bar = clus.sparse_channel(g_hat, part)
+        sigma_w2 = 1e-3
+        pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
+        stacked = _build_private(label, g_bar, part, pts, sigma_w2).private
+        points = stacked if stacked.ndim == 3 else [stacked] * len(pts)
+        if label in _ONE_BUDGET:
+            one = _build_private(label, g_bar, part, pts[0], sigma_w2).private
+            for s, columns in enumerate(points):
+                assert np.max(np.abs(columns - one)) <= 1e-14 * np.max(np.abs(one)), s
+        else:
+            assert np.max(np.abs(points[-1] - points[0])) > 1e-3 * np.max(np.abs(points[0]))
 
 
 class TestFlopEstimate:

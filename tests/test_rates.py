@@ -460,3 +460,11 @@ class TestErgodicReductionOracle:
         rng = np.random.default_rng(13)
         for _ in range(20):
             self.check(*self.group(rng, 1, int(rng.integers(1, 9)), shared=True))
+
+    def test_entry_axis_equals_the_entries_one_by_one(self):
+        # one stacked call over entries with shared and mixed partitions and different
+        # cluster counts gives each entry the result of its own call, bit for bit
+        rng = np.random.default_rng(14)
+        groups = [self.group(rng, 30, 5, shared=bool(e % 2)) for e in range(12)]
+        stacked = rates.ergodic_sum_rate(*(np.stack(column) for column in zip(*groups)))
+        assert stacked == [self.check(*group) for group in groups]

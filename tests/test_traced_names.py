@@ -56,7 +56,9 @@ def test_tracer_counts_one_realization():
     # (side, channel, plain or split) and chunk.  At n_err=10 each side's
     # slices fit one chunk: the distributed side calls for its dense plain
     # (CF-MF, CF-ZF, CF-MMSE), clustered plain (CF-MF-SP) and clustered RS
-    # schemes, the co-located side for BS-MF and RS-BS-MF, 3 + 2 = 5
+    # schemes, the co-located side for BS-MF and RS-BS-MF, 3 + 2 = 5.  The run's
+    # records are reduced by one traced ergodic_sum_rate call, whose time the
+    # aggregation stage shows
     tracer = load_tracing().Tracer()
     config = replace(ExperimentConfig(), n_err=10, n_realizations=1)
     tracer.install(rscf)
@@ -67,5 +69,6 @@ def test_tracer_counts_one_realization():
     summary = tracer.summary(config.m)
     assert summary["power.search.calls"] == 42
     assert summary["rates.kernel.calls"] == 5
+    assert summary["rates.ergodic.calls"] == 1 and summary["stage.aggregation_s"] > 0
     hits = summary["power.search.grid_top_hits"]
     assert isinstance(hits, int) and hits <= 42
