@@ -105,20 +105,17 @@ def path_loss(d, attenuation_db: float, d0: float = 10.0, d1: float = 50.0):
 
 
 def large_scale(geometry: NetworkGeometry, attenuation_db: float, sigma_shadow_db: float,
-                rng: np.random.Generator, d0: float = 10.0, d1: float = 50.0,
-                per_user_shadow: bool = False) -> np.ndarray:
+                shadow: np.ndarray, d0: float = 10.0, d1: float = 50.0) -> np.ndarray:
     """Path loss on the fixed ``attenuation_db`` plus log-normal shadowing, as (M, K) linear gains.
 
-    ``per_user_shadow`` draws one shadowing value per user shared by all
-    antennas, the physical model for co-located arrays; by default each
-    AP-user link shadows independently.
+    ``shadow`` holds the standard normals the shadowing scales: (M, K)
+    shadows each AP-user link independently, and (1, K), one value per user
+    shared by all antennas, is the physical model for co-located arrays.
     """
     if sigma_shadow_db < 0:
         raise ValueError("shadowing standard deviation must be non-negative")
     pl_db = path_loss(geometry.distances(), attenuation_db, d0, d1)
-    shape = (1, pl_db.shape[1]) if per_user_shadow else pl_db.shape
-    shadow_db = sigma_shadow_db * rng.standard_normal(size=shape)
-    return 10.0 ** ((pl_db + shadow_db) / 10.0)
+    return 10.0 ** ((pl_db + sigma_shadow_db * shadow) / 10.0)
 
 
 def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -126,14 +123,16 @@ def complex_normal(rng: np.random.Generator, size) -> np.ndarray:
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def draw_channel(zeta: np.ndarray, sigma_e: float,
-                 rng: np.random.Generator) -> ChannelRealization:
-    """One coherence-block channel draw on the (M, K) gains, with its imperfect estimate."""
+def draw_channel(zeta: np.ndarray, sigma_e: float, h: np.ndarray,
+                 h_err: np.ndarray) -> ChannelRealization:
+    """One coherence-block channel on the (M, K) gains, with its imperfect estimate.
+
+    ``h`` and ``h_err`` are the unit complex normals of the small-scale
+    fading and of the estimation error (see :func:`complex_normal`).
+    """
     if not 0.0 <= sigma_e < 1.0:
         raise ValueError(f"sigma_e must lie in [0, 1), got {sigma_e}")
     amp = np.sqrt(zeta)
-    h = complex_normal(rng, zeta.shape)
-    h_err = complex_normal(rng, zeta.shape)
     g_true = amp * h
     g_err = sigma_e * amp * h_err
     g_hat = amp * (math.sqrt(1.0 - sigma_e ** 2) * h + sigma_e * h_err)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,11 @@ class ClusterPartition:
     @property
     def n_clusters(self) -> int:
         return len(self.user_sets)
+
+    @cached_property
+    def block_index(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``np.ix_(APs, users)`` of each cluster, built once for every per-cluster build."""
+        return tuple(np.ix_(aps, users) for aps, users in zip(self.ap_sets, self.user_sets))
 
     def cluster_of_users(self, n_users: int) -> np.ndarray:
         """Vector mapping each user index to its cluster index."""
@@ -178,9 +184,8 @@ def sparse_channel(g_hat: np.ndarray, partition: ClusterPartition) -> np.ndarray
     """The (M, K) estimate kept where AP m serves user k's cluster, zero elsewhere;
     cluster i's reduced channel is its block on ``ap_sets[i]`` x ``user_sets[i]``."""
     g_bar = np.zeros_like(np.asarray(g_hat))
-    for users, aps in zip(partition.user_sets, partition.ap_sets):
+    for users, aps, idx in zip(partition.user_sets, partition.ap_sets, partition.block_index):
         if users and aps:
-            idx = np.ix_(list(aps), list(users))
             g_bar[idx] = g_hat[idx]
     return g_bar
 

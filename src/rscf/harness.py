@@ -14,16 +14,20 @@ one row view over a run's blocks and builds a :class:`TrialRow` only when a
 row is read.  The run, the precoder dump and the cluster report all build a
 realization the same way: ``_scheme_sides`` for the channel state,
 ``_attempt_precoders`` for the precoders, inside one ``_with_redraws`` loop.
+Forked workers log nothing themselves: the parent logs each realization's
+records in realization order.
 
-The SNR grid is an array axis.  Phase 1 of an attempt builds each private
-set once per (side, channel, construction): a regularised set at the whole
-array of power budgets, a set whose unit-norm columns do not read the
-budget (matched filter and zero forcing) at one budget and without an SNR
-axis, and each common beam once.  Phase 2 runs per side.  Every private
-set of the side becomes slices on one axis, one per SNR point or a single
-one for a set without an SNR axis, and the axis is cut into chunks of as
-many slices as fit ``_CHUNK_BYTES`` of stacked private projection, n*K*K
-complex entries per slice.  Each chunk is projected by one call, one GEMM
+The SNR grid is an array axis.  Phase 1 of an attempt draws its scene once
+for both geometries (``_draw_scene``) and builds each private set once per
+(side, channel, construction): a regularised set at the whole array of
+power budgets, a set whose unit-norm columns do not read the budget
+(matched filter and zero forcing) at one budget and without an SNR axis,
+and each common beam once.  Each construction is one call, stacked on a
+channel axis over every (side, channel) that uses it.  Phase 2 runs per
+side.  Every private set of the side becomes slices on one axis, one per
+SNR point or a single one for a set without an SNR axis, and the axis is
+cut into chunks of as many slices as fit ``_CHUNK_BYTES`` of stacked
+private projection, n*K*K complex entries per slice.  Each chunk is projected by one call, one GEMM
 per slice on the side's error stack.  The split search ranks its grid per
 point on a view of its slice; the rate kernel then runs once per (channel,
 plain or split) and chunk, on the per-(scheme, point) allocations stacked.
@@ -41,7 +45,7 @@ import pickle
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -178,49 +182,52 @@ def cluster_partition_for(config: ExperimentConfig, zeta: np.ndarray) -> clus.Cl
 
 def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
                 shadow_rng: np.random.Generator, channel_rng: np.random.Generator,
-                co_located: bool = False) -> chan.ChannelRealization:
-    """The channel with its estimate and its (M, K) large-scale gains, drawn per ``config``.
+                co_located: bool = False) -> list[chan.ChannelRealization]:
+    """The distributed channel and, with ``co_located``, the co-located one, drawn per ``config``.
 
-    Geometry, shadowing and small-scale fading each draw from their own
-    generator; the same generator may be passed for all three.  A
-    co-located array shares one shadowing value per user.
+    Positions, shadowing normals and small-scale normals are drawn once,
+    each from its own generator (the same generator may be passed for all
+    three), and each realization is derived from them with its estimate and
+    its (M, K) large-scale gains.  The co-located array keeps the users,
+    stacks every antenna at the centre and shares one shadowing value per
+    user, the first row of the distributed draw; both geometries fade by
+    the same normals, the common random numbers of the two baselines.
     """
+    shape = config.m, config.k
     geometry = chan.place_network(config.m, config.k, config.area_side_m, geometry_rng)
-    if co_located:
-        geometry = geometry.co_located()
+    shadow = shadow_rng.standard_normal(shape)
+    fading = chan.complex_normal(channel_rng, shape), chan.complex_normal(channel_rng, shape)
     att = chan.attenuation_constant(config.freq_mhz, config.h_ap_m, config.h_u_m)
-    zeta = chan.large_scale(geometry, att, config.shadow_sigma_db, shadow_rng,
-                            d0=config.d0_m, d1=config.d1_m, per_user_shadow=co_located)
-    return chan.draw_channel(zeta, math.sqrt(config.sigma_e2), channel_rng)
-
-
-def _side_data(config: ExperimentConfig, index: int, attempt: int,
-               co_located: bool, clustered: bool) -> SideData:
-    geo_index, geo_attempt = (0, 0) if config.freeze_geometry else (index, attempt)
-    # the shadowing and small-scale generators are re-seeded identically for
-    # both geometries, so the same normal draws underlie the two baselines
-    realization = _draw_scene(
-        config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
-        seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
-        seeded_rng(config.seed, index, attempt, _SMALLSCALE), co_located)
-    channels = {True: (clus.single_cluster(config.m, config.k), realization.g_hat)}
-    if clustered:
-        partition = cluster_partition_for(config, realization.zeta)
-        channels[False] = partition, clus.sparse_channel(realization.g_hat, partition)
-    return SideData(realization, channels)
+    scenes = [(geometry, shadow)]
+    if co_located:
+        scenes.append((geometry.co_located(), shadow[:1]))
+    return [chan.draw_channel(chan.large_scale(geo, att, config.shadow_sigma_db, normals,
+                                               d0=config.d0_m, d1=config.d1_m),
+                              math.sqrt(config.sigma_e2), *fading)
+            for geo, normals in scenes]
 
 
 def _scheme_sides(config: ExperimentConfig, specs: list[SchemeSpec], index: int,
                   attempt: int) -> dict[bool, SideData]:
-    """Channel state of the geometries a scheme list needs, keyed by ``bs``.
+    """Channel state of the geometries a scheme list needs, keyed by ``bs``, from one scene draw.
 
     The distributed side is always built, as the power budget is solved on
     it, and is clustered when any scheme masks the channel; the co-located
     side is built when a scheme uses it and is never clustered.
     """
-    return {bs: _side_data(config, index, attempt, co_located=bs,
-                           clustered=not bs and any(not s.dense for s in specs))
-            for bs in (False, True) if not bs or any(s.bs for s in specs)}
+    geo_index, geo_attempt = (0, 0) if config.freeze_geometry else (index, attempt)
+    scenes = _draw_scene(config, seeded_rng(config.seed, geo_index, geo_attempt, _GEOMETRY),
+                         seeded_rng(config.seed, geo_index, geo_attempt, _SHADOW),
+                         seeded_rng(config.seed, index, attempt, _SMALLSCALE),
+                         co_located=any(s.bs for s in specs))
+    sides = {}
+    for bs, realization in zip((False, True), scenes):
+        channels = {True: (clus.single_cluster(config.m, config.k), realization.g_hat)}
+        if not bs and any(not s.dense for s in specs):
+            partition = cluster_partition_for(config, realization.zeta)
+            channels[False] = partition, clus.sparse_channel(realization.g_hat, partition)
+        sides[bs] = SideData(realization, channels)
+    return sides
 
 
 # constructions whose unit-norm columns never read the power budget: matched filter and
@@ -243,31 +250,54 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
 
     ``pt`` is one power budget or the array of the SNR grid's; a
-    construction in ``_ONE_BUDGET`` is built once, at the first.  Whether a
-    draw is degenerate does not depend on the budget, so the first scheme to
-    fail raises the error that building every scheme at the first SNR point
-    would, before any rate work, naming the configured schemes the failure
-    breaks: an empty cluster every scheme on its channel, a rank-deficient
-    build the readers of that set or beam.  Keys: ``(bs, dense,
-    construction)`` and ``(bs, dense)``.
+    construction in ``_ONE_BUDGET`` is built once, at the first.  Each
+    construction is built by one call, stacked over every (side, channel)
+    that uses it.  Whether a draw is degenerate depends neither on the
+    budget nor on the stacking, so the error raised, before any rate work,
+    is the one that building the schemes one by one in list order (each
+    private set before its common beam) would raise first.  It names the
+    configured schemes the failure breaks: an empty cluster every scheme on
+    its channel, a rank-deficient build the readers of that set or beam.
+    Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
     """
-    privates, commons = {}, {}
-    first_pt = np.ravel(pt)[0]
+    order = {}  # every set and beam at its place in list order
     for spec in specs:
-        partition, g_bar = sides[spec.bs].channels[spec.dense]
-        key = spec.bs, spec.dense, spec.construction
+        order.setdefault((spec.bs, spec.dense, spec.construction), len(order))
+        if spec.rs:
+            order.setdefault((spec.bs, spec.dense), len(order))
+    privates, commons, failure = {}, {}, None
+    bound = len(order)  # nothing at or past the first failure's place is needed
+    first_pt, sigma_w2 = np.ravel(pt)[0], _noise(config)
+    for construction in dict.fromkeys(key[2] for key in order if len(key) == 3):
+        keys = [key for key in order if key[2:] == (construction,) and order[key] < bound]
+        if not keys:
+            continue
+        partitions, g_bars = zip(*(sides[bs].channels[dense] for bs, dense, _ in keys))
+        stacked = len(keys) > 1
         try:
-            if key not in privates:
-                privates[key] = _build_private(
-                    spec.construction, g_bar, partition,
-                    first_pt if spec.construction in _ONE_BUDGET else pt, _noise(config))
-            if spec.rs and key[:2] not in commons:
-                commons[key[:2]], _ = prec.common_precoder(g_bar, partition)
-        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
-            empty = isinstance(exc, prec.EmptyClusterError)
-            labels = [s.label for s in specs if (s.bs, s.dense) == key[:2] and (
-                empty or (s.rs if key in privates else s.construction == key[2]))]
-            raise type(exc)(f"{exc} (schemes {', '.join(labels)})") from exc
+            pset = _build_private(construction, np.stack(g_bars) if stacked else g_bars[0],
+                                  partitions if stacked else partitions[0],
+                                  first_pt if construction in _ONE_BUDGET else pt, sigma_w2)
+        except prec.DegenerateChannelError as exc:
+            # without its traceback, which holds this frame: a kept one would make a cycle
+            failure = keys[exc.channel], exc.with_traceback(None)
+            bound = order[failure[0]]
+            continue
+        privates.update((key, pset.channel(c) if stacked else pset) for c, key in enumerate(keys))
+    for key in order:
+        if len(key) == 2 and order[key] < bound:
+            partition, g_bar = sides[key[0]].channels[key[1]]
+            try:
+                commons[key], _ = prec.common_precoder(g_bar, partition)
+            except prec.DegenerateChannelError as exc:
+                failure = key, exc.with_traceback(None)
+                break
+    if failure is not None:
+        key, exc = failure
+        empty = isinstance(exc, prec.EmptyClusterError)
+        labels = [s.label for s in specs if (s.bs, s.dense) == key[:2] and (
+            empty or (s.construction == key[2] if len(key) == 3 else s.rs))]
+        raise type(exc)(f"{exc} (schemes {', '.join(labels)})") from exc
     return privates, commons
 
 
@@ -283,7 +313,7 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
     for attempt in range(MAX_REDRAWS + 1):
         try:
             return attempt_fn(attempt)
-        except (prec.RankDeficientChannelError, prec.EmptyClusterError) as exc:
+        except prec.DegenerateChannelError as exc:
             if config.freeze_geometry and isinstance(exc, prec.EmptyClusterError):
                 raise RuntimeError(f"realization {index}: {exc}; the clustering cannot "
                                    "change under freeze_geometry, pick another seed") from exc
@@ -446,14 +476,25 @@ def aggregate(config: ExperimentConfig,
     return records
 
 
+class _RecordBuffer(logging.Handler):
+    """Holds a forked worker's log records for the parent, in ``records``."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
 def _forked_blocks(config: ExperimentConfig, workers: int) -> list[RealizationBlock]:
     """Every realization's block, computed by ``workers`` forked children.
 
-    Child w runs realizations w, w + workers, ... in order, stops at its first
-    exception and pickles its blocks, or (index, exception), into its own pipe
-    as one message; exit status 0 acknowledges a complete message.  Every pipe
-    is read and every child reaped on every path, and the lowest-index failure
-    is raised, a dead child's as a RuntimeError.
+    Child w runs realizations w, w + workers, ... in order and stops at its
+    first exception.  It logs nothing itself: its package logger writes to
+    a buffer, and it pickles, into its own pipe as one message, an (index,
+    log records, block or exception) entry per realization it ran; exit
+    status 0 acknowledges a complete message.  Every pipe is read and every
+    child reaped on every path.  The parent then walks the realizations in
+    order, handling each one's records, and raises the first failure, a
+    dead child's as a RuntimeError at its first realization: the log is the
+    one a single worker writes.
     """
     n = config.n_realizations
     children = []  # (pid, read end of the child's pipe)
@@ -470,15 +511,18 @@ def _forked_blocks(config: ExperimentConfig, workers: int) -> list[RealizationBl
                 status = 1
                 try:
                     os.close(read_fd)
-                    blocks = []
-                    try:
-                        for index in range(w, n, workers):
-                            blocks.append(run_realization(config, index))
-                        message = blocks
-                    except Exception as exc:
-                        message = index, exc
+                    buffer = _RecordBuffer()
+                    log.handlers, log.propagate = [buffer], False
+                    entries = []
+                    for index in range(w, n, workers):
+                        buffer.records = []
+                        try:
+                            entries.append((index, buffer.records, run_realization(config, index)))
+                        except Exception as exc:
+                            entries.append((index, buffer.records, exc))
+                            break
                     with os.fdopen(write_fd, "wb") as fh:
-                        pickle.dump(message, fh, pickle.HIGHEST_PROTOCOL)
+                        pickle.dump(entries, fh, pickle.HIGHEST_PROTOCOL)
                     status = 0
                 finally:
                     os._exit(status)
@@ -496,20 +540,23 @@ def _forked_blocks(config: ExperimentConfig, workers: int) -> list[RealizationBl
             fh.close()
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 
-    blocks, failures = [], []
+    entries = []
     for w, (payload, status) in enumerate(zip(payloads, statuses)):
         if status != 0:
             lost = ", ".join(map(str, range(w, n, workers)))
-            failures.append((w, RuntimeError(
+            entries.append((w, [], RuntimeError(
                 f"realization worker {w} exited with status {status} without sending "
                 f"its results; realizations {lost} are lost")))
-        elif isinstance(message := pickle.loads(payload), tuple):
-            failures.append(message)
         else:
-            blocks += message
-    if failures:
-        raise min(failures, key=itemgetter(0))[1]
-    return sorted(blocks, key=attrgetter("realization"))
+            entries += pickle.loads(payload)
+    blocks = []
+    for _, records, outcome in sorted(entries, key=itemgetter(0)):
+        for record in records:
+            log.handle(record)
+        if isinstance(outcome, Exception):
+            raise outcome
+        blocks.append(outcome)
+    return blocks
 
 
 def run_experiment(config: ExperimentConfig,
@@ -651,14 +698,14 @@ def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_
     sigma_w2 = _noise(config)
     for attempt in range(20):
         rng = seeded_rng(seed, attempt, 100)
-        realization = _draw_scene(config, rng, rng, rng)
+        realization, = _draw_scene(config, rng, rng, rng)
         partition = cluster_partition_for(config, realization.zeta)
         g_bar = clus.sparse_channel(realization.g_hat, partition)
         pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
         try:
             common, cache = prec.common_precoder(g_bar, partition)
             pset = _build_private(kind, g_bar, partition, pt, sigma_w2)
-        except (prec.RankDeficientChannelError, prec.EmptyClusterError):
+        except prec.DegenerateChannelError:
             continue
         pset = replace(pset, common=common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
@@ -797,7 +844,7 @@ def verify(config: ExperimentConfig | None = None,
     res = 0.0
     for seed in range(10):
         rng = seeded_rng(config.seed, seed, 900)
-        real = _draw_scene(config, rng, rng, rng)
+        real, = _draw_scene(config, rng, rng, rng)
         lhs = real.g_hat
         rhs = math.sqrt(1.0 - config.sigma_e2) * real.g_true + real.g_err
         res = max(res, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))

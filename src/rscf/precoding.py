@@ -12,12 +12,17 @@ SINRs in closed form later: the Gram-inverse ``lam`` and a per-column
 scale such that ``private[:, r] = col_scale[r] * conj(g_bar) @ lam[:, r]``.
 A construction that reads the power budget also takes an array of budgets,
 one per SNR point; ``private``, ``beta``, ``col_scale`` and, where it
-depends on Pt, ``lam`` then gain a leading SNR axis, bit for bit the
-scalar builds stacked.  Zero-forcing checks and inverts its Gram once.
+depends on Pt, ``lam`` then gain an SNR axis, bit for bit the scalar
+builds stacked.  The network-wide constructions (MF-SP, ZF-SP, MMSE-SP)
+also take a (C, M, K) stack of channels: every array of the set then gains
+a leading channel axis, ahead of any SNR axis, bit for bit the per-channel
+builds stacked, and :meth:`PrecoderSet.channel` reads one channel's set
+back.  Zero forcing checks and inverts each channel's Gram once, and a
+stacked build fails as its first failing channel would.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +37,19 @@ LABEL_RU_ZF_RD = "RU-ZF-RD"
 LABEL_RU_MMSE_RD = "RU-MMSE-RD"
 
 
-class RankDeficientChannelError(ValueError):
+class DegenerateChannelError(ValueError):
+    """A draw the precoders cannot be built on; ``channel`` indexes a stacked build's channel."""
+
+    def __init__(self, message: str, channel: int = 0):
+        super().__init__(message)
+        self.channel = channel
+
+
+class RankDeficientChannelError(DegenerateChannelError):
     """Gram matrix too ill-conditioned to invert reliably."""
 
 
-class EmptyClusterError(ValueError):
+class EmptyClusterError(DegenerateChannelError):
     """A cluster ended up with no AP or an all-zero reduced channel."""
 
 
@@ -65,22 +78,30 @@ class PrecoderSet:
     lam: np.ndarray | None = None        # (K, K) Gram inverse (block structured)
     col_scale: np.ndarray | None = None  # (K,) per-column scale on conj(g_bar) @ lam
 
+    def channel(self, c: int) -> "PrecoderSet":
+        """The set of channel ``c`` of a build on a stack of channels."""
+        return PrecoderSet(self.label, self.common, self.private[c],
+                           self.beta[c] if np.ndim(self.beta) else self.beta,
+                           self.lam[c], self.col_scale[c])
+
 
 def _empty_common(m: int) -> np.ndarray:
     return np.zeros((m, 0), dtype=complex)
 
 
 def _check_condition(gram: np.ndarray, context: str) -> None:
+    # one condition number per channel of a (..., K, K) stack; the first failing one
+    # raises.  An infinite or NaN condition fails the comparison too
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise RankDeficientChannelError(
-            f"rank-deficient channel {context}: condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
+    if not (cond <= COND_LIMIT).all():
+        c = int(np.argmin(np.ravel(cond <= COND_LIMIT)))
+        raise RankDeficientChannelError(f"rank-deficient channel {context}: condition "
+                                        f"{np.ravel(cond)[c]:.3e} exceeds {COND_LIMIT:.0e}", c)
 
 
 def _cluster_blocks(g_bar: np.ndarray, partition: ClusterPartition):
     """(APs, users, ``at = np.ix_(APs, users)``, reduced channel ``g_bar[at]``) per cluster."""
-    for aps, users in zip(partition.ap_sets, partition.user_sets):
-        at = np.ix_(aps, users)
+    for aps, users, at in zip(partition.ap_sets, partition.user_sets, partition.block_index):
         yield aps, users, at, g_bar[at]
 
 
@@ -123,17 +144,16 @@ def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
     norms = np.linalg.norm(pset.private, axis=-2)
     if np.any(norms == 0.0):
         raise ValueError("cannot column-normalise a precoder with an all-zero column")
-    return replace(pset, private=pset.private / norms[..., None, :],
-                   col_scale=None if pset.col_scale is None else pset.col_scale / norms)
+    return PrecoderSet(pset.label, pset.common, pset.private / norms[..., None, :], pset.beta,
+                       pset.lam, None if pset.col_scale is None else pset.col_scale / norms)
 
 
 def mf_sp(g_bar: np.ndarray) -> PrecoderSet:
     """Matched filter on the sparse channel: the conjugate of each column."""
-    k = g_bar.shape[1]
-    return PrecoderSet(LABEL_MF_SP, _empty_common(g_bar.shape[0]),
-                       g_bar.conj().copy(), beta=1.0,
-                       lam=np.eye(k, dtype=complex),
-                       col_scale=np.ones(k))
+    *lead, m, k = g_bar.shape
+    return PrecoderSet(LABEL_MF_SP, _empty_common(m), g_bar.conj().copy(), beta=1.0,
+                       lam=np.tile(np.eye(k, dtype=complex), (*lead, 1, 1)),
+                       col_scale=np.ones((*lead, k)))
 
 
 def _trace_scaled(f: np.ndarray, pt, share: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -142,14 +162,19 @@ def _trace_scaled(f: np.ndarray, pt, share: int = 1) -> tuple[np.ndarray, np.nda
     return beta, beta[..., None, None] * f
 
 
+def _snr_axis(x: np.ndarray, pt) -> np.ndarray:
+    # (..., A, B) with a unit axis for each of the budgets' axes ahead of the matrix axes
+    return x.reshape(x.shape[:-2] + (1,) * np.ndim(pt) + x.shape[-2:])
+
+
 def zf_sp(g_bar: np.ndarray, pt: float | np.ndarray) -> PrecoderSet:
     """Zero-forcing pseudoinverse of the sparse channel, trace-normalised to Pt."""
-    k = g_bar.shape[1]
-    gram = g_bar.T @ g_bar.conj()
+    m, k = g_bar.shape[-2:]
+    gram = np.swapaxes(g_bar, -1, -2) @ g_bar.conj()
     _check_condition(gram, "(sparse zero-forcing)")
     lam = np.linalg.inv(gram)
-    beta, private = _trace_scaled(g_bar.conj() @ lam, pt)
-    return PrecoderSet(LABEL_ZF_SP, _empty_common(g_bar.shape[0]), private,
+    beta, private = _trace_scaled(_snr_axis(g_bar.conj() @ lam, pt), pt)
+    return PrecoderSet(LABEL_ZF_SP, _empty_common(m), private,
                        beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
@@ -161,11 +186,12 @@ def mmse_sp(g_bar: np.ndarray, pt: float | np.ndarray, sigma_w2: float) -> Preco
     pt = np.asarray(pt, dtype=float)
     if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
-    k = g_bar.shape[1]
-    gram = g_bar.T @ g_bar.conj() + (k * sigma_w2 / pt[..., None, None]) * np.eye(k)
+    m, k = g_bar.shape[-2:]
+    gram = (_snr_axis(np.swapaxes(g_bar, -1, -2) @ g_bar.conj(), pt)
+            + (k * sigma_w2 / pt[..., None, None]) * np.eye(k))
     lam = np.linalg.inv(gram)
-    beta, private = _trace_scaled(g_bar.conj() @ lam, pt)
-    return PrecoderSet(LABEL_MMSE_SP, _empty_common(g_bar.shape[0]), private,
+    beta, private = _trace_scaled(_snr_axis(g_bar.conj(), pt) @ lam, pt)
+    return PrecoderSet(LABEL_MMSE_SP, _empty_common(m), private,
                        beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
@@ -235,15 +261,23 @@ def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
     """Raw private precoder set of the construction named ``label``.
 
     ``g_bar`` is ``sparse_channel(g_hat, partition)``; a dense (unmasked)
-    precoder takes ``g_hat`` itself and ``single_cluster(M, K)``.  A cluster with
-    users but no AP raises :class:`EmptyClusterError`.
+    precoder takes ``g_hat`` itself and ``single_cluster(M, K)``.  MF-SP,
+    ZF-SP and MMSE-SP also take a (C, M, K) stack of channels with the
+    sequence of their C partitions.  A cluster with users but no AP raises
+    :class:`EmptyClusterError`.  A stacked build raises the error of its
+    first failing channel, as building the channels one by one would, with
+    that channel's index as ``channel``.
     """
     if label not in CONSTRUCTIONS:
         raise ValueError(
             f"unknown construction {label!r}; expected one of {tuple(CONSTRUCTIONS)}")
-    for i, (users, aps) in enumerate(zip(partition.user_sets, partition.ap_sets)):
-        if users and not aps:
-            raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution")
+    partitions = [partition] if g_bar.ndim == 2 else partition
+    for c, part in enumerate(partitions):
+        for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
+            if users and not aps:
+                if c:  # a failure of an earlier channel comes first
+                    CONSTRUCTIONS[label](g_bar[:c], partitions[:c], pt, sigma_w2)
+                raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution", c)
     return CONSTRUCTIONS[label](g_bar, partition, pt, sigma_w2)
 
 

@@ -166,7 +166,9 @@ def test_criterion_09_counted_from_the_constructions(monkeypatch):
 def test_criterion_10_channel_moments():
     sigma_e2 = 0.025
     zeta = np.full((1000, 100), 0.43)
-    real = chan.draw_channel(zeta, math.sqrt(sigma_e2), seeded_rng(123))
+    g = seeded_rng(123)
+    real = chan.draw_channel(zeta, math.sqrt(sigma_e2), chan.complex_normal(g, zeta.shape),
+                             chan.complex_normal(g, zeta.shape))
     var_hat = float(np.mean(np.abs(real.g_hat) ** 2)) / 0.43
     var_err = float(np.mean(np.abs(real.g_err) ** 2)) / 0.43
     ok = abs(var_hat - 1.0) <= 0.02 and abs(var_err - sigma_e2) <= 0.02 * sigma_e2

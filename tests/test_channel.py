@@ -10,6 +10,11 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def fading(g, shape):
+    """The small-scale and error normals of one channel, drawn from ``g`` in that order."""
+    return chan.complex_normal(g, shape), chan.complex_normal(g, shape)
+
+
 class TestPlacement:
     def test_positions_inside_square(self):
         geo = chan.place_network(8, 4, 1000.0, rng(7))
@@ -86,7 +91,7 @@ class TestLargeScale:
     def test_decomposition_identity(self):
         # replay the shadowing draw: zeta = 10^((path loss + 8 dB * N(0, 1)) / 10)
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, ATT, 8.0, rng(4))
+        zeta = chan.large_scale(geo, ATT, 8.0, rng(4).standard_normal((8, 4)))
         shadow = 8.0 * rng(4).standard_normal(size=(8, 4))
         np.testing.assert_allclose(zeta, 10.0 ** ((path_loss_db(geo) + shadow) / 10.0),
                                    rtol=1e-12)
@@ -94,13 +99,13 @@ class TestLargeScale:
 
     def test_no_shadowing(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, ATT, 0.0, rng(4))
+        zeta = chan.large_scale(geo, ATT, 0.0, rng(4).standard_normal((8, 4)))
         np.testing.assert_allclose(zeta, 10.0 ** (path_loss_db(geo) / 10.0), rtol=1e-12)
 
     def test_reproducible(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        a = chan.large_scale(geo, ATT, 8.0, rng(11))
-        b = chan.large_scale(geo, ATT, 8.0, rng(11))
+        a = chan.large_scale(geo, ATT, 8.0, rng(11).standard_normal((8, 4)))
+        b = chan.large_scale(geo, ATT, 8.0, rng(11).standard_normal((8, 4)))
         assert np.array_equal(a, b)
 
     def test_all_near_branch_constant(self):
@@ -108,12 +113,12 @@ class TestLargeScale:
         ap = np.full((3, 2), 5.0)
         ue = np.full((2, 2), 6.0)
         geo = chan.NetworkGeometry(ap, ue, 20.0)
-        zeta = chan.large_scale(geo, ATT, 0.0, rng(0))
+        zeta = chan.large_scale(geo, ATT, 0.0, rng(0).standard_normal((3, 2)))
         assert np.allclose(zeta, zeta[0, 0])
 
     def test_per_user_shadow_shared_across_antennas(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3)).co_located()
-        zeta = chan.large_scale(geo, ATT, 8.0, rng(4), per_user_shadow=True)
+        zeta = chan.large_scale(geo, ATT, 8.0, rng(4).standard_normal((1, 4)))
         shadow_db = 10.0 * np.log10(zeta) - path_loss_db(geo)
         assert np.allclose(shadow_db, shadow_db[0][None, :])
         assert np.ptp(shadow_db[0]) > 1.0  # users shadow independently
@@ -122,17 +127,17 @@ class TestLargeScale:
 class TestChannelDraw:
     def test_perfect_estimate(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, ATT, 8.0, rng(6))
-        real = chan.draw_channel(ls, 0.0, rng(7))
+        ls = chan.large_scale(geo, ATT, 8.0, rng(6).standard_normal((8, 4)))
+        real = chan.draw_channel(ls, 0.0, *fading(rng(7), ls.shape))
         assert np.array_equal(real.g_hat, real.g_true)
         assert np.all(real.g_err == 0)
         assert real.epsilon == 1.0
 
     def test_reconstruction_identity(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, ATT, 8.0, rng(6))
+        ls = chan.large_scale(geo, ATT, 8.0, rng(6).standard_normal((8, 4)))
         sigma_e = math.sqrt(0.025)
-        real = chan.draw_channel(ls, sigma_e, rng(7))
+        real = chan.draw_channel(ls, sigma_e, *fading(rng(7), ls.shape))
         lhs = real.g_hat
         rhs = math.sqrt(1.0 - sigma_e ** 2) * real.g_true + real.g_err
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
@@ -141,7 +146,7 @@ class TestChannelDraw:
     def test_rejects_sigma_out_of_range(self):
         ls = np.ones((4, 2))
         with pytest.raises(ValueError):
-            chan.draw_channel(ls, 1.0, rng(0))
+            chan.draw_channel(ls, 1.0, *fading(rng(0), ls.shape))
 
     def test_estimate_moments(self):
         # empirical Var(g_hat/sqrt(zeta)) = 1 and Var(g_err/sqrt(zeta)) = sigma_e^2
@@ -150,11 +155,11 @@ class TestChannelDraw:
         g = rng(42)
         hats, errs = [], []
         for _ in range(100):
-            real = chan.draw_channel(zeta, sigma_e, g)
+            real = chan.draw_channel(zeta, sigma_e, *fading(g, zeta.shape))
             hats.append(real.g_hat[0, 0])
             errs.append(real.g_err[0, 0])
         # batch the bulk of the draws in one realization-shaped call
-        big = chan.draw_channel(np.full((1000, 100), 0.37), sigma_e, g)
+        big = chan.draw_channel(np.full((1000, 100), 0.37), sigma_e, *fading(g, (1000, 100)))
         hat = np.concatenate([np.asarray(hats), big.g_hat.ravel()])
         err = np.concatenate([np.asarray(errs), big.g_err.ravel()])
         assert np.mean(np.abs(hat) ** 2) / 0.37 == pytest.approx(1.0, abs=0.02)
@@ -182,7 +187,7 @@ class TestChannelDraw:
     def test_true_channel_reconstruction(self):
         zeta = np.full((4, 2), 1.0)
         sigma_e = 0.3
-        real = chan.draw_channel(zeta, sigma_e, rng(9))
+        real = chan.draw_channel(zeta, sigma_e, *fading(rng(9), zeta.shape))
         rebuilt = (real.g_hat - real.g_err) / math.sqrt(1.0 - sigma_e ** 2)
         np.testing.assert_allclose(rebuilt, real.g_true, rtol=1e-12)
 
@@ -204,11 +209,11 @@ class TestNoiseAndSnr:
         assert chan.snr_db(g, 2.0, 0.5) == pytest.approx(10 * math.log10(4.0), abs=1e-9)
 
     def test_power_doubling(self):
-        g = chan.draw_channel(np.ones((8, 4)), 0.0, rng(1)).g_true
+        g = chan.draw_channel(np.ones((8, 4)), 0.0, *fading(rng(1), (8, 4))).g_true
         assert chan.snr_db(g, 2.0, 1e-3) - chan.snr_db(g, 1.0, 1e-3) == pytest.approx(
             10 * math.log10(2.0), abs=1e-9)
 
     def test_snr_roundtrip(self):
-        g = chan.draw_channel(np.ones((8, 4)), 0.0, rng(2)).g_true
+        g = chan.draw_channel(np.ones((8, 4)), 0.0, *fading(rng(2), (8, 4))).g_true
         pt = chan.pt_for_snr(g, 20.0, 1e-12)
         assert chan.snr_db(g, pt, 1e-12) == pytest.approx(20.0, abs=1e-9)

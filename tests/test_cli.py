@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +144,25 @@ class TestCliDispatch:
         assert last_lines[0].endswith(" (schemes RS-CF-ZF-SP)")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("overrides", [
+        ("selection=threshold", "cluster_mode=auto", "n_realizations=30"),
+        ("seed=5", "n_realizations=20", "n_err=10")], ids=["failing", "redrawn"])
+    def test_stderr_is_the_same_at_any_worker_count(self, tmp_path, overrides):
+        # forked workers log nothing themselves: the parent logs each realization's redraw
+        # warnings in realization order and stops at the first failure.  The threshold/auto
+        # run fails at realization 4; default seed 5 redraws realizations 0 and 12
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys; from rscf import cli; sys.exit(cli.main(sys.argv[1:]))"
+        args = [arg for value in overrides for arg in ("--set", value)]
+        runs = [subprocess.run([sys.executable, "-c", code, "run", *args, "--workers", workers],
+                               capture_output=True, text=True, cwd=tmp_path,
+                               env=dict(os.environ, PYTHONPATH=str(src)))
+                for workers in ("1", "2", "3")]
+        assert runs[0].stderr.count(" redrawn: ") >= 2
+        for run in runs[1:]:
+            assert (run.returncode, run.stdout, run.stderr) == (
+                runs[0].returncode, runs[0].stdout, runs[0].stderr)
 
     def test_flags_override_the_set_values_before_validation(self, capsys):
         # one validation of the resolved config: a flag replaces an out-of-range --set

@@ -74,6 +74,34 @@ class TestSchemeGrammar:
                 f"unknown scheme {label!r}; valid schemes: " + ", ".join(LABELS))
 
 
+class TestSharedScene:
+    @pytest.mark.parametrize("freeze", [False, True], ids=["drawn", "frozen"])
+    def test_one_draw_equals_a_draw_per_geometry(self, freeze):
+        # one scene draw serves both geometries: each side must be the realization its
+        # own freshly seeded geometry, shadowing and small-scale generators give
+        specs = [parse_scheme(label) for label in ("CF-MF", "BS-MF")]
+        for seed, index, attempt in itertools.product((1, 5), range(5), (0, 1)):
+            cfg = replace(ExperimentConfig(), seed=seed, freeze_geometry=freeze)
+            sides = harness._scheme_sides(cfg, specs, index, attempt)
+            scene = (0, 0) if freeze else (index, attempt)
+            att = chan.attenuation_constant(cfg.freq_mhz, cfg.h_ap_m, cfg.h_u_m)
+            for bs, shadow_shape in ((False, (cfg.m, cfg.k)), (True, (1, cfg.k))):
+                geometry = chan.place_network(cfg.m, cfg.k, cfg.area_side_m, harness.seeded_rng(
+                    seed, *scene, harness._GEOMETRY))
+                shadow = harness.seeded_rng(seed, *scene, harness._SHADOW).standard_normal(
+                    shadow_shape)
+                zeta = chan.large_scale(geometry.co_located() if bs else geometry, att,
+                                        cfg.shadow_sigma_db, shadow, d0=cfg.d0_m, d1=cfg.d1_m)
+                fading = harness.seeded_rng(seed, index, attempt, harness._SMALLSCALE)
+                h = chan.complex_normal(fading, zeta.shape)
+                alone = chan.draw_channel(zeta, math.sqrt(cfg.sigma_e2), h,
+                                          chan.complex_normal(fading, zeta.shape))
+                shared = sides[bs].realization
+                for field in ("g_true", "g_hat", "g_err", "zeta"):
+                    assert np.array_equal(getattr(shared, field), getattr(alone, field)), (
+                        seed, index, attempt, bs, field)
+
+
 class TestRunTrial:
     def test_deterministic_replay(self):
         cfg = replace(SMALL, snr_grid_db=(10.0,))
@@ -397,17 +425,29 @@ class TestRunExperiment:
         _, mixed = harness.run_experiment(replace(cfg, schemes=ExperimentConfig().schemes))
         assert list(alone) == [row for row in mixed if row.scheme in cfg.schemes]
 
+    def test_conventional_rows_do_not_depend_on_other_schemes(self):
+        # each construction of the conventional list is built once, stacked over the
+        # channels that use it; at K=2 its GEMMs are two columns wide, and each
+        # channel must still round as when its scheme is built alone
+        cfg = replace(SMALL, k=2, n_c=1, schemes=CONVENTIONAL)
+        _, mixed = harness.run_experiment(cfg)
+        assert not any(row.redraws for row in mixed)  # no redraw couples the schemes
+        for scheme in CONVENTIONAL:
+            _, alone = harness.run_experiment(replace(cfg, schemes=(scheme,)))
+            assert list(alone) == [row for row in mixed if row.scheme == scheme], scheme
+
     def test_pt_free_inputs_built_once_per_attempt(self, monkeypatch):
-        # one attempt of the default list: every private set is built once per
-        # (side, channel, construction), with all SNR points in one build; the
-        # SVD beams once per (side, dense or clustered channel)
+        # one attempt of the default list: every construction is built once, stacked
+        # over the (side, channel) pairs that use it, with all SNR points in one
+        # build; the SVD beams once per (side, dense or clustered channel)
         from rscf import precoding as prec
-        builds, beams = [], []
+        builds, beams, channels = [], [], {}
         build, beam = harness._build_private, prec.common_precoder
 
-        def counted_build(construction, *args):
+        def counted_build(construction, g_bar, *args):
             builds.append(construction)
-            return build(construction, *args)
+            channels[construction] = g_bar.shape[:-2]
+            return build(construction, g_bar, *args)
 
         def counted_beam(*args):
             beams.append(args)
@@ -417,10 +457,12 @@ class TestRunExperiment:
         cfg = ExperimentConfig(n_err=10, seed=1)
         rows = realization_rows(cfg, 0)
         assert rows[0].redraws == 0 and len(rows) == 7 * len(cfg.schemes) == 7 * 11
-        assert len(builds) == 9  # 3 MF-SP + 1 RU-ZF-RD + 5 pt-dependent, each once
+        assert sorted(builds) == sorted(prec.CONSTRUCTIONS)  # each construction once
         assert len(beams) == 2
-        assert builds.count("MMSE-SP") == 2  # dense and clustered
-        assert builds.count("MF-SP") == 3 and builds.count("RU-ZF-RD") == 1
+        # MF-SP on both sides' dense and the clustered channel, ZF-SP and MMSE-SP on the
+        # distributed dense and clustered channels, the per-cluster sets on one channel
+        assert channels == {"MF-SP": (3,), "ZF-SP": (2,), "MMSE-SP": (2,),
+                            "RU-ZF-RD": (), "RU-MMSE-RD": ()}
 
     def test_degenerate_attempt_fails_before_rate_work(self, monkeypatch):
         # realization 0 of seed 5 is redrawn once; its first attempt fails in
@@ -623,8 +665,11 @@ def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
     for attempt in range(20):
         rng = harness.seeded_rng(seed, attempt, 100)
         geometry = chan.place_network(m, k, 1000.0, rng)
-        zeta = chan.large_scale(geometry, chan.attenuation_constant(1900.0, 15.0, 1.65), 8.0, rng)
-        realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), rng)
+        zeta = chan.large_scale(geometry, chan.attenuation_constant(1900.0, 15.0, 1.65), 8.0,
+                                rng.standard_normal((m, k)))
+        h = chan.complex_normal(rng, (m, k))
+        realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), h,
+                                        chan.complex_normal(rng, (m, k)))
         selection = clus.select_aps_threshold(zeta)
         n_a = clus.default_shared_ap_threshold(selection)
         partition = clus.design_clusters(selection, n_a, zeta)

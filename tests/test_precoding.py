@@ -7,8 +7,8 @@ import pytest
 from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
-from rscf.config import ExperimentConfig
-from rscf.harness import _ONE_BUDGET, _build_private, _side_data, random_instance
+from rscf.config import ExperimentConfig, parse_scheme
+from rscf.harness import _ONE_BUDGET, _build_private, _scheme_sides, random_instance
 
 from fixture_network import FIXTURE
 
@@ -318,7 +318,7 @@ class TestReducedDimension:
                           {"selection": "threshold", "cluster_mode": "auto"}):
             config = replace(ExperimentConfig(), **overrides)
             for index in range(200):
-                side = _side_data(config, index, 0, co_located=False, clustered=True)
+                side = _scheme_sides(config, [parse_scheme("CF-ZF-SP")], index, 0)[False]
                 part, g_bar = side.channels[False]
                 rejected = []
                 for build in (lambda: prec.zf_sp(g_bar, 1.0), lambda: prec.ru_zf_rd(g_bar, part)):
@@ -437,6 +437,78 @@ class TestSnrAxis:
                 assert np.max(np.abs(columns - one)) <= 1e-14 * np.max(np.abs(one)), s
         else:
             assert np.max(np.abs(points[-1] - points[0])) > 1e-3 * np.max(np.abs(points[0]))
+
+
+class TestChannelAxis:
+    """MF-SP, ZF-SP and MMSE-SP built on a (C, M, K) stack: the channel builds stacked."""
+
+    STACKED = (prec.LABEL_MF_SP, prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP)
+
+    def run_channels(self, k):
+        # the channels a run stacks: the distributed dense and clustered ones and the
+        # co-located dense one, of the first realization whose zero forcing builds
+        config = replace(ExperimentConfig(), m=2 * k + 4, k=k, cluster_mode="fixed",
+                         n_c=min(k, 2))
+        specs = [parse_scheme(label) for label in ("CF-ZF", "CF-ZF-SP", "BS-ZF")]
+        for index in range(20):
+            sides = _scheme_sides(config, specs, index, 0)
+            channels = [sides[False].channels[True], sides[False].channels[False],
+                        sides[True].channels[True]]
+            try:
+                for part, g_bar in channels:
+                    prec.construct(prec.LABEL_ZF_SP, g_bar, part, 1.0, 1.0)
+            except prec.DegenerateChannelError:
+                continue
+            partitions, g_bars = zip(*channels)
+            return partitions, np.stack(g_bars), sides[False].realization.g_true
+        raise AssertionError("no buildable realization")
+
+    @pytest.mark.parametrize("budget", ["scalar", "array"])
+    @pytest.mark.parametrize("label", STACKED)
+    @pytest.mark.parametrize("k", [1, 2, 4, 16])
+    def test_stack_equals_the_channel_builds(self, k, label, budget):
+        partitions, g_bars, g_true = self.run_channels(k)
+        sigma_w2 = 1e-13
+        pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in range(0, 31, 5)])
+        pt = pts[2] if budget == "scalar" else pts
+        stacked = _build_private(label, g_bars, partitions, pt, sigma_w2)
+        # the channel axis leads, ahead of the SNR axis of a set that reads the budget
+        snr_axis = () if label == prec.LABEL_MF_SP else np.shape(pt)
+        assert stacked.private.shape == g_bars.shape[:1] + snr_axis + g_bars.shape[1:]
+        for c, (part, g_bar) in enumerate(zip(partitions, g_bars)):
+            one, got = _build_private(label, g_bar, part, pt, sigma_w2), stacked.channel(c)
+            for field in ("private", "beta", "lam", "col_scale"):
+                assert np.array_equal(getattr(got, field), getattr(one, field)), (c, field)
+            assert np.array_equal(got.common, one.common) and got.label == one.label
+
+    def test_a_rank_deficient_channel_reports_its_own_condition(self):
+        partitions, g_bars, _ = self.run_channels(4)
+        g_bars = g_bars.copy()
+        g_bars[1, :, 3] = g_bars[1, :, 2]  # two users of the clustered channel alike
+        with pytest.raises(prec.RankDeficientChannelError) as alone:
+            _build_private(prec.LABEL_ZF_SP, g_bars[1], partitions[1], 1.0, 1.0)
+        with pytest.raises(prec.RankDeficientChannelError) as stacked:
+            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0, 1.0)
+        assert stacked.value.channel == 1 and str(stacked.value) == str(alone.value)
+        # the same stack without that channel builds
+        _build_private(prec.LABEL_ZF_SP, g_bars[::2], partitions[::2], 1.0, 1.0)
+
+    def test_the_first_failing_channel_raises(self):
+        # channel 0 rank-deficient, channel 1 with an empty cluster: building the
+        # channels one by one fails on channel 0 first, whatever the kinds
+        partitions, g_bars, _ = self.run_channels(4)
+        g_bars = g_bars.copy()
+        g_bars[0, :, 1] = g_bars[0, :, 0]
+        empty = clus.ClusterPartition(((0, 1), (2, 3)), (tuple(range(g_bars.shape[1])), ()),
+                                      np.zeros((2, g_bars.shape[1]), dtype=int))
+        stack = (partitions[0], empty, partitions[2])
+        with pytest.raises(prec.RankDeficientChannelError) as first:
+            _build_private(prec.LABEL_ZF_SP, g_bars, stack, 1.0, 1.0)
+        assert first.value.channel == 0
+        # matched filtering has no rank check: the empty cluster fails it, on channel 1
+        with pytest.raises(prec.EmptyClusterError, match="cluster 1 lost every AP") as later:
+            _build_private(prec.LABEL_MF_SP, g_bars, stack, 1.0, 1.0)
+        assert later.value.channel == 1
 
 
 class TestFlopEstimate:

@@ -72,3 +72,20 @@ def test_tracer_counts_one_realization():
     assert summary["rates.ergodic.calls"] == 1 and summary["stage.aggregation_s"] > 0
     hits = summary["power.search.grid_top_hits"]
     assert isinstance(hits, int) and hits <= 42
+
+
+def test_tracer_sees_the_scene_and_a_failed_build():
+    # realization 0 of seed 5 is redrawn once: its first attempt loses a cluster's every
+    # AP, and the stacked build that finds it must still fail inside the traced
+    # _build_private; the scene draw is still traced through the channel functions
+    tracer = load_tracing().Tracer()
+    config = replace(ExperimentConfig(), n_err=10, n_realizations=1, seed=5)
+    tracer.install(rscf)
+    try:
+        rscf.harness.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary(config.m)
+    assert tracer.missing == []
+    assert summary["precoding.private.failures"] == summary["harness.realization.redraws"] == 1
+    assert summary["channel.scene.calls"] > 0
