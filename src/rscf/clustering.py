@@ -184,9 +184,8 @@ def sparse_channel(g_hat: np.ndarray, partition: ClusterPartition) -> np.ndarray
     """The (M, K) estimate kept where AP m serves user k's cluster, zero elsewhere;
     cluster i's reduced channel is its block on ``ap_sets[i]`` x ``user_sets[i]``."""
     g_bar = np.zeros_like(np.asarray(g_hat))
-    for users, aps, idx in zip(partition.user_sets, partition.ap_sets, partition.block_index):
-        if users and aps:
-            g_bar[idx] = g_hat[idx]
+    for idx in partition.block_index:
+        g_bar[idx] = g_hat[idx]
     return g_bar
 
 

@@ -23,14 +23,17 @@ for both geometries (``_draw_scene``) and builds each private set once per
 power budgets, a set whose unit-norm columns do not read the budget
 (matched filter and zero forcing) at one budget and without an SNR axis,
 and each common beam once.  Each construction is one call, stacked on a
-channel axis over every (side, channel) that uses it.  Phase 2 runs per
-side.  Every private set of the side becomes slices on one axis, one per
-SNR point or a single one for a set without an SNR axis, and the axis is
-cut into chunks of as many slices as fit ``_CHUNK_BYTES`` of stacked
-private projection, n*K*K complex entries per slice.  Each chunk is projected by one call, one GEMM
-per slice on the side's error stack.  The split search ranks its grid per
-point on a view of its slice; the rate kernel then runs once per (channel,
-plain or split) and chunk, on the per-(scheme, point) allocations stacked.
+channel axis over every (side, channel) that uses it; the constructions
+are built in the order the scheme list first uses them, then the beams,
+and the first degenerate build raises at once.  Phase 2 runs per side.
+Every private set of the side becomes slices on one axis, one per SNR
+point or a single one for a set without an SNR axis, and the axis is cut
+into chunks of as many slices as fit ``_CHUNK_BYTES`` of stacked private
+projection, n*K*K complex entries per slice.  Each chunk is projected by
+one call, one GEMM per slice on the side's error stack.  The split search
+ranks its grid per point on a view of its slice; the rate kernel then runs
+once per (channel, plain or split) and chunk, on the per-(scheme, point)
+allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
 """
@@ -250,51 +253,34 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
 
     ``pt`` is one power budget or the array of the SNR grid's; a
-    construction in ``_ONE_BUDGET`` is built once, at the first.  Each
-    construction is built by one call, stacked over every (side, channel)
-    that uses it.  Whether a draw is degenerate depends neither on the
-    budget nor on the stacking, so the error raised, before any rate work,
-    is the one that building the schemes one by one in list order (each
-    private set before its common beam) would raise first.  It names the
-    configured schemes the failure breaks: an empty cluster every scheme on
-    its channel, a rank-deficient build the readers of that set or beam.
+    construction in ``_ONE_BUDGET`` is built once, at the first.  The
+    constructions are built in the order the scheme list first uses them,
+    each by one call stacked over its (side, channel) pairs in list order,
+    and then each common beam in list order.  The first degenerate build
+    raises at once, before any rate work, naming the configured schemes it
+    breaks: an empty cluster every scheme on its channel, a rank-deficient
+    build the readers of that set or beam.
     Keys: ``(bs, dense, construction)`` and ``(bs, dense)``.
     """
-    order = {}  # every set and beam at its place in list order
-    for spec in specs:
-        order.setdefault((spec.bs, spec.dense, spec.construction), len(order))
-        if spec.rs:
-            order.setdefault((spec.bs, spec.dense), len(order))
-    privates, commons, failure = {}, {}, None
-    bound = len(order)  # nothing at or past the first failure's place is needed
+    sets = dict.fromkeys((spec.bs, spec.dense, spec.construction) for spec in specs)
+    privates, commons = {}, {}
     first_pt, sigma_w2 = np.ravel(pt)[0], _noise(config)
-    for construction in dict.fromkeys(key[2] for key in order if len(key) == 3):
-        keys = [key for key in order if key[2:] == (construction,) and order[key] < bound]
-        if not keys:
-            continue
-        partitions, g_bars = zip(*(sides[bs].channels[dense] for bs, dense, _ in keys))
-        stacked = len(keys) > 1
-        try:
+    try:
+        for construction in dict.fromkeys(key[2] for key in sets):
+            keys = [key for key in sets if key[2] == construction]
+            partitions, g_bars = zip(*(sides[bs].channels[dense] for bs, dense, _ in keys))
+            stacked = len(keys) > 1
             pset = _build_private(construction, np.stack(g_bars) if stacked else g_bars[0],
                                   partitions if stacked else partitions[0],
                                   first_pt if construction in _ONE_BUDGET else pt, sigma_w2)
-        except prec.DegenerateChannelError as exc:
-            # without its traceback, which holds this frame: a kept one would make a cycle
-            failure = keys[exc.channel], exc.with_traceback(None)
-            bound = order[failure[0]]
-            continue
-        privates.update((key, pset.channel(c) if stacked else pset) for c, key in enumerate(keys))
-    for key in order:
-        if len(key) == 2 and order[key] < bound:
-            partition, g_bar = sides[key[0]].channels[key[1]]
-            try:
-                commons[key], _ = prec.common_precoder(g_bar, partition)
-            except prec.DegenerateChannelError as exc:
-                failure = key, exc.with_traceback(None)
-                break
-    if failure is not None:
-        key, exc = failure
-        empty = isinstance(exc, prec.EmptyClusterError)
+            privates.update((key, pset.channel(c) if stacked else pset)
+                            for c, key in enumerate(keys))
+        for bs, dense in dict.fromkeys((spec.bs, spec.dense) for spec in specs if spec.rs):
+            keys = [(bs, dense)]  # a beam fails as channel 0 of a one-channel build
+            partition, g_bar = sides[bs].channels[dense]
+            commons[bs, dense], _ = prec.common_precoder(g_bar, partition)
+    except prec.DegenerateChannelError as exc:
+        key, empty = keys[exc.channel], isinstance(exc, prec.EmptyClusterError)
         labels = [s.label for s in specs if (s.bs, s.dense) == key[:2] and (
             empty or (s.construction == key[2] if len(key) == 3 else s.rs))]
         raise type(exc)(f"{exc} (schemes {', '.join(labels)})") from exc

@@ -17,8 +17,7 @@ builds stacked.  The network-wide constructions (MF-SP, ZF-SP, MMSE-SP)
 also take a (C, M, K) stack of channels: every array of the set then gains
 a leading channel axis, ahead of any SNR axis, bit for bit the per-channel
 builds stacked, and :meth:`PrecoderSet.channel` reads one channel's set
-back.  Zero forcing checks and inverts each channel's Gram once, and a
-stacked build fails as its first failing channel would.
+back.  Zero forcing checks and inverts each channel's Gram once.
 """
 from __future__ import annotations
 
@@ -264,19 +263,17 @@ def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
     precoder takes ``g_hat`` itself and ``single_cluster(M, K)``.  MF-SP,
     ZF-SP and MMSE-SP also take a (C, M, K) stack of channels with the
     sequence of their C partitions.  A cluster with users but no AP raises
-    :class:`EmptyClusterError`.  A stacked build raises the error of its
-    first failing channel, as building the channels one by one would, with
+    :class:`EmptyClusterError`; every channel's partition is checked before
+    any arithmetic, so a stacked build raises for its first channel with an
+    empty cluster, and otherwise for its first rank-deficient channel, with
     that channel's index as ``channel``.
     """
     if label not in CONSTRUCTIONS:
         raise ValueError(
             f"unknown construction {label!r}; expected one of {tuple(CONSTRUCTIONS)}")
-    partitions = [partition] if g_bar.ndim == 2 else partition
-    for c, part in enumerate(partitions):
+    for c, part in enumerate([partition] if g_bar.ndim == 2 else partition):
         for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
             if users and not aps:
-                if c:  # a failure of an earlier channel comes first
-                    CONSTRUCTIONS[label](g_bar[:c], partitions[:c], pt, sigma_w2)
                 raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution", c)
     return CONSTRUCTIONS[label](g_bar, partition, pt, sigma_w2)
 

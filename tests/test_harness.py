@@ -514,6 +514,28 @@ class TestRunExperiment:
             harness._attempt_precoders(cfg, specs, sides, 1.0)
         assert str(info.value) == "singular beam (schemes RS-CF-ZF-RD, RS-CF-MF-SP)"
 
+    def test_redraw_warning_names_the_first_build_in_build_order(self, caplog):
+        # CF-ZF puts sparse zero forcing first in build order, so on the clustered channel
+        # it is built, and fails, ahead of the per-cluster zero forcing listed before it.
+        # Both rank checks reject the same draws: either list order keeps the same attempts
+        base = replace(ExperimentConfig(), selection="threshold", cluster_mode="auto",
+                       seed=1, n_err=10)
+        rows = {}
+        for schemes in (("CF-ZF", "RS-CF-ZF-RD", "RS-CF-ZF-SP"),
+                        ("CF-ZF", "RS-CF-ZF-SP", "RS-CF-ZF-RD")):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="rscf"):
+                blocks = [realization_rows(replace(base, schemes=schemes), index)
+                          for index in range(4)]
+            messages = [record.getMessage() for record in caplog.records]
+            assert len(messages) == sum(block[0].redraws for block in blocks) == 5
+            assert all(": rank-deficient channel (sparse zero-forcing): " in message
+                       and message.endswith(" (schemes RS-CF-ZF-SP)") for message in messages)
+            rows[schemes] = {(row.realization, row.scheme, row.snr_db): row
+                             for block in blocks for row in block}
+        first, second = rows.values()  # every row carries its realization's redraw count
+        assert first == second
+
     @pytest.mark.parametrize("overrides", [
         {}, {"selection": "threshold", "cluster_mode": "auto", "n_realizations": 10,
              "power_mode": "per_cluster_exhaustive",

@@ -494,21 +494,22 @@ class TestChannelAxis:
         _build_private(prec.LABEL_ZF_SP, g_bars[::2], partitions[::2], 1.0, 1.0)
 
     def test_the_first_failing_channel_raises(self):
-        # channel 0 rank-deficient, channel 1 with an empty cluster: building the
-        # channels one by one fails on channel 0 first, whatever the kinds
+        # every channel's partition is checked before any arithmetic: an empty cluster on
+        # channel 1 fails the stack ahead of channel 0's rank deficiency, whatever the
+        # construction
         partitions, g_bars, _ = self.run_channels(4)
         g_bars = g_bars.copy()
         g_bars[0, :, 1] = g_bars[0, :, 0]
         empty = clus.ClusterPartition(((0, 1), (2, 3)), (tuple(range(g_bars.shape[1])), ()),
                                       np.zeros((2, g_bars.shape[1]), dtype=int))
-        stack = (partitions[0], empty, partitions[2])
-        with pytest.raises(prec.RankDeficientChannelError) as first:
-            _build_private(prec.LABEL_ZF_SP, g_bars, stack, 1.0, 1.0)
-        assert first.value.channel == 0
-        # matched filtering has no rank check: the empty cluster fails it, on channel 1
-        with pytest.raises(prec.EmptyClusterError, match="cluster 1 lost every AP") as later:
-            _build_private(prec.LABEL_MF_SP, g_bars, stack, 1.0, 1.0)
-        assert later.value.channel == 1
+        for label in self.STACKED:
+            with pytest.raises(prec.EmptyClusterError, match="cluster 1 lost every AP") as got:
+                _build_private(label, g_bars, (partitions[0], empty, partitions[2]), 1.0, 1.0)
+            assert got.value.channel == 1, label
+        # without the empty cluster, zero forcing's rank check fails channel 0
+        with pytest.raises(prec.RankDeficientChannelError) as rank_first:
+            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0, 1.0)
+        assert rank_first.value.channel == 0
 
 
 class TestFlopEstimate:
