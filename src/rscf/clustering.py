@@ -52,8 +52,8 @@ def select_aps_threshold(zeta: np.ndarray) -> np.ndarray:
     AP (lowest index on ties) so that nobody is left unserved.
     """
     j = (zeta > zeta.mean()).astype(int)
-    for k in np.flatnonzero(j.sum(axis=0) == 0):
-        j[int(np.argmax(zeta[:, k])), k] = 1
+    starved = np.flatnonzero(j.sum(axis=0) == 0)
+    j[np.argmax(zeta[:, starved], axis=0), starved] = 1
     return j
 
 
@@ -63,9 +63,7 @@ def select_aps_topn(zeta: np.ndarray, n_s: int) -> np.ndarray:
     if not 1 <= n_s <= m:
         raise ValueError(f"n_s must lie in [1, {m}], got {n_s}")
     j = np.zeros_like(zeta, dtype=int)
-    for k in range(zeta.shape[1]):
-        order = np.argsort(-zeta[:, k], kind="stable")
-        j[order[:n_s], k] = 1
+    np.put_along_axis(j, np.argsort(-zeta, axis=0, kind="stable")[:n_s], 1, axis=0)
     return j
 
 
@@ -82,14 +80,12 @@ def _assign_aps(test_vectors, user_sets, zeta: np.ndarray) -> tuple[tuple[int, .
     it serves best (largest summed gain; lowest cluster index on ties).
     APs claimed by no test vector stay unassigned and transmit nothing.
     """
-    ap_sets: list[list[int]] = [[] for _ in user_sets]
-    for m in range(zeta.shape[0]):
-        claimants = [i for i, tv in enumerate(test_vectors) if tv[m]]
-        if not claimants:
-            continue
-        scores = [float(zeta[m, list(user_sets[i])].sum()) for i in claimants]
-        ap_sets[claimants[int(np.argmax(scores))]].append(m)
-    return tuple(tuple(a) for a in ap_sets)
+    # (N_c, M) summed gains of each cluster's users per AP, -inf where the cluster
+    # does not claim the AP; argmax keeps the first, lowest, cluster of a tie
+    claims = np.asarray(test_vectors, dtype=bool)
+    scores = np.where(claims, [zeta[:, list(users)].sum(axis=1) for users in user_sets], -np.inf)
+    owner = np.where(claims.any(axis=0), scores.argmax(axis=0), -1)
+    return tuple(tuple(np.flatnonzero(owner == i).tolist()) for i in range(len(user_sets)))
 
 
 def design_clusters(j: np.ndarray, n_a: int, zeta: np.ndarray) -> ClusterPartition:
@@ -135,25 +131,24 @@ def design_clusters_fixed(j: np.ndarray, n_c: int, zeta: np.ndarray) -> ClusterP
     if not 1 <= n_c <= k_total:
         raise ValueError(f"n_c must lie in [1, {k_total}], got {n_c}")
     overlap = j.T @ j
-    if n_c == 1:
-        seeds = [0]
-    else:
-        pairs = [(int(overlap[a, b]), a, b)
-                 for a in range(k_total) for b in range(a + 1, k_total)]
-        _, a, b = min(pairs)
-        seeds = [a, b]
-        while len(seeds) < n_c:
-            rest = [u for u in range(k_total) if u not in seeds]
-            u = min(rest, key=lambda u: (max(int(overlap[u, s]) for s in seeds), u))
-            seeds.append(u)
+    # the least-overlapping pair, lowest indices on ties (row-major argmin of the strict
+    # upper triangle), then each time the user of least worst overlap with the seeds
+    unused = overlap.max() + 1
+    pairs = np.where(np.triu(np.ones((k_total, k_total), dtype=bool), 1), overlap, unused)
+    seeds = [0] if n_c == 1 else list(divmod(int(pairs.argmin()), k_total))
+    worst = overlap[:, seeds].max(axis=1)
+    while len(seeds) < n_c:
+        worst[seeds] = unused
+        seeds.append(int(worst.argmin()))
+        worst = np.maximum(worst, overlap[:, seeds[-1]])
     seeds = sorted(seeds[:n_c])
 
     user_sets: list[list[int]] = [[s] for s in seeds]
-    test_vectors: list[np.ndarray] = [j[:, s].copy() for s in seeds]
+    test_vectors = j[:, seeds].T.copy()  # (n_c, M)
     for k in range(k_total):
         if k in seeds:
             continue
-        shared = [int(j[:, k] @ tv) for tv in test_vectors]
+        shared = (test_vectors @ j[:, k]).tolist()
         # ties prefer the smaller cluster (then the lower index), which
         # keeps the partition balanced when selections are near-uniform
         i = min(range(len(shared)),

@@ -25,10 +25,11 @@ power budgets, a set whose unit-norm columns do not read the budget
 and each common beam once.  Each construction is one call, stacked on a
 channel axis over every (side, channel) that uses it; the constructions
 are built in the order the scheme list first uses them, then the beams,
-and the first degenerate build raises at once.  Phase 2 runs per side.
-Every private set of the side becomes slices on one axis, one per SNR
-point or a single one for a set without an SNR axis, and the axis is cut
-into chunks of as many slices as fit ``_CHUNK_BYTES`` of stacked private
+and the first degenerate build raises at once.  Phase 2 runs per side,
+along a layout that a run builds once (``_evaluation_layout``).  Every
+private set of the side becomes slices on one axis, one per SNR point or
+a single one for a set without an SNR axis, and the axis is cut into
+chunks of as many slices as fit ``_CHUNK_BYTES`` of stacked private
 projection, n*K*K complex entries per slice.  Each chunk is projected by
 one call, one GEMM per slice on the side's error stack.  The split search
 ranks its grid per point on a view of its slice; the rate kernel then runs
@@ -50,6 +51,7 @@ from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -309,30 +311,89 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
-def _side_slices(specs: list[SchemeSpec], bs: bool, privates: dict, n_points: int
-                 ) -> tuple[list[np.ndarray], dict[tuple[bool, bool], list[tuple[int, int, int]]]]:
-    """The private columns of side ``bs`` as (M, K) slices on one axis, and the kernel entries.
+# the layout's records are NamedTuples: a frozen dataclass costs about 0.5 ms to
+# define, on every import, and setup time is measured
+class _KernelGroup(NamedTuple):
+    """One kernel call of a chunk: the entries of one (channel, plain or split) group.
 
-    A set built at every power budget gives one slice per SNR point, a set
-    built at one budget a single one.  The entries (scheme, point, slice)
-    are grouped by (dense, rs): a group takes one kernel call per chunk.
+    ``entries`` are the block rows ``point * len(schemes) + scheme`` it fills and
+    ``points`` their SNR points; ``pick`` is the chunk slice of every entry, an int
+    when they share one (the bundle then broadcasts).  ``searches`` hold a split
+    group's runs of entries on one slice as (slice, points), one view per run.
     """
-    slices, first, calls = [], {}, {}
-    for j, spec in enumerate(specs):
-        if spec.bs != bs:
-            continue
-        private = privates[bs, spec.dense, spec.construction].private  # (S, M, K) or (M, K)
-        key = spec.dense, spec.construction
-        if key not in first:
-            first[key] = len(slices)
-            slices.extend(private if private.ndim == 3 else [private])
-        calls.setdefault((spec.dense, spec.rs), []).extend(
-            (j, s, first[key] + s * (private.ndim == 3)) for s in range(n_points))
-    return slices, calls
+
+    dense: bool
+    rs: bool
+    entries: np.ndarray
+    points: np.ndarray
+    pick: int | np.ndarray
+    searches: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+class _SideLayout(NamedTuple):
+    """Phase 2 of one side: the (dense, construction) sets in slice order with their slice
+    counts, the channels whose beams are projected, and its chunks as (first slice,
+    stop, kernel groups)."""
+
+    bs: bool
+    sources: tuple[tuple[tuple[bool, str], int], ...]
+    beams: tuple[bool, ...]
+    chunks: tuple[tuple[int, int, tuple[_KernelGroup, ...]], ...]
+
+
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.flags.writeable = False
+    return array
+
+
+@lru_cache(maxsize=None)
+def _evaluation_layout(schemes: tuple[str, ...], n_points: int, n_chunk: int
+                       ) -> tuple[tuple[SchemeSpec, ...], tuple[_SideLayout, ...]]:
+    """The specs, and where each side projects and evaluates every (scheme, point) entry.
+
+    It depends on the scheme list, the number of SNR points and the chunk
+    width only, so a run builds it once.  Every private set of a side gives
+    one slice per SNR point, or one for a set of ``_ONE_BUDGET``; the entries
+    (scheme, point, slice) are grouped by (dense, rs), and a group takes one
+    kernel call per chunk of ``n_chunk`` slices.
+    """
+    specs = tuple(parse_scheme(label) for label in schemes)
+    sides = []
+    for bs in dict.fromkeys(spec.bs for spec in specs):
+        sources, first, calls = [], {}, {}
+        for j, spec in enumerate(specs):
+            if spec.bs != bs:
+                continue
+            key, per_point = (spec.dense, spec.construction), spec.construction not in _ONE_BUDGET
+            if key not in first:
+                first[key] = sum(count for _, count in sources)
+                sources.append((key, n_points if per_point else 1))
+            calls.setdefault((spec.dense, spec.rs), []).extend(
+                (j, s, first[key] + s * per_point) for s in range(n_points))
+        chunks = []
+        for lo in range(0, sum(count for _, count in sources), n_chunk):
+            groups = []
+            for (dense, rs), entries in calls.items():
+                mine = [(j, s, t - lo) for j, s, t in entries if lo <= t < lo + n_chunk]
+                if mine:
+                    picks = [t for _, _, t in mine]
+                    groups.append(_KernelGroup(
+                        dense, rs, _read_only([s * len(specs) + j for j, s, _ in mine]),
+                        _read_only([s for _, s, _ in mine]),
+                        picks[0] if len(set(picks)) == 1 else _read_only(picks),
+                        tuple((t, tuple(s for _, s, _ in run)) for t, run in
+                              itertools.groupby(mine, key=itemgetter(2))) if rs else ()))
+            chunks.append((lo, lo + n_chunk, tuple(groups)))
+        sides.append(_SideLayout(bs, tuple(sources), tuple(d for d, rs in calls if rs),
+                                 tuple(chunks)))
+    return specs, tuple(sides)
 
 
 def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> RealizationBlock:
-    specs = [parse_scheme(label) for label in config.schemes]
+    specs, layout = _evaluation_layout(
+        tuple(config.schemes), len(config.snr_grid_db),
+        max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2)))
     sides = _scheme_sides(config, specs, index, attempt)
     sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
@@ -341,52 +402,46 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
     g_true = sides[False].realization.g_true
     pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in config.snr_grid_db])
     privates, commons = _attempt_precoders(config, specs, sides, pts)
-    n_chunk = max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2))
     users = np.arange(config.k)
     # the block's columns, one entry per (point, scheme), filled from the kernel's stacks
     n_entries = len(pts) * len(specs)
     s_a, delta = np.empty(n_entries), np.empty(n_entries)
     mean_cr, mean_pr, min_cr = (np.zeros((n_entries, config.k)) for _ in range(3))
     cluster_of = np.empty((n_entries, config.k), int)
-    for bs in dict.fromkeys(spec.bs for spec in specs):
+    for side in layout:
         # phase 2, per side: one projection per chunk of slices, and one kernel call
         # per (channel, plain or split) and chunk
-        side = sides[bs]
-        slices, calls = _side_slices(specs, bs, privates, len(pts))
+        realization = sides[side.bs].realization
         channels = {dense: (partition, partition.cluster_of_users(config.k))
-                    for dense, (partition, _) in side.channels.items()}
+                    for dense, (partition, _) in sides[side.bs].channels.items()}
+        slices = [one for key, count in side.sources for one in privates[
+            (side.bs, *key)].private.reshape(count, config.m, config.k)]
         # one error stack per side, shared by every scheme and SNR point: the sides draw
         # from the same seeded stream, scaled by their own gains
         err = proj = bundle = None  # drop the last side's stack and projection before the draw
-        err = chan.draw_error_matrices(side.realization.zeta, sigma_e, config.n_err,
+        err = chan.draw_error_matrices(realization.zeta, sigma_e, config.n_err,
                                        seeded_rng(config.seed, index, attempt, _ERRDRAWS))
-        g_hat = side.realization.g_hat
-        common_streams = {dense: rates.project_streams(g_hat, err, commons[bs, dense],
+        g_hat = realization.g_hat
+        common_streams = {dense: rates.project_streams(g_hat, err, commons[side.bs, dense],
                                                        channels[dense][1])
-                          for dense, rs in calls if rs}
-        for lo in range(0, len(slices), n_chunk):
+                          for dense in side.beams}
+        for lo, hi, groups in side.chunks:
             proj = bundle = None  # drop the last chunk's projection before the next
-            proj = rates.project_streams(g_hat, err, np.stack(slices[lo:lo + n_chunk]), users)
-            for (dense, rs), entries in calls.items():
-                mine = [(j, s, t - lo) for j, s, t in entries if lo <= t < lo + n_chunk]
-                if not mine:
-                    continue
-                partition, labels = channels[dense]
-                bundle = rates.ProjectionBundle(common_streams.get(dense), proj, labels)
-                if rs:
+            proj = rates.project_streams(g_hat, err, np.stack(slices[lo:hi]), users)
+            for group in groups:
+                partition, labels = channels[group.dense]
+                bundle = rates.ProjectionBundle(common_streams.get(group.dense), proj, labels)
+                if group.rs:
                     # one view per slice, dropped after its searches: its terms serve each point
                     alloc = pw.stack([
                         pw.allocate_common(view, sigma_e, partition, sigma_w2, pts[s], **search)[0]
-                        for t, group in itertools.groupby(mine, key=lambda entry: entry[2])
-                        for view in [bundle.at(t)] for _, s, _ in group])
+                        for t, points in group.searches for view in [bundle.at(t)]
+                        for s in points])
                 else:
-                    alloc = pw.no_split(pts[[s for _, s, _ in mine]], config.k)
-                # entries on one slice broadcast it instead of stacking copies of it
-                picks = [t for _, _, t in mine]
-                asr = rates.asr_from_bundle(
-                    bundle.at(picks[0] if len(set(picks)) == 1 else np.array(picks)),
-                    partition, alloc, sigma_w2, sigma_e)
-                at = [s * len(specs) + j for j, s, _ in mine]
+                    alloc = pw.no_split(pts[group.points], config.k)
+                asr = rates.asr_from_bundle(bundle.at(group.pick), partition, alloc,
+                                            sigma_w2, sigma_e)
+                at = group.entries
                 s_a[at], delta[at] = asr.s_a, alloc.delta
                 mean_cr[at], mean_pr[at], cluster_of[at] = asr.mean_cr, asr.mean_pr, labels
                 min_cr[at, :partition.n_clusters] = asr.min_cr
@@ -608,14 +663,14 @@ def render_csv(records: list[ResultRecord]) -> str:
 
 
 @lru_cache(maxsize=None)
-def _jsonl_template(*lengths: int) -> str:
-    """One trials.jsonl line in json.dumps(sort_keys=True) layout, for rows whose
-    cluster_of, mean_cr, mean_pr and min_cr have ``lengths``: keys sorted, finite
-    floats and ints as repr, the scheme label JSON-quoted."""
-    n_of, n_cr, n_pr, n_min = (", ".join(["%r"] * n) for n in lengths)
-    return (f'{{"cluster_of": [{n_of}], "delta": %r, "mean_cr": [{n_cr}], "mean_pr": '
-            f'[{n_pr}], "min_cr": [{n_min}], "n_clusters": %r, "realization": %r, '
-            f'"redraws": %r, "s_a": %r, "scheme": %s, "snr_db": %r}}')
+def _jsonl_template(k: int, n_clusters: int) -> str:
+    """One trials.jsonl line in json.dumps(sort_keys=True) layout, for a row of K users
+    in ``n_clusters`` clusters: keys sorted, finite floats and ints as repr, the scheme
+    label JSON-quoted."""
+    users, clusters = ", ".join(["%r"] * k), ", ".join(["%r"] * n_clusters)
+    return (f'{{"cluster_of": [{users}], "delta": %r, "mean_cr": [{users}], "mean_pr": '
+            f'[{users}], "min_cr": [{clusters}], "n_clusters": %r, "realization": %r, '
+            f'"redraws": %r, "s_a": %r, "scheme": %s, "snr_db": %r}}\n')
 
 
 # a scheme label JSON-quoted, once per distinct label
@@ -624,19 +679,19 @@ _json_label = lru_cache(maxsize=None)(json.dumps)
 
 def render_jsonl(block: RealizationBlock) -> str:
     """``trials.jsonl`` lines of one realization's block, read from its columns."""
-    out = []
-    for row in block.row_fields():
-        (realization, scheme, snr_db, s_a, delta, n_clusters, mean_cr, mean_pr, min_cr,
-         cluster_of, redraws) = row
-        # a NaN or infinity poisons the sum (an overflow only costs the fallback);
-        # json spells them NaN/Infinity, repr nan/inf
-        if not math.isfinite(s_a + delta + snr_db + sum(mean_cr) + sum(mean_pr) + sum(min_cr)):
-            out.append(json.dumps(asdict(TrialRow(*row)), sort_keys=True))
-            continue
-        template = _jsonl_template(len(cluster_of), len(mean_cr), len(mean_pr), len(min_cr))
-        out.append(template % (*cluster_of, delta, *mean_cr, *mean_pr, *min_cr, n_clusters,
-                               realization, redraws, s_a, _json_label(scheme), snr_db))
-    return "\n".join(out) + "\n"
+    rows = block.row_fields()
+    if not (all(np.isfinite(column).all() for column in (
+            block.s_a, block.delta, block.mean_cr, block.mean_pr, block.min_cr))
+            and all(map(math.isfinite, block.snr_db))):
+        # json spells NaN and infinity NaN/Infinity, repr nan/inf: such a block is dumped
+        return "".join(json.dumps(asdict(TrialRow(*row)), sort_keys=True) + "\n" for row in rows)
+    k = block.cluster_of.shape[1]
+    return "".join([
+        _jsonl_template(k, n_clusters) % (
+            *cluster_of, delta, *mean_cr, *mean_pr, *min_cr, n_clusters, realization, redraws,
+            s_a, _json_label(scheme), snr_db)
+        for (realization, scheme, snr_db, s_a, delta, n_clusters, mean_cr, mean_pr, min_cr,
+             cluster_of, redraws) in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ builds stacked.  The network-wide constructions (MF-SP, ZF-SP, MMSE-SP)
 also take a (C, M, K) stack of channels: every array of the set then gains
 a leading channel axis, ahead of any SNR axis, bit for bit the per-channel
 builds stacked, and :meth:`PrecoderSet.channel` reads one channel's set
-back.  Zero forcing checks and inverts each channel's Gram once.
+back.  Zero forcing checks and inverts each channel's Gram once, and the
+per-cluster constructions check and invert same-size cluster Grams as one
+stack.
 """
 from __future__ import annotations
 
@@ -88,20 +90,50 @@ def _empty_common(m: int) -> np.ndarray:
     return np.zeros((m, 0), dtype=complex)
 
 
-def _check_condition(gram: np.ndarray, context: str) -> None:
-    # one condition number per channel of a (..., K, K) stack; the first failing one
-    # raises.  An infinite or NaN condition fails the comparison too
-    cond = np.linalg.cond(gram)
-    if not (cond <= COND_LIMIT).all():
-        c = int(np.argmin(np.ravel(cond <= COND_LIMIT)))
+def _conditions(gram: np.ndarray) -> np.ndarray:
+    # the 2-norm condition number of every matrix of a (..., K, K) stack, as np.linalg.cond
+    # computes it: a NaN ratio (a zero matrix) reads inf unless the matrix holds a NaN
+    s = np.linalg.svd(gram, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = s[..., 0] / s[..., -1]
+    nan = np.isnan(cond)
+    if nan.any():
+        cond = np.where(nan & ~np.isnan(gram).any(axis=(-2, -1)), np.inf, cond)
+    return cond
+
+
+def _raise_above_limit(cond: np.ndarray, place) -> None:
+    # the first condition number of ``cond`` above the limit raises, an infinite or NaN one
+    # too; ``place(c)`` is the (context, channel) that entry c names
+    ok = cond <= COND_LIMIT
+    if not ok.all():
+        c = int(np.argmin(ok))
+        context, channel = place(c)
         raise RankDeficientChannelError(f"rank-deficient channel {context}: condition "
-                                        f"{np.ravel(cond)[c]:.3e} exceeds {COND_LIMIT:.0e}", c)
+                                        f"{cond[c]:.3e} exceeds {COND_LIMIT:.0e}", channel)
+
+
+def _check_condition(gram: np.ndarray, context: str) -> None:
+    # one condition number per channel of a (..., K, K) stack; the first failing one raises
+    _raise_above_limit(np.ravel(_conditions(gram)), lambda c: (context, c))
 
 
 def _cluster_blocks(g_bar: np.ndarray, partition: ClusterPartition):
-    """(APs, users, ``at = np.ix_(APs, users)``, reduced channel ``g_bar[at]``) per cluster."""
+    """(APs, users, ``at = np.ix_(APs, users)``, reduced channel ``g_bar[at]``) per cluster;
+    ``at[1].T, at[1]`` is ``np.ix_(users, users)``."""
     for aps, users, at in zip(partition.ap_sets, partition.user_sets, partition.block_index):
         yield aps, users, at, g_bar[at]
+
+
+def _by_size(fn, grams: list[np.ndarray]) -> list:
+    """``fn`` of every cluster's Gram, one call per stack of the same-shape Grams."""
+    out, groups = [None] * len(grams), {}
+    for i, gram in enumerate(grams):
+        groups.setdefault(gram.shape, []).append(i)
+    for members in groups.values():
+        for i, value in zip(members, fn(np.stack([grams[i] for i in members]))):
+            out[i] = value
+    return out
 
 
 def common_precoder(g_bar: np.ndarray,
@@ -140,10 +172,12 @@ def normalize_private_columns(pset: PrecoderSet) -> PrecoderSet:
     per-stream power.  ``beta`` keeps the construction's own printed
     normalisation for reference.
     """
-    norms = np.linalg.norm(pset.private, axis=-2)
+    # np.linalg.norm(private, axis=-2) without its wrapper
+    private = pset.private
+    norms = np.sqrt(np.add.reduce((private.conj() * private).real, axis=-2))
     if np.any(norms == 0.0):
         raise ValueError("cannot column-normalise a precoder with an all-zero column")
-    return PrecoderSet(pset.label, pset.common, pset.private / norms[..., None, :], pset.beta,
+    return PrecoderSet(pset.label, pset.common, private / norms[..., None, :], pset.beta,
                        pset.lam, None if pset.col_scale is None else pset.col_scale / norms)
 
 
@@ -199,16 +233,18 @@ def ru_zf_rd(g_bar: np.ndarray, partition: ClusterPartition) -> PrecoderSet:
 
     Column k of the result is its cluster's pseudoinverse column on the
     cluster's APs and zero elsewhere; no global normalisation is applied.
+    Every cluster's Gram is checked before any is inverted, and the lowest
+    ill-conditioned cluster raises.
     """
     m, k_total = g_bar.shape
+    blocks = list(_cluster_blocks(g_bar, partition))
+    grams = [block.T @ block.conj() for *_, block in blocks]
+    _raise_above_limit(np.array(_by_size(_conditions, grams)), lambda i: (f"in cluster {i}", 0))
     private = np.zeros((m, k_total), dtype=complex)
     lam = np.zeros((k_total, k_total), dtype=complex)
-    for i, (_, users, at, block) in enumerate(_cluster_blocks(g_bar, partition)):
-        gram = block.T @ block.conj()
-        _check_condition(gram, f"in cluster {i}")
-        lam_i = np.linalg.inv(gram)
+    for (*_, at, block), lam_i in zip(blocks, _by_size(np.linalg.inv, grams)):
         private[at] = block.conj() @ lam_i
-        lam[np.ix_(users, users)] = lam_i
+        lam[at[1].T, at[1]] = lam_i
     return PrecoderSet(LABEL_RU_ZF_RD, _empty_common(m), private, beta=1.0,
                        lam=lam, col_scale=np.ones(k_total))
 
@@ -229,14 +265,15 @@ def ru_mmse_rd(g_bar: np.ndarray, partition: ClusterPartition,
     lam = np.zeros(pt.shape + (k_total, k_total), dtype=complex)
     col_scale = np.ones(pt.shape + (k_total,))
     betas = np.zeros(pt.shape + (partition.n_clusters,))
-    for i, (_, users, at, block) in enumerate(_cluster_blocks(g_bar, partition)):
-        ki = len(users)
-        gram = (block.T @ block.conj()
-                + (k_total * ki * sigma_w2 / pt[..., None, None]) * np.eye(ki))
-        lam_i = np.linalg.inv(gram)
+    blocks = list(_cluster_blocks(g_bar, partition))
+    grams = [block.T @ block.conj()
+             + (k_total * len(users) * sigma_w2 / pt[..., None, None]) * np.eye(len(users))
+             for _, users, _, block in blocks]
+    lams = _by_size(np.linalg.inv, grams)
+    for i, ((_, users, at, block), lam_i) in enumerate(zip(blocks, lams)):
         betas[..., i], private[(...,) + at] = _trace_scaled(
             block.conj() @ lam_i, pt, k_total)
-        lam[(...,) + np.ix_(users, users)] = lam_i
+        lam[..., at[1].T, at[1]] = lam_i
         col_scale[..., users] = betas[..., i, None]
     return PrecoderSet(LABEL_RU_MMSE_RD, _empty_common(m), private,
                        beta=betas, lam=lam, col_scale=col_scale)

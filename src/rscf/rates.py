@@ -316,15 +316,9 @@ def _clamped_sinrs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(ok, np.maximum(num[..., None, :], 0.0) / np.where(ok, den, 1.0), 0.0)
 
 
-def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
-                               a_p: np.ndarray, sigma_w2: float,
-                               eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw per-user common and private SINRs, shapes (..., n, K) each.
-
-    The draw axis is vectorised and reductions run in fixed index order.
-    A leading SNR axis on the amplitudes, the bundle or both broadcasts.
-    Without common streams the common SINRs are zero.
-    """
+def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2: float,
+           eps: float) -> tuple[np.ndarray | None, np.ndarray]:
+    # the SINRs of sinr_components_over_draws, the common ones None without a common stream
     c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
     ap2 = np.asarray(a_p, dtype=float) ** 2
@@ -339,11 +333,23 @@ def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
         den_c = ac2[..., None, i_of] * c.loss + cint + pint_all + noise
         sinr_c = _clamped_sinrs(ac2[..., i_of] * c.hat_own2, den_c)
     else:
-        cint = 0.0
-        sinr_c = np.zeros(pint_all.shape)
+        cint, sinr_c = 0.0, None
 
     den_p = ap2[..., None, :] * p.loss + cint + pint_excl + noise
     return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
+
+
+def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
+                               a_p: np.ndarray, sigma_w2: float,
+                               eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw per-user common and private SINRs, shapes (..., n, K) each.
+
+    The draw axis is vectorised and reductions run in fixed index order.
+    A leading SNR axis on the amplitudes, the bundle or both broadcasts.
+    Without common streams the common SINRs are zero.
+    """
+    sinr_c, sinr_p = _sinrs(bundle, a_c, a_p, sigma_w2, eps)
+    return np.zeros(sinr_p.shape) if sinr_c is None else sinr_c, sinr_p
 
 
 def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
@@ -365,13 +371,17 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
                     power: "PowerAllocation", sigma_w2: float,
                     sigma_e: float) -> AsrResult:
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
+    sinr_c, sinr_p = _sinrs(bundle, power.a_c, power.a_p, sigma_w2, eps)
     # a large stack can come back in a non-C order, and the mean over draws then
     # sums in another order; C order makes a stacked point equal its own call
-    cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in sinr_components_over_draws(
-        bundle, power.a_c, power.a_p, sigma_w2, eps))
-    mean_cr = cr.mean(axis=-2)
-    mean_pr = pr.mean(axis=-2)
-    min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)
+    mean_pr = np.ascontiguousarray(np.log2(1.0 + sinr_p)).mean(axis=-2)
+    if sinr_c is None:
+        # no common stream: its SINRs are zero, and so are its rates, exactly
+        mean_cr = np.zeros(mean_pr.shape)
+        min_cr = np.zeros(mean_pr.shape[:-1] + (partition.n_clusters,))
+    else:
+        mean_cr = np.ascontiguousarray(np.log2(1.0 + sinr_c)).mean(axis=-2)
+        min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)
     s_a = min_cr.sum(axis=-1) + mean_pr.sum(axis=-1)
     return AsrResult(s_a if s_a.ndim else float(s_a), mean_cr, mean_pr, min_cr)
 

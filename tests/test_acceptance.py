@@ -128,7 +128,8 @@ def test_criterion_09_complexity_scaling():
 def test_criterion_09_counted_from_the_constructions(monkeypatch):
     # criterion 9's bound on the factorisations the SVD beams and RU-MMSE-RD
     # actually run on drawn networks at n_c = K/4: a*b*min(a, b) per SVD of an
-    # (a, b) matrix and k^3 per (k, k) inverse, per AP, averaged over 5 seeds
+    # (a, b) matrix and k^3 per (k, k) inverse, per AP, averaged over 5 seeds.
+    # RU-MMSE-RD inverts same-size cluster Grams as one stack: each matrix counts
     costs = []
     svd, inv = np.linalg.svd, np.linalg.inv
 
@@ -137,7 +138,7 @@ def test_criterion_09_counted_from_the_constructions(monkeypatch):
         return svd(a, *args, **kwargs)
 
     def counted_inv(a):
-        costs.append(a.shape[0] ** 3)
+        costs.extend([a.shape[-1] ** 3] * (a.size // a.shape[-1] ** 2))
         return inv(a)
 
     per_ap = []

@@ -234,3 +234,143 @@ def test_cluster_report_schema():
         assert set(entry) == {"cluster_index", "users", "aps", "test_vector"}
         assert entry["cluster_index"] == i
         assert len(entry["test_vector"]) == 8
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the array rules against their former per-AP and per-user loops
+# ---------------------------------------------------------------------------
+
+def loop_select_aps_topn(zeta, n_s):
+    j = np.zeros_like(zeta, dtype=int)
+    for k in range(zeta.shape[1]):
+        order = np.argsort(-zeta[:, k], kind="stable")
+        j[order[:n_s], k] = 1
+    return j
+
+
+def loop_select_aps_threshold(zeta):
+    j = (zeta > zeta.mean()).astype(int)
+    for k in np.flatnonzero(j.sum(axis=0) == 0):
+        j[int(np.argmax(zeta[:, k])), k] = 1
+    return j
+
+
+def loop_assign_aps(test_vectors, user_sets, zeta):
+    ap_sets = [[] for _ in user_sets]
+    for m in range(zeta.shape[0]):
+        claimants = [i for i, tv in enumerate(test_vectors) if tv[m]]
+        if not claimants:
+            continue
+        scores = [float(zeta[m, list(user_sets[i])].sum()) for i in claimants]
+        ap_sets[claimants[int(np.argmax(scores))]].append(m)
+    return tuple(tuple(a) for a in ap_sets)
+
+
+def loop_design_clusters(j, n_a, zeta):
+    user_sets, test_vectors = [[0]], [j[:, 0].copy()]
+    for k in range(1, j.shape[1]):
+        for i, tv in enumerate(test_vectors):
+            if int(j[:, k] @ tv) >= n_a:
+                test_vectors[i] = tv * j[:, k]
+                user_sets[i].append(k)
+                break
+        else:
+            user_sets.append([k])
+            test_vectors.append(j[:, k].copy())
+    return clus.ClusterPartition(tuple(tuple(u) for u in user_sets),
+                                 loop_assign_aps(test_vectors, user_sets, zeta),
+                                 np.array(test_vectors, dtype=int))
+
+
+def loop_design_clusters_fixed(j, n_c, zeta):
+    k_total = j.shape[1]
+    overlap = j.T @ j
+    if n_c == 1:
+        seeds = [0]
+    else:
+        pairs = [(int(overlap[a, b]), a, b)
+                 for a in range(k_total) for b in range(a + 1, k_total)]
+        _, a, b = min(pairs)
+        seeds = [a, b]
+        while len(seeds) < n_c:
+            rest = [u for u in range(k_total) if u not in seeds]
+            u = min(rest, key=lambda u: (max(int(overlap[u, s]) for s in seeds), u))
+            seeds.append(u)
+    seeds = sorted(seeds[:n_c])
+    user_sets = [[s] for s in seeds]
+    test_vectors = [j[:, s].copy() for s in seeds]
+    for k in range(k_total):
+        if k in seeds:
+            continue
+        shared = [int(j[:, k] @ tv) for tv in test_vectors]
+        i = min(range(len(shared)), key=lambda i: (-shared[i], len(user_sets[i]), i))
+        user_sets[i].append(k)
+        if shared[i] > 0:
+            test_vectors[i] = test_vectors[i] * j[:, k]
+    user_sets = [sorted(u) for u in user_sets]
+    return clus.ClusterPartition(tuple(tuple(u) for u in user_sets),
+                                 loop_assign_aps(test_vectors, user_sets, zeta),
+                                 np.array(test_vectors, dtype=int))
+
+
+def differential_gains():
+    """(gains, n_s, n_c) cases: lognormal and tie-heavy integer gains at M/K = 8/4, 16/8
+    and 64/16, 350 per size, cycling through every n_s in 1..M and n_c in 1..K."""
+    for m, k in ((8, 4), (16, 8), (64, 16)):
+        g = rng(m * 100 + k)
+        for case in range(350):
+            if case % 2:
+                zeta = g.integers(1, 4, size=(m, k)).astype(float)
+            else:
+                zeta = g.lognormal(sigma=1.8, size=(m, k))
+            yield zeta, 1 + case % m, 1 + case % k
+
+
+def assert_same_partition(got, want):
+    assert got.user_sets == want.user_sets and got.ap_sets == want.ap_sets
+    assert all(type(i) is int for sets in (got.user_sets, got.ap_sets)
+               for group in sets for i in group)
+    assert got.test_vectors.dtype == want.test_vectors.dtype
+    assert np.array_equal(got.test_vectors, want.test_vectors)
+
+
+def test_array_rules_equal_their_loops():
+    cases = 0
+    for zeta, n_s, n_c in differential_gains():
+        for select, loop_select in ((lambda z: clus.select_aps_topn(z, n_s),
+                                     lambda z: loop_select_aps_topn(z, n_s)),
+                                    (clus.select_aps_threshold, loop_select_aps_threshold)):
+            j = loop_select(zeta)
+            got = select(zeta)
+            assert got.dtype == j.dtype and np.array_equal(got, j)
+            assert_same_partition(clus.design_clusters_fixed(j, n_c, zeta),
+                                  loop_design_clusters_fixed(j, n_c, zeta))
+            n_a = clus.default_shared_ap_threshold(j)
+            assert_same_partition(clus.design_clusters(j, n_a, zeta),
+                                  loop_design_clusters(j, n_a, zeta))
+            cases += 1
+    assert cases == 2 * 3 * 350
+
+
+def test_threshold_fallback_and_ties_are_exercised():
+    # the differential cases reach the starved-user fallback, ties in the top-n sort, and
+    # APs that several test vectors claim
+    starved = tied = contested = 0
+    for zeta, n_s, _ in differential_gains():
+        starved += int(((zeta > zeta.mean()).sum(axis=0) == 0).any())
+        column = np.sort(zeta, axis=0)[::-1]
+        tied += int((column[n_s - 1] == column[min(n_s, len(column) - 1)]).any()
+                    and n_s < len(column))
+        j = clus.select_aps_topn(zeta, n_s)
+        part = loop_design_clusters(j, clus.default_shared_ap_threshold(j), zeta)
+        contested += int((part.test_vectors.sum(axis=0) > 1).any())
+    assert starved > 50 and tied > 50 and contested > 50
+
+
+def test_partitions_hold_python_ints_for_json():
+    import json
+    zeta = rng(12).integers(1, 4, size=(16, 8)).astype(float)
+    for part in (clus.design_clusters_fixed(clus.select_aps_topn(zeta, 5), 3, zeta),
+                 clus.design_clusters(clus.select_aps_threshold(zeta), 1, zeta)):
+        json.dumps(clus.cluster_report(part))
+        json.dumps([part.user_sets, part.ap_sets])

@@ -656,6 +656,78 @@ class TestRunExperiment:
         assert (large - small) / (30 * 7 * len(CONVENTIONAL)) <= 400
 
 
+class TestEvaluationLayout:
+    """Phase 2's layout depends on the scheme list, the point count and the chunk width
+    only: a run builds it once, and rebuilding it for every attempt changes no byte."""
+
+    CONFIGS = [
+        pytest.param(replace(ExperimentConfig(), n_err=10, n_realizations=3, seed=5), None,
+                     id="default"),
+        pytest.param(replace(ExperimentConfig(), schemes=CONVENTIONAL, n_err=10,
+                             n_realizations=4, seed=1), None, id="conventional"),
+        pytest.param(replace(ExperimentConfig(), n_err=10, n_realizations=2, seed=1), 3,
+                     id="three-slice-chunks"),
+        pytest.param(replace(ExperimentConfig(), m=16, k=8, cluster_mode="fixed", n_c=3,
+                             n_err=20, n_realizations=2, snr_grid_db=(5.0, 25.0), seed=2),
+                     None, id="m16k8"),
+    ]
+
+    @staticmethod
+    def outputs(config):
+        records, rows = harness.run_experiment(config)
+        return harness.render_csv(records), "".join(map(harness.render_jsonl, rows.blocks))
+
+    @pytest.mark.parametrize("config, slices", CONFIGS)
+    def test_a_layout_per_attempt_changes_no_byte(self, monkeypatch, config, slices):
+        if slices is not None:
+            monkeypatch.setattr(harness, "_CHUNK_BYTES",
+                                slices * 16 * config.n_err * config.k ** 2)
+        cached = self.outputs(config)
+        attempt = harness._realization_attempt
+        cleared = []
+
+        def fresh_layout(*args):
+            harness._evaluation_layout.cache_clear()
+            cleared.append(args[1:])
+            return attempt(*args)
+        monkeypatch.setattr(harness, "_realization_attempt", fresh_layout)
+        assert self.outputs(config) == cached
+        assert len(cleared) >= config.n_realizations
+
+    def test_a_run_builds_its_layout_once(self):
+        config = replace(ExperimentConfig(), n_err=10, n_realizations=4, seed=5)
+        harness._evaluation_layout.cache_clear()
+        harness.run_experiment(config)
+        info = harness._evaluation_layout.cache_info()
+        # seed 5 redraws realization 0 once: five attempts read one layout
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_layout_matches_the_scheme_list(self):
+        config = replace(ExperimentConfig(), n_err=10)
+        n_chunk = harness._CHUNK_BYTES // (16 * config.n_err * config.k ** 2)
+        specs, layout = harness._evaluation_layout(config.schemes, 7, n_chunk)
+        assert [spec.label for spec in specs] == list(config.schemes)
+        # the sides in the list's order: BS-MF comes first
+        co_located, distributed = layout
+        assert co_located.bs and not distributed.bs
+        # sets of _ONE_BUDGET give one slice, the regularised sets one per point
+        assert sum(count for _, count in distributed.sources) == 26
+        assert [count for _, count in co_located.sources] == [1]
+        entries = []
+        for side in layout:
+            for _, _, groups in side.chunks:
+                for group in groups:
+                    entries += group.entries.tolist()
+                    assert not group.entries.flags.writeable
+                    assert not group.points.flags.writeable
+                    assert len(group.points) == len(group.entries)
+                    if group.rs:
+                        assert [s for _, points in group.searches for s in points] == (
+                            group.points.tolist())
+        # every (point, scheme) entry is evaluated exactly once
+        assert sorted(entries) == list(range(7 * len(config.schemes)))
+
+
 class TestAggregate:
     def test_order_is_config_order(self):
         records, _ = harness.run_experiment(SMALL)

@@ -545,3 +545,143 @@ class TestFlopEstimate:
         r1 = prec.flop_estimate(None, 32, 16, "mmse") / 32
         r2 = prec.flop_estimate(None, 64, 32, "mmse") / 64
         assert r2 > 1.5 * r1
+
+
+class TestPhaseOneWithoutWrappers:
+    """The condition check and the column norms without np.linalg.cond and norm, and the
+    per-cluster Grams checked and inverted as same-size stacks, against their former forms."""
+
+    @staticmethod
+    def cond_check(gram, context):
+        # the former _check_condition, through np.linalg.cond
+        cond = np.linalg.cond(gram)
+        if not (cond <= prec.COND_LIMIT).all():
+            c = int(np.argmin(np.ravel(cond <= prec.COND_LIMIT)))
+            raise prec.RankDeficientChannelError(
+                f"rank-deficient channel {context}: condition "
+                f"{np.ravel(cond)[c]:.3e} exceeds {prec.COND_LIMIT:.0e}", c)
+
+    @staticmethod
+    def outcome(build):
+        try:
+            build()
+        except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+            return type(exc), str(exc), getattr(exc, "channel", None)
+        return None
+
+    def grams(self):
+        g = complex_matrix(8, 4, 40)
+        good = g.T @ g.conj()
+        alike = g.copy()
+        alike[:, 3] = alike[:, 2]
+        singular = alike.T @ alike.conj()
+        nan = good.copy()
+        nan[1, 2] = np.nan
+        ill = good.copy()
+        ill[:, 3] = ill[:, 2] * (1 + 1e-14)
+        yield good
+        yield singular
+        yield np.zeros((4, 4), dtype=complex)  # 0 / 0: NaN, read as inf
+        yield np.ones((3, 3), dtype=complex)   # a zero singular value: inf
+        yield nan
+        yield ill
+        yield np.stack([good, singular, good])
+        yield np.stack([good, good, np.zeros((4, 4), dtype=complex), singular])
+        yield np.stack([good, nan])
+        yield np.stack([[good, ill], [good, singular], [good, good]])
+        yield np.stack([good, good])
+
+    def test_condition_check_raises_as_cond_would(self):
+        outcomes = []
+        for gram in self.grams():
+            got = self.outcome(lambda: prec._check_condition(gram, "(sparse zero-forcing)"))
+            want = self.outcome(lambda: self.cond_check(gram, "(sparse zero-forcing)"))
+            assert got == want
+            outcomes.append(got)
+        # passes, rank errors at several channels, inf conditions and LinAlgErrors all occur
+        assert None in outcomes and np.linalg.LinAlgError in {o[0] for o in outcomes if o}
+        assert {o[2] for o in outcomes if o and o[0] is prec.RankDeficientChannelError} == {
+            0, 1, 2}
+        assert any("condition inf" in o[1] for o in outcomes if o)
+
+    def loop_ru_zf_rd(self, g_bar, partition):
+        # the former per-cluster loop: check, then invert, one cluster at a time
+        m, k_total = g_bar.shape
+        private = np.zeros((m, k_total), dtype=complex)
+        lam = np.zeros((k_total, k_total), dtype=complex)
+        for i, (aps, users) in enumerate(zip(partition.ap_sets, partition.user_sets)):
+            at = np.ix_(aps, users)
+            block = g_bar[at]
+            gram = block.T @ block.conj()
+            self.cond_check(gram, f"in cluster {i}")
+            lam_i = np.linalg.inv(gram)
+            private[at] = block.conj() @ lam_i
+            lam[np.ix_(users, users)] = lam_i
+        return private, lam
+
+    @staticmethod
+    def loop_ru_mmse_rd(g_bar, partition, pt, sigma_w2):
+        m, k_total = g_bar.shape
+        private = np.zeros(pt.shape + (m, k_total), dtype=complex)
+        lam = np.zeros(pt.shape + (k_total, k_total), dtype=complex)
+        for aps, users in zip(partition.ap_sets, partition.user_sets):
+            at = np.ix_(aps, users)
+            block, ki = g_bar[at], len(users)
+            gram = (block.T @ block.conj()
+                    + (k_total * ki * sigma_w2 / pt[..., None, None]) * np.eye(ki))
+            lam_i = np.linalg.inv(gram)
+            _, private[(...,) + at] = prec._trace_scaled(block.conj() @ lam_i, pt, k_total)
+            lam[(...,) + np.ix_(users, users)] = lam_i
+        return private, lam
+
+    def partitions(self):
+        # same-size clusters (four of two users, two of four) and mixed sizes
+        for m, k, n_c, seed in ((16, 8, 4, 1), (16, 8, 2, 2), (12, 5, 2, 3), (64, 16, 4, 4),
+                                (8, 4, 2, 5)):
+            g = rng(seed)
+            zeta = g.lognormal(sigma=1.5, size=(m, k))
+            part = clus.design_clusters_fixed(clus.select_aps_topn(zeta, m), n_c, zeta)
+            yield part, np.sqrt(zeta) * complex_matrix(m, k, seed + 50)
+
+    def test_stacked_cluster_grams_equal_the_loop(self):
+        sizes = set()
+        pts = np.array([0.5, 2.0, 8.0])
+        for part, g_hat in self.partitions():
+            sizes.add(tuple(sorted(len(u) for u in part.user_sets)))
+            g_bar = clus.sparse_channel(g_hat, part)
+            got = prec.ru_zf_rd(g_bar, part)
+            private, lam = self.loop_ru_zf_rd(g_bar, part)
+            assert np.array_equal(got.private, private) and np.array_equal(got.lam, lam)
+            got = prec.ru_mmse_rd(g_bar, part, pts, 0.3)
+            private, lam = self.loop_ru_mmse_rd(g_bar, part, pts, 0.3)
+            assert np.array_equal(got.private, private) and np.array_equal(got.lam, lam)
+        assert (2, 2, 2, 2) in sizes and any(len(set(s)) > 1 for s in sizes)
+
+    def test_the_lowest_failing_cluster_raises_its_own_condition(self):
+        cases = 0
+        for part, g_hat in self.partitions():
+            pairs = [u for u in part.user_sets if len(u) > 1]
+            for later in range(len(pairs)):
+                for earlier in (None, 0):
+                    g = g_hat.copy()
+                    for users in {later} | ({earlier} - {None}):
+                        a, b = pairs[users][:2]
+                        g[:, b] = g[:, a]  # two users of the cluster alike
+                    g_bar = clus.sparse_channel(g, part)
+                    got = self.outcome(lambda: prec.ru_zf_rd(g_bar, part))
+                    want = self.outcome(lambda: self.loop_ru_zf_rd(g_bar, part))
+                    assert got == want and got[0] is prec.RankDeficientChannelError
+                    assert got[2] == 0
+                    cases += 1
+        assert cases > 10
+
+    def test_column_norms_equal_linalg_norm(self):
+        g = complex_matrix(8, 4, 41)
+        for private in (g, np.stack([g, 2 * g, g / 3]), np.stack([[g, g * 1e-150]] * 2),
+                        g.real.copy()):
+            pset = prec.PrecoderSet("ZF-SP", np.zeros((8, 0)), private, beta=1.0,
+                                    col_scale=np.ones(private.shape[:-2] + (4,)))
+            norms = np.linalg.norm(private, axis=-2)
+            got = prec.normalize_private_columns(pset)
+            assert np.array_equal(got.private, private / norms[..., None, :])
+            assert np.array_equal(got.col_scale, 1.0 / norms)

@@ -222,6 +222,40 @@ class TestVectorisedPath:
             np.testing.assert_allclose(pr[n], np.log2(1.0 + private), rtol=1e-10)
 
 
+    @staticmethod
+    def former_asr(bundle, partition, power, sigma_w2, sigma_e):
+        # log2, mean and cluster minima of both streams, the all-zero common SINRs included
+        eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
+        cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in rates.sinr_components_over_draws(
+            bundle, power.a_c, power.a_p, sigma_w2, eps))
+        mean_cr, mean_pr = cr.mean(axis=-2), pr.mean(axis=-2)
+        min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)
+        return min_cr.sum(axis=-1) + mean_pr.sum(axis=-1), mean_cr, mean_pr, min_cr
+
+    def test_no_common_stream_skips_its_rates_bit_for_bit(self):
+        # a plain allocation, alone or stacked, on a bundle with and without common
+        # projections: exact-zero common rates, and every field as the full evaluation
+        sigma_e = math.sqrt(0.05)
+        inputs = random_instance(10, replace(FIXTURE, sigma_e2=0.05), kind=prec.LABEL_MMSE_SP,
+                                 delta=0.35)
+        g_hat, part = inputs.realization.g_hat, inputs.partition
+        err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, 30, seeded_rng(4))
+        with_common = rates.project_precoders(g_hat, err, inputs.precoders, part)
+        plain = rates.ProjectionBundle(None, with_common.private, with_common.cluster_of)
+        pts = inputs.power.pt * np.array([0.1, 1.0, 10.0])
+        for bundle in (with_common, plain):
+            for power in (pw.no_split(inputs.power.pt, 4), pw.no_split(pts, 4), inputs.power):
+                if bundle is plain and power is inputs.power:
+                    continue
+                got = rates.asr_from_bundle(bundle, part, power, inputs.sigma_w2, sigma_e)
+                want = self.former_asr(bundle, part, power, inputs.sigma_w2, sigma_e)
+                for value, ref in zip((got.s_a, got.mean_cr, got.mean_pr, got.min_cr), want):
+                    assert np.array_equal(value, ref) and np.shape(value) == np.shape(ref)
+                    assert not np.signbit(value).any()
+                if power is not inputs.power:
+                    assert not got.mean_cr.any() and not got.min_cr.any()
+
+
 class TestSnrAxis:
     """Stacked projections and kernel calls equal the per-point calls, bit for bit."""
 
