@@ -77,6 +77,20 @@ def reference_rows(config, index, attempt):
     return rows
 
 
+def assert_block_matches(config, block):
+    """Every row of a realization's block against :func:`reference_rows` of its attempt."""
+    rows = list(harness.TrialRows([block]))
+    want = reference_rows(config, block.realization, block.redraws)
+    assert len(rows) == len(want)
+    for row in rows:
+        delta, s_a, mean_cr, mean_pr, cluster_of = want[row.scheme, row.snr_db]
+        where = (block.realization, row.scheme, row.snr_db)
+        assert row.delta == delta and row.cluster_of == cluster_of, where
+        assert row.s_a == pytest.approx(s_a, rel=1e-9, abs=1e-12), where
+        for got, ref in ((row.mean_cr, mean_cr), (row.mean_pr, mean_pr)):
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12, err_msg=str(where))
+
+
 @pytest.mark.parametrize("overrides, slices", [
     pytest.param({}, None, id="default"),
     pytest.param({"schemes": ("BS-MF", "RS-BS-MF", "BS-ZF", "RS-BS-ZF", "RS-BS-MMSE")}, None,
@@ -90,13 +104,4 @@ def test_rows_match_the_plain_reference(monkeypatch, overrides, slices):
     if slices is not None:
         monkeypatch.setattr(harness, "_CHUNK_BYTES", slices * 16 * config.n_err * config.k ** 2)
     for index in range(config.n_realizations):
-        rows = list(harness.TrialRows([harness.run_realization(config, index)]))
-        want = reference_rows(config, index, rows[0].redraws)
-        assert len(rows) == len(want)
-        for row in rows:
-            delta, s_a, mean_cr, mean_pr, cluster_of = want[row.scheme, row.snr_db]
-            where = (index, row.scheme, row.snr_db)
-            assert row.delta == delta and row.cluster_of == cluster_of, where
-            assert row.s_a == pytest.approx(s_a, rel=1e-9, abs=1e-12), where
-            for got, ref in ((row.mean_cr, mean_cr), (row.mean_pr, mean_pr)):
-                np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12, err_msg=str(where))
+        assert_block_matches(config, harness.run_realization(config, index))
