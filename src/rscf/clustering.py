@@ -35,6 +35,13 @@ class ClusterPartition:
         """``np.ix_(APs, users)`` of each cluster, built once for every per-cluster build."""
         return tuple(np.ix_(aps, users) for aps, users in zip(self.ap_sets, self.user_sets))
 
+    @cached_property
+    def cluster_of(self) -> np.ndarray:
+        """Read-only (K,) cluster index of each of the partition's K users, built once."""
+        labels = self.cluster_of_users(sum(map(len, self.user_sets)))
+        labels.flags.writeable = False
+        return labels
+
     def cluster_of_users(self, n_users: int) -> np.ndarray:
         """Vector mapping each user index to its cluster index."""
         out = np.full(n_users, -1, dtype=int)

@@ -411,9 +411,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
     for side in layout:
         # phase 2, per side: one projection per chunk of slices, and one kernel call
         # per (channel, plain or split) and chunk
-        realization = sides[side.bs].realization
-        channels = {dense: (partition, partition.cluster_of_users(config.k))
-                    for dense, (partition, _) in sides[side.bs].channels.items()}
+        realization, channels = sides[side.bs].realization, sides[side.bs].channels
         slices = [one for key, count in side.sources for one in privates[
             (side.bs, *key)].private.reshape(count, config.m, config.k)]
         # one error stack per side, shared by every scheme and SNR point: the sides draw
@@ -423,27 +421,27 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                                        seeded_rng(config.seed, index, attempt, _ERRDRAWS))
         g_hat = realization.g_hat
         common_streams = {dense: rates.project_streams(g_hat, err, commons[side.bs, dense],
-                                                       channels[dense][1])
+                                                       channels[dense][0].cluster_of)
                           for dense in side.beams}
         for lo, hi, groups in side.chunks:
             proj = bundle = None  # drop the last chunk's projection before the next
             proj = rates.project_streams(g_hat, err, np.stack(slices[lo:hi]), users)
             for group in groups:
-                partition, labels = channels[group.dense]
-                bundle = rates.ProjectionBundle(common_streams.get(group.dense), proj, labels)
+                partition = channels[group.dense][0]
+                bundle = rates.ProjectionBundle(common_streams.get(group.dense), proj, partition)
                 if group.rs:
                     # one view per slice, dropped after its searches: its terms serve each point
                     alloc = pw.stack([
-                        pw.allocate_common(view, sigma_e, partition, sigma_w2, pts[s], **search)[0]
+                        pw.allocate_common(view, sigma_e, sigma_w2, pts[s], **search)[0]
                         for t, points in group.searches for view in [bundle.at(t)]
                         for s in points])
                 else:
                     alloc = pw.no_split(pts[group.points], config.k)
-                asr = rates.asr_from_bundle(bundle.at(group.pick), partition, alloc,
-                                            sigma_w2, sigma_e)
+                asr = rates.asr_from_bundle(bundle.at(group.pick), alloc, sigma_w2, sigma_e)
                 at = group.entries
                 s_a[at], delta[at] = asr.s_a, alloc.delta
-                mean_cr[at], mean_pr[at], cluster_of[at] = asr.mean_cr, asr.mean_pr, labels
+                mean_cr[at], mean_pr[at] = asr.mean_cr, asr.mean_pr
+                cluster_of[at] = partition.cluster_of
                 min_cr[at, :partition.n_clusters] = asr.min_cr
     return RealizationBlock(index, attempt, tuple(config.schemes),
                             tuple(map(float, config.snr_grid_db)), s_a, delta,

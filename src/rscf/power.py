@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rates
-from .clustering import ClusterPartition
 
 
 # relative score gap below which split candidates tie, so the smallest fraction wins: far
@@ -98,9 +97,8 @@ def _exhaustive_candidates(mu: float, n_c: int) -> tuple[np.ndarray, np.ndarray]
     return totals, fractions
 
 
-def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
-                    partition: ClusterPartition, sigma_w2: float, pt: float, *,
-                    mu: float, mode: str = "equal_split") -> tuple[PowerAllocation, int]:
+def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float, sigma_w2: float, pt: float,
+                    *, mu: float, mode: str = "equal_split") -> tuple[PowerAllocation, int]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
     Every candidate is scored on the one stack of error draws projected into
@@ -119,8 +117,7 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
     """
     if mode not in ("equal_split", "per_cluster_exhaustive"):
         raise ValueError(f"unknown power mode {mode!r}")
-    n_c = partition.n_clusters
-    k = len(bundle.cluster_of)
+    n_c, k = bundle.partition.n_clusters, len(bundle.partition.cluster_of)
     if mode == "per_cluster_exhaustive" and n_c <= 2:
         totals, fractions = _exhaustive_candidates(mu, n_c)
         a_c = np.sqrt(fractions * pt)
@@ -129,8 +126,8 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float,
         totals = np.array(delta_grid(mu))
         a_c = np.sqrt(totals * pt / n_c)[:, None].repeat(n_c, axis=1)
 
-    scores = rates.split_grid_scores(bundle, partition, a_c, np.sqrt((1.0 - totals) * pt / k),
-                                     sigma_w2, sigma_e)
+    scores = rates.split_grid_scores(bundle, a_c, np.sqrt((1.0 - totals) * pt / k), sigma_w2,
+                                     sigma_e)
     top = scores.max()
     tied = np.flatnonzero(scores >= top - _NEAR_TIE * abs(top))
     g = tied[0]

@@ -2,11 +2,11 @@
 
 Three independent routes compute the same per-user SINRs:
 
-* the vectorised kernel :func:`sinr_components_over_draws`, which every
-  rate of a run goes through: the estimate and a stack of error draws are
-  projected once through the precoders, and the power-loss SINRs of
-  imperfect CSIT follow for all draws at once; :func:`draw_sinrs` is its
-  one-draw view on a realization's own estimation error;
+* the vectorised kernel :func:`asr_from_bundle`, which every rate of a run
+  goes through: the estimate and a stack of error draws are projected once
+  through the precoders, and one SINR routine gives the power-loss SINRs of
+  imperfect CSIT for all draws at once; :func:`draw_sinrs` is its one-draw
+  view on a realization's own estimation error;
 * a reference oracle that assembles the same SINRs from the true-channel
   received-power decomposition (never touching the estimate projections in
   the interference terms);
@@ -246,7 +246,7 @@ class ProjectionBundle:
 
     common: StreamProjection | None
     private: StreamProjection
-    cluster_of: np.ndarray  # (K,)
+    partition: ClusterPartition
 
     @property
     def til_p(self) -> np.ndarray:
@@ -263,13 +263,13 @@ class ProjectionBundle:
         e_p2_all = p.e2.sum(axis=2)                          # (n, K)
         return np.concatenate([c.loss.T[:, None], c.e2.transpose(1, 2, 0),
                                e_p2_all.T[:, None], (p.loss - p.own_e2 + e_p2_all).T[:, None],
-                               np.ones((len(self.cluster_of), 1, len(p.loss)))], axis=1)
+                               np.ones_like(c.loss.T[:, None])], axis=1)
 
     def at(self, s: int | np.ndarray) -> "ProjectionBundle":
         """Slice ``s`` of the bundle, or the stack of slices an index array picks; one
         without a slice axis serves every slice."""
         return self if self.private.e2.ndim == 3 else ProjectionBundle(
-            self.common, self.private.take(s), self.cluster_of)
+            self.common, self.private.take(s), self.partition)
 
 
 def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarray,
@@ -302,12 +302,10 @@ def project_streams(g_hat: np.ndarray, err_stack: np.ndarray, columns: np.ndarra
 def project_precoders(g_hat: np.ndarray, err_stack: np.ndarray, precoders: PrecoderSet,
                       partition: ClusterPartition) -> ProjectionBundle:
     """Bundle of one precoder set: its common beams, if any, and private columns."""
-    k = g_hat.shape[1]
-    cluster_of = partition.cluster_of_users(k)
-    common = (project_streams(g_hat, err_stack, precoders.common, cluster_of)
+    common = (project_streams(g_hat, err_stack, precoders.common, partition.cluster_of)
               if precoders.common.shape[1] else None)
     return ProjectionBundle(common, project_streams(g_hat, err_stack, precoders.private,
-                                                    np.arange(k)), cluster_of)
+                                                    np.arange(g_hat.shape[1])), partition)
 
 
 def _clamped_sinrs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -318,8 +316,10 @@ def _clamped_sinrs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2: float,
            eps: float) -> tuple[np.ndarray | None, np.ndarray]:
-    # the SINRs of sinr_components_over_draws, the common ones None without a common stream
-    c, p, i_of = bundle.common, bundle.private, bundle.cluster_of
+    # per-draw per-user common and private SINRs, (..., n, K) each, the common ones None
+    # without a common stream; a leading SNR axis on the amplitudes, the bundle or both
+    # broadcasts, and reductions run in fixed index order
+    c, p, i_of = bundle.common, bundle.private, bundle.partition.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
     ap2 = np.asarray(a_p, dtype=float) ** 2
     noise = sigma_w2 / eps ** 2
@@ -339,37 +339,24 @@ def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2:
     return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
 
 
-def sinr_components_over_draws(bundle: ProjectionBundle, a_c: np.ndarray,
-                               a_p: np.ndarray, sigma_w2: float,
-                               eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw per-user common and private SINRs, shapes (..., n, K) each.
-
-    The draw axis is vectorised and reductions run in fixed index order.
-    A leading SNR axis on the amplitudes, the bundle or both broadcasts.
-    Without common streams the common SINRs are zero.
-    """
-    sinr_c, sinr_p = _sinrs(bundle, a_c, a_p, sigma_w2, eps)
-    return np.zeros(sinr_p.shape) if sinr_c is None else sinr_c, sinr_p
-
-
 def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
     """Common and private SINRs, (K,) each, of the realization's own error draw.
 
-    The one-draw view of :func:`sinr_components_over_draws`: ``g_err`` is
-    projected as a stack of one draw, so the scalar checks read the kernel
-    that the run uses.
+    The one-draw view of the kernel's SINRs: ``g_err`` is projected as a
+    stack of one draw, so the scalar checks read the routine that the run
+    uses.  Without common streams the common SINRs are zero.
     """
     real = inputs.realization
     bundle = project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
                                inputs.partition)
-    sinr_c, sinr_p = sinr_components_over_draws(bundle, inputs.power.a_c, inputs.power.a_p,
-                                                 inputs.sigma_w2, real.epsilon)
-    return sinr_c[0], sinr_p[0]
+    sinr_c, sinr_p = _sinrs(bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
+                            real.epsilon)
+    return np.zeros(sinr_p.shape[1:]) if sinr_c is None else sinr_c[0], sinr_p[0]
 
 
-def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
-                    power: "PowerAllocation", sigma_w2: float,
+def asr_from_bundle(bundle: ProjectionBundle, power: "PowerAllocation", sigma_w2: float,
                     sigma_e: float) -> AsrResult:
+    partition = bundle.partition
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
     sinr_c, sinr_p = _sinrs(bundle, power.a_c, power.a_p, sigma_w2, eps)
     # a large stack can come back in a non-C order, and the mean over draws then
@@ -386,9 +373,8 @@ def asr_from_bundle(bundle: ProjectionBundle, partition: ClusterPartition,
     return AsrResult(s_a if s_a.ndim else float(s_a), mean_cr, mean_pr, min_cr)
 
 
-def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
-                      a_c: np.ndarray, a_p: np.ndarray, sigma_w2: float,
-                      sigma_e: float) -> np.ndarray:
+def split_grid_scores(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray,
+                      sigma_w2: float, sigma_e: float) -> np.ndarray:
     """Average sum rate of G split candidates at once, shape (G,), for ranking.
 
     ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
@@ -396,10 +382,11 @@ def split_grid_scores(bundle: ProjectionBundle, partition: ClusterPartition,
     ``split_terms`` (K, N_c + 4, n) gives every candidate's common SINR
     denominators in rows 0..G-1 and private ones in rows G..2G-1, and the
     clamp, log2 and mean over draws run once, in place, for both streams.
-    The SINRs and clamp are those of :func:`sinr_components_over_draws`; the
-    summation order differs, so values agree with the kernel to rounding.
+    The SINRs and clamp are those of the kernel; the summation order
+    differs, so values agree with the kernel to rounding.
     """
-    terms, i_of = bundle.split_terms, bundle.cluster_of
+    terms, partition = bundle.split_terms, bundle.partition
+    i_of = partition.cluster_of
     k_total, n_terms, _ = terms.shape
     ac2 = np.asarray(a_c, dtype=float) ** 2              # (G, N_c)
     ap2, g = np.asarray(a_p, dtype=float) ** 2, len(a_p)  # (G,)
@@ -438,7 +425,7 @@ def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
     if err.shape[0] < 1:
         raise ValueError(f"need at least one error draw, got {err.shape[0]}")
     bundle = project_precoders(g_hat, err, precoders, partition)
-    return asr_from_bundle(bundle, partition, power, sigma_w2, sigma_e)
+    return asr_from_bundle(bundle, power, sigma_w2, sigma_e)
 
 
 def _min_sums(values: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:

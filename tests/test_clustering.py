@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rscf import clustering as clus
+from rscf import harness
+from rscf import precoding as prec
 
 
 def rng(seed=0):
@@ -234,6 +236,21 @@ def test_cluster_report_schema():
         assert set(entry) == {"cluster_index", "users", "aps", "test_vector"}
         assert entry["cluster_index"] == i
         assert len(entry["test_vector"]) == 8
+
+
+def test_cluster_of_equals_cluster_of_users(monkeypatch):
+    zeta = rng(12).lognormal(size=(12, 6))
+    sel = clus.select_aps_threshold(zeta)
+    synthetic = []  # the partition the complexity check builds, caught at its cost count
+    monkeypatch.setattr(prec, "flop_estimate", lambda part, *args: synthetic.append(part) or 1.0)
+    harness._synthetic_flops_per_ap(32, 16, cluster_size=4)
+    auto = clus.design_clusters(sel, 2, zeta)
+    assert auto.n_clusters > 1 and synthetic[0].n_clusters == 4
+    for part, k in ((clus.design_clusters_fixed(sel, 3, zeta), 6), (auto, 6),
+                    (clus.single_cluster(12, 6), 6), (synthetic[0], 16)):
+        assert np.array_equal(part.cluster_of, part.cluster_of_users(k))
+        # built once, and shared read-only by every reader of the partition
+        assert part.cluster_of is part.cluster_of and not part.cluster_of.flags.writeable
 
 
 # ---------------------------------------------------------------------------

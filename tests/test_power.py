@@ -74,10 +74,9 @@ def search(inputs, err, sigma_e, mu, mode="equal_split"):
     kernel's score of its winner."""
     bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                      inputs.partition)
-    alloc, _ = pw.allocate_common(bundle, sigma_e, inputs.partition, inputs.sigma_w2,
-                                  inputs.power.pt, mu=mu, mode=mode)
-    return alloc, rates.asr_from_bundle(bundle, inputs.partition, alloc, inputs.sigma_w2,
-                                        sigma_e)
+    alloc, _ = pw.allocate_common(bundle, sigma_e, inputs.sigma_w2, inputs.power.pt, mu=mu,
+                                  mode=mode)
+    return alloc, rates.asr_from_bundle(bundle, alloc, inputs.sigma_w2, sigma_e)
 
 
 class TestAllocateCommon:
@@ -189,7 +188,7 @@ class TestAllocateCommon:
             bundle = rates.project_precoders(inputs.realization.g_hat,
                                              errors(inputs, 10, seeded_rng(0), 0.1),
                                              inputs.precoders, inputs.partition)
-            pw.allocate_common(bundle, 0.1, inputs.partition, inputs.sigma_w2, 1.0, mu=0.05,
+            pw.allocate_common(bundle, 0.1, inputs.sigma_w2, 1.0, mu=0.05,
                                mode="simulated-annealing")
 
 
@@ -202,8 +201,7 @@ class TestFlatObjective:
         assert not err.any()
         bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                          inputs.partition)
-        return pw.allocate_common(bundle, 0.0, inputs.partition, inputs.sigma_w2,
-                                  inputs.power.pt, mu=0.05)
+        return pw.allocate_common(bundle, 0.0, inputs.sigma_w2, inputs.power.pt, mu=0.05)
 
     def test_near_tie_keeps_the_smallest_fraction(self):
         alloc, n_tied = self.flat_search()
@@ -235,8 +233,7 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
     else:
         allocations = [pw.equal_split(pt, d, n_c, k) for d in pw.delta_grid(mu)]
     bundle = rates.project_precoders(g_hat, err, precoders, partition)
-    results = [rates.asr_from_bundle(bundle, partition, a, sigma_w2, sigma_e)
-               for a in allocations]
+    results = [rates.asr_from_bundle(bundle, a, sigma_w2, sigma_e) for a in allocations]
     top = max(asr.s_a for asr in results)
     best = next(g for g, asr in enumerate(results) if asr.s_a >= top - 1e-10 * abs(top))
     return bundle, allocations, results, best
@@ -245,9 +242,9 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
 def has_clamped_draw(bundle, alloc, sigma_w2, sigma_e):
     # a clamped draw is the only way to a zero rate on a stream with power
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-    cr, pr = (np.log2(1.0 + x) for x in rates.sinr_components_over_draws(
+    cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(
         bundle, alloc.a_c, alloc.a_p, sigma_w2, eps))
-    powered = alloc.a_c[bundle.cluster_of] > 0.0
+    powered = alloc.a_c[bundle.partition.cluster_of] > 0.0
     return bool((pr == 0.0).any() or (cr[:, powered] == 0.0).any())
 
 
@@ -292,9 +289,8 @@ class TestGridScorer:
                                 continue
                         table = np.array([a.a_c for a in allocations])
                         scores = rates.split_grid_scores(
-                            bundle, inputs.partition, table,
-                            np.array([a.a_p[0] for a in allocations]), inputs.sigma_w2,
-                            sigma_e)
+                            bundle, table, np.array([a.a_p[0] for a in allocations]),
+                            inputs.sigma_w2, sigma_e)
                         np.testing.assert_allclose(scores, [r.s_a for r in results],
                                                    rtol=1e-12, atol=0.0)
                         checked_values += 1
@@ -321,20 +317,19 @@ class TestStackedScoring:
                                     for snr in FIXTURE.snr_grid_db])
                     assert len(pts) == 7
                     private = _build_private(kind, inputs.g_bar, part, pts, sigma_w2).private
-                    cluster_of = part.cluster_of_users(k)
                     bundle = rates.ProjectionBundle(
-                        rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of),
-                        rates.project_streams(g_hat, err, private, np.arange(k)), cluster_of)
+                        rates.project_streams(g_hat, err, inputs.precoders.common,
+                                              part.cluster_of),
+                        rates.project_streams(g_hat, err, private, np.arange(k)), part)
                     for mode in TestGridScorer.MODES:
                         mu = 0.05 if mode == "equal_split" else 0.1
-                        won = [pw.allocate_common(bundle.at(s), sigma_e, part, sigma_w2, pt,
-                                                  mu=mu, mode=mode) for s, pt in enumerate(pts)]
+                        won = [pw.allocate_common(bundle.at(s), sigma_e, sigma_w2, pt, mu=mu,
+                                                  mode=mode) for s, pt in enumerate(pts)]
                         ties += sum(n_tied > 1 for _, n_tied in won)
                         stacked = rates.asr_from_bundle(
-                            bundle, part, pw.stack([alloc for alloc, _ in won]), sigma_w2, sigma_e)
+                            bundle, pw.stack([alloc for alloc, _ in won]), sigma_w2, sigma_e)
                         for s, (alloc, _) in enumerate(won):
-                            one = rates.asr_from_bundle(bundle.at(s), part, alloc, sigma_w2,
-                                                        sigma_e)
+                            one = rates.asr_from_bundle(bundle.at(s), alloc, sigma_w2, sigma_e)
                             for field in ("s_a", "mean_cr", "mean_pr", "min_cr"):
                                 assert np.array_equal(getattr(stacked, field)[s],
                                                       getattr(one, field))

@@ -177,7 +177,7 @@ class TestOneDrawView:
                                                20, seeded_rng(seed, 17))
                 bundle = rates.project_precoders(inputs.realization.g_hat, err,
                                                  inputs.precoders, inputs.partition)
-                common, private = rates.sinr_components_over_draws(
+                common, private = rates._sinrs(
                     bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
                     inputs.realization.epsilon)
                 for n in range(len(err)):
@@ -190,8 +190,7 @@ class TestOneDrawView:
         real = inputs.realization
         bundle = rates.project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
                                          inputs.partition)
-        asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
-                                    real.sigma_e)
+        asr = rates.asr_from_bundle(bundle, inputs.power, inputs.sigma_w2, real.sigma_e)
         assert np.all(asr.mean_cr >= 0)
         assert np.all(asr.mean_pr >= 0)
         for i, users in enumerate(inputs.partition.user_sets):
@@ -214,7 +213,7 @@ class TestVectorisedPath:
         bundle = rates.project_precoders(inputs.realization.g_hat, err,
                                          inputs.precoders, inputs.partition)
         eps = 1.0 / math.sqrt(1.0 - 0.05)
-        cr, pr = (np.log2(1.0 + x) for x in rates.sinr_components_over_draws(
+        cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(
             bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2, eps))
         for n in range(6):
             common, private = rates.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
@@ -226,8 +225,9 @@ class TestVectorisedPath:
     def former_asr(bundle, partition, power, sigma_w2, sigma_e):
         # log2, mean and cluster minima of both streams, the all-zero common SINRs included
         eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-        cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in rates.sinr_components_over_draws(
-            bundle, power.a_c, power.a_p, sigma_w2, eps))
+        sinr_c, sinr_p = rates._sinrs(bundle, power.a_c, power.a_p, sigma_w2, eps)
+        cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in (
+            np.zeros(sinr_p.shape) if sinr_c is None else sinr_c, sinr_p))
         mean_cr, mean_pr = cr.mean(axis=-2), pr.mean(axis=-2)
         min_cr = np.stack([mean_cr[..., list(u)].min(axis=-1) for u in partition.user_sets], -1)
         return min_cr.sum(axis=-1) + mean_pr.sum(axis=-1), mean_cr, mean_pr, min_cr
@@ -241,13 +241,13 @@ class TestVectorisedPath:
         g_hat, part = inputs.realization.g_hat, inputs.partition
         err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, 30, seeded_rng(4))
         with_common = rates.project_precoders(g_hat, err, inputs.precoders, part)
-        plain = rates.ProjectionBundle(None, with_common.private, with_common.cluster_of)
+        plain = rates.ProjectionBundle(None, with_common.private, part)
         pts = inputs.power.pt * np.array([0.1, 1.0, 10.0])
         for bundle in (with_common, plain):
             for power in (pw.no_split(inputs.power.pt, 4), pw.no_split(pts, 4), inputs.power):
                 if bundle is plain and power is inputs.power:
                     continue
-                got = rates.asr_from_bundle(bundle, part, power, inputs.sigma_w2, sigma_e)
+                got = rates.asr_from_bundle(bundle, power, inputs.sigma_w2, sigma_e)
                 want = self.former_asr(bundle, part, power, inputs.sigma_w2, sigma_e)
                 for value, ref in zip((got.s_a, got.mean_cr, got.mean_pr, got.min_cr), want):
                     assert np.array_equal(value, ref) and np.shape(value) == np.shape(ref)
@@ -273,8 +273,8 @@ class TestSnrAxis:
         sigma_e = math.sqrt(0.05)
         err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, n_err, seeded_rng(3))
         pts = inputs.power.pt * 10.0 ** np.arange(-1.0, points - 1.0)
-        cluster_of, own = part.cluster_of_users(k), np.arange(k)
-        common = rates.project_streams(g_hat, err, inputs.precoders.common, cluster_of)
+        own = np.arange(k)
+        common = rates.project_streams(g_hat, err, inputs.precoders.common, part.cluster_of)
 
         def kernel(bundle, pt, delta):
             # equal split per point, stacked along a leading axis for an array pt
@@ -282,18 +282,18 @@ class TestSnrAxis:
             stack = (lambda a: a[0]) if np.ndim(pt) == 0 else np.stack
             power = pw.PowerAllocation(stack([a.a_c for a in allocs]),
                                        stack([a.a_p for a in allocs]), delta, pt)
-            return rates.asr_from_bundle(bundle, part, power, sigma_w2, sigma_e)
+            return rates.asr_from_bundle(bundle, power, sigma_w2, sigma_e)
 
         for label in labels:
             pset = _build_private(label, inputs.g_bar, part, pts, sigma_w2)
             stacked = rates.ProjectionBundle(
-                common, rates.project_streams(g_hat, err, pset.private, own), cluster_of)
+                common, rates.project_streams(g_hat, err, pset.private, own), part)
             for delta in (0.0, 0.3):
                 asr = kernel(stacked, pts, delta)
                 for s, pt in enumerate(pts):
                     columns = pset.private[s] if pset.private.ndim == 3 else pset.private
                     single = rates.ProjectionBundle(
-                        common, rates.project_streams(g_hat, err, columns, own), cluster_of)
+                        common, rates.project_streams(g_hat, err, columns, own), part)
                     for field in dataclasses.fields(rates.StreamProjection):
                         assert np.array_equal(getattr(stacked.at(s).private, field.name),
                                               getattr(single.private, field.name))
@@ -303,6 +303,9 @@ class TestSnrAxis:
                         assert np.array_equal(getattr(asr, field)[s], getattr(one, field))
             # the tracer reads til_p as (draws, K, K), the SNR axis folded in
             assert stacked.til_p.shape == (stacked.private.e2.size // k ** 2, k, k)
+            # a slice, a gathered stack and a slice of a slice keep the bundle's partition
+            for view in (stacked.at(1), stacked.at(np.array([2, 0, 2])), stacked.at(1).at(0)):
+                assert view.partition is part
 
 
 class TestAverageSumRate:
@@ -329,8 +332,7 @@ class TestAverageSumRate:
         err = chan.draw_error_matrices(zeta, sigma_e, 1, seeded_rng(5))
         bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                          inputs.partition)
-        asr = rates.asr_from_bundle(bundle, inputs.partition, inputs.power, inputs.sigma_w2,
-                                    sigma_e)
+        asr = rates.asr_from_bundle(bundle, inputs.power, inputs.sigma_w2, sigma_e)
         assert asr.s_a == pytest.approx(_draw_sum_rate(with_error(inputs, err[0], sigma_e)),
                                         rel=1e-10)
 
