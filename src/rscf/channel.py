@@ -14,15 +14,14 @@ holds entry by entry on every realization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 BOLTZMANN_J_PER_K = 1.381e-23
 
 
-@dataclass(frozen=True)
-class NetworkGeometry:
+class NetworkGeometry(NamedTuple):
     """AP and user drop inside a square service area (positions in metres)."""
 
     ap_positions: np.ndarray    # (M, 2)
@@ -45,8 +44,7 @@ class NetworkGeometry:
         return NetworkGeometry(centre, np.array(self.user_positions, dtype=float), self.area_side)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
+class ChannelRealization(NamedTuple):
     """True channel, its estimate and the estimation error for one block."""
 
     g_true: np.ndarray  # (M, K) complex

@@ -86,7 +86,8 @@ def _cmd_sweep(args, config: cfg.ExperimentConfig) -> int:
 
 
 def _cmd_verify(args, config: cfg.ExperimentConfig) -> int:
-    report = harness.verify(config)
+    from . import checks  # only here: a run never loads the checks
+    report = checks.verify(config)
     sys.stdout.write(report.format() + "\n")
     return 0 if report.ok else 2
 

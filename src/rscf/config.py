@@ -11,14 +11,14 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Malformed key, value or configuration state."""
 
 
-@dataclass(frozen=True)
-class SchemeSpec:
+class SchemeSpec(NamedTuple):
     """One transmission scheme, as :data:`SCHEMES` defines it.
 
     ``rs`` toggles rate splitting (common streams plus the fraction

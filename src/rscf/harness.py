@@ -1,4 +1,4 @@
-"""Monte Carlo experiment driver and verification suite.
+"""Monte Carlo experiment driver.
 
 One realization draws geometry, large-scale fading and a channel with its
 imperfect estimate, clusters the network, and evaluates every configured
@@ -37,6 +37,8 @@ once per (channel, plain or split) and chunk, on the per-(scheme, point)
 allocations stacked.
 
 A scheme's side, channel and construction are read from ``config.SCHEMES``.
+The checks of a run against independent routes, and the suite behind
+``rscf verify``, are in :mod:`rscf.checks`.
 """
 from __future__ import annotations
 
@@ -47,8 +49,7 @@ import math
 import os
 import pickle
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -75,8 +76,7 @@ def seeded_rng(*parts: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(list(parts)))
 
 
-@dataclass(frozen=True)
-class SideData:
+class SideData(NamedTuple):
     """Channel state of one geometry (distributed or co-located)."""
 
     realization: chan.ChannelRealization
@@ -85,8 +85,7 @@ class SideData:
     channels: dict[bool, tuple[clus.ClusterPartition, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     """One (realization, scheme, SNR) outcome.
 
     A run holds its rows per realization as the arrays of a
@@ -106,8 +105,7 @@ class TrialRow:
     redraws: int
 
 
-@dataclass(frozen=True)
-class RealizationBlock:
+class RealizationBlock(NamedTuple):
     """The trial rows of one realization as columns, entry ``point * len(schemes) + scheme``.
 
     Every cluster has a user, so an entry's cluster count is ``max(cluster_of) + 1``;
@@ -158,8 +156,7 @@ class TrialRows(Sequence):
         return TrialRow(*next(itertools.islice(self.blocks[block].row_fields(), entry, None)))
 
 
-@dataclass(frozen=True)
-class ResultRecord:
+class ResultRecord(NamedTuple):
     """Aggregated ergodic rates of one scheme at one SNR point."""
 
     scheme: str
@@ -311,8 +308,6 @@ def _with_redraws(config: ExperimentConfig, index: int, attempt_fn):
         f"realization {index}: exhausted {MAX_REDRAWS} redraws: {last_error}")
 
 
-# the layout's records are NamedTuples: a frozen dataclass costs about 0.5 ms to
-# define, on every import, and setup time is measured
 class _KernelGroup(NamedTuple):
     """One kernel call of a chunk: the entries of one (channel, plain or split) group.
 
@@ -476,7 +471,7 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
         built = {}
         for spec in specs:
             pset = privates[spec.bs, spec.dense, spec.construction]
-            pset = replace(pset, common=commons[spec.bs, spec.dense]) if spec.rs else pset
+            pset = pset._replace(common=commons[spec.bs, spec.dense]) if spec.rs else pset
             built[spec.label] = sides[spec.bs].channels[spec.dense][0], pset
         return sides, built
     return _with_redraws(config, index, attempt_fn)
@@ -682,7 +677,7 @@ def render_jsonl(block: RealizationBlock) -> str:
             block.s_a, block.delta, block.mean_cr, block.mean_pr, block.min_cr))
             and all(map(math.isfinite, block.snr_db))):
         # json spells NaN and infinity NaN/Infinity, repr nan/inf: such a block is dumped
-        return "".join(json.dumps(asdict(TrialRow(*row)), sort_keys=True) + "\n" for row in rows)
+        return "".join(json.dumps(TrialRow(*row)._asdict(), sort_keys=True) + "\n" for row in rows)
     k = block.cluster_of.shape[1]
     return "".join([
         _jsonl_template(k, n_clusters) % (
@@ -690,267 +685,3 @@ def render_jsonl(block: RealizationBlock) -> str:
             s_a, _json_label(scheme), snr_db)
         for (realization, scheme, snr_db, s_a, delta, n_clusters, mean_cr, mean_pr, min_cr,
              cluster_of, redraws) in rows])
-
-
-# ---------------------------------------------------------------------------
-# Verification suite
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def format(self) -> str:
-        lines = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            extra = f" ({c.detail})" if c.detail else ""
-            lines.append(f"[{status}] {c.name}: residual {c.residual:.3e}"
-                         f" <= {c.tolerance:.1e}{extra}")
-        lines.append("verification " + ("PASSED" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
-def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_MMSE_SP,
-                    delta: float = 0.3, snr_db: float = 15.0) -> rates.RateInputs:
-    """A fully built evaluation instance on a random seeded network of ``config``.
-
-    Draws geometry, fading and a channel from one generator; partitions per
-    the configured selection and clustering; builds the requested private
-    construction plus the common SVD beams; splits power with the given
-    common fraction.  Seeds that land on a degenerate draw are re-derived
-    (bounded retries).
-    """
-    sigma_w2 = _noise(config)
-    for attempt in range(20):
-        rng = seeded_rng(seed, attempt, 100)
-        realization, = _draw_scene(config, rng, rng, rng)
-        partition = cluster_partition_for(config, realization.zeta)
-        g_bar = clus.sparse_channel(realization.g_hat, partition)
-        pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
-        try:
-            common, cache = prec.common_precoder(g_bar, partition)
-            pset = _build_private(kind, g_bar, partition, pt, sigma_w2)
-        except prec.DegenerateChannelError:
-            continue
-        pset = replace(pset, common=common)
-        alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
-        return rates.RateInputs(realization, g_bar, partition, pset, cache, alloc, sigma_w2)
-    raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
-
-
-def _seeded_instances(config: ExperimentConfig, count: int, skipped: list[int],
-                      **kwargs) -> list[rates.RateInputs]:
-    """``count`` random instances from seeds 0, 1, ...; a seed that cannot be
-    built is appended to ``skipped`` and the next one taken, at most ``count`` times."""
-    built: list[rates.RateInputs] = []
-    for seed in range(2 * count):
-        try:
-            built.append(random_instance(seed, config, **kwargs))
-        except RuntimeError:
-            skipped.append(seed)
-        if len(built) == count:
-            return built
-    raise RuntimeError(f"only {len(built)} of seeds 0..{2 * count - 1} gave an instance")
-
-
-def _draw_sum_rate(inputs: rates.RateInputs) -> float:
-    """Sum rate of the realization's own error draw: per-cluster minimum common
-    rate plus the private rates, from the kernel's one-draw view."""
-    common, private = (np.log2(1.0 + sinr) for sinr in rates.draw_sinrs(inputs))
-    return float(sum(common[list(u)].min() for u in inputs.partition.user_sets) + private.sum())
-
-
-def _closed_form_residual(instances) -> float:
-    """Worst relative gap of the closed forms to the kernel's one-draw view, over
-    both streams of every user and the construction each instance was built with."""
-    worst = 0.0
-    for inputs in instances:
-        for stream, view in zip(("common", "private"), rates.draw_sinrs(inputs)):
-            for k, ref in enumerate(view):
-                closed = rates.sinr_closed_form(k, inputs, inputs.precoders.label, stream)
-                worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-30))
-    return worst
-
-
-def _zero_split_residual(instances) -> float:
-    """Worst |sum-rate gap| of MF-SP instances between rate splitting at zero
-    common power and the plain matched filter, on the same draw."""
-    worst = 0.0
-    for inputs in instances:
-        pt, k = inputs.power.pt, inputs.realization.g_hat.shape[1]
-        rs = replace(inputs, power=pw.equal_split(pt, 0.0, inputs.partition.n_clusters, k))
-        plain_set = prec.normalize_private_columns(prec.mf_sp(inputs.g_bar))
-        plain = replace(inputs, precoders=plain_set, svd_cache=None, power=pw.no_split(pt, k))
-        worst = max(worst, abs(_draw_sum_rate(rs) - _draw_sum_rate(plain)))
-    return worst
-
-
-def _budget_residuals(instances) -> tuple[float, float, float]:
-    """Worst relative residuals of the amplitude budget, the transmit covariance
-    trace and the trace normalisation of the raw construction, against Pt."""
-    budget = cov = trace = 0.0
-    for inputs in instances:
-        alloc, ps = inputs.power, inputs.precoders
-        total = float(np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2))
-        budget = max(budget, total / alloc.pt - 1.0)
-        total = float(np.sum(alloc.a_c ** 2 * np.sum(np.abs(ps.common) ** 2, axis=0))
-                      + np.sum(alloc.a_p ** 2 * np.sum(np.abs(ps.private) ** 2, axis=0)))
-        cov = max(cov, abs(total - alloc.pt) / alloc.pt)
-        raw = prec.construct(ps.label, inputs.g_bar, inputs.partition, alloc.pt, inputs.sigma_w2)
-        trace = max(trace, abs(float(np.sum(np.abs(raw.private) ** 2)) - alloc.pt) / alloc.pt)
-    return budget, cov, trace
-
-
-def _zf_residuals(instances, corrupt: bool = False) -> tuple[float, float]:
-    """Worst |G^T P / beta - I| or |G^T P - beta I| of the raw ZF-SP construction,
-    and worst interference-to-signal power ratio; ``corrupt`` perturbs one
-    precoder entry first, a hook that the check must then fail."""
-    norm = mui = 0.0
-    for inputs in instances:
-        g_bar = inputs.g_bar
-        eye = np.eye(g_bar.shape[1])
-        raw = prec.zf_sp(g_bar, inputs.power.pt)
-        private = raw.private.copy()
-        if corrupt:
-            private[0, 0] += 10.0 * np.max(np.abs(private))
-        prod = g_bar.T @ (private / raw.beta)
-        norm = max(norm, float(np.max(np.abs(prod - eye))),
-                   float(np.max(np.abs(g_bar.T @ private - raw.beta * eye))))
-        power = np.abs(prod) ** 2  # column k: user r's gain through user k's precoder
-        mui = max(mui, float(np.max(np.where(eye > 0, 0.0, power) / np.diag(power))))
-    return norm, mui
-
-
-def _partition_violations(config: ExperimentConfig, gains) -> int:
-    """Gain matrices whose clustering per ``config`` breaks an invariant.
-
-    A partition must hold every user once, give no AP to two clusters and
-    replay identically from the same gains.
-    """
-    bad = 0
-    for z in gains:
-        part, again = cluster_partition_for(config, z), cluster_partition_for(config, z)
-        users = sorted(u for s in part.user_sets for u in s)
-        aps = [a for s in part.ap_sets for a in s]
-        if (users != list(range(z.shape[1])) or len(aps) != len(set(aps))
-                or part.user_sets != again.user_sets or part.ap_sets != again.ap_sets
-                or not np.array_equal(part.test_vectors, again.test_vectors)):
-            bad += 1
-    return bad
-
-
-def verify(config: ExperimentConfig | None = None,
-           corrupt: str | None = None) -> VerifyReport:
-    """Run the cross-module consistency checks; see the CLI ``verify`` command.
-
-    ``corrupt`` is a test hook: "zf" perturbs a zero-forcing precoder
-    before the orthogonality check, which must then fail.
-    """
-    config = config or ExperimentConfig()
-    checks: list[CheckResult] = []
-
-    def add(name, residual, tol, detail="", skipped=()):
-        if skipped:
-            note = f"skipped {len(skipped)} unbuildable seed{'s' * (len(skipped) > 1)}"
-            detail = f"{detail}, {note}" if detail else note
-        checks.append(CheckResult(name, bool(residual <= tol), float(residual),
-                                  float(tol), detail))
-
-    # three-slope continuity at both breakpoints
-    att = chan.attenuation_constant(config.freq_mhz, config.h_ap_m, config.h_u_m)
-    res = 0.0
-    for d in (config.d0_m, config.d1_m):
-        below = chan.path_loss(np.nextafter(d, 0.0), att, config.d0_m, config.d1_m)
-        above = chan.path_loss(np.nextafter(d, np.inf), att, config.d0_m, config.d1_m)
-        res = max(res, abs(float(below) - float(above)))
-    add("path-loss continuity", res, 1e-9)
-
-    # estimate reconstruction identity
-    res = 0.0
-    for seed in range(10):
-        rng = seeded_rng(config.seed, seed, 900)
-        real, = _draw_scene(config, rng, rng, rng)
-        lhs = real.g_hat
-        rhs = math.sqrt(1.0 - config.sigma_e2) * real.g_true + real.g_err
-        res = max(res, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(lhs))))
-    add("channel reconstruction identity", res, 1e-12)
-
-    # partition invariants and deterministic replay
-    bad = _partition_violations(config, (
-        seeded_rng(config.seed, seed, 901).lognormal(size=(config.m, config.k))
-        for seed in range(200)))
-    add("cluster partition invariants", float(bad), 0.0, "200 random selections")
-
-    # random instances of the configured network; a seed that is degenerate on
-    # every attempt is skipped for the next one and counted per check
-    instances = partial(_seeded_instances, config)
-
-    # zero-forcing orthogonality of the raw construction (with corruption hook)
-    skipped: list[int] = []
-    res, _ = _zf_residuals(instances(20, skipped, kind=prec.LABEL_ZF_SP), corrupt=corrupt == "zf")
-    add("zero-forcing orthogonality", res, 1e-9, skipped=skipped)
-
-    # power budget of amplitudes, covariance trace, and the printed trace
-    # normalisation of the raw sparse constructions
-    skipped = []
-    budget, cov, trace = _budget_residuals(itertools.chain.from_iterable(
-        instances(20, skipped, kind=kind, delta=0.4)
-        for kind in (prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP)))
-    add("amplitude power budget", budget, 1e-9, skipped=skipped)
-    add("transmit covariance trace", cov, 1e-9, skipped=skipped)
-    add("precoder trace normalisation", trace, 1e-9, skipped=skipped)
-
-    # forcing a zero common fraction reproduces the conventional evaluation
-    skipped = []
-    res = _zero_split_residual(instances(20, skipped, kind=prec.LABEL_MF_SP, delta=0.0))
-    add("zero-split collapse", res, 1e-12, skipped=skipped)
-
-    # closed forms against the kernel's one-draw view
-    skipped = []
-    res = _closed_form_residual(itertools.chain.from_iterable(
-        _seeded_instances(replace(config, sigma_e2=se2), 10, skipped, kind=kind)
-        for se2 in (0.0, config.sigma_e2, 0.1) for kind in prec.CONSTRUCTIONS))
-    add("closed-form SINR equivalence", res, 1e-9, "10 seeds x 3 error levels", skipped)
-
-    # per-AP cost stays flat when the network doubles at fixed cluster size
-    r1 = _synthetic_flops_per_ap(32, 16, cluster_size=4)
-    r2 = _synthetic_flops_per_ap(64, 32, cluster_size=4)
-    add("complexity scaling per AP", abs(r2 - r1) / r1, 0.05)
-
-    # tiny end-to-end run: additive rate decomposition and replay determinism
-    small = replace(config, n_realizations=2, n_err=8, snr_grid_db=(0.0, 10.0),
-                    schemes=("CF-MF-SP", "RS-CF-MF-SP"))
-    rec1, _ = run_experiment(small)
-    rec2, _ = run_experiment(small)
-    res = max(abs(r.esr - (r.ecr + r.epr)) for r in rec1)
-    add("ergodic rate decomposition", res, 1e-9)
-    add("experiment replay determinism",
-        0.0 if render_csv(rec1) == render_csv(rec2) else 1.0, 0.0)
-
-    return VerifyReport(tuple(checks))
-
-
-def _synthetic_flops_per_ap(m: int, k: int, cluster_size: int) -> float:
-    n_c = k // cluster_size
-    aps_per = m // n_c
-    users = [tuple(range(i * cluster_size, (i + 1) * cluster_size)) for i in range(n_c)]
-    aps = [tuple(range(i * aps_per, (i + 1) * aps_per)) for i in range(n_c)]
-    tv = np.zeros((n_c, m), dtype=int)
-    for i, a in enumerate(aps):
-        tv[i, list(a)] = 1
-    part = clus.ClusterPartition(tuple(users), tuple(aps), tv)
-    return prec.flop_estimate(part, m, k, "mmse") / m

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from . import rates
 _NEAR_TIE = 1e-10
 
 
-@dataclass(frozen=True)
-class PowerAllocation:
+class PowerAllocation(NamedTuple):
     """Amplitudes of the common and private streams.
 
     sum(a_c^2) = delta * pt and sum(a_p^2) = (1 - delta) * pt.

@@ -23,7 +23,7 @@ stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class EmptyClusterError(DegenerateChannelError):
     """A cluster ended up with no AP or an all-zero reduced channel."""
 
 
-@dataclass(frozen=True)
-class SvdCache:
+class SvdCache(NamedTuple):
     """Leading singular values and left vectors of the per-cluster reduced channels.
 
     ``psi1[i]`` is the top singular value of cluster i and ``u1[i][q]`` the
@@ -68,8 +67,7 @@ class SvdCache:
     u1: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class PrecoderSet:
+class PrecoderSet(NamedTuple):
     """Common beams (one per cluster) plus private columns (one per user)."""
 
     label: str

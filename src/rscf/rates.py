@@ -1,59 +1,35 @@
 """SINR and rate evaluation for the rate-splitting cell-free downlink.
 
-Three independent routes compute the same per-user SINRs:
-
-* the vectorised kernel :func:`asr_from_bundle`, which every rate of a run
-  goes through: the estimate and a stack of error draws are projected once
-  through the precoders, and one SINR routine gives the power-loss SINRs of
-  imperfect CSIT for all draws at once; :func:`draw_sinrs` is its one-draw
-  view on a realization's own estimation error;
-* a reference oracle that assembles the same SINRs from the true-channel
-  received-power decomposition (never touching the estimate projections in
-  the interference terms);
-* closed forms that use the cached SVD triplets and Gram-inverse columns
-  of each precoder construction instead of the precoding matrices.
-
-The oracle and the closed forms agree with the kernel's one-draw view to
-tight relative tolerance on every construction, which is the main
-correctness check of the simulator.  Rates are log2(1+SINR) in
-bits/s/Hz; the sum rate adds the per-cluster minimum common rate to the
-sum of private rates.  Averages over estimation-error draws (with the
-estimate held fixed) and over channel realizations provide the average
-and ergodic sum rates.
+Every rate of a run goes through one vectorised kernel,
+:func:`asr_from_bundle`: the estimate and a stack of error draws are
+projected once through the precoders (:func:`project_streams`), and one SINR
+routine gives the power-loss SINRs of imperfect CSIT for all draws at once.
+The split search ranks its candidates with :func:`split_grid_scores` on the
+same projections.  The independent routes the kernel is checked against, a
+true-channel oracle and closed forms from the cached SVD triplets and
+Gram inverses, and the kernel's one-draw view that they read, are in
+:mod:`rscf.checks`.  Rates are log2(1+SINR) in bits/s/Hz; the sum rate adds
+the per-cluster minimum common rate to the sum of private rates.  Averages
+over estimation-error draws (with the estimate held fixed) and over channel
+realizations provide the average and ergodic sum rates.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from . import channel as chan
 from .clustering import ClusterPartition
-from .precoding import (CONSTRUCTIONS, LABEL_MF_SP, LABEL_RU_ZF_RD, LABEL_ZF_SP,
-                        PrecoderSet, SvdCache)
+from .precoding import PrecoderSet
 
 if TYPE_CHECKING:
     from .power import PowerAllocation
 
 
-@dataclass(frozen=True)
-class RateInputs:
-    """Everything needed to evaluate the SINRs of one configuration."""
-
-    realization: chan.ChannelRealization
-    g_bar: np.ndarray  # (M, K) estimate masked to the partition
-    partition: ClusterPartition
-    precoders: PrecoderSet
-    svd_cache: SvdCache | None
-    power: "PowerAllocation"
-    sigma_w2: float
-
-
-@dataclass(frozen=True)
-class AsrResult:
+class AsrResult(NamedTuple):
     """Rates averaged over error draws for one estimate; stacked: a leading SNR axis."""
 
     s_a: float | np.ndarray
@@ -62,8 +38,7 @@ class AsrResult:
     min_cr: np.ndarray   # (N_c,) per-cluster minima of mean_cr
 
 
-@dataclass(frozen=True)
-class EsrResult:
+class EsrResult(NamedTuple):
     """Ergodic rates over channel realizations.
 
     Two common-rate estimators are reported: the per-realization min-sum
@@ -80,148 +55,7 @@ class EsrResult:
     ecr_min_of_means: float | None
 
 
-def _clamped_ratio(num: float, den: float) -> float:
-    # The CSIT power-loss terms can push a sampled denominator negative;
-    # SINR is a power ratio, so such draws clamp to zero rate.
-    if den <= 0.0:
-        return 0.0
-    return max(num, 0.0) / den
-
-
-def _cluster_and_position(partition: ClusterPartition, k: int) -> tuple[int, int]:
-    for i, users in enumerate(partition.user_sets):
-        if k in users:
-            return i, users.index(k)
-    raise ValueError(f"user {k} is not in any cluster")
-
-
-def sinr_oracle(k: int, inputs: RateInputs, stream: str) -> float:
-    """Reference route: user k's SINR assembled from true-channel stream powers.
-
-    Every interference term is a received power |g_true^T p|^2 scaled by
-    1/epsilon^2, and the useful power is recovered by subtracting the
-    CSIT power-loss term from the decoded stream's true received power.
-    ``stream`` is "common" or "private"; the private stream is decoded
-    after the cluster's common stream, which then no longer interferes.
-    """
-    if stream not in ("common", "private"):
-        raise ValueError(f"stream must be 'common' or 'private', got {stream!r}")
-    i, _ = _cluster_and_position(inputs.partition, k)
-    real = inputs.realization
-    eps2 = real.epsilon ** 2
-    g_k = real.g_true[:, k]
-    a_c = np.asarray(inputs.power.a_c, dtype=float)
-    a_p = np.asarray(inputs.power.a_p, dtype=float)
-    pc, pp = inputs.precoders.common, inputs.precoders.private
-    if pc.shape[1] and a_c.size:
-        powers_c = a_c ** 2 * np.abs(g_k @ pc) ** 2
-    elif stream == "common":
-        return 0.0
-    else:  # no common streams: zero common power in every cluster
-        powers_c = np.zeros(inputs.partition.n_clusters)
-    powers_p = a_p ** 2 * np.abs(g_k @ pp) ** 2
-    amp, column, own = ((a_c[i], pc[:, i], powers_c[i]) if stream == "common"
-                        else (a_p[k], pp[:, k], powers_p[k]))
-    hat_own = real.g_hat[:, k] @ column
-    til_own = real.g_err[:, k] @ column
-    d_term = amp ** 2 * (abs(til_own) ** 2 - 2.0 * (hat_own.conjugate() * til_own).real)
-    other = float(powers_c.sum() - powers_c[i] + powers_p.sum())
-    if stream == "private":
-        other -= own
-    den = d_term + other / eps2 + inputs.sigma_w2 / eps2
-    return _clamped_ratio(own / eps2 - d_term, den)
-
-
-def _closed_form_projections(k: int, inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Private-column projections of user k via the Gram-inverse cache.
-
-    Returns (hat_p, til_p): the estimate and error channels of user k
-    projected through every private column, computed as rows through
-    conj(g_bar) and the cached lam instead of the precoder matrix.  Exact
-    construction identities replace the own-cluster entries where the
-    construction guarantees them.
-    """
-    ps = inputs.precoders
-    i, _ = _cluster_and_position(inputs.partition, k)
-    users_i = list(inputs.partition.user_sets[i])
-    g_bar_conj = inputs.g_bar.conj()
-    rh = inputs.realization.g_hat[:, k] @ g_bar_conj
-    rt = inputs.realization.g_err[:, k] @ g_bar_conj
-    hat_p = (rh @ ps.lam) * ps.col_scale
-    til_p = (rt @ ps.lam) * ps.col_scale
-    if ps.label in (LABEL_ZF_SP, LABEL_RU_ZF_RD):
-        # within the own cluster the pseudoinverse gives exactly scale * delta
-        hat_p[users_i] = 0.0
-        hat_p[k] = ps.col_scale[k]
-    elif ps.label == LABEL_MF_SP:
-        hat_p[k] = ps.col_scale[k] * float(np.sum(np.abs(inputs.g_bar[:, k]) ** 2))
-    return hat_p, til_p
-
-
-def sinr_closed_form(k: int, inputs: RateInputs, kind: str, stream: str) -> float:
-    """Closed-form SINR from the cached SVD triplets and Gram inverses.
-
-    ``kind`` must match the construction the precoder set was built with;
-    ``stream`` is "common" or "private".
-    """
-    if kind not in CONSTRUCTIONS:
-        raise ValueError(
-            f"no closed form for kind {kind!r}; expected one of {tuple(CONSTRUCTIONS)}")
-    ps = inputs.precoders
-    if ps.label != kind:
-        raise ValueError(f"precoder set was built as {ps.label!r}, requested {kind!r}")
-    if ps.lam is None or ps.col_scale is None:
-        raise ValueError("precoder set carries no closed-form cache")
-    if stream not in ("common", "private"):
-        raise ValueError(f"stream must be 'common' or 'private', got {stream!r}")
-
-    i, pos = _cluster_and_position(inputs.partition, k)
-    real = inputs.realization
-    eps = real.epsilon
-    a_c = np.asarray(inputs.power.a_c, dtype=float)
-    a_p = np.asarray(inputs.power.a_p, dtype=float)
-    noise = inputs.sigma_w2 / eps ** 2
-
-    pc = ps.common
-    if pc.shape[1] and a_c.size:
-        hat_c = real.g_hat[:, k] @ pc
-        til_c = real.g_err[:, k] @ pc
-        e_c2 = np.abs(hat_c - til_c) ** 2
-        common_int = float(np.sum(a_c ** 2 * e_c2)) - a_c[i] ** 2 * e_c2[i]
-    else:
-        til_c = None
-        common_int = 0.0
-
-    hat_p, til_p = _closed_form_projections(k, inputs)
-    e_p2 = np.abs(hat_p - til_p) ** 2
-    private_all = float(np.sum(a_p ** 2 * e_p2))
-
-    if stream == "private":
-        num = a_p[k] ** 2 * abs(hat_p[k]) ** 2
-        d_term = a_p[k] ** 2 * (abs(til_p[k]) ** 2
-                                - 2.0 * (np.conjugate(hat_p[k]) * til_p[k]).real)
-        den = d_term + common_int + (private_all - a_p[k] ** 2 * e_p2[k]) + noise
-        return _clamped_ratio(num, den)
-
-    if inputs.svd_cache is None:
-        raise ValueError("common-stream closed form needs the SVD cache")
-    if pc.shape[1] == 0 or a_c.size == 0:
-        return 0.0
-    psi = inputs.svd_cache.psi1[i]
-    u_k1 = inputs.svd_cache.u1[i][pos]
-    num = a_c[i] ** 2 * psi ** 2 * abs(u_k1) ** 2
-    d_term = a_c[i] ** 2 * (abs(til_c[i]) ** 2
-                            - 2.0 * psi * (np.conjugate(u_k1) * til_c[i]).real)
-    den = d_term + common_int + private_all + noise
-    return _clamped_ratio(num, den)
-
-
-# ---------------------------------------------------------------------------
-# Vectorised evaluation over estimation-error draws
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StreamProjection:
+class StreamProjection(NamedTuple):
     """Amplitude-free per-draw terms of one set of columns, for the kernel and scorer."""
 
     e2: np.ndarray        # (n, K, C) |h - t|^2 through every column
@@ -337,21 +171,6 @@ def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2:
 
     den_p = ap2[..., None, :] * p.loss + cint + pint_excl + noise
     return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
-
-
-def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
-    """Common and private SINRs, (K,) each, of the realization's own error draw.
-
-    The one-draw view of the kernel's SINRs: ``g_err`` is projected as a
-    stack of one draw, so the scalar checks read the routine that the run
-    uses.  Without common streams the common SINRs are zero.
-    """
-    real = inputs.realization
-    bundle = project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
-                               inputs.partition)
-    sinr_c, sinr_p = _sinrs(bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
-                            real.epsilon)
-    return np.zeros(sinr_p.shape[1:]) if sinr_c is None else sinr_c[0], sinr_p[0]
 
 
 def asr_from_bundle(bundle: ProjectionBundle, power: "PowerAllocation", sigma_w2: float,

@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from rscf import channel as chan
-from rscf import harness
+from rscf import checks, harness
 from rscf import precoding as prec
 from rscf import rates
 from rscf.config import ExperimentConfig
-from rscf.harness import random_instance, seeded_rng
+from rscf.checks import random_instance
+from rscf.harness import seeded_rng
 
 from fixture_network import FIXTURE
 
@@ -46,7 +47,7 @@ def test_criterion_01_closed_form_equivalence():
     kinds = tuple(prec.CONSTRUCTIONS)
     levels = (0.0, 0.025, 0.1)
     count = 1000
-    worst = harness._closed_form_residual(
+    worst = checks._closed_form_residual(
         random_instance(i, replace(FIXTURE, sigma_e2=levels[i % len(levels)]),
                         kind=kinds[i % len(kinds)])
         for i in range(count))
@@ -59,14 +60,14 @@ def test_criterion_01_closed_form_equivalence():
 
 
 def test_criterion_02_zero_split_collapse():
-    worst = harness._zero_split_residual(
+    worst = checks._zero_split_residual(
         random_instance(seed, FIXTURE, kind=prec.LABEL_MF_SP, delta=0.0) for seed in range(100))
     ok = worst <= 1e-12
     assert report(2, ok, f"100 realizations, max |difference| {worst:.2e}"), worst
 
 
 def test_criterion_03_power_budget():
-    worst_budget, _, worst_trace = harness._budget_residuals(
+    worst_budget, _, worst_trace = checks._budget_residuals(
         random_instance(seed, FIXTURE, kind=kind, delta=(seed % 10) / 10.0)
         for seed in range(50) for kind in (prec.LABEL_ZF_SP, prec.LABEL_MMSE_SP))
     ok = worst_budget <= 1e-9 and worst_trace <= 1e-9
@@ -75,7 +76,7 @@ def test_criterion_03_power_budget():
 
 
 def test_criterion_04_zf_orthogonality():
-    worst_norm, worst_mui = harness._zf_residuals(
+    worst_norm, worst_mui = checks._zf_residuals(
         random_instance(seed, replace(FIXTURE, sigma_e2=0.0), kind=prec.LABEL_ZF_SP)
         for seed in range(50))
     ok = worst_norm <= 1e-9 and worst_mui <= 1e-18
@@ -111,15 +112,15 @@ def test_criterion_07_cf_vs_bs_ordering(reference_run):
 
 
 def test_criterion_08_partition_invariants():
-    bad = harness._partition_violations(FIXTURE, (
+    bad = checks._partition_violations(FIXTURE, (
         np.random.default_rng(seed).lognormal(sigma=1.8, size=(8, 4)) for seed in range(1000)))
     ok = bad == 0
     assert report(8, ok, f"1000 selection matrices, {bad} violations")
 
 
 def test_criterion_09_complexity_scaling():
-    r1 = harness._synthetic_flops_per_ap(32, 16, cluster_size=4)
-    r2 = harness._synthetic_flops_per_ap(64, 32, cluster_size=4)
+    r1 = checks._synthetic_flops_per_ap(32, 16, cluster_size=4)
+    r2 = checks._synthetic_flops_per_ap(64, 32, cluster_size=4)
     change = abs(r2 - r1) / r1
     ok = change < 0.05
     assert report(9, ok, f"per-AP cost {r1:.2f} -> {r2:.2f}, change {change * 100:.2f}%")

@@ -249,9 +249,9 @@ class TestCliDispatch:
         assert len(entry["common"][0]) >= 1  # one beam per cluster
 
     def test_verification_failure_exit_code(self, capsys, monkeypatch):
-        from rscf import harness
-        broken = harness.VerifyReport((harness.CheckResult("x", False, 1.0, 0.0),))
-        monkeypatch.setattr(harness, "verify", lambda config: broken)
+        from rscf import checks
+        broken = checks.VerifyReport((checks.CheckResult("x", False, 1.0, 0.0),))
+        monkeypatch.setattr(checks, "verify", lambda config: broken)
         assert cli.main(["verify"]) == 2
 
     def test_runtime_failure_exit_code(self, capsys, monkeypatch):

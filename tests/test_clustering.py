@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from rscf import checks
 from rscf import clustering as clus
-from rscf import harness
 from rscf import precoding as prec
 
 
@@ -243,7 +243,7 @@ def test_cluster_of_equals_cluster_of_users(monkeypatch):
     sel = clus.select_aps_threshold(zeta)
     synthetic = []  # the partition the complexity check builds, caught at its cost count
     monkeypatch.setattr(prec, "flop_estimate", lambda part, *args: synthetic.append(part) or 1.0)
-    harness._synthetic_flops_per_ap(32, 16, cluster_size=4)
+    checks._synthetic_flops_per_ap(32, 16, cluster_size=4)
     auto = clus.design_clusters(sel, 2, zeta)
     assert auto.n_clusters > 1 and synthetic[0].n_clusters == 4
     for part, k in ((clus.design_clusters_fixed(sel, 3, zeta), 6), (auto, 6),

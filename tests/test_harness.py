@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rscf import channel as chan
+from rscf import checks
 from rscf import clustering as clus
 from rscf import harness
 from rscf import precoding as prec
@@ -176,7 +177,7 @@ class TestRunExperiment:
         # JSON arrays read back as lists; every float must read back bitwise
         assert [json.loads(line) for line in lines] == [
             {key: list(value) if isinstance(value, tuple) else value
-             for key, value in asdict(row).items()} for row in rows]
+             for key, value in row._asdict().items()} for row in rows]
 
     def test_jsonl_template_equals_json_dumps(self):
         _, rows = harness.run_experiment(SMALL)
@@ -193,10 +194,10 @@ class TestRunExperiment:
         values = np.resize([math.nan, math.inf, -math.inf, -0.0], len(block.s_a))
         mean_cr = np.tile([1.0, 1.5, -0.0, 2e-300], (len(values), 1))
         mean_cr[:, 0] = values
-        odd = replace(block, s_a=values, delta=np.full(len(values), -0.0), mean_cr=mean_cr)
+        odd = block._replace(s_a=values, delta=np.full(len(values), -0.0), mean_cr=mean_cr)
         batch = [b for pair in zip(rows.blocks, itertools.repeat(big)) for b in pair] + [odd]
         lines = "".join(map(harness.render_jsonl, batch)).splitlines()
-        assert lines == [json.dumps(asdict(r), sort_keys=True)
+        assert lines == [json.dumps(r._asdict(), sort_keys=True)
                          for b in batch for r in harness.TrialRows([b])]
         assert "NaN" in lines[-8] and "-Infinity" in lines[-6]
         assert '"s_a": -0.0' in lines[-5] and "2e-300" in lines[-5] and "NaN" not in lines[-5]
@@ -265,6 +266,24 @@ class TestRunExperiment:
                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
                              check=True).stdout
         assert out.strip() == "[]"
+
+    def test_import_loads_only_the_run(self):
+        # set-up time is measured: importing the package and resolving a config load
+        # neither the checks nor the CLI, and every record but the three of the package
+        # docstring is a NamedTuple, whose class creation generates no methods
+        src = Path(harness.__file__).resolve().parents[1]
+        code = ("import dataclasses, sys, rscf\n"
+                "rscf.config.resolve(None, [])\n"
+                "print(sorted(m for m in ('rscf.checks', 'rscf.cli') if m in sys.modules))\n"
+                "print(sorted(value.__name__ for name, module in list(sys.modules.items())\n"
+                "             if name.split('.')[0] == 'rscf' for value in vars(module).values()\n"
+                "             if isinstance(value, type) and dataclasses.is_dataclass(value)\n"
+                "             and value.__module__ == name))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+                             check=True).stdout
+        assert out.splitlines() == [
+            "[]", "['ClusterPartition', 'ExperimentConfig', 'ProjectionBundle']"]
 
     def test_flat_split_objective_reports_no_common_rate(self):
         # perfect estimates with single-user clusters: every split fraction
@@ -788,10 +807,10 @@ class TestFixtureInstances:
                 want = fixture_chain(seed, 8, 4, sigma_e2, kind)
                 if want is None:
                     with pytest.raises(RuntimeError):
-                        harness.random_instance(seed, config, kind=kind)
+                        checks.random_instance(seed, config, kind=kind)
                     continue
                 g_hat, partition, private, common, pt = want
-                got = harness.random_instance(seed, config, kind=kind)
+                got = checks.random_instance(seed, config, kind=kind)
                 assert np.array_equal(got.realization.g_hat, g_hat)
                 assert got.partition.user_sets == partition.user_sets
                 assert got.partition.ap_sets == partition.ap_sets
@@ -805,26 +824,26 @@ class TestVerify:
     def test_report_follows_selection_and_clustering(self):
         # the instance checks draw on the configured network: top-n selection
         # with fixed clusters and the fixture's threshold/shared-AP network differ
-        default, fixture = (harness.verify(config).format().splitlines()
+        default, fixture = (checks.verify(config).format().splitlines()
                             for config in (ExperimentConfig(), FIXTURE))
         changed = {a.split(":")[0] for a, b in zip(default, fixture) if a != b}
         assert {"[PASS] zero-forcing orthogonality",
                 "[PASS] closed-form SINR equivalence"} <= changed
 
     def test_default_passes(self):
-        report = harness.verify()
+        report = checks.verify()
         assert report.ok, report.format()
         assert all(c.residual <= c.tolerance for c in report.checks)
         assert not any("skipped" in c.detail for c in report.checks)
 
     def test_corruption_hook_fails_orthogonality(self):
-        report = harness.verify(corrupt="zf")
+        report = checks.verify(corrupt="zf")
         assert not report.ok
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["zero-forcing orthogonality"]
 
     def test_format_mentions_every_check(self):
-        report = harness.verify()
+        report = checks.verify()
         text = report.format()
         for check in report.checks:
             assert check.name in text

@@ -10,7 +10,8 @@ from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
 from rscf.config import ExperimentConfig
-from rscf.harness import _build_private, random_instance, seeded_rng
+from rscf.checks import random_instance
+from rscf.harness import _build_private, seeded_rng
 
 from fixture_network import FIXTURE
 

@@ -8,7 +8,8 @@ from rscf import channel as chan
 from rscf import clustering as clus
 from rscf import precoding as prec
 from rscf.config import ExperimentConfig, parse_scheme
-from rscf.harness import _ONE_BUDGET, _build_private, _scheme_sides, random_instance
+from rscf.checks import random_instance
+from rscf.harness import _ONE_BUDGET, _build_private, _scheme_sides
 
 from fixture_network import FIXTURE
 

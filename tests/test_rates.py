@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rscf import channel as chan
+from rscf import checks
 from rscf import clustering as clus
 from rscf import power as pw
 from rscf import precoding as prec
 from rscf import rates
-from rscf.harness import (_build_private, _closed_form_residual, _draw_sum_rate,
-                          _zero_split_residual, random_instance, seeded_rng)
+from rscf.checks import (_closed_form_residual, _draw_sum_rate, _zero_split_residual,
+                         random_instance)
+from rscf.harness import _build_private, seeded_rng
 
 from fixture_network import FIXTURE
 
@@ -30,9 +32,9 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
         pset = prec.zf_sp(g_bar, pt=1.0)
     else:
         raise ValueError(kind)
-    pset = replace(pset, common=common)
+    pset = pset._replace(common=common)
     alloc = pw.equal_split(1.0, delta, part.n_clusters, 4)
-    return rates.RateInputs(real, g_bar, part, pset, cache, alloc, 1e-3)
+    return checks.RateInputs(real, g_bar, part, pset, cache, alloc, 1e-3)
 
 
 class TestGenericAgainstPowerOracle:
@@ -44,10 +46,10 @@ class TestGenericAgainstPowerOracle:
             for kind in tuple(prec.CONSTRUCTIONS):
                 inputs = random_instance(seed, replace(FIXTURE, sigma_e2=0.025), kind=kind,
                                          delta=0.35)
-                common, private = rates.draw_sinrs(inputs)
+                common, private = checks.draw_sinrs(inputs)
                 for k in range(4):
-                    for a, b in ((common[k], rates.sinr_oracle(k, inputs, "common")),
-                                 (private[k], rates.sinr_oracle(k, inputs, "private"))):
+                    for a, b in ((common[k], checks.sinr_oracle(k, inputs, "common")),
+                                 (private[k], checks.sinr_oracle(k, inputs, "private"))):
                         worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
         assert worst <= 1e-9
 
@@ -55,9 +57,9 @@ class TestGenericAgainstPowerOracle:
         for seed in range(5):
             inputs = random_instance(seed, replace(FIXTURE, sigma_e2=0.25), kind=prec.LABEL_MF_SP,
                                      delta=0.5)
-            private = rates.draw_sinrs(inputs)[1]
+            private = checks.draw_sinrs(inputs)[1]
             for k in range(4):
-                a, b = private[k], rates.sinr_oracle(k, inputs, "private")
+                a, b = private[k], checks.sinr_oracle(k, inputs, "private")
                 assert abs(a - b) <= 1e-9 * max(abs(b), 1e-30)
 
 
@@ -69,7 +71,7 @@ class TestPerfectCsitReduction:
         g = inputs.realization.g_true
         pc, pp = inputs.precoders.common, inputs.precoders.private
         a_c, a_p = inputs.power.a_c, inputs.power.a_p
-        common, private = rates.draw_sinrs(inputs)
+        common, private = checks.draw_sinrs(inputs)
         for k in range(4):
             pc_pow = a_c ** 2 * np.abs(g[:, k] @ pc) ** 2
             pp_pow = a_p ** 2 * np.abs(g[:, k] @ pp) ** 2
@@ -80,13 +82,13 @@ class TestPerfectCsitReduction:
 
     def test_zero_common_power_disables_common_stream(self):
         inputs = perfect_instance(4, delta=0.0)
-        assert np.all(rates.draw_sinrs(inputs)[0] == 0.0)
+        assert np.all(checks.draw_sinrs(inputs)[0] == 0.0)
 
     def test_zf_private_sinr_closed_value(self):
         # zero-forcing with a perfect estimate: gamma_k = a_k^2 beta^2 / sigma_w^2
         inputs = perfect_instance(5, kind=prec.LABEL_ZF_SP, delta=0.0)
         beta = inputs.precoders.beta
-        private = rates.draw_sinrs(inputs)[1]
+        private = checks.draw_sinrs(inputs)[1]
         for k in range(4):
             expected = inputs.power.a_p[k] ** 2 * beta ** 2 / inputs.sigma_w2
             assert private[k] == pytest.approx(expected, rel=1e-9)
@@ -97,7 +99,7 @@ class TestPerfectCsitReduction:
         inputs = perfect_instance(6, kind=prec.LABEL_MF_SP, delta=0.0)
         g = inputs.realization.g_hat
         a_p = inputs.power.a_p
-        private = rates.draw_sinrs(inputs)[1]
+        private = checks.draw_sinrs(inputs)[1]
         for k in range(4):
             num = a_p[k] ** 2 * np.sum(np.abs(g[:, k]) ** 2) ** 2
             den = sum(a_p[i] ** 2 * abs(g[:, k] @ g[:, i].conj()) ** 2
@@ -124,18 +126,18 @@ class TestClosedForms:
     def test_kind_mismatch_rejected(self):
         inputs = random_instance(0, FIXTURE, kind=prec.LABEL_MF_SP)
         with pytest.raises(ValueError):
-            rates.sinr_closed_form(0, inputs, prec.LABEL_ZF_SP, "common")
+            checks.sinr_closed_form(0, inputs, prec.LABEL_ZF_SP, "common")
         with pytest.raises(ValueError):
-            rates.sinr_closed_form(0, inputs, prec.LABEL_MF_SP, "sideways")
+            checks.sinr_closed_form(0, inputs, prec.LABEL_MF_SP, "sideways")
         with pytest.raises(ValueError):
-            rates.sinr_oracle(0, inputs, "sideways")
+            checks.sinr_oracle(0, inputs, "sideways")
 
     def test_requires_cache(self):
         inputs = random_instance(1, FIXTURE, kind=prec.LABEL_MF_SP)
-        stripped = rates.RateInputs(inputs.realization, inputs.g_bar, inputs.partition,
+        stripped = checks.RateInputs(inputs.realization, inputs.g_bar, inputs.partition,
                                     inputs.precoders, None, inputs.power, inputs.sigma_w2)
         with pytest.raises(ValueError):
-            rates.sinr_closed_form(0, stripped, prec.LABEL_MF_SP, "common")
+            checks.sinr_closed_form(0, stripped, prec.LABEL_MF_SP, "common")
 
 
 class TestClamping:
@@ -149,11 +151,11 @@ class TestClamping:
             (g_hat - g_err) / math.sqrt(1 - 0.25), g_hat, g_err, 0.5, np.ones((4, 1)))
         part = clus.single_cluster(4, 1)
         g_bar = clus.sparse_channel(g_hat, part)
-        pset = replace(prec.mf_sp(g_bar), common=np.ones((4, 1)) / 2.0)
+        pset = prec.mf_sp(g_bar)._replace(common=np.ones((4, 1)) / 2.0)
         alloc = pw.PowerAllocation(np.zeros(1), np.ones(1), 0.0, 1.0)
-        inputs = rates.RateInputs(real, g_bar, part, pset, None, alloc, 1e-9)
-        assert rates.draw_sinrs(inputs)[1][0] == 0.0
-        assert rates.sinr_oracle(0, inputs, "private") == 0.0
+        inputs = checks.RateInputs(real, g_bar, part, pset, None, alloc, 1e-9)
+        assert checks.draw_sinrs(inputs)[1][0] == 0.0
+        assert checks.sinr_oracle(0, inputs, "private") == 0.0
         assert _draw_sum_rate(inputs) >= 0.0
 
 
@@ -181,7 +183,7 @@ class TestOneDrawView:
                     bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
                     inputs.realization.epsilon)
                 for n in range(len(err)):
-                    view = rates.draw_sinrs(with_error(inputs, err[n], sigma_e))
+                    view = checks.draw_sinrs(with_error(inputs, err[n], sigma_e))
                     assert np.array_equal(common[n], view[0])
                     assert np.array_equal(private[n], view[1])
 
@@ -216,7 +218,7 @@ class TestVectorisedPath:
         cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(
             bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2, eps))
         for n in range(6):
-            common, private = rates.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
+            common, private = checks.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
             np.testing.assert_allclose(cr[n], np.log2(1.0 + common), rtol=1e-10)
             np.testing.assert_allclose(pr[n], np.log2(1.0 + private), rtol=1e-10)
 
@@ -294,9 +296,9 @@ class TestSnrAxis:
                     columns = pset.private[s] if pset.private.ndim == 3 else pset.private
                     single = rates.ProjectionBundle(
                         common, rates.project_streams(g_hat, err, columns, own), part)
-                    for field in dataclasses.fields(rates.StreamProjection):
-                        assert np.array_equal(getattr(stacked.at(s).private, field.name),
-                                              getattr(single.private, field.name))
+                    for field in rates.StreamProjection._fields:
+                        assert np.array_equal(getattr(stacked.at(s).private, field),
+                                              getattr(single.private, field))
                     one = kernel(single, pt, delta)
                     assert asr.s_a[s] == one.s_a
                     for field in ("mean_cr", "mean_pr", "min_cr"):
@@ -473,8 +475,8 @@ class TestErgodicReductionOracle:
     def check(self, cr, pr, cluster_of):
         stacked = rates.ergodic_sum_rate(cr, pr, cluster_of)
         oracle = reference_ergodic_sum_rate(list(zip(cr, pr, cluster_of)))
-        for field in dataclasses.fields(rates.EsrResult):
-            assert getattr(stacked, field.name) == getattr(oracle, field.name), field.name
+        for field in rates.EsrResult._fields:
+            assert getattr(stacked, field) == getattr(oracle, field), field
         return stacked
 
     def test_shared_partition(self):

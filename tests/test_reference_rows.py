@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from rscf import channel as chan
-from rscf import harness, rates
+from rscf import checks, harness
 from rscf import power as pw
 from rscf.config import ExperimentConfig, parse_scheme
 
@@ -42,8 +42,8 @@ def oracle_rates(draws, partition, pset, alloc, sigma_w2):
     k = draws[0].g_hat.shape[1]
     mean = {}
     for stream in ("common", "private"):
-        mean[stream] = np.mean([[math.log2(1.0 + rates.sinr_oracle(
-            u, rates.RateInputs(draw, None, partition, pset, None, alloc, sigma_w2), stream))
+        mean[stream] = np.mean([[math.log2(1.0 + checks.sinr_oracle(
+            u, checks.RateInputs(draw, None, partition, pset, None, alloc, sigma_w2), stream))
             for u in range(k)] for draw in draws], axis=0)
     s_a = sum(mean["common"][list(u)].min() for u in partition.user_sets) + mean["private"].sum()
     return s_a, mean["common"], mean["private"]
@@ -62,7 +62,7 @@ def reference_rows(config, index, attempt):
             err = chan.draw_error_matrices(real.zeta, sigma_e, config.n_err, harness.seeded_rng(
                 config.seed, index, attempt, harness._ERRDRAWS))
             # each draw is an error matrix and the true channel it implies
-            draws[bs] = [replace(real, g_true=real.epsilon * (real.g_hat - e), g_err=e)
+            draws[bs] = [real._replace(g_true=real.epsilon * (real.g_hat - e), g_err=e)
                          for e in err]
         for label, (partition, pset) in built.items():
             spec = parse_scheme(label)
