@@ -10,6 +10,10 @@ component is CN(0, sigma_e^2 * zeta), and the exact reconstruction
     g_hat = sqrt(1 - sigma_e^2) * g_true + g_err
 
 holds entry by entry on every realization.
+
+The carrier, antenna heights and receiver noise are fixed:
+:data:`ATTENUATION_DB` (1900 MHz, 15 m AP, 1.65 m user) and
+:data:`NOISE_VARIANCE_W` (290 K, 20 MHz, 9 dB noise figure).
 """
 from __future__ import annotations
 
@@ -160,6 +164,13 @@ def noise_variance(t0_kelvin: float, bandwidth_hz: float, noise_figure_db: float
     if t0_kelvin <= 0 or bandwidth_hz <= 0:
         raise ValueError("temperature and bandwidth must be positive")
     return t0_kelvin * BOLTZMANN_J_PER_K * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
+
+
+# Constants, not config keys: every power budget is solved for a target SNR from the
+# gains' total and the noise (pt_for_snr), so a common factor on every gain or on the
+# noise cancels from each SINR, MMSE regulariser, clustering rule and split score.
+ATTENUATION_DB = attenuation_constant(1900.0, 15.0, 1.65)
+NOISE_VARIANCE_W = noise_variance(290.0, 20e6, 9.0)
 
 
 def snr_db(g_true: np.ndarray, pt: float, sigma_w2: float) -> float:

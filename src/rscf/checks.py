@@ -33,7 +33,7 @@ from . import precoding as prec
 from . import rates
 from .clustering import ClusterPartition
 from .config import ExperimentConfig
-from .harness import (_build_private, _draw_scene, _noise, cluster_partition_for, render_csv,
+from .harness import (_build_private, _draw_scene, cluster_partition_for, render_csv,
                       run_experiment, seeded_rng)
 from .precoding import (CONSTRUCTIONS, LABEL_MF_SP, LABEL_RU_ZF_RD, LABEL_ZF_SP,
                         PrecoderSet, SvdCache)
@@ -241,7 +241,7 @@ def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_
     common fraction.  Seeds that land on a degenerate draw are re-derived
     (bounded retries).
     """
-    sigma_w2 = _noise(config)
+    sigma_w2 = chan.NOISE_VARIANCE_W
     for attempt in range(20):
         rng = seeded_rng(seed, attempt, 100)
         realization, = _draw_scene(config, rng, rng, rng)
@@ -313,7 +313,7 @@ def _budget_residuals(instances) -> tuple[float, float, float]:
     for inputs in instances:
         alloc, ps = inputs.power, inputs.precoders
         total = float(np.sum(alloc.a_c ** 2) + np.sum(alloc.a_p ** 2))
-        budget = max(budget, total / alloc.pt - 1.0)
+        budget = max(budget, abs(total / alloc.pt - 1.0))
         total = float(np.sum(alloc.a_c ** 2 * np.sum(np.abs(ps.common) ** 2, axis=0))
                       + np.sum(alloc.a_p ** 2 * np.sum(np.abs(ps.private) ** 2, axis=0)))
         cov = max(cov, abs(total - alloc.pt) / alloc.pt)
@@ -378,7 +378,7 @@ def verify(config: ExperimentConfig | None = None,
                                   float(tol), detail))
 
     # three-slope continuity at both breakpoints
-    att = chan.attenuation_constant(config.freq_mhz, config.h_ap_m, config.h_u_m)
+    att = chan.ATTENUATION_DB
     res = 0.0
     for d in (config.d0_m, config.d1_m):
         below = chan.path_loss(np.nextafter(d, 0.0), att, config.d0_m, config.d1_m)

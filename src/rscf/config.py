@@ -70,16 +70,10 @@ class ExperimentConfig:
     m: int = 8
     k: int = 4
     area_side_m: float = 1000.0
-    h_ap_m: float = 15.0
-    h_u_m: float = 1.65
-    freq_mhz: float = 1900.0
     d0_m: float = 10.0
     d1_m: float = 50.0
     shadow_sigma_db: float = 8.0
     sigma_e2: float = 0.025
-    t0_k: float = 290.0
-    bandwidth_hz: float = 20e6
-    noise_figure_db: float = 9.0
     seed: int = 1
     schemes: tuple[str, ...] = DEFAULT_SCHEMES
     snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
@@ -117,7 +111,7 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool,
             "tuple[str, ...]": _parse_str_list, "tuple[float, ...]": _parse_float_list}
-_KEY_NAMES = {"m": "M", "k": "K", "t0_k": "T0_K"}  # keys that differ from their field
+_KEY_NAMES = {"m": "M", "k": "K"}  # keys that differ from their field
 
 # file/CLI key -> (dataclass attribute, parser), one per ExperimentConfig field
 KEY_SPECS: dict[str, tuple[str, object]] = {
@@ -182,11 +176,9 @@ def validate(config: ExperimentConfig) -> None:
     if config.k < 1 or config.m <= config.k:
         raise ConfigError(f"need M > K >= 1, got M={config.m}, K={config.k}")
     # the conditions the channel model raises on, caught before a run starts
-    for key in ("area_side_m", "freq_mhz", "h_ap_m", "T0_K", "bandwidth_hz"):
-        value = getattr(config, KEY_SPECS[key][0])
-        if not value > 0:
-            raise ConfigError(f"{key} must be positive, got {value}")
-    for key in ("seed", "h_u_m", "shadow_sigma_db", "n_a"):  # n_a = 0 derives the threshold
+    if not config.area_side_m > 0:
+        raise ConfigError(f"area_side_m must be positive, got {config.area_side_m}")
+    for key in ("seed", "shadow_sigma_db", "n_a"):  # n_a = 0 derives the threshold
         value = getattr(config, KEY_SPECS[key][0])
         if not value >= 0:
             raise ConfigError(f"{key} must be non-negative, got {value}")

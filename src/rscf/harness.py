@@ -199,12 +199,11 @@ def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
     geometry = chan.place_network(config.m, config.k, config.area_side_m, geometry_rng)
     shadow = shadow_rng.standard_normal(shape)
     fading = chan.complex_normal(channel_rng, shape), chan.complex_normal(channel_rng, shape)
-    att = chan.attenuation_constant(config.freq_mhz, config.h_ap_m, config.h_u_m)
     scenes = [(geometry, shadow)]
     if co_located:
         scenes.append((geometry.co_located(), shadow[:1]))
-    return [chan.draw_channel(chan.large_scale(geo, att, config.shadow_sigma_db, normals,
-                                               d0=config.d0_m, d1=config.d1_m),
+    return [chan.draw_channel(chan.large_scale(geo, chan.ATTENUATION_DB, config.shadow_sigma_db,
+                                               normals, d0=config.d0_m, d1=config.d1_m),
                               math.sqrt(config.sigma_e2), *fading)
             for geo, normals in scenes]
 
@@ -263,7 +262,7 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     """
     sets = dict.fromkeys((spec.bs, spec.dense, spec.construction) for spec in specs)
     privates, commons = {}, {}
-    first_pt, sigma_w2 = np.ravel(pt)[0], _noise(config)
+    first_pt, sigma_w2 = np.ravel(pt)[0], chan.NOISE_VARIANCE_W
     try:
         for construction in dict.fromkeys(key[2] for key in sets):
             keys = [key for key in sets if key[2] == construction]
@@ -390,7 +389,7 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
         tuple(config.schemes), len(config.snr_grid_db),
         max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2)))
     sides = _scheme_sides(config, specs, index, attempt)
-    sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), _noise(config)
+    sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), chan.NOISE_VARIANCE_W
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
     # one power budget per SNR point, solved on the distributed geometry and shared
     # by every scheme for a fair comparison
@@ -443,10 +442,6 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                             mean_cr, mean_pr, min_cr, cluster_of)
 
 
-def _noise(config: ExperimentConfig) -> float:
-    return chan.noise_variance(config.t0_k, config.bandwidth_hz, config.noise_figure_db)
-
-
 def run_realization(config: ExperimentConfig, index: int) -> RealizationBlock:
     """All (scheme, SNR) trial rows of one realization, redrawn while degenerate."""
     return _with_redraws(config, index,
@@ -466,7 +461,7 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
     def attempt_fn(attempt):
         sides = _scheme_sides(config, specs, index, attempt)
-        pt = chan.pt_for_snr(sides[False].realization.g_true, snr_db, _noise(config))
+        pt = chan.pt_for_snr(sides[False].realization.g_true, snr_db, chan.NOISE_VARIANCE_W)
         privates, commons = _attempt_precoders(config, specs, sides, pt)
         built = {}
         for spec in specs:

@@ -22,7 +22,7 @@ class TestConfigFile:
         path.write_text(render(cfg), encoding="utf-8")
         assert load_file(path) == cfg
         # floats that need more than six significant digits
-        cfg = ExperimentConfig(sigma_e2=0.0123456789, bandwidth_hz=12345678.9,
+        cfg = ExperimentConfig(sigma_e2=0.0123456789, d1_m=12345678.9,
                                area_side_m=1000.0000001, snr_grid_db=(0.1 + 0.2, -7.25e-9))
         path.write_text(render(cfg), encoding="utf-8")
         assert load_file(path) == cfg
@@ -85,16 +85,26 @@ class TestCliDispatch:
 
     @pytest.mark.parametrize("pairs", [
         ["area_side_m=0"], ["d0_m=60"], ["d1_m=0"], ["shadow_sigma_db=-1"],
-        ["bandwidth_hz=0"], ["T0_K=0"], ["freq_mhz=0"], ["h_ap_m=0"], ["h_u_m=-1"],
         ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],
         ["schemes=CF-MF,CF-MF"], ["snr_grid_db=0,0"], ["seed=-1"], ["snr_grid_db=nan"],
-        ["noise_figure_db=inf"], ["shadow_sigma_db=inf"], ["area_side_m=inf"],
+        ["shadow_sigma_db=inf"], ["area_side_m=inf"],
     ], ids=",".join)
     def test_out_of_range_value_exit_code(self, capsys, pairs):
         # rejected before any run, not as a runtime error from the channel model
         args = [arg for pair in pairs for arg in ("--set", pair)]
         assert cli.main(["run", *SMALL_ARGS, *args]) == 1
         assert "config error" in capsys.readouterr().err
+
+    # the carrier, antenna heights and receiver noise are constants of rscf.channel
+    @pytest.mark.parametrize("pair", ["bandwidth_hz=0", "T0_K=0", "freq_mhz=0", "h_ap_m=0",
+                                      "h_u_m=-1", "noise_figure_db=inf"])
+    def test_removed_key_is_unknown(self, capsys, tmp_path, pair):
+        path = tmp_path / "exp.cfg"
+        path.write_text(pair + "\n")
+        for args in (["--set", pair], ["--config", str(path)]):
+            assert cli.main(["run", *SMALL_ARGS, *args]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"config error: unknown config key {pair.split('=')[0]!r}; valid keys: ")
 
     def test_missing_config_file_is_a_config_error(self, capsys, tmp_path):
         path = tmp_path / "absent.cfg"
@@ -264,12 +274,12 @@ class TestCliDispatch:
 
 
 def test_readme_configuration_table_names_every_key():
-    # a new config key cannot land without its row in README's configuration table
+    # a key cannot be added, removed or renamed without its row in README's configuration
+    # table: the key column, past the header and its rule, with rows such as "M, K" split
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-    documented = {name.strip() for line in table.splitlines() if line.startswith("| ")
-                  for name in line.split("|")[1].split(",")}
-    assert sorted(set(KEY_SPECS) - documented) == []
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| ")][2:]
+    assert [name.strip() for row in rows for name in row.split(",")] == list(KEY_SPECS)
 
 
 class TestClusterReportMatchesRun:

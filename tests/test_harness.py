@@ -85,7 +85,7 @@ class TestSharedScene:
             cfg = replace(ExperimentConfig(), seed=seed, freeze_geometry=freeze)
             sides = harness._scheme_sides(cfg, specs, index, attempt)
             scene = (0, 0) if freeze else (index, attempt)
-            att = chan.attenuation_constant(cfg.freq_mhz, cfg.h_ap_m, cfg.h_u_m)
+            att = chan.attenuation_constant(1900.0, 15.0, 1.65)
             for bs, shadow_shape in ((False, (cfg.m, cfg.k)), (True, (1, cfg.k))):
                 geometry = chan.place_network(cfg.m, cfg.k, cfg.area_side_m, harness.seeded_rng(
                     seed, *scene, harness._GEOMETRY))
@@ -820,7 +820,57 @@ class TestFixtureInstances:
                 assert got.power.pt == pt
 
 
+class TestChannelConstants:
+    """Every power budget is solved for its SNR point from the gains' total and the
+    noise, so a common factor on the gains or any noise variance cancels from every
+    split, partition, redraw and rate: these are constants of ``rscf.channel``."""
+
+    @pytest.mark.parametrize("config", [
+        replace(SMALL, schemes=tuple(SCHEMES), seed=1, snr_grid_db=(0.0, 40.0)),
+        replace(SMALL, schemes=("CF-MF-SP", "RS-CF-MF-SP", "RS-CF-MMSE-RD", "BS-ZF",
+                                "RS-BS-MMSE"),
+                selection="threshold", cluster_mode="auto", seed=1, snr_grid_db=(0.0, 40.0)),
+    ], ids=["all-schemes", "threshold-auto"])
+    def test_outputs_do_not_depend_on_them(self, monkeypatch, config):
+        mmse = next(label for label in config.schemes if "MMSE" in label)
+
+        def outputs():
+            records, rows = harness.run_experiment(config)
+            return records, list(rows), harness.dump_precoders(config)[mmse]["beta"]
+
+        base_records, base_rows, base_beta = outputs()
+        for name, change in (("NOISE_VARIANCE_W", lambda v: v * 1e3),
+                             ("NOISE_VARIANCE_W", lambda v: v * 1e-3),
+                             ("ATTENUATION_DB", lambda v: v + 20.0),
+                             ("ATTENUATION_DB", lambda v: v - 15.0)):
+            with monkeypatch.context() as patch:
+                patch.setattr(chan, name, change(getattr(chan, name)))
+                records, rows, beta = outputs()
+            assert beta != base_beta, name  # the patched constant reached the build
+            assert len(rows) == len(base_rows) and len(records) == len(base_records)
+            for got, want in zip(rows, base_rows):
+                assert (got.delta, got.redraws, got.cluster_of, got.n_clusters) == (
+                    want.delta, want.redraws, want.cluster_of, want.n_clusters), (name, want)
+                for field in ("s_a", "mean_cr", "mean_pr", "min_cr"):
+                    np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                               rtol=1e-9, atol=0, err_msg=f"{name} {want}")
+            for got, want in zip(records, base_records):
+                assert (got.scheme, got.snr_db, got.delta_mean, got.n_clusters_mean) == (
+                    want.scheme, want.snr_db, want.delta_mean, want.n_clusters_mean), name
+                np.testing.assert_allclose([got.esr, got.ecr, got.epr, got.stderr],
+                                           [want.esr, want.ecr, want.epr, want.stderr],
+                                           rtol=1e-9, atol=0, err_msg=f"{name} {want}")
+
+
 class TestVerify:
+    def test_budget_check_reads_an_underspent_budget(self):
+        # halving the private amplitudes at delta 0.4 spends 0.55 Pt: both budget
+        # residuals must read the 0.45 gap
+        inputs = checks.random_instance(0, ExperimentConfig(), kind=prec.LABEL_ZF_SP, delta=0.4)
+        under = replace(inputs, power=inputs.power._replace(a_p=inputs.power.a_p / 2.0))
+        budget, cov, _ = checks._budget_residuals([under])
+        assert budget == pytest.approx(0.45) and cov == pytest.approx(0.45)
+
     def test_report_follows_selection_and_clustering(self):
         # the instance checks draw on the configured network: top-n selection
         # with fixed clusters and the fixture's threshold/shared-AP network differ

@@ -51,7 +51,8 @@ def oracle_rates(draws, partition, pset, alloc, sigma_w2):
 
 def reference_rows(config, index, attempt):
     """(scheme, snr) -> (delta, s_a, mean_cr, mean_pr, cluster_of) of one realization."""
-    sigma_w2, sigma_e = harness._noise(config), math.sqrt(config.sigma_e2)
+    # the reference noise from its literal values, not from the run's constant
+    sigma_w2, sigma_e = chan.noise_variance(290.0, 20e6, 9.0), math.sqrt(config.sigma_e2)
     rows = {}
     for snr in config.snr_grid_db:
         sides, built = harness.realization_precoders(config, index, snr)
