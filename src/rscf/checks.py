@@ -130,18 +130,14 @@ def _closed_form_projections(k: int, inputs: RateInputs) -> tuple[np.ndarray, np
     return hat_p, til_p
 
 
-def sinr_closed_form(k: int, inputs: RateInputs, kind: str, stream: str) -> float:
-    """Closed-form SINR from the cached SVD triplets and Gram inverses.
-
-    ``kind`` must match the construction the precoder set was built with;
-    ``stream`` is "common" or "private".
+def sinr_closed_form(k: int, inputs: RateInputs, stream: str) -> float:
+    """Closed-form SINR from the cached SVD triplets and Gram inverses, for the
+    construction the precoder set was built with; ``stream`` is "common" or "private".
     """
-    if kind not in CONSTRUCTIONS:
-        raise ValueError(
-            f"no closed form for kind {kind!r}; expected one of {tuple(CONSTRUCTIONS)}")
     ps = inputs.precoders
-    if ps.label != kind:
-        raise ValueError(f"precoder set was built as {ps.label!r}, requested {kind!r}")
+    if ps.label not in CONSTRUCTIONS:
+        raise ValueError(f"no closed form for construction {ps.label!r}; "
+                         f"expected one of {tuple(CONSTRUCTIONS)}")
     if ps.lam is None or ps.col_scale is None:
         raise ValueError("precoder set carries no closed-form cache")
     if stream not in ("common", "private"):
@@ -288,7 +284,7 @@ def _closed_form_residual(instances) -> float:
     for inputs in instances:
         for stream, view in zip(("common", "private"), draw_sinrs(inputs)):
             for k, ref in enumerate(view):
-                closed = sinr_closed_form(k, inputs, inputs.precoders.label, stream)
+                closed = sinr_closed_form(k, inputs, stream)
                 worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-30))
     return worst
 

@@ -73,14 +73,15 @@ def _cmd_sweep(args, config: cfg.ExperimentConfig) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise cfg.ConfigError("sweep needs at least one value")
-    for value in values:
-        swept = cfg.apply_pair(config, args.key, value)
-        cfg.validate(swept)
+    swept = [cfg.apply_pair(config, args.key, value) for value in values]
+    for each in swept:  # every value is checked before the first one runs
+        cfg.validate(each)
+    for value, each in zip(values, swept):
         out = None
         if args.out:
             out = Path(args.out) / f"sweep_{args.key}={value}"
         sys.stdout.write(f"# {args.key} = {value}\n")
-        records, _ = harness.run_experiment(swept, out_dir=out)
+        records, _ = harness.run_experiment(each, out_dir=out)
         sys.stdout.write(harness.render_csv(records))
     return 0
 

@@ -80,8 +80,8 @@ def default_shared_ap_threshold(j: np.ndarray) -> int:
     return max(1, math.ceil(per_user.mean() / 2.0))
 
 
-def _assign_aps(test_vectors, user_sets, zeta: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Resolve AP ownership so cluster AP sets are disjoint.
+def _partition(user_sets, test_vectors, zeta: np.ndarray) -> ClusterPartition:
+    """The partition of these user groups, with AP ownership resolved so AP sets are disjoint.
 
     An AP claimed by several test vectors goes to the cluster whose users
     it serves best (largest summed gain; lowest cluster index on ties).
@@ -92,7 +92,11 @@ def _assign_aps(test_vectors, user_sets, zeta: np.ndarray) -> tuple[tuple[int, .
     claims = np.asarray(test_vectors, dtype=bool)
     scores = np.where(claims, [zeta[:, list(users)].sum(axis=1) for users in user_sets], -np.inf)
     owner = np.where(claims.any(axis=0), scores.argmax(axis=0), -1)
-    return tuple(tuple(np.flatnonzero(owner == i).tolist()) for i in range(len(user_sets)))
+    return ClusterPartition(
+        tuple(tuple(u) for u in user_sets),
+        tuple(tuple(np.flatnonzero(owner == i).tolist()) for i in range(len(user_sets))),
+        np.array(test_vectors, dtype=int),
+    )
 
 
 def design_clusters(j: np.ndarray, n_a: int, zeta: np.ndarray) -> ClusterPartition:
@@ -119,11 +123,7 @@ def design_clusters(j: np.ndarray, n_a: int, zeta: np.ndarray) -> ClusterPartiti
         if not joined:
             user_sets.append([k])
             test_vectors.append(j[:, k].copy())
-    return ClusterPartition(
-        tuple(tuple(u) for u in user_sets),
-        _assign_aps(test_vectors, user_sets, zeta),
-        np.array(test_vectors, dtype=int),
-    )
+    return _partition(user_sets, test_vectors, zeta)
 
 
 def design_clusters_fixed(j: np.ndarray, n_c: int, zeta: np.ndarray) -> ClusterPartition:
@@ -165,12 +165,7 @@ def design_clusters_fixed(j: np.ndarray, n_c: int, zeta: np.ndarray) -> ClusterP
         # cluster's APs; keep the previous vector in that case.
         if shared[i] > 0:
             test_vectors[i] = test_vectors[i] * j[:, k]
-    user_sets = [sorted(u) for u in user_sets]
-    return ClusterPartition(
-        tuple(tuple(u) for u in user_sets),
-        _assign_aps(test_vectors, user_sets, zeta),
-        np.array(test_vectors, dtype=int),
-    )
+    return _partition([sorted(u) for u in user_sets], test_vectors, zeta)
 
 
 def single_cluster(m: int, k: int) -> ClusterPartition:

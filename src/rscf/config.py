@@ -194,6 +194,9 @@ def validate(config: ExperimentConfig) -> None:
         raise ConfigError(f"sigma_e2 must lie in [0, 1), got {config.sigma_e2}")
     if not config.snr_grid_db:
         raise ConfigError("snr_grid_db must not be empty")
+    # beyond 1000 dB the power budget or the split scores leave the float range
+    if not all(abs(snr) <= 1000.0 for snr in config.snr_grid_db):
+        raise ConfigError(f"snr_grid_db must lie in [-1000, 1000] dB, got {config.snr_grid_db}")
     # a repeated label or SNR point would pool two copies' rows into one record
     for key, values in (("schemes", config.schemes), ("snr_grid_db", config.snr_grid_db)):
         if len(set(values)) < len(values):

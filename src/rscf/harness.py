@@ -621,15 +621,13 @@ def run_experiment(config: ExperimentConfig,
     return records, TrialRows(blocks)
 
 
-def dump_precoders(config: ExperimentConfig, realization_index: int = 0,
-                   snr_db: float | None = None) -> dict:
+def dump_precoders(config: ExperimentConfig, realization_index: int = 0) -> dict:
     """Per-scheme precoder matrices of one realization, for diffing runs.
 
     Returns a mapping scheme label -> JSON-friendly dump (see
-    precoding.precoder_dump) at the given SNR point (default: the first
-    grid point).
+    precoding.precoder_dump) at the first SNR grid point.
     """
-    snr = float(snr_db) if snr_db is not None else float(config.snr_grid_db[0])
+    snr = float(config.snr_grid_db[0])
     _, built = realization_precoders(config, realization_index, snr)
     return {label: dict(prec.precoder_dump(pset), snr_db=snr, realization=realization_index)
             for label, (_, pset) in built.items()}

@@ -261,26 +261,21 @@ def _min_sums(values: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:
 
 
 def ergodic_sum_rate(mean_cr: np.ndarray, mean_pr: np.ndarray,
-                     cluster_of: np.ndarray) -> EsrResult | list[EsrResult]:
+                     cluster_of: np.ndarray) -> list[EsrResult]:
     """Aggregate per-realization averaged rates into ergodic quantities.
 
-    Row r of ``mean_cr``, ``mean_pr`` and ``cluster_of``, (R, K) each, is
-    one realization's per-user mean common and private rates and cluster
-    indices.  The private part is the plain per-user mean.  For the common
-    part the min-of-means estimator is used whenever all rows share one
-    partition; with per-realization partitions (redrawn geometry) it is
-    undefined and the mean of per-realization min-sums is reported as the
-    primary estimator instead.  Summations over realizations use
-    compensated summation, so results do not depend on scheduling.
-
-    A leading entry axis, (E, R, K) each, reduces E independent groups in
-    one call and returns one result per entry: the cluster minima and the
-    same-partition check run over every entry at once, and each entry's
-    compensated sums are the ones, in the same order, of its own call.
+    Entry e, row r of ``mean_cr``, ``mean_pr`` and ``cluster_of``, (E, R, K)
+    each, is one realization's per-user mean common and private rates and
+    cluster indices in the e-th of E independent groups; one result is
+    returned per entry.  The private part is the plain per-user mean.  For
+    the common part the min-of-means estimator is used whenever all of an
+    entry's rows share one partition; with per-realization partitions
+    (redrawn geometry) it is undefined and the mean of per-realization
+    min-sums is reported as the primary estimator instead.  Summations over
+    realizations use compensated summation, so results do not depend on
+    scheduling.  The cluster minima and the same-partition check run over
+    every entry at once; no entry's result depends on the others.
     """
-    single = mean_cr.ndim == 2
-    if single:
-        mean_cr, mean_pr, cluster_of = mean_cr[None], mean_pr[None], cluster_of[None]
     n_rec = mean_cr.shape[1]
     if n_rec == 0:
         raise ValueError("need at least one realization record")
@@ -310,4 +305,4 @@ def ergodic_sum_rate(mean_cr: np.ndarray, mean_pr: np.ndarray,
         results.append(EsrResult(esr=ecr + epr, ecr=ecr, epr=epr, stderr=stderr,
                                  ecr_mean_of_mins=ecr_mean_of_mins,
                                  ecr_min_of_means=ecr_min_of_means))
-    return results[0] if single else results
+    return results

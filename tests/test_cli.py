@@ -88,6 +88,8 @@ class TestCliDispatch:
         ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],
         ["schemes=CF-MF,CF-MF"], ["snr_grid_db=0,0"], ["seed=-1"], ["snr_grid_db=nan"],
         ["shadow_sigma_db=inf"], ["area_side_m=inf"],
+        # beyond 1000 dB the power budget or the split scores leave the float range
+        ["snr_grid_db=3000"], ["snr_grid_db=-1800"], ["snr_grid_db=4000"], ["snr_grid_db=-4000"],
     ], ids=",".join)
     def test_out_of_range_value_exit_code(self, capsys, pairs):
         # rejected before any run, not as a runtime error from the channel model
@@ -244,6 +246,13 @@ class TestCliDispatch:
 
     def test_sweep_rejects_bad_key(self, capsys):
         assert cli.main(["sweep", "--key", "nope", "--values", "1", *SMALL_ARGS]) == 1
+
+    @pytest.mark.parametrize("values", ["2,9", "2,x"])
+    def test_sweep_checks_every_value_before_running(self, capsys, values):
+        # a bad later value stops the sweep before its first value runs
+        assert cli.main(["sweep", "--key", "n_c", "--values", values, *SMALL_ARGS]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ")
 
     def test_dump_precoders(self, tmp_path, capsys):
         code = cli.main(["run", *SMALL_ARGS, "--out", str(tmp_path),

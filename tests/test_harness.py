@@ -275,6 +275,7 @@ class TestRunExperiment:
         code = ("import dataclasses, sys, rscf\n"
                 "rscf.config.resolve(None, [])\n"
                 "print(sorted(m for m in ('rscf.checks', 'rscf.cli') if m in sys.modules))\n"
+                "print(sorted(name for name in vars(rscf) if not name.startswith('_')))\n"
                 "print(sorted(value.__name__ for name, module in list(sys.modules.items())\n"
                 "             if name.split('.')[0] == 'rscf' for value in vars(module).values()\n"
                 "             if isinstance(value, type) and dataclasses.is_dataclass(value)\n"
@@ -282,8 +283,11 @@ class TestRunExperiment:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
                              check=True).stdout
+        # the package binds the run-path modules and run_experiment, nothing else
+        modules = ["channel", "clustering", "config", "harness", "power", "precoding", "rates"]
         assert out.splitlines() == [
-            "[]", "['ClusterPartition', 'ExperimentConfig', 'ProjectionBundle']"]
+            "[]", repr(sorted(modules + ["run_experiment"])),
+            "['ClusterPartition', 'ExperimentConfig', 'ProjectionBundle']"]
 
     def test_flat_split_objective_reports_no_common_rate(self):
         # perfect estimates with single-user clusters: every split fraction
@@ -329,9 +333,9 @@ class TestRunExperiment:
 
         def esr_of(config):
             _, rows = harness.run_experiment(config)
-            return rates.ergodic_sum_rate(np.array([r.mean_cr for r in rows]),
-                                          np.array([r.mean_pr for r in rows]),
-                                          np.array([r.cluster_of for r in rows]))
+            return rates.ergodic_sum_rate(np.array([[r.mean_cr for r in rows]]),
+                                          np.array([[r.mean_pr for r in rows]]),
+                                          np.array([[r.cluster_of for r in rows]]))[0]
 
         frozen = esr_of(dataclasses.replace(cfg, freeze_geometry=True))
         assert frozen.ecr_min_of_means is not None

@@ -126,9 +126,7 @@ class TestClosedForms:
     def test_kind_mismatch_rejected(self):
         inputs = random_instance(0, FIXTURE, kind=prec.LABEL_MF_SP)
         with pytest.raises(ValueError):
-            checks.sinr_closed_form(0, inputs, prec.LABEL_ZF_SP, "common")
-        with pytest.raises(ValueError):
-            checks.sinr_closed_form(0, inputs, prec.LABEL_MF_SP, "sideways")
+            checks.sinr_closed_form(0, inputs, "sideways")
         with pytest.raises(ValueError):
             checks.sinr_oracle(0, inputs, "sideways")
 
@@ -137,7 +135,10 @@ class TestClosedForms:
         stripped = checks.RateInputs(inputs.realization, inputs.g_bar, inputs.partition,
                                     inputs.precoders, None, inputs.power, inputs.sigma_w2)
         with pytest.raises(ValueError):
-            checks.sinr_closed_form(0, stripped, prec.LABEL_MF_SP, "common")
+            checks.sinr_closed_form(0, stripped, "common")
+        unknown = dataclasses.replace(inputs, precoders=inputs.precoders._replace(label="XX-SP"))
+        with pytest.raises(ValueError, match="no closed form for construction 'XX-SP'"):
+            checks.sinr_closed_form(0, unknown, "common")
 
 
 class TestClamping:
@@ -369,10 +370,10 @@ class TestErgodicSumRate:
         return cr, pr, cluster_of
 
     def esr(self, records):
-        # one stacked row per realization record
+        # one stacked row per realization record, in one entry
         cr, pr, cluster_of = zip(*records)
-        return rates.ergodic_sum_rate(np.array(cr, float), np.array(pr, float),
-                                      np.array(cluster_of, int))
+        return rates.ergodic_sum_rate(np.array([cr], float), np.array([pr], float),
+                                      np.array([cluster_of], int))[0]
 
     def test_single_record(self):
         rec = self.record([2.0, 1.0], [0.5, 0.25], [0, 0])
@@ -418,8 +419,8 @@ class TestErgodicSumRate:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            rates.ergodic_sum_rate(np.empty((0, 2)), np.empty((0, 2)),
-                                   np.empty((0, 2), int))
+            rates.ergodic_sum_rate(np.empty((1, 0, 2)), np.empty((1, 0, 2)),
+                                   np.empty((1, 0, 2), int))
 
 
 def reference_ergodic_sum_rate(records):
@@ -473,7 +474,7 @@ class TestErgodicReductionOracle:
         return cr, pr, np.broadcast_to(cluster_of, (n_rec, k)).copy()
 
     def check(self, cr, pr, cluster_of):
-        stacked = rates.ergodic_sum_rate(cr, pr, cluster_of)
+        stacked = rates.ergodic_sum_rate(cr[None], pr[None], cluster_of[None])[0]
         oracle = reference_ergodic_sum_rate(list(zip(cr, pr, cluster_of)))
         for field in rates.EsrResult._fields:
             assert getattr(stacked, field) == getattr(oracle, field), field
