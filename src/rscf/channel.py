@@ -13,7 +13,10 @@ holds entry by entry on every realization.
 
 The carrier, antenna heights and receiver noise are fixed:
 :data:`ATTENUATION_DB` (1900 MHz, 15 m AP, 1.65 m user) and
-:data:`NOISE_VARIANCE_W` (290 K, 20 MHz, 9 dB noise figure).
+:data:`NOISE_VARIANCE_W` (290 K, 20 MHz, 9 dB noise figure).  No function
+takes them as an argument: the path loss and the power budget here, and
+the MMSE regularisers, the SINR noise terms and the checks elsewhere, read
+the module attribute where the model uses it.
 """
 from __future__ import annotations
 
@@ -22,7 +25,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-BOLTZMANN_J_PER_K = 1.381e-23
+# Constants, not config keys: every power budget is solved for a target SNR from the
+# gains' total and the noise (pt_for_snr), so a common factor on every gain or on the
+# noise cancels from each SINR, MMSE regulariser, clustering rule and split score.
+# Hata-style attenuation at 1900 MHz, 15 m AP and 1.65 m user height
+ATTENUATION_DB = (46.3 + 33.9 * math.log10(1900.0) - 13.82 * math.log10(15.0)
+                  - (1.1 * math.log10(1900.0) - 0.7) * 1.65 + (1.56 * math.log10(1900.0) - 0.8))
+# thermal noise T0 k_B B NF at 290 K, 20 MHz and a 9 dB noise figure, in Watts
+NOISE_VARIANCE_W = 290.0 * 1.381e-23 * 20e6 * 10.0 ** (9.0 / 10.0)
 
 
 class NetworkGeometry(NamedTuple):
@@ -79,16 +89,7 @@ def place_network(m: int, k: int, area_side: float, rng: np.random.Generator) ->
     return NetworkGeometry(ap, ue, float(area_side))
 
 
-def attenuation_constant(freq_mhz: float, h_ap: float, h_u: float) -> float:
-    """Fixed attenuation (dB) of the three-slope path-loss model (Hata-style)."""
-    if freq_mhz <= 0 or h_ap <= 0 or h_u < 0:
-        raise ValueError("frequency and AP height must be positive, user height non-negative")
-    lf = math.log10(freq_mhz)
-    return (46.3 + 33.9 * lf - 13.82 * math.log10(h_ap)
-            - (1.1 * lf - 0.7) * h_u + (1.56 * lf - 0.8))
-
-
-def path_loss(d, attenuation_db: float, d0: float = 10.0, d1: float = 50.0):
+def path_loss(d, d0: float = 10.0, d1: float = 50.0):
     """Three-slope path loss in dB (continuous at both breakpoints).
 
     35 dB/decade beyond ``d1``, 20 dB/decade between ``d0`` and ``d1``,
@@ -99,16 +100,16 @@ def path_loss(d, attenuation_db: float, d0: float = 10.0, d1: float = 50.0):
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be non-negative")
-    near = -attenuation_db - 15.0 * np.log10(d1) - 20.0 * math.log10(d0)
-    mid = -attenuation_db - 15.0 * np.log10(d1) - 20.0 * np.log10(np.maximum(d, d0))
-    far = -attenuation_db - 35.0 * np.log10(np.maximum(d, d0))
+    near = -ATTENUATION_DB - 15.0 * np.log10(d1) - 20.0 * math.log10(d0)
+    mid = -ATTENUATION_DB - 15.0 * np.log10(d1) - 20.0 * np.log10(np.maximum(d, d0))
+    far = -ATTENUATION_DB - 35.0 * np.log10(np.maximum(d, d0))
     out = np.where(d > d1, far, np.where(d > d0, mid, near))
     return float(out) if out.ndim == 0 else out
 
 
-def large_scale(geometry: NetworkGeometry, attenuation_db: float, sigma_shadow_db: float,
-                shadow: np.ndarray, d0: float = 10.0, d1: float = 50.0) -> np.ndarray:
-    """Path loss on the fixed ``attenuation_db`` plus log-normal shadowing, as (M, K) linear gains.
+def large_scale(geometry: NetworkGeometry, sigma_shadow_db: float, shadow: np.ndarray,
+                d0: float = 10.0, d1: float = 50.0) -> np.ndarray:
+    """Path loss on :data:`ATTENUATION_DB` plus log-normal shadowing, as (M, K) linear gains.
 
     ``shadow`` holds the standard normals the shadowing scales: (M, K)
     shadows each AP-user link independently, and (1, K), one value per user
@@ -116,7 +117,7 @@ def large_scale(geometry: NetworkGeometry, attenuation_db: float, sigma_shadow_d
     """
     if sigma_shadow_db < 0:
         raise ValueError("shadowing standard deviation must be non-negative")
-    pl_db = path_loss(geometry.distances(), attenuation_db, d0, d1)
+    pl_db = path_loss(geometry.distances(), d0, d1)
     return 10.0 ** ((pl_db + sigma_shadow_db * shadow) / 10.0)
 
 
@@ -159,29 +160,8 @@ def draw_error_matrices(zeta: np.ndarray, sigma_e: float, n: int,
     return h
 
 
-def noise_variance(t0_kelvin: float, bandwidth_hz: float, noise_figure_db: float) -> float:
-    """Thermal noise power T0 * k_B * B * NF in Watts."""
-    if t0_kelvin <= 0 or bandwidth_hz <= 0:
-        raise ValueError("temperature and bandwidth must be positive")
-    return t0_kelvin * BOLTZMANN_J_PER_K * bandwidth_hz * 10.0 ** (noise_figure_db / 10.0)
-
-
-# Constants, not config keys: every power budget is solved for a target SNR from the
-# gains' total and the noise (pt_for_snr), so a common factor on every gain or on the
-# noise cancels from each SINR, MMSE regulariser, clustering rule and split score.
-ATTENUATION_DB = attenuation_constant(1900.0, 15.0, 1.65)
-NOISE_VARIANCE_W = noise_variance(290.0, 20e6, 9.0)
-
-
-def snr_db(g_true: np.ndarray, pt: float, sigma_w2: float) -> float:
-    """Transmit SNR: Pt * ||G||_F^2 / (M K sigma_w^2), in dB."""
+def pt_for_snr(g_true: np.ndarray, target_snr_db: float) -> float:
+    """Power budget hitting a target transmit SNR Pt * ||G||_F^2 / (M K sigma_w^2), in dB."""
     m, k = g_true.shape
     gain = float(np.sum(np.abs(g_true) ** 2))
-    return 10.0 * math.log10(pt * gain / (m * k * sigma_w2))
-
-
-def pt_for_snr(g_true: np.ndarray, target_snr_db: float, sigma_w2: float) -> float:
-    """Inverse of :func:`snr_db`: power budget hitting a target SNR."""
-    m, k = g_true.shape
-    gain = float(np.sum(np.abs(g_true) ** 2))
-    return 10.0 ** (target_snr_db / 10.0) * m * k * sigma_w2 / gain
+    return 10.0 ** (target_snr_db / 10.0) * m * k * NOISE_VARIANCE_W / gain

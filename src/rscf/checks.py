@@ -49,7 +49,6 @@ class RateInputs:
     precoders: PrecoderSet
     svd_cache: SvdCache | None
     power: pw.PowerAllocation
-    sigma_w2: float
 
 
 def _clamped_ratio(num: float, den: float) -> float:
@@ -100,7 +99,7 @@ def sinr_oracle(k: int, inputs: RateInputs, stream: str) -> float:
     other = float(powers_c.sum() - powers_c[i] + powers_p.sum())
     if stream == "private":
         other -= own
-    den = d_term + other / eps2 + inputs.sigma_w2 / eps2
+    den = d_term + other / eps2 + chan.NOISE_VARIANCE_W / eps2
     return _clamped_ratio(own / eps2 - d_term, den)
 
 
@@ -148,7 +147,7 @@ def sinr_closed_form(k: int, inputs: RateInputs, stream: str) -> float:
     eps = real.epsilon
     a_c = np.asarray(inputs.power.a_c, dtype=float)
     a_p = np.asarray(inputs.power.a_p, dtype=float)
-    noise = inputs.sigma_w2 / eps ** 2
+    noise = chan.NOISE_VARIANCE_W / eps ** 2
 
     pc = ps.common
     if pc.shape[1] and a_c.size:
@@ -194,8 +193,7 @@ def draw_sinrs(inputs: RateInputs) -> tuple[np.ndarray, np.ndarray]:
     real = inputs.realization
     bundle = rates.project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
                                      inputs.partition)
-    sinr_c, sinr_p = rates._sinrs(bundle, inputs.power.a_c, inputs.power.a_p,
-                                  inputs.sigma_w2, real.epsilon)
+    sinr_c, sinr_p = rates._sinrs(bundle, inputs.power.a_c, inputs.power.a_p, real.epsilon)
     return np.zeros(sinr_p.shape[1:]) if sinr_c is None else sinr_c[0], sinr_p[0]
 
 
@@ -228,30 +226,29 @@ class VerifyReport:
 
 
 def random_instance(seed: int, config: ExperimentConfig, kind: str = prec.LABEL_MMSE_SP,
-                    delta: float = 0.3, snr_db: float = 15.0) -> RateInputs:
+                    delta: float = 0.3) -> RateInputs:
     """A fully built evaluation instance on a random seeded network of ``config``.
 
     Draws geometry, fading and a channel from one generator; partitions per
     the configured selection and clustering; builds the requested private
     construction plus the common SVD beams; splits power with the given
-    common fraction.  Seeds that land on a degenerate draw are re-derived
-    (bounded retries).
+    common fraction, at the power budget of a 15 dB SNR.  Seeds that land on a
+    degenerate draw are re-derived (bounded retries).
     """
-    sigma_w2 = chan.NOISE_VARIANCE_W
     for attempt in range(20):
         rng = seeded_rng(seed, attempt, 100)
         realization, = _draw_scene(config, rng, rng, rng)
         partition = cluster_partition_for(config, realization.zeta)
         g_bar = clus.sparse_channel(realization.g_hat, partition)
-        pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
+        pt = chan.pt_for_snr(realization.g_true, 15.0)
         try:
             common, cache = prec.common_precoder(g_bar, partition)
-            pset = _build_private(kind, g_bar, partition, pt, sigma_w2)
+            pset = _build_private(kind, g_bar, partition, pt)
         except prec.DegenerateChannelError:
             continue
         pset = pset._replace(common=common)
         alloc = pw.equal_split(pt, delta, partition.n_clusters, config.k)
-        return RateInputs(realization, g_bar, partition, pset, cache, alloc, sigma_w2)
+        return RateInputs(realization, g_bar, partition, pset, cache, alloc)
     raise RuntimeError(f"could not build a non-degenerate instance from seed {seed}")
 
 
@@ -313,7 +310,7 @@ def _budget_residuals(instances) -> tuple[float, float, float]:
         total = float(np.sum(alloc.a_c ** 2 * np.sum(np.abs(ps.common) ** 2, axis=0))
                       + np.sum(alloc.a_p ** 2 * np.sum(np.abs(ps.private) ** 2, axis=0)))
         cov = max(cov, abs(total - alloc.pt) / alloc.pt)
-        raw = prec.construct(ps.label, inputs.g_bar, inputs.partition, alloc.pt, inputs.sigma_w2)
+        raw = prec.construct(ps.label, inputs.g_bar, inputs.partition, alloc.pt)
         trace = max(trace, abs(float(np.sum(np.abs(raw.private) ** 2)) - alloc.pt) / alloc.pt)
     return budget, cov, trace
 
@@ -374,11 +371,10 @@ def verify(config: ExperimentConfig | None = None,
                                   float(tol), detail))
 
     # three-slope continuity at both breakpoints
-    att = chan.ATTENUATION_DB
     res = 0.0
     for d in (config.d0_m, config.d1_m):
-        below = chan.path_loss(np.nextafter(d, 0.0), att, config.d0_m, config.d1_m)
-        above = chan.path_loss(np.nextafter(d, np.inf), att, config.d0_m, config.d1_m)
+        below = chan.path_loss(np.nextafter(d, 0.0), config.d0_m, config.d1_m)
+        above = chan.path_loss(np.nextafter(d, np.inf), config.d0_m, config.d1_m)
         res = max(res, abs(float(below) - float(above)))
     add("path-loss continuity", res, 1e-9)
 

@@ -4,8 +4,8 @@ Subcommands: ``run`` (one experiment), ``sweep`` (vary one config key over
 a list), ``verify`` (consistency suite) and ``cluster-report`` (JSON dump
 of one realization's clustering: the partition of the attempt the run
 keeps, after redraws and with ``freeze_geometry`` applied).  Exit codes:
-0 success, 1 configuration error, 2 verification failure, 3 runtime
-failure.
+0 success, 1 configuration error (a malformed command line among them),
+2 verification failure, 3 runtime failure.
 """
 from __future__ import annotations
 
@@ -20,19 +20,29 @@ from . import config as cfg
 from . import harness
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a malformed command line is a configuration error; exit 2 marks a failed verification
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rscf",
         description="Clustered cell-free MU-MIMO downlink simulator with rate splitting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out=True, workers=True):
+        # each subcommand is offered only the flags it reads
         p.add_argument("--config", metavar="PATH", help="flat key=value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config key (repeatable)")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--out", metavar="DIR", help="directory for CSV/JSONL outputs")
-        p.add_argument("--workers", type=int, help="parallel realization workers")
+        if out:
+            p.add_argument("--out", metavar="DIR", help="directory for the output files")
+        if workers:
+            p.add_argument("--workers", type=int, help="parallel realization workers")
         p.add_argument("--print-config", action="store_true",
                        help="echo the fully resolved config and exit")
 
@@ -48,10 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated values for the swept key")
 
     ver = sub.add_parser("verify", help="run the verification suite")
-    common(ver)
+    common(ver, out=False)
 
     rep = sub.add_parser("cluster-report", help="print one realization's clustering as JSON")
-    common(rep)
+    common(rep, workers=False)
     rep.add_argument("--realization", type=int, default=0,
                      help="realization index to report (default 0)")
     return parser
@@ -114,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = cfg.resolve(args.config, args.overrides, seed=args.seed,
-                             workers=args.workers)
+                             workers=getattr(args, "workers", None))
     except cfg.ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1

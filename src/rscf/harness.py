@@ -202,8 +202,8 @@ def _draw_scene(config: ExperimentConfig, geometry_rng: np.random.Generator,
     scenes = [(geometry, shadow)]
     if co_located:
         scenes.append((geometry.co_located(), shadow[:1]))
-    return [chan.draw_channel(chan.large_scale(geo, chan.ATTENUATION_DB, config.shadow_sigma_db,
-                                               normals, d0=config.d0_m, d1=config.d1_m),
+    return [chan.draw_channel(chan.large_scale(geo, config.shadow_sigma_db, normals,
+                                               d0=config.d0_m, d1=config.d1_m),
                               math.sqrt(config.sigma_e2), *fading)
             for geo, normals in scenes]
 
@@ -239,15 +239,13 @@ _ONE_BUDGET = frozenset({prec.LABEL_MF_SP, prec.LABEL_ZF_SP, prec.LABEL_RU_ZF_RD
 
 
 def _build_private(construction: str, g_bar: np.ndarray,
-                   partition: clus.ClusterPartition, pt: float | np.ndarray,
-                   sigma_w2: float) -> prec.PrecoderSet:
+                   partition: clus.ClusterPartition, pt: float | np.ndarray) -> prec.PrecoderSet:
     # transmit composition: unit-norm columns, amplitudes carry the power
-    return prec.normalize_private_columns(
-        prec.construct(construction, g_bar, partition, pt, sigma_w2))
+    return prec.normalize_private_columns(prec.construct(construction, g_bar, partition, pt))
 
 
-def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
-                       sides: dict[bool, SideData], pt: float | np.ndarray):
+def _attempt_precoders(specs: list[SchemeSpec], sides: dict[bool, SideData],
+                       pt: float | np.ndarray):
     """Phase 1 of an attempt: each private set and common beam it needs, built once.
 
     ``pt`` is one power budget or the array of the SNR grid's; a
@@ -262,7 +260,7 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
     """
     sets = dict.fromkeys((spec.bs, spec.dense, spec.construction) for spec in specs)
     privates, commons = {}, {}
-    first_pt, sigma_w2 = np.ravel(pt)[0], chan.NOISE_VARIANCE_W
+    first_pt = np.ravel(pt)[0]
     try:
         for construction in dict.fromkeys(key[2] for key in sets):
             keys = [key for key in sets if key[2] == construction]
@@ -270,7 +268,7 @@ def _attempt_precoders(config: ExperimentConfig, specs: list[SchemeSpec],
             stacked = len(keys) > 1
             pset = _build_private(construction, np.stack(g_bars) if stacked else g_bars[0],
                                   partitions if stacked else partitions[0],
-                                  first_pt if construction in _ONE_BUDGET else pt, sigma_w2)
+                                  first_pt if construction in _ONE_BUDGET else pt)
             privates.update((key, pset.channel(c) if stacked else pset)
                             for c, key in enumerate(keys))
         for bs, dense in dict.fromkeys((spec.bs, spec.dense) for spec in specs if spec.rs):
@@ -389,13 +387,13 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
         tuple(config.schemes), len(config.snr_grid_db),
         max(1, _CHUNK_BYTES // (16 * config.n_err * config.k ** 2)))
     sides = _scheme_sides(config, specs, index, attempt)
-    sigma_e, sigma_w2 = math.sqrt(config.sigma_e2), chan.NOISE_VARIANCE_W
+    sigma_e = math.sqrt(config.sigma_e2)
     search = {"mu": config.power_grid_step, "mode": config.power_mode}
     # one power budget per SNR point, solved on the distributed geometry and shared
     # by every scheme for a fair comparison
     g_true = sides[False].realization.g_true
-    pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in config.snr_grid_db])
-    privates, commons = _attempt_precoders(config, specs, sides, pts)
+    pts = np.array([chan.pt_for_snr(g_true, snr) for snr in config.snr_grid_db])
+    privates, commons = _attempt_precoders(specs, sides, pts)
     users = np.arange(config.k)
     # the block's columns, one entry per (point, scheme), filled from the kernel's stacks
     n_entries = len(pts) * len(specs)
@@ -426,12 +424,12 @@ def _realization_attempt(config: ExperimentConfig, index: int, attempt: int) -> 
                 if group.rs:
                     # one view per slice, dropped after its searches: its terms serve each point
                     alloc = pw.stack([
-                        pw.allocate_common(view, sigma_e, sigma_w2, pts[s], **search)[0]
+                        pw.allocate_common(view, sigma_e, pts[s], **search)[0]
                         for t, points in group.searches for view in [bundle.at(t)]
                         for s in points])
                 else:
                     alloc = pw.no_split(pts[group.points], config.k)
-                asr = rates.asr_from_bundle(bundle.at(group.pick), alloc, sigma_w2, sigma_e)
+                asr = rates.asr_from_bundle(bundle.at(group.pick), alloc, sigma_e)
                 at = group.entries
                 s_a[at], delta[at] = asr.s_a, alloc.delta
                 mean_cr[at], mean_pr[at] = asr.mean_cr, asr.mean_pr
@@ -461,8 +459,8 @@ def realization_precoders(config: ExperimentConfig, index: int, snr_db: float) -
 
     def attempt_fn(attempt):
         sides = _scheme_sides(config, specs, index, attempt)
-        pt = chan.pt_for_snr(sides[False].realization.g_true, snr_db, chan.NOISE_VARIANCE_W)
-        privates, commons = _attempt_precoders(config, specs, sides, pt)
+        pt = chan.pt_for_snr(sides[False].realization.g_true, snr_db)
+        privates, commons = _attempt_precoders(specs, sides, pt)
         built = {}
         for spec in specs:
             pset = privates[spec.bs, spec.dense, spec.construction]

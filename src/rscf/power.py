@@ -96,7 +96,7 @@ def _exhaustive_candidates(mu: float, n_c: int) -> tuple[np.ndarray, np.ndarray]
     return totals, fractions
 
 
-def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float, sigma_w2: float, pt: float,
+def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float, pt: float,
                     *, mu: float, mode: str = "equal_split") -> tuple[PowerAllocation, int]:
     """Grid search for the common-power fraction maximising the average sum rate.
 
@@ -125,8 +125,7 @@ def allocate_common(bundle: rates.ProjectionBundle, sigma_e: float, sigma_w2: fl
         totals = np.array(delta_grid(mu))
         a_c = np.sqrt(totals * pt / n_c)[:, None].repeat(n_c, axis=1)
 
-    scores = rates.split_grid_scores(bundle, a_c, np.sqrt((1.0 - totals) * pt / k), sigma_w2,
-                                     sigma_e)
+    scores = rates.split_grid_scores(bundle, a_c, np.sqrt((1.0 - totals) * pt / k), sigma_e)
     top = scores.max()
     tied = np.flatnonzero(scores >= top - _NEAR_TIE * abs(top))
     g = tied[0]

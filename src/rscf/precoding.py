@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import channel as chan
 from .clustering import ClusterPartition
 
 COND_LIMIT = 1e12
@@ -209,17 +210,18 @@ def zf_sp(g_bar: np.ndarray, pt: float | np.ndarray) -> PrecoderSet:
                        beta=beta, lam=lam, col_scale=np.repeat(beta[..., None], k, axis=-1))
 
 
-def mmse_sp(g_bar: np.ndarray, pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
+def mmse_sp(g_bar: np.ndarray, pt: float | np.ndarray) -> PrecoderSet:
     """Regularised inverse on the sparse channel, trace-normalised to Pt.
 
-    Regulariser K * sigma_w^2 / Pt with K the total user count.
+    Regulariser K * sigma_w^2 / Pt with K the total user count and sigma_w^2
+    :data:`rscf.channel.NOISE_VARIANCE_W`.
     """
     pt = np.asarray(pt, dtype=float)
     if np.any(pt <= 0):
         raise ValueError(f"power budget must be positive, got {pt}")
     m, k = g_bar.shape[-2:]
     gram = (_snr_axis(np.swapaxes(g_bar, -1, -2) @ g_bar.conj(), pt)
-            + (k * sigma_w2 / pt[..., None, None]) * np.eye(k))
+            + (k * chan.NOISE_VARIANCE_W / pt[..., None, None]) * np.eye(k))
     lam = np.linalg.inv(gram)
     beta, private = _trace_scaled(_snr_axis(g_bar.conj(), pt) @ lam, pt)
     return PrecoderSet(LABEL_MMSE_SP, _empty_common(m), private,
@@ -248,7 +250,7 @@ def ru_zf_rd(g_bar: np.ndarray, partition: ClusterPartition) -> PrecoderSet:
 
 
 def ru_mmse_rd(g_bar: np.ndarray, partition: ClusterPartition,
-               pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
+               pt: float | np.ndarray) -> PrecoderSet:
     """Per-cluster regularised inverses with per-cluster power scaling.
 
     Cluster i inverts a |K_i| x |K_i| matrix regularised by
@@ -265,7 +267,8 @@ def ru_mmse_rd(g_bar: np.ndarray, partition: ClusterPartition,
     betas = np.zeros(pt.shape + (partition.n_clusters,))
     blocks = list(_cluster_blocks(g_bar, partition))
     grams = [block.T @ block.conj()
-             + (k_total * len(users) * sigma_w2 / pt[..., None, None]) * np.eye(len(users))
+             + (k_total * len(users) * chan.NOISE_VARIANCE_W / pt[..., None, None])
+             * np.eye(len(users))
              for _, users, _, block in blocks]
     lams = _by_size(np.linalg.inv, grams)
     for i, ((_, users, at, block), lam_i) in enumerate(zip(blocks, lams)):
@@ -277,21 +280,20 @@ def ru_mmse_rd(g_bar: np.ndarray, partition: ClusterPartition,
                        beta=betas, lam=lam, col_scale=col_scale)
 
 
-# construction label -> builder(g_bar, partition, pt, sigma_w2).  The
+# construction label -> builder(g_bar, partition, pt).  The
 # entries look the construction functions up when called, so a wrapper set
 # on a module attribute (bench/tracing.py does this) sees every build.
 CONSTRUCTIONS = {
-    LABEL_MF_SP: lambda g_bar, partition, pt, sigma_w2: mf_sp(g_bar),
-    LABEL_ZF_SP: lambda g_bar, partition, pt, sigma_w2: zf_sp(g_bar, pt),
-    LABEL_MMSE_SP: lambda g_bar, partition, pt, sigma_w2: mmse_sp(g_bar, pt, sigma_w2),
-    LABEL_RU_ZF_RD: lambda g_bar, partition, pt, sigma_w2: ru_zf_rd(g_bar, partition),
-    LABEL_RU_MMSE_RD: lambda g_bar, partition, pt, sigma_w2: ru_mmse_rd(
-        g_bar, partition, pt, sigma_w2),
+    LABEL_MF_SP: lambda g_bar, partition, pt: mf_sp(g_bar),
+    LABEL_ZF_SP: lambda g_bar, partition, pt: zf_sp(g_bar, pt),
+    LABEL_MMSE_SP: lambda g_bar, partition, pt: mmse_sp(g_bar, pt),
+    LABEL_RU_ZF_RD: lambda g_bar, partition, pt: ru_zf_rd(g_bar, partition),
+    LABEL_RU_MMSE_RD: lambda g_bar, partition, pt: ru_mmse_rd(g_bar, partition, pt),
 }
 
 
 def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
-              pt: float | np.ndarray, sigma_w2: float) -> PrecoderSet:
+              pt: float | np.ndarray) -> PrecoderSet:
     """Raw private precoder set of the construction named ``label``.
 
     ``g_bar`` is ``sparse_channel(g_hat, partition)``; a dense (unmasked)
@@ -310,7 +312,7 @@ def construct(label: str, g_bar: np.ndarray, partition: ClusterPartition,
         for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
             if users and not aps:
                 raise EmptyClusterError(f"cluster {i} lost every AP in conflict resolution", c)
-    return CONSTRUCTIONS[label](g_bar, partition, pt, sigma_w2)
+    return CONSTRUCTIONS[label](g_bar, partition, pt)
 
 
 def precoder_dump(pset: PrecoderSet) -> dict:

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
+from . import channel as chan
 from .clustering import ClusterPartition
 from .precoding import PrecoderSet
 
@@ -148,7 +149,7 @@ def _clamped_sinrs(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.where(ok, np.maximum(num[..., None, :], 0.0) / np.where(ok, den, 1.0), 0.0)
 
 
-def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2: float,
+def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray,
            eps: float) -> tuple[np.ndarray | None, np.ndarray]:
     # per-draw per-user common and private SINRs, (..., n, K) each, the common ones None
     # without a common stream; a leading SNR axis on the amplitudes, the bundle or both
@@ -156,7 +157,7 @@ def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2:
     c, p, i_of = bundle.common, bundle.private, bundle.partition.cluster_of
     ac2 = np.asarray(a_c, dtype=float) ** 2
     ap2 = np.asarray(a_p, dtype=float) ** 2
-    noise = sigma_w2 / eps ** 2
+    noise = chan.NOISE_VARIANCE_W / eps ** 2
 
     pint_all = np.einsum("...r,...nkr->...nk", ap2, p.e2)
     pint_excl = pint_all - ap2[..., None, :] * p.own_e2
@@ -173,11 +174,11 @@ def _sinrs(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray, sigma_w2:
     return sinr_c, _clamped_sinrs(ap2 * p.hat_own2, den_p)
 
 
-def asr_from_bundle(bundle: ProjectionBundle, power: "PowerAllocation", sigma_w2: float,
+def asr_from_bundle(bundle: ProjectionBundle, power: "PowerAllocation",
                     sigma_e: float) -> AsrResult:
     partition = bundle.partition
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-    sinr_c, sinr_p = _sinrs(bundle, power.a_c, power.a_p, sigma_w2, eps)
+    sinr_c, sinr_p = _sinrs(bundle, power.a_c, power.a_p, eps)
     # a large stack can come back in a non-C order, and the mean over draws then
     # sums in another order; C order makes a stacked point equal its own call
     mean_pr = np.ascontiguousarray(np.log2(1.0 + sinr_p)).mean(axis=-2)
@@ -193,7 +194,7 @@ def asr_from_bundle(bundle: ProjectionBundle, power: "PowerAllocation", sigma_w2
 
 
 def split_grid_scores(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray,
-                      sigma_w2: float, sigma_e: float) -> np.ndarray:
+                      sigma_e: float) -> np.ndarray:
     """Average sum rate of G split candidates at once, shape (G,), for ranking.
 
     ``a_c`` is (G, N_c) and ``a_p`` (G,): private amplitudes are uniform
@@ -217,7 +218,7 @@ def split_grid_scores(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray
     weights[:, :g, 1:-3] = weights[:, g:, 1:-3] = ac2
     weights[np.arange(k_total), :, 1 + i_of] = 0.0
     weights[:, :g, -3] = weights[:, g:, -2] = ap2
-    weights[:, :, -1] = sigma_w2 * (1.0 - sigma_e ** 2)  # the kernel's sigma_w2 / eps^2
+    weights[:, :, -1] = chan.NOISE_VARIANCE_W * (1.0 - sigma_e ** 2)  # the kernel's noise / eps^2
     num = np.concatenate([own_ac2 * bundle.common.hat_own2[:, None],
                           ap2 * bundle.private.hat_own2[:, None]], axis=1)
     sinr = weights @ terms                               # (K, 2G, n) denominators
@@ -235,7 +236,7 @@ def split_grid_scores(bundle: ProjectionBundle, a_c: np.ndarray, a_p: np.ndarray
 
 def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
                      partition: ClusterPartition, precoders: PrecoderSet,
-                     power: "PowerAllocation", sigma_w2: float) -> AsrResult:
+                     power: "PowerAllocation") -> AsrResult:
     """Average sum rate over the estimation-error draws ``err``, shape (n, M, K).
 
     The channel estimate is held fixed; each draw is one error matrix
@@ -244,7 +245,7 @@ def average_sum_rate(g_hat: np.ndarray, err: np.ndarray, sigma_e: float,
     if err.shape[0] < 1:
         raise ValueError(f"need at least one error draw, got {err.shape[0]}")
     bundle = project_precoders(g_hat, err, precoders, partition)
-    return asr_from_bundle(bundle, power, sigma_w2, sigma_e)
+    return asr_from_bundle(bundle, power, sigma_e)
 
 
 def _min_sums(values: np.ndarray, cluster_of: np.ndarray) -> np.ndarray:

@@ -154,7 +154,7 @@ def test_criterion_09_counted_from_the_constructions(monkeypatch):
                 patch.setattr(np.linalg, "inv", counted_inv)
                 prec.common_precoder(inputs.g_bar, inputs.partition)
                 prec.construct(prec.LABEL_RU_MMSE_RD, inputs.g_bar, inputs.partition,
-                               inputs.power.pt, inputs.sigma_w2)
+                               inputs.power.pt)
             assert len(costs) == 2 * inputs.partition.n_clusters
             total += sum(costs) / m
         per_ap.append(total / 5)

@@ -44,54 +44,46 @@ class TestPlacement:
 class TestAttenuation:
     # frozen from independent arithmetic on the attenuation formula
     def test_reference_parameters(self):
-        assert chan.attenuation_constant(1900.0, 15.0, 1.65) == pytest.approx(
-            140.71508370390842, rel=1e-12)
-
-    def test_constant_terms_only(self):
-        # all log terms vanish at f=1 MHz, h_ap=1 m, h_u=0
-        assert chan.attenuation_constant(1.0, 1.0, 0.0) == pytest.approx(45.5, abs=1e-12)
-
-    def test_without_user_height_term(self):
-        assert chan.attenuation_constant(1900.0, 15.0, 0.0) == pytest.approx(
-            145.5110214896378, rel=1e-12)
+        assert chan.ATTENUATION_DB == pytest.approx(140.71508370390842, rel=1e-12)
+        assert chan.ATTENUATION_DB.hex() == "0x1.196e1f738460ep+7"
 
 
 class TestPathLoss:
+    @pytest.fixture(autouse=True)
+    def attenuation(self, monkeypatch):
+        monkeypatch.setattr(chan, "ATTENUATION_DB", 140.72)
+
     def test_far_branch(self):
-        assert chan.path_loss(100.0, 140.72, 10.0, 50.0) == pytest.approx(-210.72, abs=1e-9)
+        assert chan.path_loss(100.0, 10.0, 50.0) == pytest.approx(-210.72, abs=1e-9)
 
     def test_boundary_branch(self):
         expected = -140.72 - 15.0 * math.log10(50.0) - 20.0
-        assert chan.path_loss(10.0, 140.72, 10.0, 50.0) == pytest.approx(expected, abs=1e-9)
+        assert chan.path_loss(10.0, 10.0, 50.0) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(-186.20455006504028, abs=1e-9)
 
     def test_continuity_at_breakpoints(self):
         for d in (10.0, 50.0):
-            below = chan.path_loss(np.nextafter(d, 0.0), 140.72, 10.0, 50.0)
-            above = chan.path_loss(np.nextafter(d, np.inf), 140.72, 10.0, 50.0)
+            below = chan.path_loss(np.nextafter(d, 0.0), 10.0, 50.0)
+            above = chan.path_loss(np.nextafter(d, np.inf), 10.0, 50.0)
             assert abs(below - above) < 1e-9
 
     def test_constant_below_d0(self):
-        assert chan.path_loss(0.0, 140.72, 10.0, 50.0) == chan.path_loss(10.0, 140.72, 10.0, 50.0)
+        assert chan.path_loss(0.0, 10.0, 50.0) == chan.path_loss(10.0, 10.0, 50.0)
 
     def test_rejects_bad_breakpoints(self):
         with pytest.raises(ValueError):
-            chan.path_loss(10.0, 140.72, 50.0, 10.0)
-
-
-# the attenuation of the reference carrier and antenna heights
-ATT = chan.attenuation_constant(1900.0, 15.0, 1.65)
+            chan.path_loss(10.0, 50.0, 10.0)
 
 
 def path_loss_db(geo):
-    return chan.path_loss(geo.distances(), ATT)
+    return chan.path_loss(geo.distances())
 
 
 class TestLargeScale:
     def test_decomposition_identity(self):
         # replay the shadowing draw: zeta = 10^((path loss + 8 dB * N(0, 1)) / 10)
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, ATT, 8.0, rng(4).standard_normal((8, 4)))
+        zeta = chan.large_scale(geo, 8.0, rng(4).standard_normal((8, 4)))
         shadow = 8.0 * rng(4).standard_normal(size=(8, 4))
         np.testing.assert_allclose(zeta, 10.0 ** ((path_loss_db(geo) + shadow) / 10.0),
                                    rtol=1e-12)
@@ -99,13 +91,13 @@ class TestLargeScale:
 
     def test_no_shadowing(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        zeta = chan.large_scale(geo, ATT, 0.0, rng(4).standard_normal((8, 4)))
+        zeta = chan.large_scale(geo, 0.0, rng(4).standard_normal((8, 4)))
         np.testing.assert_allclose(zeta, 10.0 ** (path_loss_db(geo) / 10.0), rtol=1e-12)
 
     def test_reproducible(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3))
-        a = chan.large_scale(geo, ATT, 8.0, rng(11).standard_normal((8, 4)))
-        b = chan.large_scale(geo, ATT, 8.0, rng(11).standard_normal((8, 4)))
+        a = chan.large_scale(geo, 8.0, rng(11).standard_normal((8, 4)))
+        b = chan.large_scale(geo, 8.0, rng(11).standard_normal((8, 4)))
         assert np.array_equal(a, b)
 
     def test_all_near_branch_constant(self):
@@ -113,12 +105,12 @@ class TestLargeScale:
         ap = np.full((3, 2), 5.0)
         ue = np.full((2, 2), 6.0)
         geo = chan.NetworkGeometry(ap, ue, 20.0)
-        zeta = chan.large_scale(geo, ATT, 0.0, rng(0).standard_normal((3, 2)))
+        zeta = chan.large_scale(geo, 0.0, rng(0).standard_normal((3, 2)))
         assert np.allclose(zeta, zeta[0, 0])
 
     def test_per_user_shadow_shared_across_antennas(self):
         geo = chan.place_network(8, 4, 1000.0, rng(3)).co_located()
-        zeta = chan.large_scale(geo, ATT, 8.0, rng(4).standard_normal((1, 4)))
+        zeta = chan.large_scale(geo, 8.0, rng(4).standard_normal((1, 4)))
         shadow_db = 10.0 * np.log10(zeta) - path_loss_db(geo)
         assert np.allclose(shadow_db, shadow_db[0][None, :])
         assert np.ptp(shadow_db[0]) > 1.0  # users shadow independently
@@ -127,7 +119,7 @@ class TestLargeScale:
 class TestChannelDraw:
     def test_perfect_estimate(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, ATT, 8.0, rng(6).standard_normal((8, 4)))
+        ls = chan.large_scale(geo, 8.0, rng(6).standard_normal((8, 4)))
         real = chan.draw_channel(ls, 0.0, *fading(rng(7), ls.shape))
         assert np.array_equal(real.g_hat, real.g_true)
         assert np.all(real.g_err == 0)
@@ -135,7 +127,7 @@ class TestChannelDraw:
 
     def test_reconstruction_identity(self):
         geo = chan.place_network(8, 4, 1000.0, rng(5))
-        ls = chan.large_scale(geo, ATT, 8.0, rng(6).standard_normal((8, 4)))
+        ls = chan.large_scale(geo, 8.0, rng(6).standard_normal((8, 4)))
         sigma_e = math.sqrt(0.025)
         real = chan.draw_channel(ls, sigma_e, *fading(rng(7), ls.shape))
         lhs = real.g_hat
@@ -194,26 +186,25 @@ class TestChannelDraw:
 
 class TestNoiseAndSnr:
     def test_reference_noise(self):
-        assert chan.noise_variance(290.0, 20e6, 9.0) == pytest.approx(6.36241029449455e-13, rel=1e-12)
+        assert chan.NOISE_VARIANCE_W == pytest.approx(6.36241029449455e-13, rel=1e-12)
+        assert chan.NOISE_VARIANCE_W.hex() == "0x1.662bfee0ff469p-41"
 
-    def test_unity_noise_figure(self):
-        assert chan.noise_variance(290.0, 20e6, 0.0) == pytest.approx(8.0098e-14, rel=1e-12)
-
-    def test_bandwidth_linearity(self):
-        assert chan.noise_variance(290.0, 40e6, 9.0) == pytest.approx(
-            2.0 * chan.noise_variance(290.0, 20e6, 9.0), rel=1e-12)
-
-    def test_unit_magnitude_channel(self):
+    def test_unit_magnitude_channel(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 0.5)
         g = np.exp(1j * rng(0).uniform(0, 2 * np.pi, size=(8, 4)))
         # |g| = 1 everywhere: SNR reduces to Pt / sigma_w^2
-        assert chan.snr_db(g, 2.0, 0.5) == pytest.approx(10 * math.log10(4.0), abs=1e-9)
+        assert chan.pt_for_snr(g, 10 * math.log10(4.0)) == pytest.approx(2.0, rel=1e-9)
 
-    def test_power_doubling(self):
+    def test_power_doubling(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-3)
         g = chan.draw_channel(np.ones((8, 4)), 0.0, *fading(rng(1), (8, 4))).g_true
-        assert chan.snr_db(g, 2.0, 1e-3) - chan.snr_db(g, 1.0, 1e-3) == pytest.approx(
-            10 * math.log10(2.0), abs=1e-9)
+        assert chan.pt_for_snr(g, 7.0 + 10 * math.log10(2.0)) == pytest.approx(
+            2.0 * chan.pt_for_snr(g, 7.0), rel=1e-9)
 
-    def test_snr_roundtrip(self):
+    def test_snr_roundtrip(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-12)
         g = chan.draw_channel(np.ones((8, 4)), 0.0, *fading(rng(2), (8, 4))).g_true
-        pt = chan.pt_for_snr(g, 20.0, 1e-12)
-        assert chan.snr_db(g, pt, 1e-12) == pytest.approx(20.0, abs=1e-9)
+        pt = chan.pt_for_snr(g, 20.0)
+        # the transmit SNR Pt ||G||_F^2 / (M K sigma_w^2) that pt_for_snr inverts
+        snr = pt * np.sum(np.abs(g) ** 2) / (g.size * 1e-12)
+        assert 10.0 * math.log10(snr) == pytest.approx(20.0, abs=1e-9)

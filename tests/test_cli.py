@@ -83,6 +83,28 @@ class TestCliDispatch:
     def test_bad_value_exit_code(self, capsys):
         assert cli.main(["run", "--set", "M=eight"]) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        # each subcommand is offered only the flags it reads
+        (["verify", "--out", "d"], "unrecognized arguments: --out d"),
+        (["cluster-report", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    ], ids=["unknown-flag", "bad-seed", "verify-out", "cluster-report-workers"])
+    def test_usage_error_is_a_config_error(self, capsys, args, message):
+        # exit 2 is the verification failure's code
+        with pytest.raises(SystemExit) as exited:
+            cli.main(args)
+        assert exited.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: rscf")
+        assert captured.err.endswith(f": error: {message}\n")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["run", "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rscf run")
+
     @pytest.mark.parametrize("pairs", [
         ["area_side_m=0"], ["d0_m=60"], ["d1_m=0"], ["shadow_sigma_db=-1"],
         ["n_a=-3"], ["power_mode=per_cluster_exhaustive", "n_c=3"],

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rscf import checks
 from rscf import clustering as clus
 from rscf import precoding as prec
+from rscf.config import ExperimentConfig
+from rscf.harness import cluster_partition_for
 
 
 def rng(seed=0):
@@ -391,3 +395,23 @@ def test_partitions_hold_python_ints_for_json():
                  clus.design_clusters(clus.select_aps_threshold(zeta), 1, zeta)):
         json.dumps(clus.cluster_report(part))
         json.dumps([part.user_sets, part.ap_sets])
+
+
+@pytest.mark.parametrize("selection, cluster_mode", [
+    ("topn", "fixed"), ("topn", "auto"), ("threshold", "fixed"), ("threshold", "auto")])
+def test_ap_relabelling_permutes_the_partition(selection, cluster_mode):
+    # metamorphic relation: relabelling the APs relabels the partition's APs and its
+    # test-vector columns, and leaves the user clusters as they are (log-normal gains
+    # hold no ties for an AP index to break)
+    config = replace(ExperimentConfig(), selection=selection, cluster_mode=cluster_mode)
+    g = rng(19)
+    for _ in range(300):
+        zeta = g.lognormal(size=(config.m, config.k))
+        perm = g.permutation(config.m)
+        label = np.argsort(perm)  # AP a of zeta is AP label[a] of zeta[perm]
+        part = cluster_partition_for(config, zeta)
+        relabelled = cluster_partition_for(config, zeta[perm])
+        assert relabelled.user_sets == part.user_sets
+        assert [sorted(aps) for aps in relabelled.ap_sets] == [
+            sorted(label[list(aps)].tolist()) for aps in part.ap_sets]
+        assert np.array_equal(relabelled.test_vectors, part.test_vectors[:, perm])

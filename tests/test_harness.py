@@ -85,13 +85,12 @@ class TestSharedScene:
             cfg = replace(ExperimentConfig(), seed=seed, freeze_geometry=freeze)
             sides = harness._scheme_sides(cfg, specs, index, attempt)
             scene = (0, 0) if freeze else (index, attempt)
-            att = chan.attenuation_constant(1900.0, 15.0, 1.65)
             for bs, shadow_shape in ((False, (cfg.m, cfg.k)), (True, (1, cfg.k))):
                 geometry = chan.place_network(cfg.m, cfg.k, cfg.area_side_m, harness.seeded_rng(
                     seed, *scene, harness._GEOMETRY))
                 shadow = harness.seeded_rng(seed, *scene, harness._SHADOW).standard_normal(
                     shadow_shape)
-                zeta = chan.large_scale(geometry.co_located() if bs else geometry, att,
+                zeta = chan.large_scale(geometry.co_located() if bs else geometry,
                                         cfg.shadow_sigma_db, shadow, d0=cfg.d0_m, d1=cfg.d1_m)
                 fading = harness.seeded_rng(seed, index, attempt, harness._SMALLSCALE)
                 h = chan.complex_normal(fading, zeta.shape)
@@ -534,7 +533,7 @@ class TestRunExperiment:
         specs = [parse_scheme(label) for label in cfg.schemes]
         sides = harness._scheme_sides(cfg, specs, 0, 0)
         with pytest.raises(prec.RankDeficientChannelError) as info:
-            harness._attempt_precoders(cfg, specs, sides, 1.0)
+            harness._attempt_precoders(specs, sides, 1.0)
         assert str(info.value) == "singular beam (schemes RS-CF-ZF-RD, RS-CF-MF-SP)"
 
     def test_redraw_warning_names_the_first_build_in_build_order(self, caplog):
@@ -782,8 +781,7 @@ def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
     for attempt in range(20):
         rng = harness.seeded_rng(seed, attempt, 100)
         geometry = chan.place_network(m, k, 1000.0, rng)
-        zeta = chan.large_scale(geometry, chan.attenuation_constant(1900.0, 15.0, 1.65), 8.0,
-                                rng.standard_normal((m, k)))
+        zeta = chan.large_scale(geometry, 8.0, rng.standard_normal((m, k)))
         h = chan.complex_normal(rng, (m, k))
         realization = chan.draw_channel(zeta, math.sqrt(sigma_e2), h,
                                         chan.complex_normal(rng, (m, k)))
@@ -791,11 +789,10 @@ def fixture_chain(seed, m, k, sigma_e2, kind, snr_db=15.0):
         n_a = clus.default_shared_ap_threshold(selection)
         partition = clus.design_clusters(selection, n_a, zeta)
         g_bar = clus.sparse_channel(realization.g_hat, partition)
-        sigma_w2 = chan.noise_variance(290.0, 20e6, 9.0)
-        pt = chan.pt_for_snr(realization.g_true, snr_db, sigma_w2)
+        pt = chan.pt_for_snr(realization.g_true, snr_db)
         try:
             common, _ = prec.common_precoder(g_bar, partition)
-            pset = harness._build_private(kind, g_bar, partition, pt, sigma_w2)
+            pset = harness._build_private(kind, g_bar, partition, pt)
         except (prec.RankDeficientChannelError, prec.EmptyClusterError):
             continue
         return realization.g_hat, partition, pset.private, common, pt
@@ -864,6 +861,34 @@ class TestChannelConstants:
                 np.testing.assert_allclose([got.esr, got.ecr, got.epr, got.stderr],
                                            [want.esr, want.ecr, want.epr, want.stderr],
                                            rtol=1e-9, atol=0, err_msg=f"{name} {want}")
+
+
+    @pytest.mark.parametrize("c", [2.0, 3.0, 0.37])
+    def test_outputs_do_not_depend_on_the_geometric_scale(self, c):
+        # scaling the area and both breakpoints by c scales every distance by c, and the
+        # three-slope law then shifts every gain by -35 log10(c) dB, which cancels as the
+        # attenuation does: one degree of freedom of the three keys is a no-op
+        base = ExperimentConfig(n_realizations=6, n_err=10, snr_grid_db=(0.0, 15.0, 30.0))
+        scaled = replace(base, area_side_m=c * base.area_side_m, d0_m=c * base.d0_m,
+                         d1_m=c * base.d1_m)
+        (base_records, base_rows), (records, rows) = (
+            harness.run_experiment(config) for config in (base, scaled))
+        base_rows, rows = list(base_rows), list(rows)
+        assert (harness.dump_precoders(scaled)["RS-CF-MMSE-SP"]["beta"]
+                != harness.dump_precoders(base)["RS-CF-MMSE-SP"]["beta"])  # the gains moved
+        assert len(rows) == len(base_rows) and len(records) == len(base_records)
+        for got, want in zip(rows, base_rows):
+            assert (got.delta, got.redraws, got.cluster_of, got.n_clusters) == (
+                want.delta, want.redraws, want.cluster_of, want.n_clusters), (c, want)
+            for field in ("s_a", "mean_cr", "mean_pr", "min_cr"):
+                np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                           rtol=1e-9, atol=0, err_msg=f"{c} {want}")
+        for got, want in zip(records, base_records):
+            assert (got.scheme, got.snr_db, got.delta_mean, got.n_clusters_mean) == (
+                want.scheme, want.snr_db, want.delta_mean, want.n_clusters_mean), c
+            np.testing.assert_allclose([got.esr, got.ecr, got.epr, got.stderr],
+                                       [want.esr, want.ecr, want.epr, want.stderr],
+                                       rtol=1e-9, atol=0, err_msg=f"{c} {want}")
 
 
 class TestVerify:

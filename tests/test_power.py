@@ -75,9 +75,8 @@ def search(inputs, err, sigma_e, mu, mode="equal_split"):
     kernel's score of its winner."""
     bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                      inputs.partition)
-    alloc, _ = pw.allocate_common(bundle, sigma_e, inputs.sigma_w2, inputs.power.pt, mu=mu,
-                                  mode=mode)
-    return alloc, rates.asr_from_bundle(bundle, alloc, inputs.sigma_w2, sigma_e)
+    alloc, _ = pw.allocate_common(bundle, sigma_e, inputs.power.pt, mu=mu, mode=mode)
+    return alloc, rates.asr_from_bundle(bundle, alloc, sigma_e)
 
 
 class TestAllocateCommon:
@@ -90,8 +89,7 @@ class TestAllocateCommon:
             base = rates.average_sum_rate(
                 inputs.realization.g_hat, err, sigma_e, inputs.partition,
                 inputs.precoders,
-                pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4),
-                inputs.sigma_w2)
+                pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4))
             assert best.s_a >= base.s_a - 1e-12
 
     def test_unit_step_returns_zero_split(self):
@@ -163,8 +161,7 @@ class TestAllocateCommon:
             base = rates.average_sum_rate(
                 inputs.realization.g_hat, err, sigma_e, inputs.partition,
                 inputs.precoders,
-                pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4),
-                inputs.sigma_w2)
+                pw.equal_split(inputs.power.pt, 0.0, inputs.partition.n_clusters, 4))
             assert best.s_a >= base.s_a - 1e-12
 
     def test_per_cluster_exhaustive_falls_back_beyond_two_clusters(self):
@@ -189,8 +186,7 @@ class TestAllocateCommon:
             bundle = rates.project_precoders(inputs.realization.g_hat,
                                              errors(inputs, 10, seeded_rng(0), 0.1),
                                              inputs.precoders, inputs.partition)
-            pw.allocate_common(bundle, 0.1, inputs.sigma_w2, 1.0, mu=0.05,
-                               mode="simulated-annealing")
+            pw.allocate_common(bundle, 0.1, 1.0, mu=0.05, mode="simulated-annealing")
 
 
 class TestFlatObjective:
@@ -202,7 +198,7 @@ class TestFlatObjective:
         assert not err.any()
         bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                          inputs.partition)
-        return pw.allocate_common(bundle, 0.0, inputs.sigma_w2, inputs.power.pt, mu=0.05)
+        return pw.allocate_common(bundle, 0.0, inputs.power.pt, mu=0.05)
 
     def test_near_tie_keeps_the_smallest_fraction(self):
         alloc, n_tied = self.flat_search()
@@ -217,7 +213,7 @@ class TestFlatObjective:
         assert n_tied == 20
 
 
-def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mode):
+def loop_search(g_hat, err, sigma_e, partition, precoders, pt, mu, mode):
     """Oracle: the rate kernel on every candidate allocation; the first candidate
     within 1e-10 relative of the best score wins."""
     n_c, k = partition.n_clusters, g_hat.shape[1]
@@ -234,17 +230,16 @@ def loop_search(g_hat, err, sigma_e, partition, precoders, sigma_w2, pt, mu, mod
     else:
         allocations = [pw.equal_split(pt, d, n_c, k) for d in pw.delta_grid(mu)]
     bundle = rates.project_precoders(g_hat, err, precoders, partition)
-    results = [rates.asr_from_bundle(bundle, a, sigma_w2, sigma_e) for a in allocations]
+    results = [rates.asr_from_bundle(bundle, a, sigma_e) for a in allocations]
     top = max(asr.s_a for asr in results)
     best = next(g for g, asr in enumerate(results) if asr.s_a >= top - 1e-10 * abs(top))
     return bundle, allocations, results, best
 
 
-def has_clamped_draw(bundle, alloc, sigma_w2, sigma_e):
+def has_clamped_draw(bundle, alloc, sigma_e):
     # a clamped draw is the only way to a zero rate on a stream with power
     eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-    cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(
-        bundle, alloc.a_c, alloc.a_p, sigma_w2, eps))
+    cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(bundle, alloc.a_c, alloc.a_p, eps))
     powered = alloc.a_c[bundle.partition.cluster_of] > 0.0
     return bool((pr == 0.0).any() or (cr[:, powered] == 0.0).any())
 
@@ -268,7 +263,7 @@ class TestGridScorer:
                     for mode in modes:
                         mu = 0.05 if mode == "equal_split" else 0.1
                         args = (inputs.realization.g_hat, err, sigma_e, inputs.partition,
-                                inputs.precoders, inputs.sigma_w2, inputs.power.pt, mu)
+                                inputs.precoders, inputs.power.pt, mu)
                         alloc, asr = search(inputs, err, sigma_e, mu, mode)
                         bundle, allocations, results, best = loop_search(*args, mode)
                         searches += 1
@@ -283,15 +278,14 @@ class TestGridScorer:
 
                         # at the zero-rate clamp the two may part by a few 1e-12 on the
                         # fixture; the scaled inputs stay within 1e-12 on every search
-                        if any(has_clamped_draw(bundle, a, inputs.sigma_w2, sigma_e)
+                        if any(has_clamped_draw(bundle, a, sigma_e)
                                for a in allocations):
                             clamped += 1
                             if network is not self.SCALED:
                                 continue
                         table = np.array([a.a_c for a in allocations])
                         scores = rates.split_grid_scores(
-                            bundle, table, np.array([a.a_p[0] for a in allocations]),
-                            inputs.sigma_w2, sigma_e)
+                            bundle, table, np.array([a.a_p[0] for a in allocations]), sigma_e)
                         np.testing.assert_allclose(scores, [r.s_a for r in results],
                                                    rtol=1e-12, atol=0.0)
                         checked_values += 1
@@ -310,27 +304,27 @@ class TestStackedScoring:
             for kind in prec.CONSTRUCTIONS:
                 for se2 in (0.0, 0.025, 0.1):
                     inputs = search_setup(seed, sigma_e2=se2, kind=kind)
-                    sigma_e, part, sigma_w2 = math.sqrt(se2), inputs.partition, inputs.sigma_w2
+                    sigma_e, part = math.sqrt(se2), inputs.partition
                     g_hat = inputs.realization.g_hat
                     k = g_hat.shape[1]
                     err = errors(inputs, 30, seeded_rng(seed, 41), sigma_e)
-                    pts = np.array([chan.pt_for_snr(inputs.realization.g_true, snr, sigma_w2)
+                    pts = np.array([chan.pt_for_snr(inputs.realization.g_true, snr)
                                     for snr in FIXTURE.snr_grid_db])
                     assert len(pts) == 7
-                    private = _build_private(kind, inputs.g_bar, part, pts, sigma_w2).private
+                    private = _build_private(kind, inputs.g_bar, part, pts).private
                     bundle = rates.ProjectionBundle(
                         rates.project_streams(g_hat, err, inputs.precoders.common,
                                               part.cluster_of),
                         rates.project_streams(g_hat, err, private, np.arange(k)), part)
                     for mode in TestGridScorer.MODES:
                         mu = 0.05 if mode == "equal_split" else 0.1
-                        won = [pw.allocate_common(bundle.at(s), sigma_e, sigma_w2, pt, mu=mu,
+                        won = [pw.allocate_common(bundle.at(s), sigma_e, pt, mu=mu,
                                                   mode=mode) for s, pt in enumerate(pts)]
                         ties += sum(n_tied > 1 for _, n_tied in won)
                         stacked = rates.asr_from_bundle(
-                            bundle, pw.stack([alloc for alloc, _ in won]), sigma_w2, sigma_e)
+                            bundle, pw.stack([alloc for alloc, _ in won]), sigma_e)
                         for s, (alloc, _) in enumerate(won):
-                            one = rates.asr_from_bundle(bundle.at(s), alloc, sigma_w2, sigma_e)
+                            one = rates.asr_from_bundle(bundle.at(s), alloc, sigma_e)
                             for field in ("s_a", "mean_cr", "mean_pr", "min_cr"):
                                 assert np.array_equal(getattr(stacked, field)[s],
                                                       getattr(one, field))

@@ -102,7 +102,7 @@ class TestCommonPrecoder:
                 g_bar, part = inputs.g_bar, inputs.partition
                 columns = (inputs.precoders.private,
                            prec.construct(prec.LABEL_RU_MMSE_RD, g_bar, part,
-                                          inputs.power.pt, inputs.sigma_w2).private)
+                                          inputs.power.pt).private)
                 for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
                     outside = [m for m in range(g_bar.shape[0]) if m not in aps]
                     assert np.all(inputs.precoders.common[outside, i] == 0)
@@ -126,7 +126,7 @@ class TestCommonPrecoder:
         g_bar = clus.sparse_channel(g_hat, part)
         for label in prec.CONSTRUCTIONS:
             with pytest.raises(prec.EmptyClusterError, match="cluster 1"):
-                prec.construct(label, g_bar, part, 1.0, 0.1)
+                prec.construct(label, g_bar, part, 1.0)
         with pytest.raises(prec.EmptyClusterError, match="cluster 1"):
             prec.common_precoder(g_bar, part)
 
@@ -175,29 +175,32 @@ class TestZeroForcing:
 
 
 class TestMmse:
-    def test_vanishing_noise_reduces_to_zf(self):
+    def test_vanishing_noise_reduces_to_zf(self, monkeypatch):
         g = complex_matrix(8, 4, 16)
         dense = clus.sparse_channel(g, clus.single_cluster(*g.shape))
         pt = 1.0
         zf = prec.zf_sp(dense, pt)
-        mmse = prec.mmse_sp(dense, pt, sigma_w2=1e-12 * pt)
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-12 * pt)
+        mmse = prec.mmse_sp(dense, pt)
         dev = np.max(np.abs(mmse.private - zf.private)) / np.max(np.abs(zf.private))
         assert dev < 1e-4
 
-    def test_vanishing_power_aligns_with_mf(self):
+    def test_vanishing_power_aligns_with_mf(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1.0)
         g = complex_matrix(8, 4, 17)
         dense = clus.sparse_channel(g, clus.single_cluster(*g.shape))
-        mmse = prec.mmse_sp(dense, pt=1e-12, sigma_w2=1.0)
+        mmse = prec.mmse_sp(dense, pt=1e-12)
         for k in range(4):
             a = mmse.private[:, k] / np.linalg.norm(mmse.private[:, k])
             b = g[:, k].conj() / np.linalg.norm(g[:, k])
             assert abs(np.vdot(a, b)) >= 1.0 - 1e-6
 
-    def test_solve_oracle(self):
+    def test_solve_oracle(self, monkeypatch):
         # independent route: solve the regularised system instead of inverting
         g_bar, _, _ = clustered_instance(18)
         pt, sigma_w2 = 2.0, 0.3
-        pset = prec.mmse_sp(g_bar, pt, sigma_w2)
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", sigma_w2)
+        pset = prec.mmse_sp(g_bar, pt)
         gram = g_bar.T @ g_bar.conj() + (4 * sigma_w2 / pt) * np.eye(4)
         x = np.linalg.solve(gram, np.eye(4, dtype=complex))
         reference = g_bar.conj() @ x
@@ -205,9 +208,10 @@ class TestMmse:
         np.testing.assert_allclose(pset.private, beta * reference,
                                    atol=1e-10 * np.max(np.abs(reference)) * beta)
 
-    def test_trace_normalisation(self):
+    def test_trace_normalisation(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 0.1)
         g_bar, _, _ = clustered_instance(19)
-        pset = prec.mmse_sp(g_bar, pt=7.0, sigma_w2=0.1)
+        pset = prec.mmse_sp(g_bar, pt=7.0)
         assert np.sum(np.abs(pset.private) ** 2) == pytest.approx(7.0, rel=1e-9)
 
 
@@ -259,15 +263,16 @@ class TestReducedDimension:
             aps = [a for ap_set in inputs.partition.ap_sets for a in ap_set]
             assert len(aps) == len(set(aps))
             rd = _build_private(prec.LABEL_RU_ZF_RD, inputs.g_bar, inputs.partition,
-                                inputs.power.pt, inputs.sigma_w2)
+                                inputs.power.pt)
             np.testing.assert_allclose(rd.private, inputs.precoders.private, rtol=0.0,
                                        atol=1e-12)
 
-    def test_mmse_rd_reduced_inversion_oracle(self):
+    def test_mmse_rd_reduced_inversion_oracle(self, monkeypatch):
         # dimension bookkeeping: each cluster solves its own |K_i| system
         g_bar, part, _ = clustered_instance(23)
         pt, sigma_w2 = 4.0, 0.2
-        rd = prec.ru_mmse_rd(g_bar, part, pt, sigma_w2)
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", sigma_w2)
+        rd = prec.ru_mmse_rd(g_bar, part, pt)
         k_total = 4
         for i, (users, aps) in enumerate(zip(part.user_sets, part.ap_sets)):
             ki = len(users)
@@ -281,19 +286,21 @@ class TestReducedDimension:
                                        atol=1e-10 * np.max(np.abs(p_bar)) * beta)
             assert rd.beta[i] == pytest.approx(beta, rel=1e-9)
 
-    def test_mmse_rd_vanishing_noise_is_zf_rd(self):
+    def test_mmse_rd_vanishing_noise_is_zf_rd(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-14)
         g_bar, part, _ = clustered_instance(24)
         rd_zf = prec.ru_zf_rd(g_bar, part)
-        rd_mmse = prec.ru_mmse_rd(g_bar, part, pt=1.0, sigma_w2=1e-14)
+        rd_mmse = prec.ru_mmse_rd(g_bar, part, pt=1.0)
         for k in range(4):
             a = rd_mmse.private[:, k] / np.linalg.norm(rd_mmse.private[:, k])
             b = rd_zf.private[:, k] / np.linalg.norm(rd_zf.private[:, k])
             assert abs(np.vdot(a, b)) >= 1.0 - 1e-6
 
-    def test_private_columns_confined_to_cluster_aps(self):
+    def test_private_columns_confined_to_cluster_aps(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-3)
         g_bar, part, _ = clustered_instance(35)
         for pset in (prec.ru_zf_rd(g_bar, part), prec.zf_sp(g_bar, pt=1.0),
-                     prec.mmse_sp(g_bar, pt=1.0, sigma_w2=1e-3)):
+                     prec.mmse_sp(g_bar, pt=1.0)):
             for users, aps in zip(part.user_sets, part.ap_sets):
                 outside = [m for m in range(8) if m not in aps]
                 for k in users:
@@ -336,11 +343,12 @@ class TestReducedDimension:
 class TestNetworkWide:
     """Dense (unmasked) precoders: a table construction on the dense channel."""
 
-    def wide(self, g_hat, label, pt=1.0, sigma_w2=0.1):
+    def wide(self, g_hat, label, pt=1.0):
         part = clus.single_cluster(*g_hat.shape)
-        return prec.construct(label, clus.sparse_channel(g_hat, part), part, pt, sigma_w2)
+        return prec.construct(label, clus.sparse_channel(g_hat, part), part, pt)
 
-    def test_full_coverage_equals_sparse(self):
+    def test_full_coverage_equals_sparse(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 0.1)
         g_hat = complex_matrix(8, 4, 26)
         part = clus.single_cluster(8, 4)
         g_bar = clus.sparse_channel(g_hat, part)
@@ -351,7 +359,7 @@ class TestNetworkWide:
             elif label == prec.LABEL_ZF_SP:
                 sp = prec.zf_sp(g_bar, 1.0)
             else:
-                sp = prec.mmse_sp(g_bar, 1.0, 0.1)
+                sp = prec.mmse_sp(g_bar, 1.0)
             np.testing.assert_allclose(wide.private, sp.private, atol=1e-12)
 
     def test_zf_kind_orthogonality(self):
@@ -396,16 +404,16 @@ class TestSnrAxis:
 
     @pytest.mark.parametrize("label", list(prec.CONSTRUCTIONS))
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "clustered"])
-    def test_stacked_build_equals_scalar_builds(self, label, dense):
+    def test_stacked_build_equals_scalar_builds(self, monkeypatch, label, dense):
         g_bar, part, g_hat = clustered_instance(40)
         if dense:
             part = clus.single_cluster(*g_hat.shape)
             g_bar = clus.sparse_channel(g_hat, part)
-        sigma_w2 = 1e-3
-        pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-3)
+        pts = np.array([chan.pt_for_snr(g_hat, snr) for snr in range(0, 31, 5)])
         for normalise in (False, True):
             def build(pt):
-                pset = prec.construct(label, g_bar, part, pt, sigma_w2)
+                pset = prec.construct(label, g_bar, part, pt)
                 return prec.normalize_private_columns(pset) if normalise else pset
             stacked, singles = build(pts), [build(pt) for pt in pts]
             # MF-SP and RU-ZF-RD never read pt: their sets carry no SNR axis
@@ -420,7 +428,7 @@ class TestSnrAxis:
 
     @pytest.mark.parametrize("label", list(prec.CONSTRUCTIONS))
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "clustered"])
-    def test_one_budget_sets_have_budget_free_columns(self, label, dense):
+    def test_one_budget_sets_have_budget_free_columns(self, monkeypatch, label, dense):
         # the run builds the sets of harness._ONE_BUDGET once, at the first point's budget,
         # for every SNR point: their unit-norm columns must not read the budget (zero
         # forcing's trace scaling is divided out), while a regularised set's must
@@ -428,12 +436,12 @@ class TestSnrAxis:
         if dense:
             part = clus.single_cluster(*g_hat.shape)
             g_bar = clus.sparse_channel(g_hat, part)
-        sigma_w2 = 1e-3
-        pts = np.array([chan.pt_for_snr(g_hat, snr, sigma_w2) for snr in range(0, 31, 5)])
-        stacked = _build_private(label, g_bar, part, pts, sigma_w2).private
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-3)
+        pts = np.array([chan.pt_for_snr(g_hat, snr) for snr in range(0, 31, 5)])
+        stacked = _build_private(label, g_bar, part, pts).private
         points = stacked if stacked.ndim == 3 else [stacked] * len(pts)
         if label in _ONE_BUDGET:
-            one = _build_private(label, g_bar, part, pts[0], sigma_w2).private
+            one = _build_private(label, g_bar, part, pts[0]).private
             for s, columns in enumerate(points):
                 assert np.max(np.abs(columns - one)) <= 1e-14 * np.max(np.abs(one)), s
         else:
@@ -457,7 +465,7 @@ class TestChannelAxis:
                         sides[True].channels[True]]
             try:
                 for part, g_bar in channels:
-                    prec.construct(prec.LABEL_ZF_SP, g_bar, part, 1.0, 1.0)
+                    prec.construct(prec.LABEL_ZF_SP, g_bar, part, 1.0)
             except prec.DegenerateChannelError:
                 continue
             partitions, g_bars = zip(*channels)
@@ -467,17 +475,17 @@ class TestChannelAxis:
     @pytest.mark.parametrize("budget", ["scalar", "array"])
     @pytest.mark.parametrize("label", STACKED)
     @pytest.mark.parametrize("k", [1, 2, 4, 16])
-    def test_stack_equals_the_channel_builds(self, k, label, budget):
+    def test_stack_equals_the_channel_builds(self, monkeypatch, k, label, budget):
         partitions, g_bars, g_true = self.run_channels(k)
-        sigma_w2 = 1e-13
-        pts = np.array([chan.pt_for_snr(g_true, snr, sigma_w2) for snr in range(0, 31, 5)])
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-13)
+        pts = np.array([chan.pt_for_snr(g_true, snr) for snr in range(0, 31, 5)])
         pt = pts[2] if budget == "scalar" else pts
-        stacked = _build_private(label, g_bars, partitions, pt, sigma_w2)
+        stacked = _build_private(label, g_bars, partitions, pt)
         # the channel axis leads, ahead of the SNR axis of a set that reads the budget
         snr_axis = () if label == prec.LABEL_MF_SP else np.shape(pt)
         assert stacked.private.shape == g_bars.shape[:1] + snr_axis + g_bars.shape[1:]
         for c, (part, g_bar) in enumerate(zip(partitions, g_bars)):
-            one, got = _build_private(label, g_bar, part, pt, sigma_w2), stacked.channel(c)
+            one, got = _build_private(label, g_bar, part, pt), stacked.channel(c)
             for field in ("private", "beta", "lam", "col_scale"):
                 assert np.array_equal(getattr(got, field), getattr(one, field)), (c, field)
             assert np.array_equal(got.common, one.common) and got.label == one.label
@@ -487,12 +495,12 @@ class TestChannelAxis:
         g_bars = g_bars.copy()
         g_bars[1, :, 3] = g_bars[1, :, 2]  # two users of the clustered channel alike
         with pytest.raises(prec.RankDeficientChannelError) as alone:
-            _build_private(prec.LABEL_ZF_SP, g_bars[1], partitions[1], 1.0, 1.0)
+            _build_private(prec.LABEL_ZF_SP, g_bars[1], partitions[1], 1.0)
         with pytest.raises(prec.RankDeficientChannelError) as stacked:
-            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0, 1.0)
+            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0)
         assert stacked.value.channel == 1 and str(stacked.value) == str(alone.value)
         # the same stack without that channel builds
-        _build_private(prec.LABEL_ZF_SP, g_bars[::2], partitions[::2], 1.0, 1.0)
+        _build_private(prec.LABEL_ZF_SP, g_bars[::2], partitions[::2], 1.0)
 
     def test_the_first_failing_channel_raises(self):
         # every channel's partition is checked before any arithmetic: an empty cluster on
@@ -505,11 +513,11 @@ class TestChannelAxis:
                                       np.zeros((2, g_bars.shape[1]), dtype=int))
         for label in self.STACKED:
             with pytest.raises(prec.EmptyClusterError, match="cluster 1 lost every AP") as got:
-                _build_private(label, g_bars, (partitions[0], empty, partitions[2]), 1.0, 1.0)
+                _build_private(label, g_bars, (partitions[0], empty, partitions[2]), 1.0)
             assert got.value.channel == 1, label
         # without the empty cluster, zero forcing's rank check fails channel 0
         with pytest.raises(prec.RankDeficientChannelError) as rank_first:
-            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0, 1.0)
+            _build_private(prec.LABEL_ZF_SP, g_bars, partitions, 1.0)
         assert rank_first.value.channel == 0
 
 
@@ -644,7 +652,8 @@ class TestPhaseOneWithoutWrappers:
             part = clus.design_clusters_fixed(clus.select_aps_topn(zeta, m), n_c, zeta)
             yield part, np.sqrt(zeta) * complex_matrix(m, k, seed + 50)
 
-    def test_stacked_cluster_grams_equal_the_loop(self):
+    def test_stacked_cluster_grams_equal_the_loop(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 0.3)
         sizes = set()
         pts = np.array([0.5, 2.0, 8.0])
         for part, g_hat in self.partitions():
@@ -653,7 +662,7 @@ class TestPhaseOneWithoutWrappers:
             got = prec.ru_zf_rd(g_bar, part)
             private, lam = self.loop_ru_zf_rd(g_bar, part)
             assert np.array_equal(got.private, private) and np.array_equal(got.lam, lam)
-            got = prec.ru_mmse_rd(g_bar, part, pts, 0.3)
+            got = prec.ru_mmse_rd(g_bar, part, pts)
             private, lam = self.loop_ru_mmse_rd(g_bar, part, pts, 0.3)
             assert np.array_equal(got.private, private) and np.array_equal(got.lam, lam)
         assert (2, 2, 2, 2) in sizes and any(len(set(s)) > 1 for s in sizes)

@@ -34,7 +34,7 @@ def perfect_instance(seed, kind=prec.LABEL_MF_SP, delta=0.0, single_cluster=True
         raise ValueError(kind)
     pset = pset._replace(common=common)
     alloc = pw.equal_split(1.0, delta, part.n_clusters, 4)
-    return checks.RateInputs(real, g_bar, part, pset, cache, alloc, 1e-3)
+    return checks.RateInputs(real, g_bar, part, pset, cache, alloc)
 
 
 class TestGenericAgainstPowerOracle:
@@ -64,6 +64,11 @@ class TestGenericAgainstPowerOracle:
 
 
 class TestPerfectCsitReduction:
+    @pytest.fixture(autouse=True)
+    def noise(self, monkeypatch):
+        # the noise variance of the perfect-CSIT instances
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-3)
+
     def test_matches_true_channel_formula(self):
         # with a perfect estimate the SINRs must equal the plain
         # true-channel expressions with unscaled noise
@@ -90,7 +95,7 @@ class TestPerfectCsitReduction:
         beta = inputs.precoders.beta
         private = checks.draw_sinrs(inputs)[1]
         for k in range(4):
-            expected = inputs.power.a_p[k] ** 2 * beta ** 2 / inputs.sigma_w2
+            expected = inputs.power.a_p[k] ** 2 * beta ** 2 / chan.NOISE_VARIANCE_W
             assert private[k] == pytest.approx(expected, rel=1e-9)
 
     def test_mf_private_display(self):
@@ -103,7 +108,7 @@ class TestPerfectCsitReduction:
         for k in range(4):
             num = a_p[k] ** 2 * np.sum(np.abs(g[:, k]) ** 2) ** 2
             den = sum(a_p[i] ** 2 * abs(g[:, k] @ g[:, i].conj()) ** 2
-                      for i in range(4) if i != k) + inputs.sigma_w2
+                      for i in range(4) if i != k) + chan.NOISE_VARIANCE_W
             assert private[k] == pytest.approx(num / den, rel=1e-9)
 
 
@@ -133,7 +138,7 @@ class TestClosedForms:
     def test_requires_cache(self):
         inputs = random_instance(1, FIXTURE, kind=prec.LABEL_MF_SP)
         stripped = checks.RateInputs(inputs.realization, inputs.g_bar, inputs.partition,
-                                    inputs.precoders, None, inputs.power, inputs.sigma_w2)
+                                    inputs.precoders, None, inputs.power)
         with pytest.raises(ValueError):
             checks.sinr_closed_form(0, stripped, "common")
         unknown = dataclasses.replace(inputs, precoders=inputs.precoders._replace(label="XX-SP"))
@@ -142,7 +147,8 @@ class TestClosedForms:
 
 
 class TestClamping:
-    def test_negative_denominator_gives_zero_rate(self):
+    def test_negative_denominator_gives_zero_rate(self, monkeypatch):
+        monkeypatch.setattr(chan, "NOISE_VARIANCE_W", 1e-9)
         # force a draw where the estimate-error cross term dominates: a
         # huge error aligned with the estimate makes the adjusted
         # denominator negative, which must clamp to zero
@@ -154,7 +160,7 @@ class TestClamping:
         g_bar = clus.sparse_channel(g_hat, part)
         pset = prec.mf_sp(g_bar)._replace(common=np.ones((4, 1)) / 2.0)
         alloc = pw.PowerAllocation(np.zeros(1), np.ones(1), 0.0, 1.0)
-        inputs = checks.RateInputs(real, g_bar, part, pset, None, alloc, 1e-9)
+        inputs = checks.RateInputs(real, g_bar, part, pset, None, alloc)
         assert checks.draw_sinrs(inputs)[1][0] == 0.0
         assert checks.sinr_oracle(0, inputs, "private") == 0.0
         assert _draw_sum_rate(inputs) >= 0.0
@@ -181,8 +187,7 @@ class TestOneDrawView:
                 bundle = rates.project_precoders(inputs.realization.g_hat, err,
                                                  inputs.precoders, inputs.partition)
                 common, private = rates._sinrs(
-                    bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2,
-                    inputs.realization.epsilon)
+                    bundle, inputs.power.a_c, inputs.power.a_p, inputs.realization.epsilon)
                 for n in range(len(err)):
                     view = checks.draw_sinrs(with_error(inputs, err[n], sigma_e))
                     assert np.array_equal(common[n], view[0])
@@ -193,7 +198,7 @@ class TestOneDrawView:
         real = inputs.realization
         bundle = rates.project_precoders(real.g_hat, real.g_err[None], inputs.precoders,
                                          inputs.partition)
-        asr = rates.asr_from_bundle(bundle, inputs.power, inputs.sigma_w2, real.sigma_e)
+        asr = rates.asr_from_bundle(bundle, inputs.power, real.sigma_e)
         assert np.all(asr.mean_cr >= 0)
         assert np.all(asr.mean_pr >= 0)
         for i, users in enumerate(inputs.partition.user_sets):
@@ -217,7 +222,7 @@ class TestVectorisedPath:
                                          inputs.precoders, inputs.partition)
         eps = 1.0 / math.sqrt(1.0 - 0.05)
         cr, pr = (np.log2(1.0 + x) for x in rates._sinrs(
-            bundle, inputs.power.a_c, inputs.power.a_p, inputs.sigma_w2, eps))
+            bundle, inputs.power.a_c, inputs.power.a_p, eps))
         for n in range(6):
             common, private = checks.draw_sinrs(with_error(inputs, err[n], math.sqrt(0.05)))
             np.testing.assert_allclose(cr[n], np.log2(1.0 + common), rtol=1e-10)
@@ -225,10 +230,10 @@ class TestVectorisedPath:
 
 
     @staticmethod
-    def former_asr(bundle, partition, power, sigma_w2, sigma_e):
+    def former_asr(bundle, partition, power, sigma_e):
         # log2, mean and cluster minima of both streams, the all-zero common SINRs included
         eps = 1.0 / math.sqrt(1.0 - sigma_e ** 2)
-        sinr_c, sinr_p = rates._sinrs(bundle, power.a_c, power.a_p, sigma_w2, eps)
+        sinr_c, sinr_p = rates._sinrs(bundle, power.a_c, power.a_p, eps)
         cr, pr = (np.ascontiguousarray(np.log2(1.0 + x)) for x in (
             np.zeros(sinr_p.shape) if sinr_c is None else sinr_c, sinr_p))
         mean_cr, mean_pr = cr.mean(axis=-2), pr.mean(axis=-2)
@@ -250,8 +255,8 @@ class TestVectorisedPath:
             for power in (pw.no_split(inputs.power.pt, 4), pw.no_split(pts, 4), inputs.power):
                 if bundle is plain and power is inputs.power:
                     continue
-                got = rates.asr_from_bundle(bundle, power, inputs.sigma_w2, sigma_e)
-                want = self.former_asr(bundle, part, power, inputs.sigma_w2, sigma_e)
+                got = rates.asr_from_bundle(bundle, power, sigma_e)
+                want = self.former_asr(bundle, part, power, sigma_e)
                 for value, ref in zip((got.s_a, got.mean_cr, got.mean_pr, got.min_cr), want):
                     assert np.array_equal(value, ref) and np.shape(value) == np.shape(ref)
                     assert not np.signbit(value).any()
@@ -272,7 +277,7 @@ class TestSnrAxis:
         """``labels`` may mix sets with an SNR axis (pt-dependent) and without."""
         inputs = random_instance(14, replace(FIXTURE, m=m, k=k, sigma_e2=0.05),
                                  kind=prec.LABEL_MMSE_SP)
-        g_hat, part, sigma_w2 = inputs.realization.g_hat, inputs.partition, inputs.sigma_w2
+        g_hat, part = inputs.realization.g_hat, inputs.partition
         sigma_e = math.sqrt(0.05)
         err = chan.draw_error_matrices(np.abs(g_hat) ** 2, sigma_e, n_err, seeded_rng(3))
         pts = inputs.power.pt * 10.0 ** np.arange(-1.0, points - 1.0)
@@ -285,10 +290,10 @@ class TestSnrAxis:
             stack = (lambda a: a[0]) if np.ndim(pt) == 0 else np.stack
             power = pw.PowerAllocation(stack([a.a_c for a in allocs]),
                                        stack([a.a_p for a in allocs]), delta, pt)
-            return rates.asr_from_bundle(bundle, power, sigma_w2, sigma_e)
+            return rates.asr_from_bundle(bundle, power, sigma_e)
 
         for label in labels:
-            pset = _build_private(label, inputs.g_bar, part, pts, sigma_w2)
+            pset = _build_private(label, inputs.g_bar, part, pts)
             stacked = rates.ProjectionBundle(
                 common, rates.project_streams(g_hat, err, pset.private, own), part)
             for delta in (0.0, 0.3):
@@ -318,12 +323,10 @@ class TestAverageSumRate:
         zeta = np.ones((8, 4))
         one = rates.average_sum_rate(inputs.realization.g_hat,
                                      chan.draw_error_matrices(zeta, 0.0, 1, seeded_rng(1)), 0.0,
-                                     inputs.partition, inputs.precoders, inputs.power,
-                                     inputs.sigma_w2)
+                                     inputs.partition, inputs.precoders, inputs.power)
         many = rates.average_sum_rate(inputs.realization.g_hat,
                                       chan.draw_error_matrices(zeta, 0.0, 64, seeded_rng(2)),
-                                      0.0, inputs.partition, inputs.precoders, inputs.power,
-                                      inputs.sigma_w2)
+                                      0.0, inputs.partition, inputs.precoders, inputs.power)
         assert one.s_a == pytest.approx(many.s_a, rel=1e-12)
         assert one.s_a == pytest.approx(_draw_sum_rate(inputs), rel=1e-12)
 
@@ -335,7 +338,7 @@ class TestAverageSumRate:
         err = chan.draw_error_matrices(zeta, sigma_e, 1, seeded_rng(5))
         bundle = rates.project_precoders(inputs.realization.g_hat, err, inputs.precoders,
                                          inputs.partition)
-        asr = rates.asr_from_bundle(bundle, inputs.power, inputs.sigma_w2, sigma_e)
+        asr = rates.asr_from_bundle(bundle, inputs.power, sigma_e)
         assert asr.s_a == pytest.approx(_draw_sum_rate(with_error(inputs, err[0], sigma_e)),
                                         rel=1e-10)
 
@@ -344,7 +347,7 @@ class TestAverageSumRate:
                                  delta=0.4)
         zeta = np.abs(inputs.realization.g_hat) ** 2  # gain proxy, any positive matrix works
         sigma_e = math.sqrt(0.025)
-        args = (sigma_e, inputs.partition, inputs.precoders, inputs.power, inputs.sigma_w2)
+        args = (sigma_e, inputs.partition, inputs.precoders, inputs.power)
 
         def asr(n_err, rng):
             err = chan.draw_error_matrices(zeta, sigma_e, n_err, rng)
@@ -361,8 +364,7 @@ class TestAverageSumRate:
         err = chan.draw_error_matrices(np.ones((8, 4)), 0.1, 0, seeded_rng(0))
         with pytest.raises(ValueError):
             rates.average_sum_rate(inputs.realization.g_hat, err, 0.1,
-                                   inputs.partition, inputs.precoders, inputs.power,
-                                   inputs.sigma_w2)
+                                   inputs.partition, inputs.precoders, inputs.power)
 
 
 class TestErgodicSumRate:

@@ -37,13 +37,13 @@ def candidates(config, partition, pt):
     return [(delta, pw.equal_split(pt, delta, n_c, k)) for delta in grid]
 
 
-def oracle_rates(draws, partition, pset, alloc, sigma_w2):
+def oracle_rates(draws, partition, pset, alloc):
     """Sum rate and per-user mean common and private rates over the draws."""
     k = draws[0].g_hat.shape[1]
     mean = {}
     for stream in ("common", "private"):
         mean[stream] = np.mean([[math.log2(1.0 + checks.sinr_oracle(
-            u, checks.RateInputs(draw, None, partition, pset, None, alloc, sigma_w2), stream))
+            u, checks.RateInputs(draw, None, partition, pset, None, alloc), stream))
             for u in range(k)] for draw in draws], axis=0)
     s_a = sum(mean["common"][list(u)].min() for u in partition.user_sets) + mean["private"].sum()
     return s_a, mean["common"], mean["private"]
@@ -51,12 +51,11 @@ def oracle_rates(draws, partition, pset, alloc, sigma_w2):
 
 def reference_rows(config, index, attempt):
     """(scheme, snr) -> (delta, s_a, mean_cr, mean_pr, cluster_of) of one realization."""
-    # the reference noise from its literal values, not from the run's constant
-    sigma_w2, sigma_e = chan.noise_variance(290.0, 20e6, 9.0), math.sqrt(config.sigma_e2)
+    sigma_e = math.sqrt(config.sigma_e2)
     rows = {}
     for snr in config.snr_grid_db:
         sides, built = harness.realization_precoders(config, index, snr)
-        pt = chan.pt_for_snr(sides[False].realization.g_true, snr, sigma_w2)
+        pt = chan.pt_for_snr(sides[False].realization.g_true, snr)
         draws = {}
         for bs, side in sides.items():
             real = side.realization
@@ -69,7 +68,7 @@ def reference_rows(config, index, attempt):
             spec = parse_scheme(label)
             options = (candidates(config, partition, pt) if spec.rs
                        else [(0.0, pw.no_split(pt, config.k))])
-            scored = [(delta, oracle_rates(draws[spec.bs], partition, pset, alloc, sigma_w2))
+            scored = [(delta, oracle_rates(draws[spec.bs], partition, pset, alloc))
                       for delta, alloc in options]
             top = max(score[0] for _, score in scored)
             delta, score = next((delta, score) for delta, score in scored
